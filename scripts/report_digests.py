@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 digest of the JSON report of a fixed set of CLI runs.
+
+Every run is seeded, so two versions of the program that compute the same
+results print the same lines.  Run it in two checkouts and diff the output
+to check that a change keeps the reports byte-identical:
+
+    python3 scripts/report_digests.py > digests.txt
+
+The program is imported from the `src` directory next to this script.
+Reports are written to a temporary directory that is removed at the end.
+Each line is `sha256  command`; the exit code is 1 if any run fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# ccz_x_2d times a trivially acting Z2, as an action config: element i of
+# Z2^3 has bits (g1, g2, z), with an X layer if g2 and a CCZ layer if g1.
+ORDER8_CONFIG = {
+    "name": "ccz_x_2d_times_trivial_z2",
+    "group": {
+        "order": 8,
+        "mul": [i ^ j for i in range(8) for j in range(8)],
+        "names": [f"e{i}" for i in range(8)],
+    },
+    "generators": [
+        {
+            "element": f"e{i}",
+            "layers": ([{"pattern": "x_sites"}] if i & 2 else [])
+            + ([{"pattern": "ccz_triangles"}] if i & 4 else []),
+        }
+        for i in range(8)
+    ],
+}
+
+RUNS = (
+    ["reproduce-ccz", "--check-gauge", "2", "--seed", "1"],
+    ["anomaly2d", "--check-window", "--seed", "2"],
+    ["anomaly2d", "--action", "order8_action.json", "--seed", "3"],
+    ["anomaly1d", "--action", "levin_gu_1d", "--seed", "4"],
+    ["eta-check", "--pairs", "100", "--seed", "5"],
+    ["crossed", "lattice", "--samples", "50", "--seed", "6"],
+    ["spt", "--mode", "relative1d", "--seed", "7"],
+    ["spt", "--mode", "trivialize2d", "--action", "ccz_x_2d", "--seed", "8"],
+)
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="report-digests-") as tmp:
+        # reports name the config by the path given, so it is relative to cwd
+        with open(os.path.join(tmp, "order8_action.json"), "w") as fh:
+            json.dump(ORDER8_CONFIG, fh)
+        for i, run in enumerate(RUNS):
+            report = os.path.join(tmp, f"report{i}.json")
+            proc = subprocess.run(
+                [sys.executable, "-m", "anomalion.cli", *run, "--report", report],
+                cwd=tmp, env=env, capture_output=True, text=True,
+            )
+            label = " ".join(run)
+            if proc.returncode != 0 or not os.path.exists(report):
+                print(f"exit {proc.returncode}: {label}\n{proc.stderr}", file=sys.stderr)
+                failed += 1
+                continue
+            with open(report, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            print(f"{digest}  {label}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,7 @@ from .groups import (
     is_cocycle,
     pullback,
 )
-from .lattice import Region, Site, Window, classify_support, contains
+from .lattice import Region, Site, Window, classify_support
 from .symop import (
     SymOp,
     commutator,
@@ -31,7 +31,6 @@ from .circuits import (
     ProceduralCircuit,
     builtin_action,
     conj_by_circuit,
-    instantiate,
     product_collapse,
     truncate,
 )
@@ -68,11 +67,11 @@ __all__ = [
     "Cochain", "FiniteGroup", "GroupHom", "PhaseValue",
     "coboundary", "coboundary_solve", "cohomologous", "cup_1cocycles",
     "is_cocycle", "pullback",
-    "Region", "Site", "Window", "classify_support", "contains",
+    "Region", "Site", "Window", "classify_support",
     "SymOp", "commutator", "expectation_product_state", "format_op",
     "op_conj", "op_inv", "op_mul", "parse_op", "scalar_phase", "support",
     "CircuitAction", "GateRule", "ProceduralCircuit", "builtin_action",
-    "conj_by_circuit", "instantiate", "product_collapse", "truncate",
+    "conj_by_circuit", "product_collapse", "truncate",
     "LocalizedAutomorphism", "eta", "eta_L", "eta_R", "run_identity_suite",
     "anomaly_2d", "build_truncation_1d", "build_truncation_2d",
     "nayak_else_1d", "regauge_beta", "regauge_rho",

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .circuits import (
     CircuitAction,
+    Layer,
     ProceduralCircuit,
     concat,
     conj_by_circuit,
@@ -372,8 +373,6 @@ def split_boundary_circuit(c: ProceduralCircuit) -> tuple[ProceduralCircuit, Pro
     multiply back to the whole (the fixture circuits here always split).
     """
     left_layers, right_layers = [], []
-    from .circuits import GateRule
-
     for layer in c.instantiate():
         lg, rg = [], []
         for gate in layer:
@@ -382,8 +381,8 @@ def split_boundary_circuit(c: ProceduralCircuit) -> tuple[ProceduralCircuit, Pro
                 rg.append(gate)
             else:
                 lg.append(gate)
-        left_layers.append(GateRule("explicit", gates=tuple(lg)))
-        right_layers.append(GateRule("explicit", gates=tuple(rg)))
+        left_layers.append(Layer(lg))
+        right_layers.append(Layer(rg))
     gl = ProceduralCircuit(tuple(left_layers), c.window)
     gr = ProceduralCircuit(tuple(right_layers), c.window)
     if op_mul(gl.unitary(), gr.unitary()) != c.unitary():

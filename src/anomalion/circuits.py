@@ -1,11 +1,15 @@
 """Rule-generated layered circuits on lattice windows.
 
 A circuit is an ordered list of gate rules; instantiating it on a window
-materializes each rule into a layer of SymOp gates.  Layers are applied to
+materializes each rule into a Layer of SymOp gates.  Layers are applied to
 states first-listed-first, so the circuit unitary is W_N ... W_2 W_1 and
 conjugating an observable applies layers in list order.  Within a layer,
 gates must pairwise commute or have disjoint supports, which keeps the
 layer product and the conjugation action unambiguous.
+
+Rules are validated once, when first materialized; circuits derived from
+materialized Layers are not, since sub-layers, inverses and conjugates of a
+valid layer are valid.
 """
 
 from __future__ import annotations
@@ -132,20 +136,62 @@ def _check_layer(gates: list[SymOp]):
                         )
 
 
+class Layer(tuple):
+    """A materialized layer: its gates, its range bound and a site index.
+
+    A circuit takes Layers as they are, without validation, so build one
+    only from a validated layer of the same window (a sub-layer, inverse or
+    conjugate).  The bound defaults to the largest gate diameter; the site
+    index is built on the first conjugation through the layer.
+    """
+
+    def __new__(cls, gates=(), bound: int | None = None):
+        layer = super().__new__(cls, gates)
+        layer._bound = bound
+        layer._index = None
+        return layer
+
+    def range_bound(self) -> int:
+        if self._bound is None:
+            self._bound = max((_diameter(support(g)) for g in self), default=0)
+        return self._bound
+
+    def acting(self, supp) -> list[SymOp]:
+        """The gates meeting supp, by _gate_key, ties in layer order."""
+        if self._index is None:
+            order = sorted(self, key=_gate_key)
+            by_site: dict[Site, list[int]] = {}
+            for rank, g in enumerate(order):
+                for s in support(g):
+                    by_site.setdefault(s, []).append(rank)
+            self._index = (order, by_site)
+        order, by_site = self._index
+        ranks = set()
+        for s in supp:
+            ranks.update(by_site.get(s, ()))
+        return [order[r] for r in sorted(ranks)]
+
+
 @dataclass(frozen=True)
 class ProceduralCircuit:
-    layers: tuple[GateRule, ...]
+    layers: tuple[GateRule | Layer, ...]
     window: Window
 
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def instantiate(self) -> list[list[SymOp]]:
+    def instantiate(self) -> list[Layer]:
         if "layers" not in self._cache:
-            self._cache["layers"] = [rule.generate(self.window) for rule in self.layers]
+            self._cache["layers"] = [
+                rule if isinstance(rule, Layer)
+                else Layer(rule.generate(self.window), rule.range_bound())
+                for rule in self.layers
+            ]
         return self._cache["layers"]
 
     def total_range(self) -> int:
-        return sum(rule.range_bound() for rule in self.layers)
+        if "range" not in self._cache:
+            self._cache["range"] = sum(rule.range_bound() for rule in self.layers)
+        return self._cache["range"]
 
     def unitary(self) -> SymOp:
         """W_N ... W_1 (first layer rightmost, i.e. applied first)."""
@@ -157,11 +203,12 @@ class ProceduralCircuit:
         return self._cache["unitary"]
 
     def inverse(self) -> "ProceduralCircuit":
-        rev = tuple(
-            GateRule("explicit", gates=tuple(op_inv(g) for g in layer))
-            for layer in reversed(self.instantiate())
-        )
-        return ProceduralCircuit(rev, self.window)
+        if "inverse" not in self._cache:
+            self._cache["inverse"] = ProceduralCircuit(
+                tuple(Layer(op_inv(g) for g in layer) for layer in reversed(self.instantiate())),
+                self.window,
+            )
+        return self._cache["inverse"]
 
     def is_identity(self) -> bool:
         return all(not layer for layer in self.instantiate())
@@ -171,7 +218,7 @@ class ProceduralCircuit:
         return ProceduralCircuit((), window)
 
 
-def _layer_product(gates: list[SymOp]) -> SymOp:
+def _layer_product(gates) -> SymOp:
     return op_product(sorted(gates, key=_gate_key))
 
 
@@ -179,37 +226,30 @@ def _gate_key(g: SymOp):
     return (sorted(support(g)), len(g.poly), len(g.flips))
 
 
-def instantiate(c: ProceduralCircuit) -> list[list[SymOp]]:
-    return c.instantiate()
-
-
 def concat(first_applied: ProceduralCircuit, then_applied: ProceduralCircuit) -> ProceduralCircuit:
     """Circuit acting as first_applied then then_applied (on states)."""
     if first_applied.window != then_applied.window:
         raise ValueError("window mismatch")
-    return ProceduralCircuit(first_applied.layers + then_applied.layers, first_applied.window)
+    return ProceduralCircuit(
+        tuple(first_applied.instantiate() + then_applied.instantiate()), first_applied.window
+    )
 
 
 def truncate(c: ProceduralCircuit, region: Region) -> ProceduralCircuit:
     """Keep exactly the gates whose entire support lies in the region."""
-    layers = tuple(
-        GateRule("explicit", gates=tuple(
-            g for g in layer if region.contains_all(support(g))
-        ))
-        for layer in c.instantiate()
-    )
-    return ProceduralCircuit(layers, c.window)
+    return _split(c, region, True)
 
 
 def truncate_rest(c: ProceduralCircuit, region: Region) -> ProceduralCircuit:
     """The gates truncate() drops, as a circuit (straddlers included)."""
-    layers = tuple(
-        GateRule("explicit", gates=tuple(
-            g for g in layer if not region.contains_all(support(g))
-        ))
-        for layer in c.instantiate()
+    return _split(c, region, False)
+
+
+def _split(c: ProceduralCircuit, region: Region, inside: bool) -> ProceduralCircuit:
+    return ProceduralCircuit(
+        tuple(Layer(g for g in layer if region.contains_all(support(g)) == inside) for layer in c.instantiate()),
+        c.window,
     )
-    return ProceduralCircuit(layers, c.window)
 
 
 def conj_by_circuit(a: SymOp, c: ProceduralCircuit, check_margin: bool = True) -> SymOp:
@@ -226,9 +266,7 @@ def conj_by_circuit(a: SymOp, c: ProceduralCircuit, check_margin: bool = True) -
                     f"support site {s} is within circuit range {reach} of the window edge"
                 )
     for layer in c.instantiate():
-        supp = support(a)
-        acting = [g for g in layer if support(g) & supp]
-        for g in sorted(acting, key=_gate_key):
+        for g in layer.acting(support(a)):
             a = op_conj(a, g)
     return a
 
@@ -322,8 +360,9 @@ class CircuitAction:
         return conj_by_circuit(a, self.assign[g])
 
 
-def validate_action(action: CircuitAction, rng, n_obs: int = 4) -> list[str]:
-    """Sampled homomorphism-as-automorphisms check; returns violations."""
+def validate_action(action: CircuitAction) -> list[str]:
+    """rho(g) rho(h) = rho(gh) on Z and X at every interior site, which
+    determines the automorphisms; returns violations."""
     window = action.window
     violations = []
     idc = action.assign[action.group.id]
@@ -335,18 +374,14 @@ def validate_action(action: CircuitAction, rng, n_obs: int = 4) -> list[str]:
     ]
     if not interior:
         raise MarginError("window too small to validate the action")
+    observables = [obs for s in interior for obs in (SymOp.z(s), SymOp.x(s))]
+    images = {g: [action.apply(g, obs) for obs in observables] for g in action.group.elements()}
     for g in action.group.elements():
         for h in action.group.elements():
             gh = action.group.mul(g, h)
-            for _ in range(n_obs):
-                site = interior[rng.randrange(len(interior))]
-                for obs in (SymOp.z(site), SymOp.x(site)):
-                    lhs = action.apply(g, action.apply(h, obs))
-                    rhs = action.apply(gh, obs)
-                    if lhs != rhs:
-                        violations.append(
-                            f"rho({g})rho({h}) != rho({gh}) on {obs} at {site}"
-                        )
+            for obs, h_obs, gh_obs in zip(observables, images[h], images[gh]):
+                if action.apply(g, h_obs) != gh_obs:
+                    violations.append(f"rho({g})rho({h}) != rho({gh}) on {obs}")
     return violations
 
 
@@ -453,7 +488,6 @@ def action_from_config(obj: dict, window: Window) -> CircuitAction:
 
 
 _PATTERN_ALIASES = {
-    "ccz_triangles": "ccz_triangles",
     "x_on_sites": "x_sites",
     "cz_edges": "cz_horizontal_edges",
 }

@@ -26,13 +26,12 @@ from .anomaly import (
 )
 from .circuits import (
     CircuitAction,
-    GateRule,
-    ProceduralCircuit,
     action_from_config,
     builtin_action,
     cluster_entangler_1d,
     onsite_x_action_1d,
     onsite_xx_action_1d,
+    validate_action,
 )
 from .crossed import (
     ActionTable,
@@ -51,8 +50,8 @@ from .crossed import (
 from .groups import FiniteGroup, GroupHom
 from .lattice import Region, Window
 from .pairing import run_identity_suite
-from .symop import ALL_PLUS, ALL_ZEROS, SymOp, format_op
-from .sampling import random_inner
+from .symop import ALL_PLUS, ALL_ZEROS, format_op
+from .sampling import random_boundary_gamma, random_inner
 
 SCHEMA = "anomalion/1"
 
@@ -90,15 +89,11 @@ def _load_action(name_or_path: str, window: Window) -> CircuitAction:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read action config: {exc}") from exc
-    import random
-
-    from .circuits import validate_action
-
     try:
         action = action_from_config(obj, window)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad action config: {exc}") from exc
-    violations = validate_action(action, random.Random(0), n_obs=2)
+    violations = validate_action(action)
     if violations:
         raise ConfigError(f"config does not define a group action: {violations[:3]}")
     return action
@@ -141,28 +136,8 @@ def _gauge_checks(data, tau0, count: int, seed: int) -> dict:
         if tau_cochain(regauge_beta(data, v)) == tau0:
             inner_ok += 1
     rho_ok = 0
-    interior = [s for s in window.sites() if s[1] == 0 and window.edge_distance(s) >= window.margin]
-    xs = sorted(s[0] for s in interior)
     for _ in range(count):
-        gamma = {}
-        for g in G.elements():
-            if g == G.id or rng.random() < 0.4:
-                continue
-            diag, flips = [], []
-            for x in xs[:-1]:
-                r = rng.random()
-                if r < 0.3:
-                    diag.append(SymOp.cz((x, 0), (x + 1, 0)))
-                elif r < 0.45:
-                    diag.append(SymOp.z((x, 0)))
-                elif r < 0.55 and x != 0:
-                    # X on the cut column would obstruct the exact L/R split
-                    flips.append(SymOp.x((x, 0)))
-            layers = tuple(
-                GateRule("explicit", gates=tuple(gs)) for gs in (diag, flips) if gs
-            )
-            if layers:
-                gamma[g] = ProceduralCircuit(layers, window)
+        gamma = random_boundary_gamma(rng, window, G, skip=0.4)
         if tau_cochain(regauge_rho(data, gamma)) == tau0:
             rho_ok += 1
     return {
@@ -236,13 +211,9 @@ def cmd_eta_check(args) -> int:
     return EXIT_OK if rep.ok else EXIT_ASSERTION
 
 
-def _group_from_json(obj) -> FiniteGroup:
-    return FiniteGroup.from_json(obj)
-
-
 def _cm_from_json(obj) -> CrossedModule:
-    M = _group_from_json(obj["M"])
-    N = _group_from_json(obj["N"])
+    M = FiniteGroup.from_json(obj["M"])
+    N = FiniteGroup.from_json(obj["N"])
     return CrossedModule(
         M, N,
         GroupHom(M, N, tuple(obj["bd"])),
@@ -251,7 +222,7 @@ def _cm_from_json(obj) -> CrossedModule:
 
 
 def _square_from_json(obj) -> CrossedSquare:
-    L, M, N, P = (_group_from_json(obj[k]) for k in "LMNP")
+    L, M, N, P = (FiniteGroup.from_json(obj[k]) for k in "LMNP")
     return CrossedSquare(
         L, M, N, P,
         f=GroupHom(L, M, tuple(obj["f"])),
@@ -266,9 +237,9 @@ def _square_from_json(obj) -> CrossedSquare:
 
 
 def _t2cm_from_json(obj) -> TwoCrossedModule:
-    L = _group_from_json(obj["L"])
-    K = _group_from_json(obj["K"])
-    P = _group_from_json(obj["P"])
+    L = FiniteGroup.from_json(obj["L"])
+    K = FiniteGroup.from_json(obj["K"])
+    P = FiniteGroup.from_json(obj["P"])
     return TwoCrossedModule(
         L, K, P,
         delta=GroupHom(L, K, tuple(obj["delta"])),

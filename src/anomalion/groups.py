@@ -8,7 +8,6 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 from math import gcd, lcm
@@ -478,11 +477,7 @@ def is_sign_homomorphism(a: Cochain) -> bool:
     """True iff a is a 1-cochain valued in {+-1} with a(gh) = a(g)a(h)."""
     if a.degree != 1:
         return False
-    if a.modulus == 1:
-        pass
-    elif a.modulus == 2:
-        pass
-    else:
+    if a.modulus not in (1, 2):
         return False
     g = a.group
     return all(
@@ -559,7 +554,3 @@ def builtin_class_candidates(group: FiniteGroup, degree: int) -> dict[str, Cocha
         a = Cochain.from_function(group, 1, 2, lambda x: x)
         out["a^3"] = cup_1cocycles([a, a, a])
     return out
-
-
-def cochain_to_json_str(c: Cochain) -> str:
-    return json.dumps(c.to_json(), sort_keys=True)

@@ -203,19 +203,20 @@ class Region:
             return Region(kind, thick, obj["radius"])
         if kind == "complement":
             return Region(kind, thick, inner=Region.from_json(obj["inner"]))
+        if kind == "intersection":
+            return Region(kind, thick, inner=Region.from_json(obj["inner"]),
+                          inner2=Region.from_json(obj["inner2"]))
         return Region(kind, thick)
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "thickening": self.thickening}
         if self.kind == "origin_disk":
             obj["radius"] = self.radius
-        if self.kind == "complement":
+        if self.kind in ("complement", "intersection"):
             obj["inner"] = self.inner.to_json()
+        if self.kind == "intersection":
+            obj["inner2"] = self.inner2.to_json()
         return obj
-
-
-def contains(region: Region, site: Site) -> bool:
-    return region.contains(site)
 
 
 @dataclass(frozen=True)

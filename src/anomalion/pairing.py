@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .circuits import GateRule, ProceduralCircuit, concat, conj_by_circuit
+from .circuits import GateRule, Layer, ProceduralCircuit, concat, conj_by_circuit
 from .lattice import Region, Window
 from .symop import SymOp, commutator, format_op, op_inv, op_mul, op_product, support
 
@@ -80,18 +80,6 @@ class LocalizedAutomorphism:
         return conj_by_circuit(a, self.circuit.inverse(), check_margin=False)
 
 
-def left_automorphism(circuit: ProceduralCircuit, thickening: int = 1) -> LocalizedAutomorphism:
-    return LocalizedAutomorphism(Region.half_line_L(thickening), circuit=circuit)
-
-
-def right_automorphism(circuit: ProceduralCircuit, thickening: int = 1) -> LocalizedAutomorphism:
-    return LocalizedAutomorphism(Region.half_line_R(thickening), circuit=circuit)
-
-
-def inner_automorphism(u: SymOp, region: Region) -> LocalizedAutomorphism:
-    return LocalizedAutomorphism(region, inner=u)
-
-
 def _op_radius(a: SymOp) -> int:
     return max((max(abs(s[0]), abs(s[1])) for s in support(a)), default=0)
 
@@ -135,17 +123,8 @@ def _eta_single_layer_L(layer: list[SymOp], beta: LocalizedAutomorphism, window:
     return vals[0]
 
 
-def _gate_diameter(g: SymOp) -> int:
-    sites = list(support(g))
-    if not sites:
-        return 0
-    xs = [s[0] for s in sites]
-    ys = [s[1] for s in sites]
-    return max(max(xs) - min(xs), max(ys) - min(ys))
-
-
 def _suffix_circuit(c: ProceduralCircuit, start: int) -> ProceduralCircuit:
-    return ProceduralCircuit(c.layers[start:], c.window)
+    return ProceduralCircuit(tuple(c.instantiate()[start:]), c.window)
 
 
 def eta_R(alpha: LocalizedAutomorphism, b_circuit: ProceduralCircuit) -> SymOp:
@@ -244,11 +223,10 @@ class EtaSuiteReport:
 
 def _conjugated_circuit(c: ProceduralCircuit, by: ProceduralCircuit) -> ProceduralCircuit:
     """The circuit whose gates are phi(by)(gate); realizes by o phi(c) o by^-1."""
-    layers = tuple(
-        GateRule("explicit", gates=tuple(conj_by_circuit(g, by, check_margin=False) for g in layer))
-        for layer in c.instantiate()
+    return ProceduralCircuit(
+        tuple(Layer(conj_by_circuit(g, by, check_margin=False) for g in layer) for layer in c.instantiate()),
+        c.window,
     )
-    return ProceduralCircuit(layers, c.window)
 
 
 def _single_layer_circuit(u: SymOp, window: Window) -> ProceduralCircuit:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 from .circuits import GateRule, ProceduralCircuit
+from .groups import FiniteGroup
 from .lattice import Region, Window
 from .symop import SymOp
 
@@ -82,6 +83,36 @@ def random_circuit(
     return ProceduralCircuit(tuple(layers), window)
 
 
+def random_boundary_gamma(rng: random.Random, window: Window, group: FiniteGroup, skip: float) -> dict:
+    """Random boundary circuits gamma(g) on row 0, for regauging rho~.
+
+    Each non-identity element is skipped with probability skip; otherwise
+    every interior edge of the row draws a CZ, a Z on its left site, an X
+    there (never on the cut column x = 0) or nothing.  Elements whose draw
+    is empty are left out.
+    """
+    interior = [s for s in window.sites() if s[1] == 0 and window.edge_distance(s) >= window.margin]
+    xs = sorted(s[0] for s in interior)
+    gamma = {}
+    for g in group.elements():
+        if g == group.id or rng.random() < skip:
+            continue
+        diag, flips = [], []
+        for x in xs[:-1]:
+            r = rng.random()
+            if r < 0.3:
+                diag.append(SymOp.cz((x, 0), (x + 1, 0)))
+            elif r < 0.45:
+                diag.append(SymOp.z((x, 0)))
+            elif r < 0.55 and x != 0:
+                # X on the cut column would obstruct the exact L/R split
+                flips.append(SymOp.x((x, 0)))
+        layers = tuple(GateRule("explicit", gates=tuple(gs)) for gs in (diag, flips) if gs)
+        if layers:
+            gamma[g] = ProceduralCircuit(layers, window)
+    return gamma
+
+
 def random_inner(rng: random.Random, window: Window, region: Region, max_terms: int = 3) -> SymOp:
     """Random SymOp supported in the region (diagonal terms plus flips)."""
     sites = _region_sites(window, region)
@@ -94,10 +125,3 @@ def random_inner(rng: random.Random, window: Window, region: Region, max_terms: 
         poly ^= {frozenset()}
     flips = frozenset(s for s in sites if rng.random() < 0.1)
     return SymOp(frozenset(poly), flips)
-
-
-def random_local_observable(rng: random.Random, radius: int = 2):
-    x = rng.randrange(-radius, radius + 1)
-    y = 0
-    s = (x, y)
-    return SymOp.z(s) if rng.random() < 0.5 else SymOp.x(s)

@@ -59,10 +59,6 @@ def _poly_subst(poly: frozenset, flips: frozenset) -> frozenset:
     return frozenset(acc)
 
 
-def _poly_add(p: frozenset, q: frozenset) -> frozenset:
-    return p ^ q
-
-
 @dataclass(frozen=True)
 class SymOp:
     """The unitary D_poly * X_flips."""
@@ -141,7 +137,7 @@ class SymOp:
 
 def op_mul(a: SymOp, b: SymOp) -> SymOp:
     """Operator product (D_fa X_Sa)(D_fb X_Sb)."""
-    return SymOp(_poly_add(a.poly, _poly_subst(b.poly, a.flips)), a.flips ^ b.flips)
+    return SymOp(a.poly ^ _poly_subst(b.poly, a.flips), a.flips ^ b.flips)
 
 
 def op_product(ops) -> SymOp:

@@ -40,7 +40,7 @@ from anomalion.groups import (
 )
 from anomalion.lattice import Region, Window
 from anomalion.pairing import run_identity_suite
-from anomalion.sampling import random_inner
+from anomalion.sampling import random_boundary_gamma, random_inner
 from anomalion.symop import ALL_PLUS, SymOp, op_conj, op_inv, op_mul, op_product
 from oracle import ColumnOracle, DenseSpace
 
@@ -168,25 +168,8 @@ def test_criterion_5_gauge_invariance(timed_ccz):
              for g in G.elements() for h in G.elements()}
         if tau_cochain(regauge_beta(data, v)) != tau:
             ok = False
-    interior = [s for s in window.sites() if s[1] == 0 and window.edge_distance(s) >= window.margin]
-    xs = sorted(s[0] for s in interior)
     for _ in range(20):
-        gamma = {}
-        for g in G.elements():
-            if g == G.id or rng.random() < 0.3:
-                continue
-            diag, flips = [], []
-            for x in xs[:-1]:
-                r = rng.random()
-                if r < 0.3:
-                    diag.append(SymOp.cz((x, 0), (x + 1, 0)))
-                elif r < 0.45:
-                    diag.append(SymOp.z((x, 0)))
-                elif r < 0.55 and x != 0:
-                    flips.append(SymOp.x((x, 0)))
-            layers = tuple(GateRule("explicit", gates=tuple(gs)) for gs in (diag, flips) if gs)
-            if layers:
-                gamma[g] = ProceduralCircuit(layers, window)
+        gamma = random_boundary_gamma(rng, window, G, skip=0.3)
         if tau_cochain(regauge_rho(data, gamma)) != tau:
             ok = False
     ok = _line("5", ok, "tau bit-identical under 20 beta and 20 rho~ regaugings")

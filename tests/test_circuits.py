@@ -2,14 +2,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomalion.circuits import (
+    CircuitAction,
     CollapseError,
     GateRule,
     InstantiationError,
     MarginError,
     ProceduralCircuit,
     builtin_action,
+    concat,
     conj_by_circuit,
     crop_window_debris,
     product_collapse,
@@ -17,8 +21,10 @@ from anomalion.circuits import (
     truncate_rest,
     validate_action,
 )
+from anomalion.groups import FiniteGroup
 from anomalion.lattice import Region, Window
-from anomalion.symop import SymOp, format_op, op_mul, op_product, support
+from anomalion.pairing import _suffix_circuit
+from anomalion.symop import SymOp, format_op, op_conj, op_mul, op_product, ops_commute, support
 from oracle import DenseSpace
 
 
@@ -63,6 +69,14 @@ def test_layer_validity_checks():
         ProceduralCircuit(
             (GateRule("explicit", gates=(SymOp.x((5, 0)),)),), w
         ).instantiate()
+    # circuits derived from an unvalidated one validate it
+    for derive in (
+        lambda c: truncate(c, Region.full()),
+        lambda c: concat(ProceduralCircuit((ok,), w), c),
+        lambda c: c.inverse(),
+    ):
+        with pytest.raises(InstantiationError):
+            derive(ProceduralCircuit((bad,), w)).instantiate()
 
 
 def test_truncate_keeps_fully_contained_gates():
@@ -187,11 +201,10 @@ def test_product_collapse_non_collapsing_error(window12):
 
 
 def test_builtin_actions(window12, chain12):
-    rng = random.Random(0)
     for name, window in (("ccz_x_2d", window12), ("onsite_x_2d", window12), ("levin_gu_1d", chain12)):
         action = builtin_action(name, window)
         assert action.circuit(action.group.id).is_identity()
-        assert validate_action(action, rng, n_obs=2) == []
+        assert validate_action(action) == []
     with pytest.raises(ValueError):
         builtin_action("no_such_action", window12)
     lg = builtin_action("levin_gu_1d", chain12)
@@ -251,3 +264,126 @@ def test_builtin_ccz_layer_content(window12):
     assert all(not g.poly for g in x_layer)
     both = action.circuit(0b11).instantiate()           # X applied first, then CCZ
     assert len(both) == 2 and not both[0][0].poly and both[1][0].is_diagonal()
+
+
+def conj_order(g):
+    return (sorted(support(g)), len(g.poly), len(g.flips))
+
+
+def conj_full_scan(a, c):
+    """Reference for conj_by_circuit: test every gate of each layer against
+    the running support, then apply those that meet it in conj_order."""
+    for layer in c.instantiate():
+        supp = support(a)
+        acting = [g for g in layer if support(g) & supp]
+        for g in sorted(acting, key=conj_order):
+            a = op_conj(a, g)
+    return a
+
+
+GRID = Window(0, 3, 0, 3)
+GRID_SITES = list(GRID.sites())
+
+
+def rand_gate(rng):
+    sites = rng.sample(GRID_SITES, rng.choice([1, 2, 3]))
+    poly = {frozenset(rng.sample(sites, rng.randrange(1, len(sites) + 1))) for _ in range(rng.randrange(3))}
+    flips = frozenset(s for s in sites if rng.random() < 0.4)
+    return SymOp(frozenset(poly), flips)
+
+
+def rand_layer(rng):
+    """A valid layer: overlapping gates commute.  Repeats and a CZ*Z / Z*Z
+    pair give gates that share a conjugation key."""
+    gates = []
+    for _ in range(rng.randrange(8)):
+        r = rng.random()
+        if r < 0.15 and gates:
+            new = [gates[rng.randrange(len(gates))]]
+        elif r < 0.3:
+            a, b = rng.sample(GRID_SITES, 2)
+            new = [op_mul(SymOp.cz(a, b), SymOp.z(a)), op_mul(SymOp.z(a), SymOp.z(b))]
+        else:
+            new = [rand_gate(rng)]
+        if all(ops_commute(g, h) or not support(g) & support(h) for g in new for h in gates):
+            gates += new
+    return GateRule("explicit", gates=tuple(gates))
+
+
+def rand_circuit(rng):
+    return ProceduralCircuit(tuple(rand_layer(rng) for _ in range(rng.randrange(4))), GRID)
+
+
+def rand_derived(rng, c):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return truncate(c, Region.origin_disk(rng.randrange(4)))
+    if kind == 1:
+        return c.inverse()
+    if kind == 2:
+        return concat(c, rand_circuit(rng))
+    if kind == 3:
+        return _suffix_circuit(c, rng.randrange(len(c.layers) + 1))
+    return c
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_indexed_conj_matches_full_scan(seed):
+    rng = random.Random(seed)
+    c = rand_derived(rng, rand_circuit(rng))
+    for _ in range(3):
+        a = op_mul(rand_gate(rng), rand_gate(rng))
+        assert conj_by_circuit(a, c, check_margin=False) == conj_full_scan(a, c)
+        for layer in c.instantiate():
+            supp = support(a)
+            assert layer.acting(supp) == sorted((g for g in layer if support(g) & supp), key=conj_order)
+
+
+def test_total_range_of_derived_circuits(window12):
+    # x_sites has range 0 and every other pattern 1, even when it yields no
+    # gates; explicit and truncated layers have their largest gate diameter
+    empty_ccz = GateRule("ccz_triangles", Region.boundary_line())
+    c = ProceduralCircuit(
+        (GateRule("x_sites"), empty_ccz, GateRule("cz_horizontal_edges", Region.half_plane_H())),
+        window12,
+    )
+    assert not c.instantiate()[1]
+    assert c.total_range() == 2
+    assert concat(c, c).total_range() == 4
+    assert _suffix_circuit(c, 1).total_range() == 2
+    assert truncate(c, Region.half_plane_H()).total_range() == 1
+    assert truncate(c, Region.boundary_line()).total_range() == 1
+    assert truncate_rest(c, Region.half_plane_H()).total_range() == 0
+    assert c.inverse().total_range() == 1
+    ccz = builtin_action("ccz_x_2d", window12).circuit(0b11)
+    assert ccz.total_range() == 1 and ccz.inverse().total_range() == 1
+
+
+def test_rules_generated_once_and_inverse_cached(window12, monkeypatch):
+    calls = []
+    generate = GateRule.generate
+    monkeypatch.setattr(GateRule, "generate", lambda rule, w: calls.append(rule) or generate(rule, w))
+    c = builtin_action("ccz_x_2d", window12).circuit(0b11)
+    H = Region.half_plane_H()
+    derived = [truncate(c, H), truncate_rest(c, H), concat(c, c), _suffix_circuit(c, 1), c.inverse()]
+    for d in derived:
+        d.instantiate()
+    a = SymOp.x((0, 0))
+    assert conj_by_circuit(conj_by_circuit(a, c), c.inverse()) == a
+    assert len(calls) == 2  # the X rule and the CCZ rule of c
+    assert c.inverse() is c.inverse()
+    assert op_mul(c.unitary(), c.inverse().unitary()).is_identity()
+
+
+def test_validate_action_checks_every_interior_site(window12):
+    # X on s then CZ(s,t) squares to Z_t, which fixes every observable but
+    # X_t; the sampled check this replaced (2 random interior sites per
+    # pair, drawn from random.Random(0) as the CLI did) passed this action
+    t, s = (-1, 0), (0, 0)
+    c1 = ProceduralCircuit(
+        (GateRule("explicit", gates=(SymOp.x(s),)), GateRule("explicit", gates=(SymOp.cz(s, t),))),
+        window12,
+    )
+    action = CircuitAction(FiniteGroup.cyclic(2), (ProceduralCircuit((), window12), c1), window12)
+    assert validate_action(action) == [f"rho(1)rho(1) != rho(0) on {SymOp.x(t)}"]

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomalion.lattice import Region, Window, classify_support, contains
+from anomalion.lattice import Region, Window, classify_support
 
 sites = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
 
@@ -19,28 +21,28 @@ REGIONS = [
 
 
 def test_contains_examples():
-    assert not contains(Region.half_plane_H(), (3, -1))
-    assert contains(Region.half_line_R(), (0, 0))
-    assert contains(Region.origin_disk(2, thickening=1), (3, 0))
-    assert not contains(Region.origin_disk(2, thickening=0), (3, 0))
-    assert contains(Region.half_line_L(), (-5, 0))
-    assert not contains(Region.half_line_L(), (1, 0))
-    assert contains(Region.boundary_line(1), (4, -1))
+    assert not Region.half_plane_H().contains((3, -1))
+    assert Region.half_line_R().contains((0, 0))
+    assert Region.origin_disk(2, thickening=1).contains((3, 0))
+    assert not Region.origin_disk(2, thickening=0).contains((3, 0))
+    assert Region.half_line_L().contains((-5, 0))
+    assert not Region.half_line_L().contains((1, 0))
+    assert Region.boundary_line(1).contains((4, -1))
 
 
 @given(st.sampled_from(REGIONS), sites, st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=300, deadline=None)
 def test_thickening_monotone(region, site, r1, r2):
     lo, hi = min(r1, r2), max(r1, r2)
-    if contains(region.thickened(lo), site):
-        assert contains(region.thickened(hi), site)
+    if region.thickened(lo).contains(site):
+        assert region.thickened(hi).contains(site)
 
 
 @given(st.sampled_from(REGIONS), sites)
 @settings(max_examples=300, deadline=None)
 def test_double_complement_core(region, site):
     double = Region.complement_of(Region.complement_of(region))
-    assert contains(double, site) == contains(region, site)
+    assert double.contains(site) == region.contains(site)
 
 
 def test_window_geometry():
@@ -73,7 +75,7 @@ def test_classify_support():
 
 def test_intersection_region():
     r = Region.intersection_of(Region.half_line_R(1), Region.origin_disk(3))
-    assert contains(r, (2, 1)) and not contains(r, (4, 0)) and not contains(r, (-2, 0))
+    assert r.contains((2, 1)) and not r.contains((4, 0)) and not r.contains((-2, 0))
 
 
 def test_region_json_roundtrip():
@@ -81,3 +83,29 @@ def test_region_json_roundtrip():
     assert Region.from_json(r.to_json()) == r
     r2 = Region.complement_of(Region.half_plane_H(), thickening=2)
     assert Region.from_json(r2.to_json()) == r2
+    r3 = Region.intersection_of(Region.half_line_L(1), Region.origin_disk(3))
+    assert Region.from_json(r3.to_json()) == r3
+
+
+thickenings = st.integers(0, 3)
+leaf_regions = st.one_of(
+    st.builds(Region, st.sampled_from(["full", "half_plane_H", "boundary_line", "half_line_R", "half_line_L"]),
+              thickenings),
+    st.builds(Region.origin_disk, st.integers(0, 4), thickenings),
+)
+regions = st.recursive(
+    leaf_regions,
+    lambda inner: st.one_of(
+        st.builds(Region.complement_of, inner, thickenings),
+        st.builds(lambda a, b, t: Region("intersection", t, inner=a, inner2=b), inner, inner, thickenings),
+    ),
+    max_leaves=6,
+)
+
+
+@given(regions, sites)
+@settings(max_examples=300, deadline=None)
+def test_region_json_roundtrip_every_kind(region, site):
+    back = Region.from_json(json.loads(json.dumps(region.to_json())))
+    assert back == region
+    assert back.contains(site) == region.contains(site)
