@@ -42,6 +42,17 @@ ORDER8_CONFIG = {
     ],
 }
 
+# Z8 -> Z8 by x4 with trivial action: the kernel is Z4 and pi1 = Z8/{0,4}
+# is Z4, so the postnikov class is a Z4-valued 3-cochain (the SNF path),
+# and each of the 4 pi1 elements has 2 lifts: 16 sections.
+POSTNIKOV_CM = {
+    "kind": "crossed_module",
+    "M": {"order": 8, "mul": [(i + j) % 8 for i in range(8) for j in range(8)], "name": "Z8"},
+    "N": {"order": 8, "mul": [(i + j) % 8 for i in range(8) for j in range(8)], "name": "Z8"},
+    "bd": [4 * i % 8 for i in range(8)],
+    "act": [list(range(8)) for _ in range(8)],
+}
+
 RUNS = (
     ["reproduce-ccz", "--check-gauge", "2", "--seed", "1"],
     ["anomaly2d", "--check-window", "--seed", "2"],
@@ -51,6 +62,7 @@ RUNS = (
     ["crossed", "lattice", "--samples", "50", "--seed", "6"],
     ["spt", "--mode", "relative1d", "--seed", "7"],
     ["spt", "--mode", "trivialize2d", "--action", "ccz_x_2d", "--seed", "8"],
+    ["crossed", "postnikov", "--input", "postnikov_cm.json", "--all-sections", "--seed", "9"],
 )
 
 
@@ -61,6 +73,8 @@ def main() -> int:
         # reports name the config by the path given, so it is relative to cwd
         with open(os.path.join(tmp, "order8_action.json"), "w") as fh:
             json.dump(ORDER8_CONFIG, fh)
+        with open(os.path.join(tmp, "postnikov_cm.json"), "w") as fh:
+            json.dump(POSTNIKOV_CM, fh)
         for i, run in enumerate(RUNS):
             report = os.path.join(tmp, f"report{i}.json")
             proc = subprocess.run(

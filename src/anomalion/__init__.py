@@ -5,6 +5,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     PhaseValue,
+    classify,
     coboundary,
     coboundary_solve,
     cohomologous,
@@ -65,7 +66,7 @@ from .crossed import (
 
 __all__ = [
     "Cochain", "FiniteGroup", "GroupHom", "PhaseValue",
-    "coboundary", "coboundary_solve", "cohomologous", "cup_1cocycles",
+    "classify", "coboundary", "coboundary_solve", "cohomologous", "cup_1cocycles",
     "is_cocycle", "pullback",
     "Region", "Site", "Window", "classify_support",
     "SymOp", "commutator", "expectation_product_state", "format_op",

@@ -26,7 +26,7 @@ from .circuits import (
     product_collapse,
     truncate,
 )
-from .groups import Cochain, FiniteGroup, PhaseValue, builtin_class_candidates, coboundary, coboundary_solve, cohomologous, is_cocycle
+from .groups import Cochain, FiniteGroup, PhaseValue, builtin_class_candidates, classify, coboundary
 from .lattice import Region, Window
 from .pairing import LocalizedAutomorphism, eta
 from .symop import (
@@ -223,20 +223,12 @@ def anomaly_2d(action: CircuitAction, data: TruncationData2d | None = None) -> A
     if data is None:
         data = build_truncation_2d(action)
     c = tau_cochain(data)
-    closed = is_cocycle(c)
-    solving = coboundary_solve(c) if closed else None
-    trivial = solving is not None
-    matched = None
-    if closed:
-        for name, rep in builtin_class_candidates(action.group, 4).items():
-            if cohomologous(c, rep):
-                matched = name
-                break
+    closed, trivial, matches = classify(c, builtin_class_candidates(action.group, 4))
     return AnomalyReport(
         cochain=c,
         is_cocycle=closed,
         trivial=trivial,
-        matched_class=matched,
+        matched_class=matches[0] if matches else None,
         assertions=data.assertions + ("tau scalar on all tuples",),
         cropped=data.cropped,
         notes={"h2_qplus": GNVW_NOTE},
@@ -304,19 +296,12 @@ def nayak_else_1d(action: CircuitAction, data: TruncationData1d | None = None) -
         data = build_truncation_1d(action)
     G = action.group
     c = Cochain.from_function(G, 3, 2, lambda g, h, k: _phase_bit(ell3(data, g, h, k)))
-    closed = is_cocycle(c)
-    trivial = coboundary_solve(c) is not None if closed else False
-    matched = None
-    if closed:
-        for name, rep in builtin_class_candidates(G, 3).items():
-            if cohomologous(c, rep):
-                matched = name
-                break
+    closed, trivial, matches = classify(c, builtin_class_candidates(G, 3))
     return AnomalyReport(
         cochain=c,
         is_cocycle=closed,
         trivial=trivial,
-        matched_class=matched,
+        matched_class=matches[0] if matches else None,
         assertions=("nu lifts origin-local", "ell scalar on all triples"),
         cropped=data.cropped,
         notes={"h2_qplus": GNVW_NOTE},
@@ -588,10 +573,9 @@ def spt_relative_1d(
     for dress in (dress1, dress2):
         if not action_preserves_state(action, state, dress):
             raise StateNotInvariant("dressed state is not invariant under the action")
-    ne = nayak_else_1d(action)
-    if not ne.trivial:
-        raise StateNotInvariant("1d anomaly class is nontrivial; no invariant lifts exist")
     data = build_truncation_1d(action)
+    if not nayak_else_1d(action, data).trivial:
+        raise StateNotInvariant("1d anomaly class is nontrivial; no invariant lifts exist")
 
     cochains = []
     for dress in (dress1, dress2):
@@ -611,8 +595,7 @@ def spt_relative_1d(
         cochains.append(Cochain.from_function(G, 2, 2, cval))
     c1, c2 = cochains
     rel = c1.mul(c2.inverse())
-    closed = is_cocycle(rel)
-    trivial = coboundary_solve(rel) is not None if closed else False
+    closed, trivial, _ = classify(rel)
     return SptRelative1dReport(rel, closed, trivial, c1, c2)
 
 

@@ -283,16 +283,20 @@ class CollapseResult:
 
 
 def crop_window_debris(a: SymOp, window: Window) -> CollapseResult:
-    """Drop monomials and flips living entirely in the window's margin strip."""
+    """Drop monomials and flips living entirely in the window's margin strip.
+
+    The log lists monomials by their sorted sites, then flips by site, so it
+    does not depend on the order the operator's sets were built in.
+    """
     cropped = []
     poly = set()
-    for m in a.poly:
+    for m in sorted(a.poly, key=sorted):
         if m and all(window.in_edge_strip(s) for s in m):
             cropped.append(f"dropped diagonal monomial on {sorted(m)}")
         else:
             poly.add(m)
     flips = set()
-    for s in a.flips:
+    for s in sorted(a.flips):
         if window.in_edge_strip(s):
             cropped.append(f"dropped flip at {s}")
         else:

@@ -47,7 +47,7 @@ from .crossed import (
     validate_two_crossed_module,
     verify_lattice_square,
 )
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup, GroupHom, classify
 from .lattice import Region, Window
 from .pairing import run_identity_suite
 from .symop import ALL_PLUS, ALL_ZEROS, format_op
@@ -297,9 +297,8 @@ def cmd_crossed(args) -> int:
         cm = _cm_from_json(obj)
         sections = list(all_sections(cm)) if args.all_sections else [tuple(obj["section"])]
         classes = [postnikov3(cm, s) for s in sections]
-        from .groups import cohomologous as coh
-
-        agree = all(coh(classes[0], c) for c in classes[1:])
+        _, _, matches = classify(classes[0], {str(i): c for i, c in enumerate(classes[1:], 1)})
+        agree = len(matches) == len(classes) - 1
         print(f"postnikov: {len(classes)} section(s); classes agree={agree}")
         _emit({"schema": SCHEMA, "command": "crossed postnikov",
                "cochain": classes[0].to_json(), "sections": len(classes),

@@ -384,23 +384,33 @@ class Cochain:
         return {"degree": self.degree, "modulus": self.modulus, "values": keyed}
 
 
+def _faces(group: FiniteGroup, n: int) -> np.ndarray:
+    """Index in G^n of face i of every tuple of G^(n+1), one row per i.
+
+    The inhomogeneous differential is (delta c)(g_0..g_n) = sum_i (-1)^i
+    c(face_i): face 0 drops g_0, face i merges g_(i-1) g_i, face n+1 drops
+    g_n.  Tuples are in the row-major index order of Cochain.values.
+    """
+    order = group.order
+    args = np.indices((order,) * (n + 1)).reshape(n + 1, -1)
+    mul = np.asarray(group.mul_table, dtype=np.int64)
+
+    def idx(entries) -> np.ndarray:
+        i = np.zeros(args.shape[1], dtype=np.int64)
+        for a in entries:
+            i = i * order + a
+        return i
+
+    merged = [idx([*args[: i - 1], mul[args[i - 1], args[i]], *args[i + 1 :]]) for i in range(1, n + 1)]
+    return np.stack([idx(args[1:]), *merged, idx(args[:n])])
+
+
 def coboundary(c: Cochain) -> Cochain:
     """Inhomogeneous differential with trivial action on coefficients."""
-    g = c.group
-    n = c.degree
-    m = c.modulus
-
-    def val(*args: int) -> int:
-        total = c(*args[1:])
-        sign = -1
-        for i in range(1, n + 1):
-            merged = args[: i - 1] + (g.mul(args[i - 1], args[i]),) + args[i + 1 :]
-            total += sign * c(*merged)
-            sign = -sign
-        total += sign * c(*args[:n])
-        return total
-
-    return Cochain.from_function(g, n + 1, m, val)
+    values = np.asarray(c.values, dtype=np.int64)
+    faces = _faces(c.group, c.degree)
+    total = sum((-1) ** i * values[f] for i, f in enumerate(faces))
+    return Cochain(c.group, c.degree + 1, c.modulus, tuple(total.tolist()))
 
 
 def is_cocycle(c: Cochain) -> bool:
@@ -409,60 +419,26 @@ def is_cocycle(c: Cochain) -> bool:
 
 def coboundary_matrix(group: FiniteGroup, n: int) -> np.ndarray:
     """Matrix of delta: C^{n-1} -> C^n in the index bases (integer entries)."""
-    order = group.order
-    rows = order**n
-    cols = order ** (n - 1)
-    A = np.zeros((rows, cols), dtype=np.int64)
-
-    def idx(args):
-        i = 0
-        for a in args:
-            i = i * order + a
-        return i
-
-    for args in product(range(order), repeat=n):
-        r = idx(args)
-        A[r, idx(args[1:])] += 1
-        sign = -1
-        for i in range(1, n):
-            merged = args[: i - 1] + (group.mul(args[i - 1], args[i]),) + args[i + 1 :]
-            A[r, idx(merged)] += sign
-            sign = -sign
-        A[r, idx(args[: n - 1])] += sign
+    faces = _faces(group, n - 1)
+    A = np.zeros((faces.shape[1], group.order ** (n - 1)), dtype=np.int64)
+    rows = np.arange(faces.shape[1])
+    for i, f in enumerate(faces):
+        np.add.at(A, (rows, f), (-1) ** i)
     return A
 
 
-def coboundary_solve(c: Cochain, normalized: bool = False) -> Cochain | None:
+def coboundary_solve(c: Cochain) -> Cochain | None:
     """A cochain b with coboundary(b) = c, or None if c is not a coboundary.
 
-    Rejects non-cocycle input.  With normalized=True the solution is searched
-    in the subcomplex of cochains vanishing on tuples containing the identity.
+    Rejects non-cocycle input.
     """
     if not is_cocycle(c):
         raise ValueError("input is not a cocycle")
     g, n, m = c.group, c.degree, c.modulus
     if n == 0:
         raise ValueError("degree-0 cochains have no coboundary predecessors")
-    A = coboundary_matrix(g, n)
-    b = np.asarray(c.values, dtype=np.int64)
-    if normalized:
-        keep = [
-            j
-            for j, args in enumerate(product(range(g.order), repeat=n - 1))
-            if g.id not in args
-        ]
-        A = A[:, keep] if keep else A[:, :0]
-        x = solve_mod(A, b, m)
-        if x is None:
-            return None
-        full = np.zeros(g.order ** (n - 1), dtype=np.int64)
-        for j, col in enumerate(keep):
-            full[col] = x[j]
-        return Cochain(g, n - 1, m, tuple(int(v) for v in full))
-    x = solve_mod(A, b, m)
-    if x is None:
-        return None
-    return Cochain(g, n - 1, m, tuple(int(v) for v in x))
+    [x] = solve_mod(coboundary_matrix(g, n), np.reshape(c.values, (-1, 1)), m)
+    return None if x is None else Cochain(g, n - 1, m, tuple(x.tolist()))
 
 
 def cohomologous(c1: Cochain, c2: Cochain) -> bool:
@@ -471,6 +447,30 @@ def cohomologous(c1: Cochain, c2: Cochain) -> bool:
     m = lcm(c1.modulus, c2.modulus)
     diff = c1.with_modulus(m).mul(c2.with_modulus(m).inverse())
     return coboundary_solve(diff) is not None
+
+
+def classify(c: Cochain, candidates: dict[str, Cochain] | None = None) -> tuple[bool, bool, tuple[str, ...]]:
+    """(is_cocycle, trivial, names of the candidates c is cohomologous to).
+
+    Names keep the order of `candidates`.  c is checked once, delta is built
+    once, and c and every c * rep^-1 are solved in one elimination, one
+    right-hand side per column.  Candidates must share c's group, degree and
+    modulus; one that is not closed matches nothing, since c * rep^-1 is
+    then not closed either.  A non-closed c gives (False, False, ()).
+    """
+    candidates = candidates or {}
+    for rep in candidates.values():
+        c._check_compatible(rep)
+        if rep.modulus != c.modulus:
+            raise ValueError(f"candidate modulus {rep.modulus} differs from the cochain's {c.modulus}")
+    if not is_cocycle(c):
+        return False, False, ()
+    if c.degree == 0:
+        raise ValueError("degree-0 cochains have no coboundary predecessors")
+    rhs = [c.values] + [c.mul(rep.inverse()).values for rep in candidates.values()]
+    solved = solve_mod(coboundary_matrix(c.group, c.degree), np.transpose(rhs), c.modulus)
+    names = tuple(name for name, x in zip(candidates, solved[1:]) if x is not None)
+    return True, solved[0] is not None, names
 
 
 def is_sign_homomorphism(a: Cochain) -> bool:
@@ -517,16 +517,6 @@ def pullback(c: Cochain, f: GroupHom) -> Cochain:
     return Cochain.from_function(
         f.source, c.degree, c.modulus, lambda *args: c(*(f(a) for a in args))
     )
-
-
-def normalize_entries(c: Cochain) -> Cochain:
-    """Force entries with an identity argument to 1 (optional preprocessing)."""
-    g = c.group
-
-    def val(*args):
-        return 0 if g.id in args else c(*args)
-
-    return Cochain.from_function(g, c.degree, c.modulus, val)
 
 
 # -- builtin class representatives -------------------------------------

@@ -1,6 +1,7 @@
 """Exact linear algebra over Z_m: GF(p) elimination and Smith normal form.
 
-Solves A x = b (mod m) for integer matrices.  Prime moduli go through
+Solves A x = b (mod m) for integer matrices, for every column b of a matrix
+of right-hand sides in one elimination of A.  Prime moduli go through
 vectorized Gaussian elimination; composite moduli go through an integer
 Smith normal form A = U^-1 D V^-1 so that the diagonal system d_i y_i = (U b)_i
 can be solved residue by residue.
@@ -24,12 +25,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def solve_mod_prime(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution of A x = b mod p (p prime), or None."""
+def solve_mod_prime(A: np.ndarray, B: np.ndarray, p: int) -> list[np.ndarray | None]:
+    """One solution of A x = b mod p (p prime) per column b of B, or None."""
     A = np.asarray(A, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
     rows, cols = A.shape
-    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1) % p
+    aug = np.concatenate([A, np.asarray(B, dtype=np.int64) % p], axis=1)
     pivot_cols = []
     r = 0
     for c in range(cols):
@@ -50,12 +50,10 @@ def solve_mod_prime(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
         pivot_cols.append(c)
         r += 1
     # rows below the rank must be consistent
-    if np.any(aug[r:, cols] % p):
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, c in enumerate(pivot_cols):
-        x[c] = aug[i, cols]
-    return x % p
+    solvable = ~np.any(aug[r:, cols:], axis=0)
+    X = np.zeros((cols, aug.shape[1] - cols), dtype=np.int64)
+    X[pivot_cols] = aug[: len(pivot_cols), cols:]
+    return [X[:, j] if ok else None for j, ok in enumerate(solvable)]
 
 
 def _exgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -174,37 +172,40 @@ def smith_normal_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[in
     return U, D, V
 
 
-def solve_mod_snf(A: list[list[int]], b: list[int], m: int) -> list[int] | None:
-    """One solution of A x = b (mod m) via Smith normal form, or None."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    U, D, V = smith_normal_form(A)
-    c = [sum(U[i][k] * b[k] for k in range(rows)) % m for i in range(rows)]
-    y = [0] * cols
+def solve_mod_snf(A: np.ndarray, B: np.ndarray, m: int) -> list[np.ndarray | None]:
+    """One solution of A x = b (mod m) per column b of B via Smith normal form, or None."""
+    rows, cols = A.shape
+    U, D, V = smith_normal_form(A.tolist())
+    # only residues mod m matter, so U and V are reduced before multiplying
+    C = (np.asarray(U, dtype=object) % m).astype(np.int64) @ (B % m) % m
+    Y = np.zeros((cols, B.shape[1]), dtype=np.int64)
+    solvable = np.ones(B.shape[1], dtype=bool)
     for i in range(rows):
         d = D[i][i] if i < min(rows, cols) else 0
-        ci = c[i] % m
         if d == 0:
-            if ci != 0:
-                return None
+            solvable &= C[i] == 0
             continue
         g = gcd(d, m)
-        if ci % g != 0:
-            return None
+        solvable &= C[i] % g == 0
         mm = m // g
-        inv = pow((d // g) % mm, -1, mm) if mm > 1 else 0
-        y[i] = ((ci // g) * inv) % m if mm > 1 else 0
-    x = [sum(V[i][k] * y[k] for k in range(cols)) % m for i in range(cols)]
-    return x
+        if mm > 1:
+            Y[i] = (C[i] // g) * pow((d // g) % mm, -1, mm) % m
+    X = (np.asarray(V, dtype=object) % m).astype(np.int64) @ Y % m
+    return [X[:, j] if ok else None for j, ok in enumerate(solvable)]
 
 
-def solve_mod(A, b, m: int):
-    """One solution of A x = b (mod m), or None.  A: 2d array-like."""
+def solve_mod(A, B, m: int) -> list[np.ndarray | None]:
+    """One solution x of A x = b (mod m) per column b of B, or None.
+
+    A is a rows x cols matrix and B a rows x k matrix of right-hand sides;
+    all k columns are solved in one elimination of A.
+    """
     A = np.asarray(A, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    if B.ndim != 2 or B.shape[0] != A.shape[0]:
+        raise ValueError(f"right-hand sides must be a {A.shape[0]} x k matrix, got shape {B.shape}")
     if A.size == 0:
-        return np.zeros(A.shape[1], dtype=np.int64) if not np.any(b % m) else None
+        return [None if np.any(b % m) else np.zeros(A.shape[1], dtype=np.int64) for b in B.T]
     if is_prime(m):
-        return solve_mod_prime(A, b, m)
-    x = solve_mod_snf(A.tolist(), b.tolist(), m)
-    return None if x is None else np.asarray(x, dtype=np.int64)
+        return solve_mod_prime(A, B, m)
+    return solve_mod_snf(A, B, m)

@@ -240,6 +240,23 @@ def test_crop_window_debris(window12):
     assert res2.op == SymOp.scalar(-1) and not res2.cropped
 
 
+def test_crop_window_debris_order_is_canonical(window12):
+    # the same operator built in two insertion orders logs the same list
+    rim = [s for s in window12.sites() if window12.in_edge_strip(s)]
+    pairs = [(s, (s[0] + 1, s[1])) for s in rim if window12.in_edge_strip((s[0] + 1, s[1]))]
+    monomials = [[s] for s in rim] + [list(p) for p in pairs] + [[(0, 0)], [(0, 0), (0, 1)]]
+    flips = rim + [(0, 0)]
+    forward = SymOp(frozenset(frozenset(m) for m in monomials), frozenset(flips))
+    backward = SymOp(
+        frozenset(frozenset(reversed(m)) for m in reversed(monomials)), frozenset(reversed(flips))
+    )
+    assert forward == backward
+    res, res2 = crop_window_debris(forward, window12), crop_window_debris(backward, window12)
+    assert res.op == res2.op
+    assert len(res.cropped) == len(rim) + len(pairs) + len(rim)
+    assert res.cropped == res2.cropped
+
+
 def test_action_from_config(window12):
     from anomalion.circuits import action_from_config
 

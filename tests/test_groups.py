@@ -1,4 +1,6 @@
+import functools
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from anomalion.groups import (
     FiniteGroup,
     GroupHom,
     PhaseValue,
+    classify,
     coboundary,
     coboundary_solve,
     cohomologous,
@@ -16,9 +19,9 @@ from anomalion.groups import (
     is_cocycle,
     klein_bits,
     klein_four,
-    normalize_entries,
     projection_sign_cocycle,
     pullback,
+    subgroup_closure,
 )
 
 Z2 = FiniteGroup.cyclic(2)
@@ -206,24 +209,6 @@ def test_cohomologous():
         cohomologous(tau, Cochain.constant(K4, 3, 2))
 
 
-def test_normalized_solve():
-    b = Cochain.from_function(K4, 1, 2, lambda g: 1 if g else 0)
-    c = coboundary(b)
-    sol = coboundary_solve(c, normalized=True)
-    assert sol is not None and coboundary(sol) == c
-    for g in K4.elements():
-        if g == K4.id:
-            assert sol(g) == 0
-
-
-def test_normalize_entries():
-    c = Cochain.from_function(K4, 2, 2, lambda g, h: 1)
-    n = normalize_entries(c)
-    for g in K4.elements():
-        assert n(g, K4.id) == 0 and n(K4.id, g) == 0
-    assert n(1, 1) == 1
-
-
 def test_group_json_roundtrip():
     g = K4
     j = g.to_json()
@@ -266,3 +251,134 @@ def test_mod2_class_trivializes_in_mod4():
     sol = coboundary_solve(lifted)
     assert sol is not None and coboundary(sol) == lifted
     assert sol.modulus == 4 and sol(1) % 2 == 1
+
+
+def reference_coboundary(c):
+    """delta c written out from the definition, one tuple at a time."""
+    g, n = c.group, c.degree
+
+    def val(*args):
+        total = c(*args[1:])
+        for i in range(1, n + 1):
+            total += (-1) ** i * c(*args[: i - 1], g.mul(args[i - 1], args[i]), *args[i + 1 :])
+        return total + (-1) ** (n + 1) * c(*args[:n])
+
+    return Cochain.from_function(g, n + 1, c.modulus, val)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_coboundary_matches_definition_on_s3(degree):
+    rng = random.Random(degree)
+    for modulus in (2, 3, 4, 6):
+        c = random_cochain(rng, s3(), degree, modulus)
+        assert coboundary(c) == reference_coboundary(c)
+
+
+@functools.lru_cache(maxsize=None)
+def homomorphisms(group, modulus):
+    """Every homomorphism group -> Z_modulus, as a 1-cocycle."""
+    gens = []
+    for g in group.elements():
+        if g not in subgroup_closure(group, gens):
+            gens.append(g)
+    out = []
+    for images in product(range(modulus), repeat=len(gens)):
+        phi = {group.id: 0}
+        frontier = [group.id]
+        while frontier:
+            a = frontier.pop()
+            for s, v in zip(gens, images):
+                if group.mul(a, s) not in phi:
+                    phi[group.mul(a, s)] = (phi[a] + v) % modulus
+                    frontier.append(group.mul(a, s))
+        c = Cochain(group, 1, modulus, tuple(phi[g] for g in group.elements()))
+        if is_cocycle(c):
+            out.append(c)
+    return tuple(out)
+
+
+def random_cocycle(rng, group, degree, modulus):
+    """A random coboundary plus a nonzero multiple of a cup product of nonzero
+    homomorphisms (zero when the group has none)."""
+    homs = [h for h in homomorphisms(group, modulus) if not h.is_identically_one()]
+    factors = [rng.choice(homs) for _ in range(degree)] if homs else []
+    k = rng.randrange(1, modulus) if homs else 0
+
+    def cup(*args):
+        return k * functools.reduce(lambda acc, fx: acc * fx[0](fx[1]), zip(factors, args), 1)
+
+    c = Cochain.from_function(group, degree, modulus, cup)
+    return c.mul(coboundary(random_cochain(rng, group, degree - 1, modulus)))
+
+
+@given(
+    st.sampled_from(GROUPS),
+    st.integers(1, 4),
+    st.sampled_from([2, 3, 4]),
+    st.integers(0, 2**30),
+)
+@settings(max_examples=60, deadline=None)
+def test_classify_matches_pairwise_reference(group, degree, modulus, seed):
+    while group.order**degree > 216:
+        degree -= 1
+    rng = random.Random(seed)
+    c = random_cocycle(rng, group, degree, modulus)
+    if rng.random() < 0.2:
+        c = random_cochain(rng, group, degree, modulus)
+    candidates = {f"r{i}": random_cocycle(rng, group, degree, modulus) for i in range(3)}
+    candidates["shifted"] = c.mul(coboundary(random_cochain(rng, group, degree - 1, modulus)))
+    candidates["open"] = random_cochain(rng, group, degree, modulus)
+    closed, trivial, names = classify(c, candidates)
+    assert closed == is_cocycle(c)
+    if not closed:
+        assert (trivial, names) == (False, ())
+        return
+    assert trivial == (coboundary_solve(c) is not None)
+    want = tuple(
+        name for name, rep in candidates.items() if is_cocycle(rep) and cohomologous(c, rep)
+    )
+    assert names == want
+    assert "shifted" in names
+
+
+def test_classify_non_closed_input():
+    rng = random.Random(1)
+    while True:
+        c = random_cochain(rng, K4, 3, 2)
+        if not is_cocycle(c):
+            break
+    assert classify(c, {"trivial": Cochain.constant(K4, 3, 2)}) == (False, False, ())
+
+
+def test_classify_rejects_mismatched_candidates():
+    tau = cup_1cocycles([projection_sign_cocycle(K4, 1)] * 3 + [projection_sign_cocycle(K4, 0)])
+    assert classify(tau, {"self": tau}) == (True, False, ("self",))
+    with pytest.raises(ValueError):
+        classify(tau, {"mod4": tau.with_modulus(4)})
+    with pytest.raises(ValueError):
+        classify(tau, {"degree3": Cochain.constant(K4, 3, 2)})
+    with pytest.raises(ValueError):
+        classify(tau, {"other group": Cochain.constant(FiniteGroup.cyclic(4), 4, 2)})
+
+
+def test_classify_runs_one_elimination(monkeypatch):
+    import anomalion.groups as groups
+
+    calls = []
+    solve = groups.solve_mod
+
+    def counting(A, B, m):
+        calls.append(B.shape)
+        return solve(A, B, m)
+
+    monkeypatch.setattr(groups, "solve_mod", counting)
+    b = projection_sign_cocycle(K4, 1)
+    a = projection_sign_cocycle(K4, 0)
+    tau = cup_1cocycles([b, b, b, a])
+    candidates = {
+        "trivial": Cochain.constant(K4, 4, 2),
+        "b^3 . a": tau,
+        "a^3 . b": cup_1cocycles([a, a, a, b]),
+    }
+    assert classify(tau, candidates) == (True, False, ("b^3 . a",))
+    assert calls == [(4**4, 4)]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +42,7 @@ def test_solve_mod_roundtrip(A, m, data):
     rows, cols = len(A), len(A[0])
     x = data.draw(st.lists(st.integers(0, m - 1), min_size=cols, max_size=cols))
     b = [sum(A[i][j] * x[j] for j in range(cols)) % m for i in range(rows)]
-    sol = solve_mod(A, b, m)
+    [sol] = solve_mod(A, [[v] for v in b], m)
     assert sol is not None
     for i in range(rows):
         assert sum(A[i][j] * int(sol[j]) for j in range(cols)) % m == b[i] % m
@@ -49,9 +50,38 @@ def test_solve_mod_roundtrip(A, m, data):
 
 def test_solve_mod_unsolvable():
     # 2x = 1 mod 4 has no solution
-    assert solve_mod([[2]], [1], 4) is None
-    assert solve_mod([[2]], [1], 2) is None
-    assert solve_mod([[3]], [1], 5) is not None
+    assert solve_mod([[2]], [[1]], 4) == [None]
+    assert solve_mod([[2]], [[1]], 2) == [None]
+    assert solve_mod([[3]], [[1]], 5)[0] is not None
+    with pytest.raises(ValueError):
+        solve_mod([[3]], [1], 5)  # right-hand sides are columns of a matrix
+
+
+@given(small_matrix(), st.sampled_from([2, 3, 4, 5, 6, 8, 9]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_mod_columns_match_single_solves(A, m, data):
+    rows, cols = len(A), len(A[0])
+    k = data.draw(st.integers(1, 5))
+    columns = []
+    for _ in range(k):
+        if data.draw(st.booleans()):  # in the image of A
+            x = data.draw(st.lists(st.integers(0, m - 1), min_size=cols, max_size=cols))
+            columns.append([sum(A[i][j] * x[j] for j in range(cols)) % m for i in range(rows)])
+        else:  # arbitrary, often unsolvable
+            columns.append(data.draw(st.lists(st.integers(0, m - 1), min_size=rows, max_size=rows)))
+    B = np.array(columns, dtype=np.int64).T
+    solved = solve_mod(A, B, m)
+    assert len(solved) == k
+    for j, sol in enumerate(solved):
+        [single] = solve_mod(A, B[:, j : j + 1], m)
+        assert (sol is None) == (single is None)
+        if sol is not None:
+            assert np.array_equal(sol, single)
+            assert np.array_equal(np.array(A, dtype=np.int64) @ sol % m, B[:, j] % m)
+    # a column built to be solvable is solved
+    x = data.draw(st.lists(st.integers(0, m - 1), min_size=cols, max_size=cols))
+    b = np.array(A, dtype=np.int64) @ np.array(x, dtype=np.int64) % m
+    assert solve_mod(A, np.column_stack([B, b]), m)[-1] is not None
 
 
 def test_is_prime():
