@@ -15,6 +15,7 @@ Each line is `sha256  command`; the exit code is 1 if any run fails.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -53,6 +54,42 @@ POSTNIKOV_CM = {
     "act": [list(range(8)) for _ in range(8)],
 }
 
+
+def _normal_subgroup_square() -> dict:
+    """The crossed square of the normal subgroups M = S3 and N = A3 of
+    P = S3: L = A3 is their intersection, the maps are inclusions, the
+    actions conjugation, and eta(m, n) = m n m^-1 n^-1 (which lies in A3)."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+
+    def mul(a, b):
+        return index[tuple(perms[a][perms[b][i]] for i in range(3))]
+
+    def inv(a):
+        return next(b for b in range(6) if mul(a, b) == 0)
+
+    def group(members, name):
+        pos = {e: i for i, e in enumerate(members)}
+        return {"order": len(members), "name": name,
+                "mul": [pos[mul(a, b)] for a in members for b in members]}
+
+    s3 = list(range(6))
+    a3 = [e for e in s3 if sum(perms[e][j] > perms[e][i] for i in range(3) for j in range(i)) % 2 == 0]
+    pos3 = {e: i for i, e in enumerate(a3)}
+
+    def conj_table(members, pos):
+        return [[pos[mul(mul(p, x), inv(p))] for x in members] for p in s3]
+
+    return {
+        "kind": "crossed_square",
+        "L": group(a3, "A3"), "M": group(s3, "S3"), "N": group(a3, "A3"), "P": group(s3, "S3"),
+        "f": a3, "g": [0, 1, 2], "v": s3, "u": a3,
+        "act_L": conj_table(a3, pos3), "act_M": conj_table(s3, {e: e for e in s3}),
+        "act_N": conj_table(a3, pos3),
+        "eta": [[pos3[mul(mul(m, n), mul(inv(m), inv(n)))] for n in a3] for m in s3],
+    }
+
+
 RUNS = (
     ["reproduce-ccz", "--check-gauge", "2", "--seed", "1"],
     ["anomaly2d", "--check-window", "--seed", "2"],
@@ -63,6 +100,8 @@ RUNS = (
     ["spt", "--mode", "relative1d", "--seed", "7"],
     ["spt", "--mode", "trivialize2d", "--action", "ccz_x_2d", "--seed", "8"],
     ["crossed", "postnikov", "--input", "postnikov_cm.json", "--all-sections", "--seed", "9"],
+    ["crossed", "validate", "--input", "square.json"],
+    ["crossed", "convert", "--input", "square.json"],
 )
 
 
@@ -75,6 +114,8 @@ def main() -> int:
             json.dump(ORDER8_CONFIG, fh)
         with open(os.path.join(tmp, "postnikov_cm.json"), "w") as fh:
             json.dump(POSTNIKOV_CM, fh)
+        with open(os.path.join(tmp, "square.json"), "w") as fh:
+            json.dump(_normal_subgroup_square(), fh)
         for i, run in enumerate(RUNS):
             report = os.path.join(tmp, f"report{i}.json")
             proc = subprocess.run(

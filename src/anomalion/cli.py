@@ -296,7 +296,7 @@ def cmd_crossed(args) -> int:
     if args.subcommand == "postnikov":
         cm = _cm_from_json(obj)
         sections = list(all_sections(cm)) if args.all_sections else [tuple(obj["section"])]
-        classes = [postnikov3(cm, s) for s in sections]
+        classes = postnikov3(cm, sections)
         _, _, matches = classify(classes[0], {str(i): c for i, c in enumerate(classes[1:], 1)})
         agree = len(matches) == len(classes) - 1
         print(f"postnikov: {len(classes)} section(s); classes agree={agree}")

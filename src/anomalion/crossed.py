@@ -13,6 +13,7 @@ obstruction cocycle.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import product
 
@@ -25,6 +26,7 @@ from .groups import (
     quotient_group,
     subgroup_as_group,
 )
+from .pairing import run_identity_suite
 
 
 @dataclass(frozen=True)
@@ -104,20 +106,28 @@ class CrossedModule:
             raise ValueError("act must be an N-action on M")
 
 
+def _crossed_module_axioms(hom: GroupHom, act: ActionTable, label: str) -> list[str]:
+    """Equivariance hom(a.x) = a hom(x) a^-1 and the Peiffer identity
+    hom(x0).x1 = x0 x1 x0^-1 of hom: X -> A with A acting on X by act."""
+    out = []
+    X, A = hom.source, hom.target
+    for a in A.elements():
+        for x in X.elements():
+            if hom(act(a, x)) != A.conj(a, hom(x)):
+                out.append(f"crossed module {label}: equivariance fails at ({a},{x})")
+    for x0 in X.elements():
+        for x1 in X.elements():
+            if act(hom(x0), x1) != X.conj(x0, x1):
+                out.append(f"crossed module {label}: Peiffer fails at ({x0},{x1})")
+    return out
+
+
 def validate_crossed_module(cm: CrossedModule) -> ValidationReport:
     out = []
-    M, N, bd, act = cm.M, cm.N, cm.bd, cm.act
-    if not bd.is_valid():
+    if not cm.bd.is_valid():
         out.append("bd is not a homomorphism")
-    out += act.violations("act")
-    for n in N.elements():
-        for m in M.elements():
-            if bd(act(n, m)) != N.conj(n, bd(m)):
-                out.append(f"equivariance fails at (n={n}, m={m})")
-    for m0 in M.elements():
-        for m1 in M.elements():
-            if act(bd(m0), m1) != M.conj(m0, m1):
-                out.append(f"Peiffer identity fails at (m0={m0}, m1={m1})")
+    out += cm.act.violations("act")
+    out += _crossed_module_axioms(cm.bd, cm.act, "M->N")
     return ValidationReport.from_list(out)
 
 
@@ -163,20 +173,12 @@ def validate_crossed_square(cs: CrossedSquare) -> ValidationReport:
             if g(cs.act_L(p, l)) != cs.act_N(p, g(l)):
                 out.append(f"g not P-equivariant at (p={p}, l={l})")
     # the four crossed-module structures over P
-    for (grp, hom, act, name) in (
-        (M, v, cs.act_M, "M->P"),
-        (N, u, cs.act_N, "N->P"),
-        (L, GroupHom(L, P, tuple(v(f(l)) for l in L.elements())), cs.act_L, "L->P(vf)"),
-        (L, GroupHom(L, P, tuple(u(g(l)) for l in L.elements())), cs.act_L, "L->P(ug)"),
-    ):
-        for p in P.elements():
-            for x in grp.elements():
-                if hom(act(p, x)) != P.conj(p, hom(x)):
-                    out.append(f"crossed module {name}: equivariance fails at (p={p}, x={x})")
-        for x0 in grp.elements():
-            for x1 in grp.elements():
-                if act(hom(x0), x1) != grp.conj(x0, x1):
-                    out.append(f"crossed module {name}: Peiffer fails at ({x0},{x1})")
+    vf = GroupHom(L, P, tuple(v(f(l)) for l in L.elements()))
+    ug = GroupHom(L, P, tuple(u(g(l)) for l in L.elements()))
+    out += _crossed_module_axioms(v, cs.act_M, "M->P")
+    out += _crossed_module_axioms(u, cs.act_N, "N->P")
+    out += _crossed_module_axioms(vf, cs.act_L, "L->P(vf)")
+    out += _crossed_module_axioms(ug, cs.act_L, "L->P(ug)")
     # the seven eta equations
     eta = cs.eta_at
     for m in M.elements():
@@ -448,48 +450,60 @@ def all_sections(cm: CrossedModule):
         yield tuple(combo)
 
 
-def postnikov3(cm: CrossedModule, sigma: tuple[int, ...], iso: KernelPhaseIso | None = None) -> Cochain:
-    """The degree-3 kernel-valued cocycle of a section sigma of N -> pi1.
+def _kernel_iso(cm: CrossedModule, iso: KernelPhaseIso | None) -> KernelPhaseIso:
+    """The given iso, checked against ker(bd), or the default one (checked when built)."""
+    if iso is None:
+        return default_kernel_iso(cm)
+    iso.validate(cm.M, cm_kernel(cm))
+    return iso
+
+
+def postnikov3(
+    cm: CrossedModule, sections: Iterable[tuple[int, ...]], iso: KernelPhaseIso | None = None
+) -> list[Cochain]:
+    """The degree-3 kernel-valued cocycle of each section sigma of N -> pi1.
 
     nu(x,y) = sigma(x)sigma(y)sigma(xy)^-1 lifts through bd (deterministic
     preimage choice); the alternating combination of lifts lands in
     ker(bd), is converted to phases through the supplied iso, and is
-    verified to be closed.
+    verified to be closed.  The module and the iso are checked once per
+    call, however many sections are given.
     """
     rep = validate_crossed_module(cm)
     if not rep.ok:
         raise ValueError(f"invalid crossed module: {rep.violations[:3]}")
     pi1, proj = cm_pi1(cm)
-    ker = cm_kernel(cm)
-    if iso is None:
-        iso = default_kernel_iso(cm)
-    iso.validate(cm.M, ker)
-    for x in pi1.elements():
-        if proj[sigma[x]] != x:
-            raise ValueError(f"sigma is not a section at {x}")
+    iso = _kernel_iso(cm, iso)
     M, N = cm.M, cm.N
     preimage = {}
     for m in M.elements():
         preimage.setdefault(cm.bd(m), m)
 
-    def nu_lift(x: int, y: int) -> int:
-        n = N.mul(N.mul(sigma[x], sigma[y]), N.inv(sigma[pi1.mul(x, y)]))
-        if n not in preimage:
-            raise ValueError("nu value is not in the image of bd")
-        return preimage[n]
+    def cocycle(sigma: tuple[int, ...]) -> Cochain:
+        for x in pi1.elements():
+            if proj[sigma[x]] != x:
+                raise ValueError(f"sigma is not a section at {x}")
 
-    def ell(x: int, y: int, z: int) -> int:
-        t = M.mul(nu_lift(x, y), nu_lift(pi1.mul(x, y), z))
-        t = M.mul(t, M.inv(nu_lift(x, pi1.mul(y, z))))
-        t = M.mul(t, M.inv(cm.act(sigma[x], nu_lift(y, z))))
-        if cm.bd(t) != N.id:
-            raise ValueError(f"ell value leaves the kernel at ({x},{y},{z})")
-        return iso.residue(t)
+        def nu_lift(x: int, y: int) -> int:
+            n = N.mul(N.mul(sigma[x], sigma[y]), N.inv(sigma[pi1.mul(x, y)]))
+            if n not in preimage:
+                raise ValueError("nu value is not in the image of bd")
+            return preimage[n]
 
-    c = Cochain.from_function(pi1, 3, iso.modulus, ell)
-    if not is_cocycle(c):
-        raise AssertionError("postnikov cochain is not closed")
-    return c
+        def ell(x: int, y: int, z: int) -> int:
+            t = M.mul(nu_lift(x, y), nu_lift(pi1.mul(x, y), z))
+            t = M.mul(t, M.inv(nu_lift(x, pi1.mul(y, z))))
+            t = M.mul(t, M.inv(cm.act(sigma[x], nu_lift(y, z))))
+            if cm.bd(t) != N.id:
+                raise ValueError(f"ell value leaves the kernel at ({x},{y},{z})")
+            return iso.residue(t)
+
+        c = Cochain.from_function(pi1, 3, iso.modulus, ell)
+        if not is_cocycle(c):
+            raise AssertionError("postnikov cochain is not closed")
+        return c
+
+    return [cocycle(sigma) for sigma in sections]
 
 
 # -- weak morphism data -----------------------------------------------------
@@ -548,10 +562,7 @@ def check_weak_morphism(d: WeakMorphismData, iso: KernelPhaseIso | None = None) 
                     out.append(f"eq2 fails at ({g},{h},{k})")
     obstruction = None
     if eq1 and not eq2:
-        ker = cm_kernel(cm)
-        if iso is None:
-            iso = default_kernel_iso(cm)
-        iso.validate(M, ker)
+        iso = _kernel_iso(cm, iso)
 
         def val(g, h, k):
             t = fail2(g, h, k)
@@ -568,10 +579,7 @@ def check_weak_morphism(d: WeakMorphismData, iso: KernelPhaseIso | None = None) 
 def twist(d: WeakMorphismData, b: Cochain, iso: KernelPhaseIso | None = None) -> WeakMorphismData:
     """mu' = b * mu for a closed kernel-valued 2-cochain b."""
     cm = d.target
-    ker = cm_kernel(cm)
-    if iso is None:
-        iso = default_kernel_iso(cm)
-    iso.validate(cm.M, ker)
+    iso = _kernel_iso(cm, iso)
     if b.degree != 2 or b.group != d.G or b.modulus != iso.modulus:
         raise ValueError("twist cochain has the wrong shape")
     if not is_cocycle(b):
@@ -646,101 +654,26 @@ class LatticeSquareReport:
         return {"ok": self.ok, "violations": list(self.violations), "counts": dict(self.counts)}
 
 
+# The crossed-square equation each identity of the pairing suite checks.
+_SQUARE_EQUATIONS = {
+    "ad_eta_equals_commutator": "f_g_of_eta_is_commutator",
+    "inner_left_closed_form": "eta_f(l)_n",
+    "inner_right_closed_form": "eta_m_g(l)",
+    "left_multiplicativity": "eta_mm'_n",
+    "right_multiplicativity": "eta_m_nn'",
+    "conjugation_equivariance": "eta_p_equivariance",
+}
+
+
 def verify_lattice_square(window, samples: int = 50, seed: int = 0) -> LatticeSquareReport:
     """Check the crossed-square equations on sampled lattice elements.
 
     The square has scalars-and-local-unitaries for L, left / right / strip
     circuits for M, N, P, the maps into automorphisms, and the commutator
-    pairing as eta.  The groups are infinite, so the axioms are checked
-    pointwise: unitary-valued equations bit-exactly, automorphism-valued
-    equations on sampled local observables.
+    pairing as eta.  Its equations are the pairing identities, so they are
+    checked by the pairing suite and reported under the square's names.
     """
-    import random
-
-    from .lattice import Region
-    from .pairing import (
-        LocalizedAutomorphism,
-        _conjugated_circuit,
-        _single_layer_circuit,
-        eta,
-    )
-    from .circuits import concat, conj_by_circuit
-    from .sampling import random_circuit, random_inner
-    from .symop import SymOp, op_inv, op_mul
-
-    rng = random.Random(seed)
-    out = []
-    inner_reach = window.edge_distance((0, 0)) - window.margin
-    box = Region.origin_disk(max(2, inner_reach))
-    l_region = Region.intersection_of(Region.half_line_L(1), box)
-    r_region = Region.intersection_of(Region.half_line_R(1), box)
-    strip = Region.intersection_of(Region.boundary_line(1), box)
-    disk = Region.origin_disk(2)
-    thick_l = Region.half_line_L(3)
-    thick_r = Region.half_line_R(3)
-
-    counts = {}
-
-    def record(name, passed, detail=""):
-        counts[name] = counts.get(name, 0) + 1
-        if not passed:
-            out.append(f"{name}: {detail}")
-
-    for _ in range(samples):
-        cm = random_circuit(rng, window, l_region)
-        cn = random_circuit(rng, window, r_region)
-        cp = random_circuit(rng, window, strip)
-        l_op = random_inner(rng, window, disk)
-        m_auto = LocalizedAutomorphism(thick_l, circuit=cm)
-        n_auto = LocalizedAutomorphism(thick_r, circuit=cn)
-
-        e = eta(m_auto, n_auto)
-        # f(eta(m,n)) = m (u(n) m)^-1 and g(eta(m,n)) = (v(m) n) n^-1 both
-        # say Ad_eta = [m, n]; checked on sampled local observables.
-        ok = True
-        for _ in range(6):
-            s = (rng.randrange(-2, 3), 0)
-            obs = SymOp.z(s) if rng.random() < 0.5 else SymOp.x(s)
-            lhs = op_mul(op_mul(e, obs), op_inv(e))
-            rhs = m_auto.apply(n_auto.apply(m_auto.apply_inverse(n_auto.apply_inverse(obs))))
-            if lhs != rhs:
-                ok = False
-                break
-        record("f_g_of_eta_is_commutator", ok)
-
-        # eta(f(l), n) = l * n(l^-1)
-        adl_left = LocalizedAutomorphism(thick_l, circuit=_single_layer_circuit(l_op, window))
-        lhs = eta(adl_left, n_auto)
-        rhs = op_mul(l_op, n_auto.apply(op_inv(l_op)))
-        record("eta_f(l)_n", lhs == rhs)
-
-        # eta(m, g(l)) = m(l) * l^-1
-        adl_right = LocalizedAutomorphism(thick_r, circuit=_single_layer_circuit(l_op, window))
-        lhs = eta(m_auto, adl_right)
-        rhs = op_mul(m_auto.apply(l_op), op_inv(l_op))
-        record("eta_m_g(l)", lhs == rhs)
-
-        # eta(m m', n) = m(eta(m',n)) * eta(m,n)
-        cm2 = random_circuit(rng, window, l_region)
-        m2 = LocalizedAutomorphism(thick_l, circuit=cm2)
-        mm2 = LocalizedAutomorphism(thick_l, circuit=concat(cm2, cm))
-        lhs = eta(mm2, n_auto)
-        rhs = op_mul(conj_by_circuit(eta(m2, n_auto), cm, check_margin=False), e)
-        record("eta_mm'_n", lhs == rhs)
-
-        # eta(m, n n') = eta(m,n) * n(eta(m,n'))
-        cn2 = random_circuit(rng, window, r_region)
-        n2 = LocalizedAutomorphism(thick_r, circuit=cn2)
-        nn2 = LocalizedAutomorphism(thick_r, circuit=concat(cn2, cn))
-        lhs = eta(m_auto, nn2)
-        rhs = op_mul(e, conj_by_circuit(eta(m_auto, n2), cn, check_margin=False))
-        record("eta_m_nn'", lhs == rhs)
-
-        # eta(p m, p n) = p(eta(m, n))
-        mc = LocalizedAutomorphism(Region.half_line_L(5), circuit=_conjugated_circuit(cm, cp))
-        nc = LocalizedAutomorphism(Region.half_line_R(5), circuit=_conjugated_circuit(cn, cp))
-        lhs = eta(mc, nc)
-        rhs = conj_by_circuit(e, cp, check_margin=False)
-        record("eta_p_equivariance", lhs == rhs)
-
+    rep = run_identity_suite(window, n_pairs=samples, seed=seed)
+    counts = {_SQUARE_EQUATIONS[name]: n for name, n in rep.checks.items()}
+    out = [f"{_SQUARE_EQUATIONS[f['identity']]}: {f['detail']}" for f in rep.failures]
     return LatticeSquareReport(not out, tuple(out[:64]), counts)

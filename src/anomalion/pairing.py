@@ -89,35 +89,18 @@ def _truncate_layer_to_disk(layer: list[SymOp], r: int) -> SymOp:
     return op_product(sorted(kept, key=lambda g: sorted(support(g))))
 
 
-def _stabilization_radii(layer: list[SymOp], window: Window) -> tuple[int, int]:
-    """Largest window-feasible pair of truncation radii (r, r+2).
+def _eta_single_layer(layer: list[SymOp], window: Window, pair) -> SymOp:
+    """pair(T_r) for the layer truncated to the disks of radii r and r+2.
 
     Constancy between the two radii is the actual stabilization
-    certificate; this only guards against degenerate windows.
+    certificate; the largest window-feasible pair is used, and degenerate
+    windows are refused.
     """
     r2 = window.edge_distance((0, 0))
     r = r2 - 2
     if r < 2:
         raise StabilizationError("window too small to stabilize the pairing")
-    return r, r2
-
-
-def _eta_single_layer_R(alpha: LocalizedAutomorphism, layer: list[SymOp], window: Window) -> SymOp:
-    """eta for a single right layer: alpha(B_r) B_r^-1, stabilized in r."""
-    vals = []
-    for radius in _stabilization_radii(layer, window):
-        b = _truncate_layer_to_disk(layer, radius)
-        vals.append(op_mul(alpha.apply(b), op_inv(b)))
-    if vals[0] != vals[1]:
-        raise StabilizationError("eta did not stabilize between radii; margin too small")
-    return vals[0]
-
-
-def _eta_single_layer_L(layer: list[SymOp], beta: LocalizedAutomorphism, window: Window) -> SymOp:
-    vals = []
-    for radius in _stabilization_radii(layer, window):
-        a = _truncate_layer_to_disk(layer, radius)
-        vals.append(op_mul(a, beta.apply(op_inv(a))))
+    vals = [pair(_truncate_layer_to_disk(layer, radius)) for radius in (r, r2)]
     if vals[0] != vals[1]:
         raise StabilizationError("eta did not stabilize between radii; margin too small")
     return vals[0]
@@ -137,7 +120,8 @@ def eta_R(alpha: LocalizedAutomorphism, b_circuit: ProceduralCircuit) -> SymOp:
     window = b_circuit.window
     acc = None
     for k in range(len(layers) - 1, -1, -1):
-        piece = _eta_single_layer_R(alpha, layers[k], window)
+        # eta for a single right layer: alpha(B_r) B_r^-1
+        piece = _eta_single_layer(layers[k], window, lambda b: op_mul(alpha.apply(b), op_inv(b)))
         if acc is None:
             acc = piece
         else:
@@ -152,7 +136,8 @@ def eta_L(a_circuit: ProceduralCircuit, beta: LocalizedAutomorphism) -> SymOp:
     window = a_circuit.window
     acc = None
     for k in range(len(layers) - 1, -1, -1):
-        piece = _eta_single_layer_L(layers[k], beta, window)
+        # eta for a single left layer: A_r beta(A_r^-1)
+        piece = _eta_single_layer(layers[k], window, lambda a: op_mul(a, beta.apply(op_inv(a))))
         if acc is None:
             acc = piece
         else:
@@ -237,7 +222,6 @@ def run_identity_suite(
     window: Window,
     n_pairs: int = 100,
     seed: int = 0,
-    obs_per_pair: int = 10,
 ) -> EtaSuiteReport:
     """Check the pairing identities on seeded random representable pairs.
 
@@ -265,9 +249,9 @@ def run_identity_suite(
         beta = LocalizedAutomorphism(Region.half_line_R(3), circuit=cb)
         e = eta(alpha, beta)
 
-        # Ad_eta = [alpha, beta] on sampled local observables
+        # Ad_eta = [alpha, beta] on 10 sampled local observables
         ok = True
-        for _ in range(obs_per_pair):
+        for _ in range(10):
             s = (rng.randrange(-2, 3), 0)
             obs = SymOp.z(s) if rng.random() < 0.5 else SymOp.x(s)
             lhs = op_mul(op_mul(e, obs), op_inv(e))

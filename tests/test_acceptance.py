@@ -256,7 +256,7 @@ def test_criterion_9_postnikov_sections():
     for name, make, _ in SECTION_FIXTURES:
         cm = make()
         assert cm.N.order <= 16
-        classes = [postnikov3(cm, s) for s in all_sections(cm)]
+        classes = postnikov3(cm, all_sections(cm))
         base = classes[0]
         if not all(cohomologous(base, c) for c in classes[1:]):
             ok = False

@@ -116,6 +116,28 @@ def test_crossed_cli(tmp_path):
     assert run(["crossed", "validate", "--input", str(bpath)]) == 1
 
 
+def test_postnikov_all_sections_validates_once(tmp_path, monkeypatch):
+    """Z8 -x4-> Z8 with trivial action has 16 sections and one module."""
+    import anomalion.crossed as crossed
+
+    z8 = {"order": 8, "mul": [(i + j) % 8 for i in range(8) for j in range(8)]}
+    path = tmp_path / "cm.json"
+    path.write_text(json.dumps({
+        "kind": "crossed_module", "M": z8, "N": z8,
+        "bd": [4 * i % 8 for i in range(8)],
+        "act": [list(range(8)) for _ in range(8)],
+    }))
+    calls = []
+    validate = crossed.validate_crossed_module
+    monkeypatch.setattr(crossed, "validate_crossed_module",
+                        lambda cm: calls.append(cm) or validate(cm))
+    rep = tmp_path / "p.json"
+    assert run(["crossed", "postnikov", "--input", str(path), "--all-sections",
+                "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["sections"] == 16
+    assert len(calls) == 1
+
+
 def test_crossed_lattice_cli(tmp_path):
     rep = tmp_path / "l.json"
     assert run(["crossed", "lattice", "--samples", "5", "--seed", "3",

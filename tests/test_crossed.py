@@ -137,6 +137,29 @@ def test_validate_crossed_square_examples():
     assert validate_crossed_square(bilinear_square()).ok
 
 
+def test_validators_report_peiffer_failure():
+    """Z4 -> Z2 mod 2 with Z2 acting by inversion is equivariant, but
+    bd(m0) acts on m1 by inversion while conjugation in Z4 is trivial."""
+    bd = GroupHom(Z4, Z2, (0, 1, 0, 1))
+    inversion = ActionTable(Z2, Z4, ((0, 1, 2, 3), (0, 3, 2, 1)))
+    rep = validate_crossed_module(CrossedModule(Z4, Z2, bd, inversion))
+    assert rep.violations == tuple(
+        f"crossed module M->N: Peiffer fails at ({m0},{m1})" for m0 in (1, 3) for m1 in (1, 3)
+    )
+    T = FiniteGroup.trivial()
+    square = CrossedSquare(
+        L=T, M=Z4, N=T, P=Z2,
+        f=GroupHom.trivial(T, Z4), g=GroupHom.identity(T),
+        v=bd, u=GroupHom.trivial(T, Z2),
+        act_L=ActionTable.trivial(Z2, T), act_M=inversion, act_N=ActionTable.trivial(Z2, T),
+        eta=((0,),) * 4,
+    )
+    rep = validate_crossed_square(square)
+    assert rep.violations == tuple(
+        f"crossed module M->P: Peiffer fails at ({m0},{m1})" for m0 in (1, 3) for m1 in (1, 3)
+    )
+
+
 def test_to_two_crossed_module():
     t = to_two_crossed_module(conj_square(S3))
     assert validate_two_crossed_module(t).ok
@@ -249,7 +272,7 @@ def test_postnikov_section_independence(name, make, expect_trivial):
     cm = make()
     assert cm.N.order <= 16
     sections = list(all_sections(cm))
-    classes = [postnikov3(cm, s) for s in sections]
+    classes = postnikov3(cm, sections)
     base = classes[0]
     assert is_cocycle(base)
     for c in classes[1:]:
@@ -272,13 +295,13 @@ def test_postnikov_split_section_constant_one():
     for x in pi1.elements():
         fiber = [n for n in (0, 1) if proj[n] == x]  # second-factor subgroup
         reps.append(fiber[0])
-    c = postnikov3(cm, tuple(reps))
+    [c] = postnikov3(cm, [tuple(reps)])
     assert c.is_identically_one()
 
 
 def test_postnikov_nontrivial_value():
     cm = sign_action_cm()
-    c = postnikov3(cm, (0, 1))
+    [c] = postnikov3(cm, [(0, 1)])
     assert c.modulus == 2
     assert c(1, 1, 1) == 1
     assert coboundary_solve(c) is None
@@ -299,7 +322,7 @@ def test_check_weak_morphism_and_obstruction():
     rep = check_weak_morphism(d)
     assert rep.eq1_ok and not rep.eq2_ok
     pi1, proj = cm_pi1(cm)
-    ell = postnikov3(cm, (0, 1))
+    [ell] = postnikov3(cm, [(0, 1)])
     rho = GroupHom(Z2, pi1, tuple(proj[(0, 1)[g]] for g in Z2.elements()))
     rho.validate()
     assert cohomologous(rep.obstruction, pullback(ell, rho))
@@ -421,6 +444,48 @@ def test_lattice_square_pointwise(window12):
     assert all(v == 15 for v in rep.counts.values())
 
 
+SQUARE_EQUATIONS = [
+    ("ad_eta_equals_commutator", "f_g_of_eta_is_commutator"),
+    ("inner_left_closed_form", "eta_f(l)_n"),
+    ("inner_right_closed_form", "eta_m_g(l)"),
+    ("left_multiplicativity", "eta_mm'_n"),
+    ("right_multiplicativity", "eta_m_nn'"),
+    ("conjugation_equivariance", "eta_p_equivariance"),
+]
+
+
+@pytest.mark.parametrize("identity,equation", SQUARE_EQUATIONS)
+def test_lattice_square_reports_suite_failure(window12, monkeypatch, identity, equation):
+    """A failed pairing identity is a violation of its crossed-square equation."""
+    import anomalion.crossed as crossed
+    from anomalion.pairing import run_identity_suite
+
+    def failing_suite(window, n_pairs, seed):
+        rep = run_identity_suite(window, n_pairs=n_pairs, seed=seed)
+        rep.record(identity, False, "injected")
+        return rep
+
+    monkeypatch.setattr(crossed, "run_identity_suite", failing_suite)
+    rep = verify_lattice_square(window12, samples=2, seed=5)
+    assert not rep.ok
+    assert rep.violations == (f"{equation}: injected",)
+    assert rep.counts == {eq: 3 if eq == equation else 2 for _, eq in SQUARE_EQUATIONS}
+
+
+def test_explicit_kernel_iso_is_checked():
+    cm = sign_action_cm()
+    iso = default_kernel_iso(cm)
+    bad = KernelPhaseIso(iso.elements, tuple(0 for _ in iso.residues), 2)
+    d = WeakMorphismData(Z2, cm, (0, 1), ((0, 0), (0, 1)))
+    assert check_weak_morphism(d, iso).obstruction is not None
+    with pytest.raises(ValueError):
+        postnikov3(cm, [(0, 1)], bad)
+    with pytest.raises(ValueError):
+        check_weak_morphism(d, bad)
+    with pytest.raises(ValueError):
+        twist(d, Cochain.constant(Z2, 2, 2), bad)
+
+
 def test_abstract_class_matches_1d_pipeline():
     """The degree-3 table of the sign-action module coincides with the
     class the 1d lattice pipeline extracts for the anomalous chain action."""
@@ -429,7 +494,7 @@ def test_abstract_class_matches_1d_pipeline():
     from anomalion.lattice import Window
 
     cm = sign_action_cm()
-    abstract = postnikov3(cm, (0, 1))
+    [abstract] = postnikov3(cm, [(0, 1)])
     pipeline = nayak_else_1d(builtin_action("levin_gu_1d", Window.chain(12, margin=3)))
     assert abstract.values == pipeline.cochain.values
     assert abstract.modulus == pipeline.cochain.modulus == 2
