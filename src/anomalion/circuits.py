@@ -26,6 +26,7 @@ from .symop import (
     op_product,
     ops_commute,
     support,
+    support_mask,
 )
 
 
@@ -142,7 +143,8 @@ class Layer(tuple):
     A circuit takes Layers as they are, without validation, so build one
     only from a validated layer of the same window (a sub-layer, inverse or
     conjugate).  The bound defaults to the largest gate diameter; the site
-    index is built on the first conjugation through the layer.
+    index, keyed by site bit, is built on the first conjugation through
+    the layer.
     """
 
     def __new__(cls, gates=(), bound: int | None = None):
@@ -156,19 +158,27 @@ class Layer(tuple):
             self._bound = max((_diameter(support(g)) for g in self), default=0)
         return self._bound
 
-    def acting(self, supp) -> list[SymOp]:
-        """The gates meeting supp, by _gate_key, ties in layer order."""
+    def acting(self, mask: int) -> list[SymOp]:
+        """The gates meeting the site mask, by _gate_key, ties in layer order."""
         if self._index is None:
             order = sorted(self, key=_gate_key)
-            by_site: dict[Site, list[int]] = {}
+            by_bit: dict[int, list[int]] = {}
+            covered = 0
             for rank, g in enumerate(order):
-                for s in support(g):
-                    by_site.setdefault(s, []).append(rank)
-            self._index = (order, by_site)
-        order, by_site = self._index
+                m = support_mask(g)
+                covered |= m
+                while m:
+                    bit = m & -m
+                    by_bit.setdefault(bit, []).append(rank)
+                    m ^= bit
+            self._index = (order, by_bit, covered)
+        order, by_bit, covered = self._index
+        mask &= covered
         ranks = set()
-        for s in supp:
-            ranks.update(by_site.get(s, ()))
+        while mask:
+            bit = mask & -mask
+            ranks.update(by_bit[bit])
+            mask ^= bit
         return [order[r] for r in sorted(ranks)]
 
 
@@ -266,7 +276,7 @@ def conj_by_circuit(a: SymOp, c: ProceduralCircuit, check_margin: bool = True) -
                     f"support site {s} is within circuit range {reach} of the window edge"
                 )
     for layer in c.instantiate():
-        for g in layer.acting(support(a)):
+        for g in layer.acting(support_mask(a)):
             a = op_conj(a, g)
     return a
 

@@ -273,14 +273,6 @@ class PhaseValue:
     def minus_one() -> "PhaseValue":
         return PhaseValue(1, 2)
 
-    @staticmethod
-    def from_sign(s: int) -> "PhaseValue":
-        if s == 1:
-            return PhaseValue.one()
-        if s == -1:
-            return PhaseValue.minus_one()
-        raise ValueError("sign must be +-1")
-
     def as_sign(self) -> int:
         if self == PhaseValue.one():
             return 1

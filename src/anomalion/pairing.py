@@ -232,19 +232,21 @@ def run_identity_suite(
     and bit-exact agreement of the left and right recursions (asserted
     inside eta on every call).
     """
-    from .sampling import random_circuit, random_inner
+    from .sampling import random_circuit, random_inner, region_sites
 
     rng = random.Random(seed)
     rep = EtaSuiteReport(pairs=n_pairs)
     inner_reach = window.edge_distance((0, 0)) - window.margin
     box = Region.origin_disk(max(2, inner_reach))
-    l_region = Region.intersection_of(Region.half_line_L(1), box)
-    r_region = Region.intersection_of(Region.half_line_R(1), box)
-    disk = Region.origin_disk(2)
+    # each generator draws from one fixed site list, built once here
+    l_sites = region_sites(window, Region.intersection_of(Region.half_line_L(1), box))
+    r_sites = region_sites(window, Region.intersection_of(Region.half_line_R(1), box))
+    box_sites = region_sites(window, box)
+    disk_sites = region_sites(window, Region.origin_disk(2))
 
     for _ in range(n_pairs):
-        ca = random_circuit(rng, window, l_region)
-        cb = random_circuit(rng, window, r_region)
+        ca = random_circuit(rng, window, l_sites)
+        cb = random_circuit(rng, window, r_sites)
         alpha = LocalizedAutomorphism(Region.half_line_L(3), circuit=ca)
         beta = LocalizedAutomorphism(Region.half_line_R(3), circuit=cb)
         e = eta(alpha, beta)
@@ -262,7 +264,7 @@ def run_identity_suite(
         rep.record("ad_eta_equals_commutator", ok, format_op(e))
 
         # right multiplicativity: eta(a, b b') = eta(a,b) * b(eta(a,b'))
-        cb2 = random_circuit(rng, window, r_region)
+        cb2 = random_circuit(rng, window, r_sites)
         beta2 = LocalizedAutomorphism(Region.half_line_R(3), circuit=cb2)
         both = LocalizedAutomorphism(Region.half_line_R(3), circuit=concat(cb2, cb))
         lhs = eta(alpha, both)
@@ -270,7 +272,7 @@ def run_identity_suite(
         rep.record("right_multiplicativity", lhs == rhs)
 
         # left multiplicativity: eta(a a', b) = a(eta(a',b)) * eta(a,b)
-        ca2 = random_circuit(rng, window, l_region)
+        ca2 = random_circuit(rng, window, l_sites)
         alpha2 = LocalizedAutomorphism(Region.half_line_L(3), circuit=ca2)
         both_a = LocalizedAutomorphism(Region.half_line_L(3), circuit=concat(ca2, ca))
         lhs = eta(both_a, beta)
@@ -278,7 +280,7 @@ def run_identity_suite(
         rep.record("left_multiplicativity", lhs == rhs)
 
         # inner closed forms, with the inner side realized as a circuit too
-        u = random_inner(rng, window, disk)
+        u = random_inner(rng, disk_sites)
         adu_left = LocalizedAutomorphism(Region.half_line_L(3), circuit=_single_layer_circuit(u, window))
         lhs = eta(adu_left, beta)
         rhs = op_mul(u, beta.apply(op_inv(u)))
@@ -290,7 +292,7 @@ def run_identity_suite(
         rep.record("inner_right_closed_form", lhs == rhs, format_op(u))
 
         # conjugation equivariance by a representable gamma
-        cg = random_circuit(rng, window, box)
+        cg = random_circuit(rng, window, box_sites)
         alpha_c = LocalizedAutomorphism(Region.half_line_L(5), circuit=_conjugated_circuit(ca, cg))
         beta_c = LocalizedAutomorphism(Region.half_line_R(5), circuit=_conjugated_circuit(cb, cg))
         lhs = eta(alpha_c, beta_c)

@@ -17,7 +17,8 @@ from .lattice import Region, Window
 from .symop import SymOp
 
 
-def _region_sites(window: Window, region: Region) -> list:
+def region_sites(window: Window, region: Region) -> list:
+    """The window's sites in the region, sorted: the list the generators draw from."""
     return sorted(s for s in window.sites() if region.contains(s))
 
 
@@ -52,12 +53,11 @@ def random_diagonal_gate(rng: random.Random, sites: list, sites_set: set) -> Sym
 def random_circuit(
     rng: random.Random,
     window: Window,
-    region: Region,
+    sites: list,
     max_layers: int = 2,
     max_gates: int = 4,
 ) -> ProceduralCircuit:
-    """Random representable circuit localized in the region."""
-    sites = _region_sites(window, region)
+    """Random representable circuit on the sites of a region_sites list."""
     sites_set = set(sites)
     layers = []
     for _ in range(rng.randrange(1, max_layers + 1)):
@@ -74,9 +74,8 @@ def random_circuit(
             seen = set()
             dedup = []
             for g in gates:
-                key = frozenset(g.poly)
-                if key not in seen:
-                    seen.add(key)
+                if g not in seen:
+                    seen.add(g)
                     dedup.append(g)
             gates = dedup
         layers.append(GateRule("explicit", gates=tuple(gates)))
@@ -113,9 +112,8 @@ def random_boundary_gamma(rng: random.Random, window: Window, group: FiniteGroup
     return gamma
 
 
-def random_inner(rng: random.Random, window: Window, region: Region, max_terms: int = 3) -> SymOp:
-    """Random SymOp supported in the region (diagonal terms plus flips)."""
-    sites = _region_sites(window, region)
+def random_inner(rng: random.Random, sites: list, max_terms: int = 3) -> SymOp:
+    """Random SymOp on the sites of a region_sites list (diagonal terms plus flips)."""
     sites_set = set(sites)
     poly = set()
     for _ in range(rng.randrange(max_terms + 1)):

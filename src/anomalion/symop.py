@@ -1,29 +1,43 @@
 """Exact algebra of unitaries D_f * X_S on qubit lattice sites.
 
 D_f is diagonal, |a> -> (-1)^(f(a)) |a>, with f a multilinear polynomial
-over F2 stored as a set of monomials (each monomial a frozenset of sites;
-the empty monomial is the global sign -1).  X_S flips the qubits in the
-finite site set S.  The class is closed under products, inverses and
-conjugation, which is what makes every computation here exact:
+over F2 stored as a set of monomials (the empty monomial is the global
+sign -1).  X_S flips the qubits in the finite site set S.  The class is
+closed under products, inverses and conjugation, which is what makes every
+computation here exact:
 
     (D_f X_S) (D_g X_T) = D_{f + g o sigma_S} X_{S xor T}
 
 where sigma_S substitutes a_i -> a_i + 1 for i in S.  Substitution never
 raises the degree of a monomial, so a degree cap on generators is a cap
 on everything they generate.
+
+Operators are bit-packed.  An append-only interner gives every site one
+bit on first use, so a site set is an int mask: a monomial is the mask of
+its sites, f a frozenset of masks and S one mask, and sigma_S expands a
+monomial m over the submasks of m & S.  Products and inverses stay packed
+from end to end.  Sites are decoded only at the boundary: the
+SymOp(poly, flips) constructor and the .poly / .flips properties take and
+return site sets, as do support, format_op and parse_op.
+
+Bits are handed out in first-use order, which differs between runs that
+build operators in a different order.  No result may depend on it: every
+listing of sites or monomials sorts by site, never by mask or by the
+iteration order of a packed set.  The interner's miss path takes a lock,
+so operators stay safe to share across threads.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from operator import or_
 
 from .groups import PhaseValue
 from .lattice import Site
-
-Monomial = frozenset  # frozenset[Site]
 
 DEFAULT_MAX_DEGREE = 3
 
@@ -32,56 +46,107 @@ class DegreeError(ValueError):
     pass
 
 
-def _subst_monomial(mono: Monomial, flips: frozenset) -> tuple[Monomial, ...]:
-    """Expand a monomial under a_i -> a_i + 1 for i in flips."""
-    hit = mono & flips
-    if not hit:
-        return (mono,)
-    rest = mono - hit
-    hit = tuple(sorted(hit))
+# -- the site interner -----------------------------------------------------
+
+_SITES: list[Site] = []  # bit position -> site
+_BITS: dict[Site, int] = {}  # site -> its one-bit mask
+_INTERN_LOCK = threading.Lock()
+
+
+def _bit(site: Site) -> int:
+    bit = _BITS.get(site)
+    if bit is None:
+        with _INTERN_LOCK:
+            bit = _BITS.get(site)
+            if bit is None:
+                bit = 1 << len(_SITES)
+                _SITES.append(site)
+                _BITS[site] = bit  # published last: a visible bit is decodable
+    return bit
+
+
+def _mask(sites) -> int:
+    m = 0
+    for s in sites:
+        m |= _bit(s)
+    return m
+
+
+def _sites(mask: int) -> list[Site]:
+    """The sites of a mask, in bit order (callers sort)."""
     out = []
-    for k in range(len(hit) + 1):
-        for chosen in combinations(hit, k):
-            out.append(rest | frozenset(chosen))
-    return tuple(out)
+    while mask:
+        low = mask & -mask
+        out.append(_SITES[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
-def _poly_subst(poly: frozenset, flips: frozenset) -> frozenset:
+def _poly_subst(poly: frozenset, flips: int) -> frozenset:
+    """f o sigma_S: each monomial m expands to m ^ c over the submasks c of m & S."""
     if not flips:
         return poly
     acc = set()
-    for mono in poly:
-        for m in _subst_monomial(mono, flips):
-            if m in acc:
-                acc.discard(m)
+    for m in poly:
+        hit = m & flips
+        sub = hit
+        while True:
+            t = m ^ sub
+            if t in acc:
+                acc.remove(t)
             else:
-                acc.add(m)
+                acc.add(t)
+            if not sub:
+                break
+            sub = (sub - 1) & hit
     return frozenset(acc)
 
 
-@dataclass(frozen=True)
 class SymOp:
-    """The unitary D_poly * X_flips."""
+    """The unitary D_poly * X_flips.
 
-    poly: frozenset = frozenset()
-    flips: frozenset = frozenset()
+    Built from and read back as site sets: poly is a set of monomials, each
+    a set of sites (the empty one is the sign -1), and flips a set of sites.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "poly", frozenset(frozenset(m) for m in self.poly))
-        object.__setattr__(self, "flips", frozenset(self.flips))
+    __slots__ = ("_poly", "_flips")
+
+    def __init__(self, poly=frozenset(), flips=frozenset()):
+        self._poly = frozenset(_mask(m) for m in poly)
+        self._flips = _mask(flips)
+
+    @property
+    def poly(self) -> frozenset:
+        return frozenset(frozenset(_sites(m)) for m in self._poly)
+
+    @property
+    def flips(self) -> frozenset:
+        return frozenset(_sites(self._flips))
+
+    def __eq__(self, other):
+        if not isinstance(other, SymOp):
+            return NotImplemented
+        return self._flips == other._flips and self._poly == other._poly
+
+    def __hash__(self):
+        return hash((self._poly, self._flips))
+
+    def __reduce__(self):
+        # bits are private to this process's interner, so pickle the sites
+        return SymOp, (self.poly, self.flips)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def identity() -> "SymOp":
-        return SymOp()
+        return _packed(_NO_MONOMIALS, 0)
 
     @staticmethod
     def scalar(sign: int) -> "SymOp":
         if sign == 1:
-            return SymOp()
+            return _packed(_NO_MONOMIALS, 0)
         if sign == -1:
-            return SymOp(frozenset([frozenset()]))
+            return _packed(_MINUS_ONE, 0)
         raise ValueError("sign must be +-1")
 
     @staticmethod
@@ -94,50 +159,56 @@ class SymOp:
 
     @staticmethod
     def z(site: Site) -> "SymOp":
-        return SymOp(frozenset([frozenset([site])]))
+        return _packed(frozenset((_bit(site),)), 0)
 
     @staticmethod
     def cz(s1: Site, s2: Site) -> "SymOp":
         if s1 == s2:
             raise ValueError("CZ needs two distinct sites")
-        return SymOp(frozenset([frozenset([s1, s2])]))
+        return _packed(frozenset((_bit(s1) | _bit(s2),)), 0)
 
     @staticmethod
     def ccz(s1: Site, s2: Site, s3: Site) -> "SymOp":
-        sites = frozenset([s1, s2, s3])
-        if len(sites) != 3:
+        m = _bit(s1) | _bit(s2) | _bit(s3)
+        if m.bit_count() != 3:
             raise ValueError("CCZ needs three distinct sites")
-        return SymOp(frozenset([sites]))
+        return _packed(frozenset((m,)), 0)
 
     @staticmethod
     def x(site: Site) -> "SymOp":
-        return SymOp(frozenset(), frozenset([site]))
-
-    @staticmethod
-    def x_string(sites) -> "SymOp":
-        acc = frozenset()
-        for s in sites:
-            acc = acc ^ frozenset([s])
-        return SymOp(frozenset(), acc)
+        return _packed(_NO_MONOMIALS, _bit(site))
 
     # -- structure ------------------------------------------------------
 
     def degree(self) -> int:
-        return max((len(m) for m in self.poly), default=0)
+        return max((m.bit_count() for m in self._poly), default=0)
 
     def is_identity(self) -> bool:
-        return not self.poly and not self.flips
+        return not self._poly and not self._flips
 
     def is_diagonal(self) -> bool:
-        return not self.flips
+        return not self._flips
 
     def __repr__(self):
         return format_op(self)
 
 
+_NO_MONOMIALS = frozenset()
+_MINUS_ONE = frozenset((0,))
+_new = object.__new__
+
+
+def _packed(poly: frozenset, flips: int) -> SymOp:
+    """The trusted constructor: poly a frozenset of masks, flips a mask."""
+    op = _new(SymOp)
+    op._poly = poly
+    op._flips = flips
+    return op
+
+
 def op_mul(a: SymOp, b: SymOp) -> SymOp:
     """Operator product (D_fa X_Sa)(D_fb X_Sb)."""
-    return SymOp(a.poly ^ _poly_subst(b.poly, a.flips), a.flips ^ b.flips)
+    return _packed(a._poly ^ _poly_subst(b._poly, a._flips), a._flips ^ b._flips)
 
 
 def op_product(ops) -> SymOp:
@@ -149,7 +220,7 @@ def op_product(ops) -> SymOp:
 
 def op_inv(a: SymOp) -> SymOp:
     """Inverse: (f o sigma_S, S)."""
-    return SymOp(_poly_subst(a.poly, a.flips), a.flips)
+    return _packed(_poly_subst(a._poly, a._flips), a._flips)
 
 
 def op_conj(a: SymOp, by: SymOp) -> SymOp:
@@ -166,23 +237,25 @@ def ops_commute(a: SymOp, b: SymOp) -> bool:
     return commutator(a, b).is_identity()
 
 
+def support_mask(a: SymOp) -> int:
+    """The support of a as a mask of interned site bits."""
+    return reduce(or_, a._poly, a._flips)
+
+
 def support(a: SymOp) -> frozenset:
-    s = set(a.flips)
-    for m in a.poly:
-        s |= m
-    return frozenset(s)
+    return frozenset(_sites(support_mask(a)))
 
 
 def scalar_phase(a: SymOp) -> PhaseValue | None:
     """The phase of a if it is scalar (empty support), else None."""
-    if support(a):
+    if support_mask(a):
         return None
-    return PhaseValue.minus_one() if frozenset() in a.poly else PhaseValue.one()
+    return PhaseValue.minus_one() if a._poly else PhaseValue.one()
 
 
 def constant_term(a: SymOp) -> int:
     """f(0), i.e. 1 if the empty monomial is present else 0."""
-    return 1 if frozenset() in a.poly else 0
+    return 1 if 0 in a._poly else 0
 
 
 # -- reference states and expectations ----------------------------------
@@ -271,9 +344,10 @@ def _site_str(s: Site) -> str:
 def format_op(a: SymOp) -> str:
     """Round-trip textual form, e.g. '-1 * Z(0,0) * CZ((1,0),(2,0)) * X(3,0)'."""
     parts = []
-    if frozenset() in a.poly:
+    poly = a.poly
+    if frozenset() in poly:
         parts.append("-1")
-    by_deg = sorted((m for m in a.poly if m), key=lambda m: (len(m), sorted(m)))
+    by_deg = sorted((m for m in poly if m), key=lambda m: (len(m), sorted(m)))
     names = {1: "Z", 2: "CZ", 3: "CCZ"}
     for m in by_deg:
         sites = sorted(m)

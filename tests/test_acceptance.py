@@ -40,7 +40,7 @@ from anomalion.groups import (
 )
 from anomalion.lattice import Region, Window
 from anomalion.pairing import run_identity_suite
-from anomalion.sampling import random_boundary_gamma, random_inner
+from anomalion.sampling import random_boundary_gamma, random_inner, region_sites
 from anomalion.symop import ALL_PLUS, SymOp, op_conj, op_inv, op_mul, op_product
 from oracle import ColumnOracle, DenseSpace
 
@@ -163,8 +163,9 @@ def test_criterion_5_gauge_invariance(timed_ccz):
     rng = random.Random(515)
     G = action.group
     ok = True
+    disk_sites = region_sites(window, Region.origin_disk(2))
     for _ in range(20):
-        v = {(g, h): random_inner(rng, window, Region.origin_disk(2))
+        v = {(g, h): random_inner(rng, disk_sites)
              for g in G.elements() for h in G.elements()}
         if tau_cochain(regauge_beta(data, v)) != tau:
             ok = False

@@ -15,7 +15,7 @@ from anomalion.anomaly import (
 from anomalion.circuits import GateRule, ProceduralCircuit, builtin_action, product_collapse
 from anomalion.groups import Cochain, coboundary, cohomologous, klein_bits
 from anomalion.lattice import Region, Window, classify_support
-from anomalion.sampling import random_inner
+from anomalion.sampling import random_inner, region_sites
 from anomalion.symop import SymOp, op_product, support
 
 
@@ -178,9 +178,10 @@ def test_regauge_beta_tau_invariance(ccz_data, window12):
     rng = random.Random(21)
     tau0 = tau_cochain(ccz_data)
     G = ccz_data.group
+    disk_sites = region_sites(window12, Region.origin_disk(2))
     for trial in range(3):
         v = {
-            (g, h): random_inner(rng, window12, Region.origin_disk(2))
+            (g, h): random_inner(rng, disk_sites)
             for g in G.elements() for h in G.elements()
         }
         data2 = regauge_beta(ccz_data, v)

@@ -166,6 +166,21 @@ def test_spt_cli(tmp_path):
     assert json.loads(rep3.read_text())["status"] == "no_invariant_state"
 
 
+def test_spt_trivialize2d_failed_check_exits_nonzero(tmp_path, monkeypatch):
+    """An ok run whose delta c is not tau is a failed check, not a finding."""
+    import anomalion.cli as cli
+    from anomalion.anomaly import SptTrivialize2dReport
+
+    for verdict in (False, None):
+        monkeypatch.setattr(cli, "spt_trivialize_2d",
+                            lambda data, dress, state: SptTrivialize2dReport("ok", None, verdict))
+        rep = tmp_path / "s.json"
+        assert run(["spt", "--mode", "trivialize2d", "--action", "onsite_x_2d",
+                    "--basis", "x", "--report", str(rep)]) == 1
+        data = json.loads(rep.read_text())
+        assert data["status"] == "ok" and data["delta_equals_tau"] is verdict
+
+
 def test_inconsistent_action_config_rejected(tmp_path):
     # Z3 table with an involution generator cannot be a group action
     cfg = tmp_path / "bad.json"

@@ -1,11 +1,19 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import anomalion
+from anomalion import symop
 from anomalion.groups import PhaseValue
 from anomalion.symop import (
     ALL_PLUS,
@@ -23,6 +31,7 @@ from anomalion.symop import (
     parse_op,
     scalar_phase,
     support,
+    support_mask,
 )
 from oracle import DenseSpace
 
@@ -160,3 +169,121 @@ def test_format_example():
     assert parse_op("-1 * Z(0,0) * CZ((1,0),(2,0)) * X(3,0)") == a
     assert format_op(SymOp.identity()) == "1"
     assert parse_op("1").is_identity()
+
+
+# -- the packed kernel against the site-set algebra ------------------------
+#
+# The reference below is the unpacked algebra: an operator is a pair
+# (poly, flips) of a frozenset of frozensets of sites and a frozenset of
+# sites, and sigma_S expands each monomial over the subsets of its sites
+# in S.
+
+
+def ref_subst(poly, flips):
+    acc = set()
+    for mono in poly:
+        hit = mono & flips
+        rest = mono - hit
+        for k in range(len(hit) + 1):
+            for chosen in combinations(sorted(hit), k):
+                acc ^= {rest | frozenset(chosen)}
+    return frozenset(acc)
+
+
+def ref_mul(a, b):
+    return (a[0] ^ ref_subst(b[0], a[1]), a[1] ^ b[1])
+
+
+def ref_inv(a):
+    return (ref_subst(a[0], a[1]), a[1])
+
+
+def unpacked(op):
+    return (op.poly, op.flips)
+
+
+site_sets = st.frozensets(st.sampled_from(SITES))
+ref_ops = st.tuples(st.frozensets(st.frozensets(st.sampled_from(SITES), max_size=3), max_size=5), site_sets)
+
+MINUS_ONE = (frozenset([frozenset()]), frozenset())
+CUBIC = (frozenset([frozenset(), frozenset(SITES[:3]), frozenset(SITES[2:5]), frozenset([SITES[5]])]),
+         frozenset(SITES[1:4]))
+FLIPS_ONLY = (frozenset(), frozenset(SITES))
+
+
+@given(ref_ops, ref_ops)
+@example(MINUS_ONE, CUBIC)
+@example(CUBIC, CUBIC)
+@example(CUBIC, FLIPS_ONLY)
+@example(FLIPS_ONLY, CUBIC)
+@settings(max_examples=300, deadline=None)
+def test_packed_kernel_matches_site_set_reference(ra, rb):
+    a, b = SymOp(*ra), SymOp(*rb)
+    assert unpacked(a) == ra
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert unpacked(op_mul(a, b)) == ref_mul(ra, rb)
+    assert unpacked(op_inv(a)) == ref_inv(ra)
+    assert unpacked(op_conj(a, b)) == ref_mul(ref_mul(rb, ra), ref_inv(rb))
+    assert unpacked(commutator(a, b)) == ref_mul(ref_mul(ra, rb), ref_mul(ref_inv(ra), ref_inv(rb)))
+    supp = ra[1].union(*ra[0])
+    assert support(a) == supp
+    assert a.degree() == max(map(len, ra[0]), default=0)
+    want = None if supp else PhaseValue.minus_one() if frozenset() in ra[0] else PhaseValue.one()
+    assert scalar_phase(a) == want
+
+
+INTERN_ORDER_RUN = """
+import sys
+from anomalion.cli import main
+from anomalion.lattice import Window
+from anomalion.symop import SymOp
+
+if sys.argv[1] == "reversed":
+    for s in reversed(list(Window.centered(12, 12).sites())):
+        SymOp.z(s)
+sys.exit(main(["reproduce-ccz", "--check-gauge", "1", "--seed", "1", "--report", sys.argv[2]]))
+"""
+
+
+def test_report_does_not_depend_on_intern_order(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(anomalion.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    outputs = []
+    for order in ("plain", "reversed"):
+        report = tmp_path / f"{order}.json"
+        proc = subprocess.run([sys.executable, "-c", INTERN_ORDER_RUN, order, str(report)],
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append((proc.stdout, report.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_interner_gives_each_fresh_site_one_bit():
+    """Threads interning the same fresh sites at once agree on one bit each."""
+    n_threads = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(8):
+            sites = [(10**6 + i, -(10**6) - round_) for i in range(500)]
+            assert not any(s in symop._BITS for s in sites)
+            before = len(symop._SITES)
+            barrier = threading.Barrier(n_threads, timeout=30)
+            got = [None] * n_threads
+
+            def intern(k):
+                barrier.wait()
+                got[k] = [support_mask(SymOp.x(s)) for s in sites]
+
+            threads = [threading.Thread(target=intern, args=(k,)) for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(g == got[0] for g in got)
+            assert all(m.bit_count() == 1 for m in got[0]) and len(set(got[0])) == len(sites)
+            assert len(symop._SITES) == before + len(sites)
+            assert all(support(SymOp.x(s)) == {s} for s in sites)
+    finally:
+        sys.setswitchinterval(interval)
