@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .circuits import (
     CircuitAction,
@@ -26,6 +27,7 @@ from .circuits import (
     product_collapse,
     truncate,
 )
+from .crossed import weak_morphism_failure, weak_morphism_regauge
 from .groups import Cochain, FiniteGroup, PhaseValue, builtin_class_candidates, classify, coboundary
 from .lattice import Region, Window
 from .pairing import LocalizedAutomorphism, eta
@@ -112,56 +114,57 @@ class TruncationData2d:
         return self._conj_beta_cache[key]
 
 
+def _truncate_and_collapse(action: CircuitAction, reach: int, half: Region, region: Region, label: str):
+    """rho~ = rho truncated to half, the collapses of rho~(g) rho~(h) rho~(gh)^-1
+    by (g, h), asserted to lie in region, and the log of cropped rim debris."""
+    if action.window.margin < 3 * reach:
+        raise ValueError(f"window margin {action.window.margin} < 3x action range {reach}")
+    G = action.group
+    rho = tuple(truncate(action.circuit(g), half) for g in G.elements())
+    collapsed, cropped = {}, []
+    for g, h in product(G.elements(), repeat=2):
+        res = product_collapse([rho[g], rho[h], rho[G.mul(g, h)]], [1, 1, -1], expect_region=region)
+        cropped += [f"{label}({g},{h}): {c}" for c in res.cropped]
+        _assert_region(res.op, region, f"{label}({g},{h})")
+        collapsed[g, h] = res.op
+    return rho, collapsed, cropped
+
+
 def build_truncation_2d(action: CircuitAction, origin_radius: int | None = None) -> TruncationData2d:
     """Truncate to the half-plane and extract mu, alpha/beta and u."""
-    window = action.window
     reach = action.total_range()
-    if window.margin < 3 * reach:
-        raise ValueError(f"window margin {window.margin} < 3x action range {reach}")
     if origin_radius is None:
         origin_radius = max(2, 2 * reach)
     G = action.group
-    H = Region.half_plane_H()
-    rho = tuple(truncate(action.circuit(g), H) for g in G.elements())
-
-    assertions = []
-    cropped: list[str] = []
-    mu, alpha, beta = {}, {}, {}
-    line = Region.boundary_line(reach + 1)
-    for g in G.elements():
-        for h in G.elements():
-            gh = G.mul(g, h)
-            res = product_collapse([rho[g], rho[h], rho[gh]], [1, 1, -1], expect_region=line)
-            cropped += [f"mu({g},{h}): {c}" for c in res.cropped]
-            m = res.op
-            _assert_region(m, line, f"mu({g},{h})")
-            b = split_right(m)
-            a = op_mul(m, op_inv(b))
-            _assert_region(b, Region.half_line_R(reach + 1), f"beta({g},{h})")
-            if op_mul(a, b) != m:
-                raise AssertionError("mu != alpha * beta")
-            mu[g, h] = m
-            alpha[g, h] = a
-            beta[g, h] = b
-    assertions.append("mu supported on the boundary line; mu = alpha*beta exact")
+    rho, mu, cropped = _truncate_and_collapse(
+        action, reach, Region.half_plane_H(), Region.boundary_line(reach + 1), "mu"
+    )
+    alpha, beta = {}, {}
+    for (g, h), m in mu.items():
+        b = split_right(m)
+        a = op_mul(m, op_inv(b))
+        _assert_region(b, Region.half_line_R(reach + 1), f"beta({g},{h})")
+        if op_mul(a, b) != m:
+            raise AssertionError("mu != alpha * beta")
+        alpha[g, h] = a
+        beta[g, h] = b
 
     data = TruncationData2d(action, rho, mu, alpha, beta, {}, origin_radius)
+    # u is the failure of the second weak-morphism equation for (rho~, beta)
+    fail = weak_morphism_failure(
+        G, lambda g, h: beta[g, h], lambda g, h, k: data.beta_conj_rho(g, (h, k)), op_mul, op_inv
+    )
     disk = Region.origin_disk(origin_radius)
-    for g in G.elements():
-        for h in G.elements():
-            for k in G.elements():
-                gh, hk = G.mul(g, h), G.mul(h, k)
-                raw = op_mul(
-                    op_mul(beta[g, h], beta[gh, k]),
-                    op_mul(op_inv(beta[g, hk]), op_inv(data.beta_conj_rho(g, (h, k)))),
-                )
-                res = crop_window_debris(raw, window)
-                cropped += [f"u({g},{h},{k}): {c}" for c in res.cropped]
-                _assert_region(res.op, disk, f"u({g},{h},{k})")
-                data.u[g, h, k] = res.op
-    assertions.append(f"u supported in origin disk of radius {origin_radius}")
+    for g, h, k in product(G.elements(), repeat=3):
+        res = crop_window_debris(fail(g, h, k), action.window)
+        cropped += [f"u({g},{h},{k}): {c}" for c in res.cropped]
+        _assert_region(res.op, disk, f"u({g},{h},{k})")
+        data.u[g, h, k] = res.op
     data.cropped = tuple(cropped)
-    data.assertions = tuple(assertions)
+    data.assertions = (
+        "mu supported on the boundary line; mu = alpha*beta exact",
+        f"u supported in origin disk of radius {origin_radius}",
+    )
     return data
 
 
@@ -255,47 +258,30 @@ class TruncationData1d:
 
 
 def build_truncation_1d(action: CircuitAction, origin_radius: int | None = None) -> TruncationData1d:
-    window = action.window
-    if not window.is_chain:
+    if not action.window.is_chain:
         raise ValueError("1d pipeline needs a chain window")
     reach = action.total_range()
-    if window.margin < 3 * reach:
-        raise ValueError(f"window margin {window.margin} < 3x action range {reach}")
     if origin_radius is None:
         origin_radius = max(2, 2 * reach)
-    G = action.group
-    R = Region.half_line_R()
-    rho = tuple(truncate(action.circuit(g), R) for g in G.elements())
-    disk = Region.origin_disk(origin_radius)
-    nu = {}
-    cropped: list[str] = []
-    for g in G.elements():
-        for h in G.elements():
-            gh = G.mul(g, h)
-            res = product_collapse([rho[g], rho[h], rho[gh]], [1, 1, -1], expect_region=disk)
-            cropped += [f"nu({g},{h}): {c}" for c in res.cropped]
-            _assert_region(res.op, disk, f"nu({g},{h})")
-            nu[g, h] = res.op
+    rho, nu, cropped = _truncate_and_collapse(
+        action, reach, Region.half_line_R(), Region.origin_disk(origin_radius), "nu"
+    )
     return TruncationData1d(action, rho, nu, origin_radius, tuple(cropped))
 
 
-def ell3(data: TruncationData1d, g: int, h: int, k: int) -> PhaseValue:
-    """nu(g,h) nu(gh,k) nu(g,hk)^-1 (rho~(g) nu(h,k))^-1, asserted scalar."""
-    G = data.group
-    gh, hk = G.mul(g, h), G.mul(h, k)
-    nu = data.nu_lift
-    total = op_mul(
-        op_mul(nu[g, h], nu[gh, k]),
-        op_mul(op_inv(nu[g, hk]), op_inv(data.rho_apply(g, nu[h, k]))),
-    )
-    return _assert_scalar(total, f"ell({g},{h},{k})")
-
-
 def nayak_else_1d(action: CircuitAction, data: TruncationData1d | None = None) -> AnomalyReport:
+    """The degree-3 index: the failure of the second weak-morphism equation
+    for (rho~, nu), asserted scalar on every triple."""
     if data is None:
         data = build_truncation_1d(action)
     G = action.group
-    c = Cochain.from_function(G, 3, 2, lambda g, h, k: _phase_bit(ell3(data, g, h, k)))
+    nu = data.nu_lift
+    ell = weak_morphism_failure(
+        G, lambda g, h: nu[g, h], lambda g, h, k: data.rho_apply(g, nu[h, k]), op_mul, op_inv
+    )
+    c = Cochain.from_function(
+        G, 3, 2, lambda g, h, k: _phase_bit(_assert_scalar(ell(g, h, k), f"ell({g},{h},{k})"))
+    )
     closed, trivial, matches = classify(c, builtin_class_candidates(G, 3))
     return AnomalyReport(
         cochain=c,
@@ -354,8 +340,10 @@ def regauge_beta(data: TruncationData2d, v: dict) -> TruncationData2d:
 def split_boundary_circuit(c: ProceduralCircuit) -> tuple[ProceduralCircuit, ProceduralCircuit]:
     """Split a boundary-localized circuit into left/right parts gate-wise.
 
-    Uses the same cut rule as split_right; raises if the parts do not
-    multiply back to the whole (the fixture circuits here always split).
+    A gate goes right iff all its sites have x >= 0 and one has x > 0, so a
+    gate on the cut column x = 0 goes left (split_right sends such a
+    monomial right); raises if the parts do not multiply back to the whole
+    (the fixture circuits here always split).
     """
     left_layers, right_layers = [], []
     for layer in c.instantiate():
@@ -400,57 +388,53 @@ def regauge_rho(data: TruncationData2d, gamma: dict) -> TruncationData2d:
     w_r = {g: splits[g][1].unitary() for g in G.elements()}
 
     rho2 = tuple(concat(data.rho_tilde[g], gam(g)) for g in G.elements())
+    beta_of = weak_morphism_regauge(
+        G, lambda g, h: data.beta[g, h], w_r.__getitem__, data.rho_apply, op_mul, op_inv
+    )
+    mu_of = weak_morphism_regauge(
+        G, lambda g, h: data.mu[g, h], lambda g: gam(g).unitary(), data.rho_apply, op_mul, op_inv
+    )
     mu2, beta2, alpha2 = {}, {}, {}
     cropped = list(data.cropped)
-    for g in G.elements():
-        for h in G.elements():
-            gh = G.mul(g, h)
-            beta2[g, h] = op_mul(
-                op_mul(w_r[g], data.rho_apply(g, w_r[h])),
-                op_mul(data.beta[g, h], op_inv(w_r[gh])),
-            )
-            res = crop_window_debris(op_mul(
-                op_mul(gam(g).unitary(), data.rho_apply(g, gam(h).unitary())),
-                op_mul(data.mu[g, h], op_inv(gam(gh).unitary())),
-            ), data.window)
-            cropped += [f"mu'({g},{h}): {c}" for c in res.cropped]
-            mu2[g, h] = res.op
-            alpha2[g, h] = op_mul(mu2[g, h], op_inv(beta2[g, h]))
+    for g, h in product(G.elements(), repeat=2):
+        beta2[g, h] = beta_of(g, h)
+        res = crop_window_debris(mu_of(g, h), data.window)
+        cropped += [f"mu'({g},{h}): {c}" for c in res.cropped]
+        mu2[g, h] = res.op
+        alpha2[g, h] = op_mul(mu2[g, h], op_inv(beta2[g, h]))
 
     thick = data.origin_radius + reach + 1
     u2 = {}
-    for g in G.elements():
-        for h in G.elements():
-            for k in G.elements():
-                gh = G.mul(g, h)
-                # eta(alpha(g,h), beta(g,h) rho~(gh)-conjugate of gamma_R(k))
-                a_auto = LocalizedAutomorphism(
-                    Region.half_line_L(thick), inner=data.alpha[g, h]
-                )
+    for g, h, k in product(G.elements(), repeat=3):
+        gh = G.mul(g, h)
+        # eta(alpha(g,h), beta(g,h) rho~(gh)-conjugate of gamma_R(k))
+        a_auto = LocalizedAutomorphism(
+            Region.half_line_L(thick), inner=data.alpha[g, h]
+        )
 
-                def theta(y):
-                    y = op_conj(y, op_inv(data.beta[g, h]))
-                    y = conj_by_circuit(y, data.rho_tilde[gh].inverse(), check_margin=False)
-                    y = conj_by_circuit(y, splits[k][1], check_margin=False)
-                    y = conj_by_circuit(y, data.rho_tilde[gh], check_margin=False)
-                    return op_conj(y, data.beta[g, h])
+        def theta(y):
+            y = op_conj(y, op_inv(data.beta[g, h]))
+            y = conj_by_circuit(y, data.rho_tilde[gh].inverse(), check_margin=False)
+            y = conj_by_circuit(y, splits[k][1], check_margin=False)
+            y = conj_by_circuit(y, data.rho_tilde[gh], check_margin=False)
+            return op_conj(y, data.beta[g, h])
 
-                a_op = data.alpha[g, h]
-                eta1 = op_mul(a_op, theta(op_inv(a_op)))
-                conj_a = op_mul(w_r[g], data.rho_apply(g, w_r[h]))
-                f1 = op_conj(eta1, conj_a)
-                conj_b = op_mul(conj_a, data.rho_apply(g, data.rho_apply(h, w_r[k])))
-                f2 = op_conj(data.u[g, h, k], conj_b)
-                # eta(gamma_L(g), gamma_R(g) rho~(g)-conjugate of beta'(h,k))
-                w = op_conj(data.rho_apply(g, beta2[h, k]), w_r[g])
-                eta2 = eta(
-                    LocalizedAutomorphism(Region.half_line_L(thick), circuit=splits[g][0]),
-                    LocalizedAutomorphism(Region.half_line_R(thick), inner=w),
-                )
-                raw = op_mul(op_mul(f1, f2), eta2)
-                res = crop_window_debris(raw, data.window)
-                cropped += [f"u'({g},{h},{k}): {c}" for c in res.cropped]
-                u2[g, h, k] = res.op
+        a_op = data.alpha[g, h]
+        eta1 = op_mul(a_op, theta(op_inv(a_op)))
+        conj_a = op_mul(w_r[g], data.rho_apply(g, w_r[h]))
+        f1 = op_conj(eta1, conj_a)
+        conj_b = op_mul(conj_a, data.rho_apply(g, data.rho_apply(h, w_r[k])))
+        f2 = op_conj(data.u[g, h, k], conj_b)
+        # eta(gamma_L(g), gamma_R(g) rho~(g)-conjugate of beta'(h,k))
+        w = op_conj(data.rho_apply(g, beta2[h, k]), w_r[g])
+        eta2 = eta(
+            LocalizedAutomorphism(Region.half_line_L(thick), circuit=splits[g][0]),
+            LocalizedAutomorphism(Region.half_line_R(thick), inner=w),
+        )
+        raw = op_mul(op_mul(f1, f2), eta2)
+        res = crop_window_debris(raw, data.window)
+        cropped += [f"u'({g},{h},{k}): {c}" for c in res.cropped]
+        u2[g, h, k] = res.op
 
     new_radius = data.origin_radius + 2 * (reach + 1)
     disk2 = Region.origin_disk(new_radius)
@@ -584,15 +568,12 @@ def spt_relative_1d(
             for g in G.elements()
         }
 
-        def cval(g, h):
-            gh = G.mul(g, h)
-            v = op_mul(
-                op_mul(w[g], data.rho_apply(g, w[h])),
-                op_mul(data.nu_lift[g, h], op_inv(w[gh])),
-            )
-            return _phase_bit(_omega_phase(v, dress, state))
-
-        cochains.append(Cochain.from_function(G, 2, 2, cval))
+        nu_w = weak_morphism_regauge(
+            G, lambda g, h: data.nu_lift[g, h], w.__getitem__, data.rho_apply, op_mul, op_inv
+        )
+        cochains.append(Cochain.from_function(
+            G, 2, 2, lambda g, h: _phase_bit(_omega_phase(nu_w(g, h), dress, state))
+        ))
     c1, c2 = cochains
     rel = c1.mul(c2.inverse())
     closed, trivial, _ = classify(rel)

@@ -485,19 +485,27 @@ def cluster_entangler_1d(window: Window) -> ProceduralCircuit:
 
 
 def action_from_config(obj: dict, window: Window) -> CircuitAction:
-    """Build an action from the CLI config schema."""
+    """Build an action from the CLI config schema: one entry per element, the identity optional."""
     group = FiniteGroup.from_json(obj["group"])
-    by_element = {g: ProceduralCircuit((), window) for g in group.elements()}
+    by_element = {}
     names = {n: i for i, n in enumerate(group.names)}
     for gen in obj["generators"]:
         e = gen["element"]
         e = names[e] if isinstance(e, str) else int(e)
+        if e not in group.elements():
+            raise ValueError(f"element {gen['element']!r} is not in the group")
+        if e in by_element:
+            raise ValueError(f"element {group.names[e]!r} is listed twice")
         layers = []
         for layer in gen["layers"]:
             pattern = _PATTERN_ALIASES.get(layer["pattern"], layer["pattern"])
             region = Region.from_json(layer.get("region", {"kind": "full"}))
             layers.append(GateRule(pattern, region))
         by_element[e] = ProceduralCircuit(tuple(layers), window)
+    by_element.setdefault(group.id, ProceduralCircuit((), window))
+    for g in group.elements():
+        if g not in by_element:
+            raise ValueError(f"element {group.names[g]!r} is not listed")
     return CircuitAction(group, tuple(by_element[g] for g in group.elements()), window, obj.get("name", "custom"))
 
 

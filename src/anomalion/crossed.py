@@ -8,7 +8,10 @@ the resulting normal complex.  The degree-3 class of a crossed module is
 extracted from a section of N -> coker(bd) and a lift of its failure, and
 weak-morphism data (rho~, mu) is validated against its two defining
 equations, with the failure of the second reported as a kernel-valued
-obstruction cocycle.
+obstruction cocycle.  That failure (weak_morphism_failure) and the change
+of mu under a regauging (weak_morphism_regauge) are written once, over any
+group law: on operators, the 1d Nayak-Else index and the 2d lift u are
+weak_morphism_failure.
 """
 
 from __future__ import annotations
@@ -458,6 +461,36 @@ def _kernel_iso(cm: CrossedModule, iso: KernelPhaseIso | None) -> KernelPhaseIso
     return iso
 
 
+def weak_morphism_failure(G: FiniteGroup, mu, rho_mu, mul, inv):
+    """(g,h,k) -> mu(g,h) mu(gh,k) mu(g,hk)^-1 rho_mu(g,h,k)^-1, the failure of
+    the second equation, for rho_mu(g,h,k) = rho~(g).mu(h,k) and the group law
+    (mul, inv)."""
+    return lambda g, h, k: mul(
+        mul(mu(g, h), mu(G.mul(g, h), k)), mul(inv(mu(g, G.mul(h, k))), inv(rho_mu(g, h, k)))
+    )
+
+
+def weak_morphism_regauge(G: FiniteGroup, mu, w, act, mul, inv):
+    """(g,h) -> w(g) act(g, w(h)) mu(g,h) w(gh)^-1, with act(g, x) = rho~(g).x:
+    mu for rho~ regauged to w rho~."""
+    return lambda g, h: mul(mul(w(g), act(g, w(h))), mul(mu(g, h), inv(w(G.mul(g, h)))))
+
+
+def _kernel_cochain(cm: CrossedModule, G: FiniteGroup, fail, iso: KernelPhaseIso, what: str) -> Cochain:
+    """The closed Z_m 3-cochain of a ker(bd)-valued failure, through iso."""
+
+    def val(g: int, h: int, k: int) -> int:
+        t = fail(g, h, k)
+        if cm.bd(t) != cm.N.id:
+            raise AssertionError(f"{what} leaves the kernel at ({g},{h},{k})")
+        return iso.residue(t)
+
+    c = Cochain.from_function(G, 3, iso.modulus, val)
+    if not is_cocycle(c):
+        raise AssertionError(f"{what} is not closed")
+    return c
+
+
 def postnikov3(
     cm: CrossedModule, sections: Iterable[tuple[int, ...]], iso: KernelPhaseIso | None = None
 ) -> list[Cochain]:
@@ -490,18 +523,10 @@ def postnikov3(
                 raise ValueError("nu value is not in the image of bd")
             return preimage[n]
 
-        def ell(x: int, y: int, z: int) -> int:
-            t = M.mul(nu_lift(x, y), nu_lift(pi1.mul(x, y), z))
-            t = M.mul(t, M.inv(nu_lift(x, pi1.mul(y, z))))
-            t = M.mul(t, M.inv(cm.act(sigma[x], nu_lift(y, z))))
-            if cm.bd(t) != N.id:
-                raise ValueError(f"ell value leaves the kernel at ({x},{y},{z})")
-            return iso.residue(t)
-
-        c = Cochain.from_function(pi1, 3, iso.modulus, ell)
-        if not is_cocycle(c):
-            raise AssertionError("postnikov cochain is not closed")
-        return c
+        fail = weak_morphism_failure(
+            pi1, nu_lift, lambda x, y, z: cm.act(sigma[x], nu_lift(y, z)), M.mul, M.inv
+        )
+        return _kernel_cochain(cm, pi1, fail, iso, "postnikov cochain")
 
     return [cocycle(sigma) for sigma in sections]
 
@@ -541,38 +566,22 @@ def check_weak_morphism(d: WeakMorphismData, iso: KernelPhaseIso | None = None) 
     M, N = cm.M, cm.N
     out = []
     eq1 = True
-    for g in G.elements():
-        for h in G.elements():
-            lhs = N.mul(N.mul(d.rho_t[g], d.rho_t[h]), N.inv(d.rho_t[G.mul(g, h)]))
-            if lhs != cm.bd(d.mu[g][h]):
-                eq1 = False
-                out.append(f"eq1 fails at ({g},{h})")
-
-    def fail2(g, h, k):
-        t = M.mul(d.mu[g][h], d.mu[G.mul(g, h)][k])
-        t = M.mul(t, M.inv(d.mu[g][G.mul(h, k)]))
-        return M.mul(t, M.inv(cm.act(d.rho_t[g], d.mu[h][k])))
-
+    for g, h in product(G.elements(), repeat=2):
+        lhs = N.mul(N.mul(d.rho_t[g], d.rho_t[h]), N.inv(d.rho_t[G.mul(g, h)]))
+        if lhs != cm.bd(d.mu[g][h]):
+            eq1 = False
+            out.append(f"eq1 fails at ({g},{h})")
+    fail = weak_morphism_failure(
+        G, lambda g, h: d.mu[g][h], lambda g, h, k: cm.act(d.rho_t[g], d.mu[h][k]), M.mul, M.inv
+    )
     eq2 = True
-    for g in G.elements():
-        for h in G.elements():
-            for k in G.elements():
-                if fail2(g, h, k) != M.id:
-                    eq2 = False
-                    out.append(f"eq2 fails at ({g},{h},{k})")
+    for g, h, k in product(G.elements(), repeat=3):
+        if fail(g, h, k) != M.id:
+            eq2 = False
+            out.append(f"eq2 fails at ({g},{h},{k})")
     obstruction = None
     if eq1 and not eq2:
-        iso = _kernel_iso(cm, iso)
-
-        def val(g, h, k):
-            t = fail2(g, h, k)
-            if cm.bd(t) != N.id:
-                raise AssertionError("eq2 failure leaves the kernel")
-            return iso.residue(t)
-
-        obstruction = Cochain.from_function(G, 3, iso.modulus, val)
-        if not is_cocycle(obstruction):
-            raise AssertionError("eq2 obstruction is not closed")
+        obstruction = _kernel_cochain(cm, G, fail, _kernel_iso(cm, iso), "eq2 obstruction")
     return WeakMorphismReport(eq1, eq2, tuple(out[:64]), obstruction)
 
 

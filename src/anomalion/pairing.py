@@ -85,8 +85,8 @@ def _op_radius(a: SymOp) -> int:
 
 
 def _truncate_layer_to_disk(layer: list[SymOp], r: int) -> SymOp:
-    kept = [g for g in layer if all(max(abs(s[0]), abs(s[1])) <= r for s in support(g))]
-    return op_product(sorted(kept, key=lambda g: sorted(support(g))))
+    keyed = sorted(((sorted(support(g)), g) for g in layer), key=lambda kg: kg[0])
+    return op_product([g for key, g in keyed if all(max(abs(s[0]), abs(s[1])) <= r for s in key)])
 
 
 def _eta_single_layer(layer: list[SymOp], window: Window, pair) -> SymOp:

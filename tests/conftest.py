@@ -1,7 +1,7 @@
 import pytest
 
 from anomalion.anomaly import build_truncation_1d, build_truncation_2d
-from anomalion.circuits import builtin_action
+from anomalion.circuits import CircuitAction, builtin_action, concat
 from anomalion.lattice import Window
 
 
@@ -33,3 +33,18 @@ def lg_action(chain12):
 @pytest.fixture(scope="session")
 def lg_data(lg_action):
     return build_truncation_1d(lg_action)
+
+
+@pytest.fixture(scope="session")
+def conjugate():
+    """rho'(g) = W^-1 rho(g) W for g != e: W applied first, then rho(g),
+    then W^-1; the identity keeps its empty circuit."""
+
+    def conjugated(action: CircuitAction, w) -> CircuitAction:
+        e = action.group.id
+        assign = tuple(
+            c if g == e else concat(concat(w, c), w.inverse()) for g, c in enumerate(action.assign)
+        )
+        return CircuitAction(action.group, assign, action.window, f"{action.name}^W")
+
+    return conjugated

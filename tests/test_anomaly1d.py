@@ -1,10 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 
-from anomalion.anomaly import build_truncation_1d, ell3, nayak_else_1d
-from anomalion.circuits import builtin_action, onsite_x_action_1d, truncate
+from anomalion.anomaly import build_truncation_1d, nayak_else_1d
+from anomalion.circuits import GateRule, ProceduralCircuit, builtin_action, onsite_x_action_1d, truncate
 from anomalion.groups import coboundary_solve
 from anomalion.lattice import Region, Window
+from anomalion.sampling import random_circuit, region_sites
 from anomalion.symop import SymOp, op_mul, support
 from oracle import ColumnOracle
 
@@ -19,10 +22,10 @@ def test_levin_gu_lifts(lg_data):
 
 
 def test_levin_gu_ell(lg_action, lg_data):
-    assert ell3(lg_data, 1, 1, 1).as_sign() == -1
-    for g, h, k in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0), (1, 0, 0)]:
-        assert ell3(lg_data, g, h, k).as_sign() == 1
     rep = nayak_else_1d(lg_action, lg_data)
+    assert rep.cochain(1, 1, 1) == 1
+    for g, h, k in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0), (1, 0, 0)]:
+        assert rep.cochain(g, h, k) == 0
     assert rep.is_cocycle
     assert not rep.trivial
     assert rep.matched_class == "a^3"
@@ -114,3 +117,24 @@ def test_onsite_xx_restriction_constant_one(chain12):
 
     rep = nayak_else_1d(onsite_xx_action_1d(chain12))
     assert rep.cochain.is_identically_one() and rep.trivial
+
+
+def _chain_conjugators(chain):
+    """The full-chain CZ layer and three seeded random origin circuits."""
+    yield ProceduralCircuit((GateRule("cz_chain_edges", Region.full()),), chain)
+    sites = region_sites(chain, Region.origin_disk(2))
+    for seed in range(3):
+        yield random_circuit(random.Random(seed), chain, sites)
+
+
+def test_conjugation_by_circuit_keeps_cochain(conjugate):
+    """Conjugating every rho(g) by a finite-depth circuit W leaves the 1d
+    cochain unchanged."""
+    chain = Window.chain(40, margin=9)
+    action = builtin_action("levin_gu_1d", chain)
+    base = nayak_else_1d(action)
+    assert base.matched_class == "a^3"
+    for w in _chain_conjugators(chain):
+        conj = nayak_else_1d(conjugate(action, w))
+        assert conj.matched_class == "a^3"
+        assert conj.cochain == base.cochain

@@ -292,3 +292,15 @@ def test_rectangular_and_asymmetric_windows(ccz_data):
         data = build_truncation_2d(builtin_action("ccz_x_2d", w))
         assert data.u == ccz_data.u
         assert tau_cochain(data) == tau0
+
+
+def test_conjugation_by_circuit_keeps_cochain(conjugate):
+    """The index is an invariant of the action: conjugating every rho(g) by
+    a finite-depth circuit W leaves the tau cochain unchanged."""
+    window = Window.centered(20, 20, margin=9)
+    action = builtin_action("ccz_x_2d", window)
+    w = ProceduralCircuit((GateRule("cz_horizontal_edges", Region.full()),), window)
+    base = anomaly_2d(action)
+    conj = anomaly_2d(conjugate(action, w))
+    assert conj.matched_class == base.matched_class == "b^3 . a"
+    assert conj.cochain == base.cochain

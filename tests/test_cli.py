@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from anomalion.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(args):
@@ -197,3 +203,31 @@ def test_inconsistent_action_config_rejected(tmp_path):
         "generators": [],
     }))
     assert run(["anomaly2d", "--action", str(broken)]) == 2
+
+
+def test_action_config_lists_each_element_once(tmp_path, capsys):
+    group = {"order": 2, "mul": [0, 1, 1, 0], "names": ["e", "x"]}
+    ccz = {"pattern": "ccz_triangles", "region": {"kind": "full"}}
+    configs = [
+        ("element 'x' is listed twice", [{"element": "x", "layers": [ccz]}, {"element": "x", "layers": []}]),
+        ("element 'x' is not listed", [{"element": "e", "layers": []}]),
+        ("element 2 is not in the group", [{"element": 2, "layers": [ccz]}]),
+    ]
+    for message, generators in configs:
+        cfg = tmp_path / "action.json"
+        cfg.write_text(json.dumps({"group": group, "generators": generators}))
+        assert run(["anomaly2d", "--action", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+def test_perfbench_tracer_installs():
+    """Every function the benchmark's tracer wraps still exists by name."""
+    code = (
+        "import sys; import anomalion.cli; sys.path.insert(0, sys.argv[1]); "
+        "import tracer; tracer.install()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -23,6 +23,7 @@ from anomalion.crossed import (
     validate_crossed_square,
     validate_two_crossed_module,
     verify_lattice_square,
+    weak_morphism_regauge,
     weak_morphisms_isomorphic,
 )
 from anomalion.groups import (
@@ -331,6 +332,38 @@ def test_check_weak_morphism_and_obstruction():
     T = CrossedModule(Z2, Z2, GroupHom.trivial(Z2, Z2), ActionTable.trivial(Z2, Z2))
     d0 = WeakMorphismData(Z2, T, (0, 1), ((0, 0), (0, 0)))
     assert check_weak_morphism(d0).ok
+
+
+@pytest.mark.parametrize("make", [sign_action_cm, z16_carry_cm, doubling_cm_trivial_action])
+def test_regauge_keeps_eq1_and_obstruction(make):
+    """Regauging (rho~, mu) by any w: G -> M, rho~'(g) = bd(w(g)) rho~(g) and
+    mu' = w(g) (rho~(g).w(h)) mu(g,h) w(gh)^-1, keeps the first equation
+    and leaves the obstruction cochain unchanged."""
+    cm = make()
+    M, N = cm.M, cm.N
+    G, _ = cm_pi1(cm)
+    sections = list(all_sections(cm))
+    rng = random.Random(11)
+    for _ in range(20):
+        rho_t = rng.choice(sections)
+        mu = tuple(
+            tuple(
+                rng.choice([m for m in M.elements() if cm.bd(m) == N.mul(N.mul(rho_t[g], rho_t[h]), N.inv(rho_t[G.mul(g, h)]))])
+                for h in G.elements()
+            )
+            for g in G.elements()
+        )
+        d = WeakMorphismData(G, cm, rho_t, mu)
+        w = [rng.choice(list(M.elements())) for _ in G.elements()]
+        mu_w = weak_morphism_regauge(
+            G, lambda g, h: mu[g][h], w.__getitem__, lambda g, m: cm.act(rho_t[g], m), M.mul, M.inv
+        )
+        rho_w = tuple(N.mul(cm.bd(w[g]), rho_t[g]) for g in G.elements())
+        d_w = WeakMorphismData(G, cm, rho_w, tuple(tuple(mu_w(g, h) for h in G.elements()) for g in G.elements()))
+        rep, rep_w = check_weak_morphism(d), check_weak_morphism(d_w)
+        assert rep.eq1_ok and rep_w.eq1_ok
+        assert rep_w.eq2_ok == rep.eq2_ok
+        assert rep_w.obstruction == rep.obstruction
 
 
 def test_split_target_random_lift_obstruction_trivial():
