@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .circuits import (
     CircuitAction,
@@ -404,14 +404,13 @@ def regauge_rho(data: TruncationData2d, gamma: dict) -> TruncationData2d:
         alpha2[g, h] = op_mul(mu2[g, h], op_inv(beta2[g, h]))
 
     thick = data.origin_radius + reach + 1
+    for g, h in product(G.elements(), repeat=2):
+        _assert_region(data.alpha[g, h], Region.half_line_L(thick), f"alpha({g},{h})")
     u2 = {}
     for g, h, k in product(G.elements(), repeat=3):
         gh = G.mul(g, h)
-        # eta(alpha(g,h), beta(g,h) rho~(gh)-conjugate of gamma_R(k))
-        a_auto = LocalizedAutomorphism(
-            Region.half_line_L(thick), inner=data.alpha[g, h]
-        )
 
+        # eta(alpha(g,h), beta(g,h) rho~(gh)-conjugate of gamma_R(k))
         def theta(y):
             y = op_conj(y, op_inv(data.beta[g, h]))
             y = conj_by_circuit(y, data.rho_tilde[gh].inverse(), check_margin=False)
@@ -489,22 +488,27 @@ def action_preserves_state(action: CircuitAction, state: ReferenceState, dressin
 
 
 def _pauli_candidates(window: Window, radius: int):
-    """Sign-free Pauli-type SymOps supported in the origin disk, small first."""
-    sites = [s for s in window.sites() if max(abs(s[0]), abs(s[1])) <= radius]
-    sites.sort()
+    """Sign-free Pauli-type SymOps supported in the origin disk, small first.
+
+    Candidates come lazily in (weight, z sites, x sites) order: for each
+    weight, the z site sets in lexicographic order (a depth-first walk over
+    the subsets of at most that size), each followed by the x site sets of
+    the remaining size.
+    """
+    sites = sorted(s for s in window.sites() if max(abs(s[0]), abs(s[1])) <= radius)
     if len(sites) > 12:
         raise ValueError("correction search space too large; shrink the radius")
-    from itertools import combinations
 
-    cands = []
-    for nz in range(len(sites) + 1):
-        for zs in combinations(sites, nz):
-            for nx in range(len(sites) + 1):
-                for xs in combinations(sites, nx):
-                    cands.append((len(zs) + len(xs), zs, xs))
-    cands.sort(key=lambda t: (t[0], t[1], t[2]))
-    for _, zs, xs in cands:
-        yield SymOp(frozenset(frozenset([s]) for s in zs), frozenset(xs))
+    def z_sets(start: int, zs: tuple, room: int):
+        yield zs
+        if room:
+            for i in range(start, len(sites)):
+                yield from z_sets(i + 1, zs + (sites[i],), room - 1)
+
+    for weight in range(2 * len(sites) + 1):
+        for zs in z_sets(0, (), weight):
+            for xs in combinations(sites, weight - len(zs)):
+                yield SymOp(frozenset(frozenset([s]) for s in zs), frozenset(xs))
 
 
 def find_state_correction(

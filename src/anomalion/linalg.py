@@ -2,9 +2,15 @@
 
 Solves A x = b (mod m) for integer matrices, for every column b of a matrix
 of right-hand sides in one elimination of A.  Prime moduli go through
-vectorized Gaussian elimination; composite moduli go through an integer
-Smith normal form A = U^-1 D V^-1 so that the diagonal system d_i y_i = (U b)_i
-can be solved residue by residue.
+Gauss-Jordan elimination of [A | B] to reduced row-echelon form.  For p = 2
+the rows are packed eight entries a byte (np.packbits, little bit order),
+so a pivot test is one byte and one bit mask and a row operation is an XOR
+of byte rows; odd primes keep int64 rows and scale and subtract.  The two
+paths cannot disagree: the reduced row-echelon form of a matrix is unique,
+and with free variables set to 0 it fixes every solution and every
+unsolvable column bit for bit.  Composite moduli go through an integer
+Smith normal form A = U^-1 D V^-1 so that the diagonal system
+d_i y_i = (U b)_i can be solved residue by residue.
 """
 
 from __future__ import annotations
@@ -26,29 +32,46 @@ def is_prime(n: int) -> bool:
 
 
 def solve_mod_prime(A: np.ndarray, B: np.ndarray, p: int) -> list[np.ndarray | None]:
-    """One solution of A x = b mod p (p prime) per column b of B, or None."""
-    A = np.asarray(A, dtype=np.int64) % p
+    """One solution of A x = b mod p (p prime) per column b of B, or None.
+
+    Free variables are 0.  For p = 2 the rows of [A | B] are packed bits.
+    """
+    A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
     rows, cols = A.shape
-    aug = np.concatenate([A, np.asarray(B, dtype=np.int64) % p], axis=1)
+    width = cols + B.shape[1]
+    if p == 2:
+        # the cast to uint8 wraps mod 256, so it keeps every entry's parity
+        aug = np.concatenate([A.astype(np.uint8), B.astype(np.uint8)], axis=1) & 1
+        aug = np.packbits(aug, axis=1, bitorder="little")
+    else:
+        aug = np.concatenate([A, B], axis=1) % p
+
+    def column(c):
+        return aug[:, c >> 3] & (1 << (c & 7)) if p == 2 else aug[:, c]
+
     pivot_cols = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(aug[r:, c])[0]
+        nz = np.nonzero(column(c)[r:])[0]
         if nz.size == 0:
             continue
         pr = r + nz[0]
         if pr != r:
             aug[[r, pr]] = aug[[pr, r]]
-        inv = pow(int(aug[r, c]), p - 2, p) if p > 2 else int(aug[r, c])
-        aug[r] = (aug[r] * inv) % p
-        mask = np.nonzero(aug[:, c])[0]
+        mask = np.nonzero(column(c))[0]
         mask = mask[mask != r]
-        if mask.size:
+        if p == 2:
+            # the pivot row is zero left of c, so the XOR starts at c's byte
+            aug[mask, c >> 3 :] ^= aug[r, c >> 3 :]
+        else:
+            aug[r] = aug[r] * pow(int(aug[r, c]), p - 2, p) % p
             aug[mask] = (aug[mask] - np.outer(aug[mask, c], aug[r])) % p
         pivot_cols.append(c)
         r += 1
+    if p == 2:
+        aug = np.unpackbits(aug, axis=1, count=width, bitorder="little")
     # rows below the rank must be consistent
     solvable = ~np.any(aug[r:, cols:], axis=0)
     X = np.zeros((cols, aug.shape[1] - cols), dtype=np.int64)

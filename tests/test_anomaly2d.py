@@ -4,6 +4,7 @@ import pytest
 
 from anomalion.anomaly import (
     NonScalarError,
+    SupportAssertion,
     anomaly_2d,
     build_truncation_2d,
     regauge_beta,
@@ -249,6 +250,22 @@ def test_regauge_rho_mu_matches_product_collapse(ccz_data, window12):
         for h in G.elements():
             res = product_collapse([rho[g], rho[h], rho[G.mul(g, h)]], [1, 1, -1], expect_region=line)
             assert data2.mu[g, h] == res.op
+
+
+def test_regauge_rho_rejects_alpha_off_the_left_half_line(ccz_data):
+    import dataclasses
+
+    w = ccz_data.window
+    far = (w.x_max, w.y_max)
+    thick = ccz_data.origin_radius + ccz_data.action.total_range() + 1
+    assert not Region.half_line_L(thick).contains(far)
+    broken = dataclasses.replace(
+        ccz_data,
+        alpha={**ccz_data.alpha, (0b01, 0b10): SymOp.z(far)},
+        _conj_beta_cache=dict(ccz_data._conj_beta_cache),
+    )
+    with pytest.raises(SupportAssertion, match=r"alpha\(1,2\) leaves half_line_L"):
+        regauge_rho(broken, {})
 
 
 def test_nonscalar_tau_detection(ccz_data):

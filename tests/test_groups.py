@@ -382,3 +382,19 @@ def test_classify_runs_one_elimination(monkeypatch):
     }
     assert classify(tau, candidates) == (True, False, ("b^3 . a",))
     assert calls == [(4**4, 4)]
+
+
+def test_classify_full_size_delta_on_z2_cubed():
+    """Degree 4 on Z2xZ2xZ2, the |G| = 8 shape: one 4096 x 512 delta."""
+    G = FiniteGroup.direct_product(K4, Z2)
+    to_klein = GroupHom(G, K4, tuple(e >> 1 for e in G.elements()))
+    to_klein.validate()
+    b = projection_sign_cocycle(K4, 1)
+    a = projection_sign_cocycle(K4, 0)
+    tau = pullback(cup_1cocycles([b, b, b, a]), to_klein)
+    candidates = {"trivial": Cochain.constant(G, 4, 2), "b^3 . a": tau}
+    assert classify(tau, candidates) == (True, False, ("b^3 . a",))
+    db = coboundary(random_cochain(random.Random(8), G, 3, 2))
+    x = coboundary_solve(db)
+    assert x is not None
+    assert coboundary(x) == db

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anomalion.linalg import is_prime, smith_normal_form, solve_mod
+from anomalion.linalg import is_prime, smith_normal_form, solve_mod, solve_mod_prime
 
 
 @st.composite
@@ -113,6 +113,82 @@ def test_solve_mod_columns_match_single_solves(A, m, data):
     x = data.draw(st.lists(st.integers(0, m - 1), min_size=cols, max_size=cols))
     b = np.array(A, dtype=np.int64) @ np.array(x, dtype=np.int64) % m
     assert solve_mod(A, np.column_stack([B, b]), m)[-1] is not None
+
+
+def reference_solve_mod_prime(A, B, p):
+    """Gauss-Jordan elimination of [A | B] on int64 rows for every prime
+    alike: the reference for solve_mod_prime's packed GF(2) rows."""
+    A = np.asarray(A, dtype=np.int64) % p
+    rows, cols = A.shape
+    aug = np.concatenate([A, np.asarray(B, dtype=np.int64) % p], axis=1)
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(aug[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + nz[0]
+        if pr != r:
+            aug[[r, pr]] = aug[[pr, r]]
+        inv = pow(int(aug[r, c]), p - 2, p) if p > 2 else int(aug[r, c])
+        aug[r] = (aug[r] * inv) % p
+        mask = np.nonzero(aug[:, c])[0]
+        mask = mask[mask != r]
+        if mask.size:
+            aug[mask] = (aug[mask] - np.outer(aug[mask, c], aug[r])) % p
+        pivot_cols.append(c)
+        r += 1
+    solvable = ~np.any(aug[r:, cols:], axis=0)
+    X = np.zeros((cols, aug.shape[1] - cols), dtype=np.int64)
+    X[pivot_cols] = aug[: len(pivot_cols), cols:]
+    return [X[:, j] if ok else None for j, ok in enumerate(solvable)]
+
+
+@st.composite
+def wide_system(draw):
+    """[A | B] wide enough that columns, and the start of B, cross the byte
+    boundaries of packed GF(2) rows; each column of B is in the image of A
+    or arbitrary."""
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 80))
+    rank = draw(st.integers(0, min(rows, cols)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # rank at most `rank`, so arbitrary columns are often unsolvable
+    A = rng.integers(-3, 4, size=(rows, rank)) @ rng.integers(0, 2, size=(rank, cols))
+    columns = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            columns.append(A @ rng.integers(0, 2, size=cols))
+        else:
+            columns.append(rng.integers(-2, 3, size=rows))
+    B = np.array(columns, dtype=np.int64).reshape(-1, rows).T
+    return A, B
+
+
+@given(wide_system(), st.sampled_from([2, 2, 2, 3]))
+@settings(max_examples=200, deadline=None)
+def test_solve_mod_prime_matches_reference(system, p):
+    A, B = system
+    got = solve_mod_prime(A, B, p)
+    want = reference_solve_mod_prime(A, B, p)
+    assert len(got) == len(want) == B.shape[1]
+    for b, x, ref in zip(B.T, got, want):
+        assert (x is None) == (ref is None)
+        if x is not None:
+            assert x.dtype == ref.dtype
+            assert np.array_equal(x, ref)
+            assert np.array_equal((A @ x - b) % p, np.zeros_like(b))
+
+
+def test_solve_mod_prime_gf2_reads_the_parity_of_large_entries():
+    A = np.array([[2**40 + 1, 2**41], [-(2**35), -(2**50) - 1]])
+    B = np.array([[-(2**33) - 1, 2**9], [2**20 + 1, 1]])
+    x, y = solve_mod_prime(A, B, 2)
+    assert x.tolist() == [1, 1]
+    assert y.tolist() == [0, 1]
 
 
 def test_is_prime():

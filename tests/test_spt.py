@@ -5,6 +5,7 @@ import pytest
 
 from anomalion.anomaly import (
     StateNotInvariant,
+    _pauli_candidates,
     action_preserves_state,
     build_truncation_2d,
     find_state_correction,
@@ -21,7 +22,7 @@ from anomalion.circuits import (
     truncate,
 )
 from anomalion.groups import coboundary_solve
-from anomalion.lattice import Region
+from anomalion.lattice import Region, Window
 from anomalion.symop import ALL_PLUS, ALL_ZEROS, SymOp
 from oracle import ColumnOracle
 
@@ -45,6 +46,53 @@ def test_cluster_state_invariance(chain12):
     cluster = cluster_entangler_1d(chain12)
     assert action_preserves_state(axx, ALL_PLUS, cluster)
     assert action_preserves_state(axx, ALL_PLUS, None)
+
+
+def eager_pauli_candidates(window, radius):
+    """Every candidate built and sorted by (weight, z sites, x sites) before
+    the first is used: the reference order for the lazy search."""
+    from itertools import combinations
+
+    sites = sorted(s for s in window.sites() if max(abs(s[0]), abs(s[1])) <= radius)
+    cands = []
+    for nz in range(len(sites) + 1):
+        for zs in combinations(sites, nz):
+            for nx in range(len(sites) + 1):
+                for xs in combinations(sites, nx):
+                    cands.append((len(zs) + len(xs), zs, xs))
+    cands.sort()
+    return [SymOp(frozenset(frozenset([s]) for s in zs), frozenset(xs)) for _, zs, xs in cands]
+
+
+@pytest.mark.parametrize(
+    "window, radius",
+    [(Window.chain(12), 0), (Window.chain(12), 1), (Window.chain(12), 2), (Window(-1, 1, 0, 1), 1)],
+)
+def test_pauli_candidates_match_the_eager_order(window, radius):
+    assert list(_pauli_candidates(window, radius)) == eager_pauli_candidates(window, radius)
+
+
+def test_pauli_candidates_start_without_enumerating(chain12):
+    """At 12 sites (4^12 candidates) the smallest ones come back at once."""
+    import time
+    import tracemalloc
+
+    sites = sorted(s for s in chain12.sites() if abs(s[0]) <= 6)
+    assert len(sites) == 12
+    gen = _pauli_candidates(chain12, 6)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        first = [next(gen) for _ in range(1 + 2 * len(sites))]
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [SymOp.identity(), *(SymOp.x(s) for s in sites), *(SymOp.z(s) for s in sites)]
+    assert peak < 1 << 20
+    assert elapsed < 5.0
+    with pytest.raises(ValueError):
+        next(_pauli_candidates(Window.centered(4, 4), 2))
 
 
 def test_corrections_for_cluster(chain12):
