@@ -135,7 +135,6 @@ def build_truncation_2d(action: CircuitAction, origin_radius: int | None = None)
     reach = action.total_range()
     if origin_radius is None:
         origin_radius = max(2, 2 * reach)
-    G = action.group
     rho, mu, cropped = _truncate_and_collapse(
         action, reach, Region.half_plane_H(), Region.boundary_line(reach + 1), "mu"
     )
@@ -150,22 +149,30 @@ def build_truncation_2d(action: CircuitAction, origin_radius: int | None = None)
         beta[g, h] = b
 
     data = TruncationData2d(action, rho, mu, alpha, beta, {}, origin_radius)
-    # u is the failure of the second weak-morphism equation for (rho~, beta)
-    fail = weak_morphism_failure(
-        G, lambda g, h: beta[g, h], lambda g, h, k: data.beta_conj_rho(g, (h, k)), op_mul, op_inv
-    )
-    disk = Region.origin_disk(origin_radius)
-    for g, h, k in product(G.elements(), repeat=3):
-        res = crop_window_debris(fail(g, h, k), action.window)
-        cropped += [f"u({g},{h},{k}): {c}" for c in res.cropped]
-        _assert_region(res.op, disk, f"u({g},{h},{k})")
-        data.u[g, h, k] = res.op
-    data.cropped = tuple(cropped)
+    data.cropped = tuple(cropped + _lift_u(data, "u"))
     data.assertions = (
         "mu supported on the boundary line; mu = alpha*beta exact",
         f"u supported in origin disk of radius {origin_radius}",
     )
     return data
+
+
+def _lift_u(data: TruncationData2d, label: str) -> list[str]:
+    """Fill data.u with the failure of the second weak-morphism equation for
+    (rho~, beta), window-rim debris cropped and each value asserted in the
+    origin disk; returns the log of cropped debris."""
+    G = data.group
+    fail = weak_morphism_failure(
+        G, lambda g, h: data.beta[g, h], lambda g, h, k: data.beta_conj_rho(g, (h, k)), op_mul, op_inv
+    )
+    disk = Region.origin_disk(data.origin_radius)
+    cropped = []
+    for g, h, k in product(G.elements(), repeat=3):
+        res = crop_window_debris(fail(g, h, k), data.window)
+        cropped += [f"{label}({g},{h},{k}): {c}" for c in res.cropped]
+        _assert_region(res.op, disk, f"{label}({g},{h},{k})")
+        data.u[g, h, k] = res.op
+    return cropped
 
 
 def tau4(data: TruncationData2d, g: int, h: int, k: int, l: int) -> PhaseValue:
@@ -365,7 +372,8 @@ def split_boundary_circuit(c: ProceduralCircuit) -> tuple[ProceduralCircuit, Pro
 
 def regauge_rho(data: TruncationData2d, gamma: dict) -> TruncationData2d:
     """Replace rho~ by gamma o rho~ for boundary-localized circuits gamma(g),
-    rebuilding mu, beta and u by the matching closed forms.
+    rebuilding mu and beta by the matching closed forms and u as the failure
+    of the second weak-morphism equation for the regauged (rho~, beta).
 
     As in build_truncation_2d, window-rim debris of mu' and u' is cropped
     and logged, so mu' agrees with the product collapse of the regauged
@@ -406,43 +414,10 @@ def regauge_rho(data: TruncationData2d, gamma: dict) -> TruncationData2d:
     thick = data.origin_radius + reach + 1
     for g, h in product(G.elements(), repeat=2):
         _assert_region(data.alpha[g, h], Region.half_line_L(thick), f"alpha({g},{h})")
-    u2 = {}
-    for g, h, k in product(G.elements(), repeat=3):
-        gh = G.mul(g, h)
-
-        # eta(alpha(g,h), beta(g,h) rho~(gh)-conjugate of gamma_R(k))
-        def theta(y):
-            y = op_conj(y, op_inv(data.beta[g, h]))
-            y = conj_by_circuit(y, data.rho_tilde[gh].inverse(), check_margin=False)
-            y = conj_by_circuit(y, splits[k][1], check_margin=False)
-            y = conj_by_circuit(y, data.rho_tilde[gh], check_margin=False)
-            return op_conj(y, data.beta[g, h])
-
-        a_op = data.alpha[g, h]
-        eta1 = op_mul(a_op, theta(op_inv(a_op)))
-        conj_a = op_mul(w_r[g], data.rho_apply(g, w_r[h]))
-        f1 = op_conj(eta1, conj_a)
-        conj_b = op_mul(conj_a, data.rho_apply(g, data.rho_apply(h, w_r[k])))
-        f2 = op_conj(data.u[g, h, k], conj_b)
-        # eta(gamma_L(g), gamma_R(g) rho~(g)-conjugate of beta'(h,k))
-        w = op_conj(data.rho_apply(g, beta2[h, k]), w_r[g])
-        eta2 = eta(
-            LocalizedAutomorphism(Region.half_line_L(thick), circuit=splits[g][0]),
-            LocalizedAutomorphism(Region.half_line_R(thick), inner=w),
-        )
-        raw = op_mul(op_mul(f1, f2), eta2)
-        res = crop_window_debris(raw, data.window)
-        cropped += [f"u'({g},{h},{k}): {c}" for c in res.cropped]
-        u2[g, h, k] = res.op
-
-    new_radius = data.origin_radius + 2 * (reach + 1)
-    disk2 = Region.origin_disk(new_radius)
-    for key, op in u2.items():
-        _assert_region(op, disk2, f"u'{key}")
-    return TruncationData2d(
-        action, rho2, mu2, alpha2, beta2, u2, new_radius,
-        tuple(cropped), data.assertions + ("rho~ regauged by boundary gamma",),
-    )
+    out = TruncationData2d(action, rho2, mu2, alpha2, beta2, {}, data.origin_radius + 2 * (reach + 1))
+    out.cropped = tuple(cropped + _lift_u(out, "u'"))
+    out.assertions = data.assertions + ("rho~ regauged by boundary gamma",)
+    return out
 
 
 # -- SPT cochains ----------------------------------------------------------

@@ -410,9 +410,12 @@ def is_cocycle(c: Cochain) -> bool:
 
 
 def coboundary_matrix(group: FiniteGroup, n: int) -> np.ndarray:
-    """Matrix of delta: C^{n-1} -> C^n in the index bases (integer entries)."""
+    """Matrix of delta: C^{n-1} -> C^n in the index bases.
+
+    int8: an entry sums at most n + 1 signs.
+    """
     faces = _faces(group, n - 1)
-    A = np.zeros((faces.shape[1], group.order ** (n - 1)), dtype=np.int64)
+    A = np.zeros((faces.shape[1], group.order ** (n - 1)), dtype=np.int8)
     rows = np.arange(faces.shape[1])
     for i, f in enumerate(faces):
         np.add.at(A, (rows, f), (-1) ** i)

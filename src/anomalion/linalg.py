@@ -1,34 +1,23 @@
-"""Exact linear algebra over Z_m: GF(p) elimination and Smith normal form.
+"""Exact linear algebra over Z_m: GF(p) elimination and a Smith form over Z/p^k.
 
 Solves A x = b (mod m) for integer matrices, for every column b of a matrix
-of right-hand sides in one elimination of A.  Prime moduli go through
-Gauss-Jordan elimination of [A | B] to reduced row-echelon form.  For p = 2
-the rows are packed eight entries a byte (np.packbits, little bit order),
-so a pivot test is one byte and one bit mask and a row operation is an XOR
-of byte rows; odd primes keep int64 rows and scale and subtract.  The two
-paths cannot disagree: the reduced row-echelon form of a matrix is unique,
-and with free variables set to 0 it fixes every solution and every
-unsolvable column bit for bit.  Composite moduli go through an integer
-Smith normal form A = U^-1 D V^-1 so that the diagonal system
-d_i y_i = (U b)_i can be solved residue by residue.
+of right-hand sides in one elimination of A.  m is split into prime powers
+p^k; each is solved on its own and the solutions are glued by the Chinese
+remainder theorem, so a column is solvable iff it is solvable mod every
+p^k.  Prime moduli go through Gauss-Jordan elimination of [A | B] to
+reduced row-echelon form.  For p = 2 the rows are packed eight entries a
+byte (np.packbits, little bit order), so a pivot test is one byte and one
+bit mask and a row operation is an XOR of byte rows; odd primes keep int64
+rows and scale and subtract.  The two paths cannot disagree: the reduced
+row-echelon form of a matrix is unique, and with free variables set to 0
+it fixes every solution and every unsolvable column bit for bit.  Prime
+powers with k > 1 go through a Smith form over the local ring Z/p^k, where
+every nonzero residue is a unit times a power of p.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 import numpy as np
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
 
 
 def solve_mod_prime(A: np.ndarray, B: np.ndarray, p: int) -> list[np.ndarray | None]:
@@ -36,7 +25,7 @@ def solve_mod_prime(A: np.ndarray, B: np.ndarray, p: int) -> list[np.ndarray | N
 
     Free variables are 0.  For p = 2 the rows of [A | B] are packed bits.
     """
-    A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
+    A, B = np.asarray(A), np.asarray(B)
     rows, cols = A.shape
     width = cols + B.shape[1]
     if p == 2:
@@ -44,7 +33,7 @@ def solve_mod_prime(A: np.ndarray, B: np.ndarray, p: int) -> list[np.ndarray | N
         aug = np.concatenate([A.astype(np.uint8), B.astype(np.uint8)], axis=1) & 1
         aug = np.packbits(aug, axis=1, bitorder="little")
     else:
-        aug = np.concatenate([A, B], axis=1) % p
+        aug = np.concatenate([A.astype(np.int64), B.astype(np.int64)], axis=1) % p
 
     def column(c):
         return aug[:, c >> 3] & (1 << (c & 7)) if p == 2 else aug[:, c]
@@ -62,12 +51,12 @@ def solve_mod_prime(A: np.ndarray, B: np.ndarray, p: int) -> list[np.ndarray | N
             aug[[r, pr]] = aug[[pr, r]]
         mask = np.nonzero(column(c))[0]
         mask = mask[mask != r]
+        # the pivot row is zero left of c, so the update starts at c
         if p == 2:
-            # the pivot row is zero left of c, so the XOR starts at c's byte
             aug[mask, c >> 3 :] ^= aug[r, c >> 3 :]
         else:
-            aug[r] = aug[r] * pow(int(aug[r, c]), p - 2, p) % p
-            aug[mask] = (aug[mask] - np.outer(aug[mask, c], aug[r])) % p
+            aug[r, c:] = aug[r, c:] * pow(int(aug[r, c]), p - 2, p) % p
+            aug[mask, c:] = (aug[mask, c:] - np.outer(aug[mask, c], aug[r, c:])) % p
         pivot_cols.append(c)
         r += 1
     if p == 2:
@@ -79,156 +68,100 @@ def solve_mod_prime(A: np.ndarray, B: np.ndarray, p: int) -> list[np.ndarray | N
     return [X[:, j] if ok else None for j, ok in enumerate(solvable)]
 
 
-def _exgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def smith_normal_form(A: np.ndarray, B: np.ndarray, p: int, k: int) -> list[np.ndarray | None]:
+    """One solution of A x = b mod q = p^k per column b of B, or None.
 
-
-def smith_normal_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """(U, D, V) with U A V = D diagonal, U and V unimodular.
-
-    Plain-int implementation; fine for the small coboundary matrices this
-    package ever feeds it.
+    The Smith form U A V = D = diag(p^v_t) over Z/p^k.  Pivots are taken
+    valuation by valuation: while every entry of the remaining block is
+    divisible by p^v, any entry of valuation exactly v divides the block.
+    Its row is scaled to p^v, its column cleared by row operations on
+    [A | B] (so U is never formed) and its row by column operations
+    recorded in V.  With C = U B, a column is solvable iff p^v_t divides
+    its row t below the rank and it is zero past the rank, and then
+    x = V y with y_t = C_t / p^v_t.  Raises ValueError when q^2 cols
+    reaches 2^63, where the int64 sums of V y could wrap.
     """
-    D = [list(map(int, row)) for row in A]
-    rows = len(D)
-    cols = len(D[0]) if rows else 0
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_combine(i, j, a, b, c, d):
-        # (row_i, row_j) <- (a row_i + b row_j, c row_i + d row_j), same on U
-        for M in (D, U):
-            ri, rj = M[i], M[j]
-            for k in range(len(ri)):
-                ri[k], rj[k] = a * ri[k] + b * rj[k], c * ri[k] + d * rj[k]
-
-    def col_combine(i, j, a, b, c, d):
-        for M in (D, V):
-            for row in M:
-                row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
-
-    def clear_position(t):
-        # plain elimination when the pivot divides (no pivot churn);
-        # gcd mixing otherwise (strictly shrinks |pivot|), so this terminates
-        while True:
-            moved = False
-            for i in range(t + 1, rows):
-                e = D[i][t]
-                if e == 0:
-                    continue
-                piv = D[t][t]
-                if piv != 0 and e % piv == 0:
-                    row_combine(t, i, 1, 0, -(e // piv), 1)
-                else:
-                    g, x, y = _exgcd(piv, e)
-                    row_combine(t, i, x, y, -(e // g), piv // g)
-                moved = True
-            for j in range(t + 1, cols):
-                e = D[t][j]
-                if e == 0:
-                    continue
-                piv = D[t][t]
-                if piv != 0 and e % piv == 0:
-                    col_combine(t, j, 1, 0, -(e // piv), 1)
-                else:
-                    g, x, y = _exgcd(piv, e)
-                    col_combine(t, j, x, y, -(e // g), piv // g)
-                moved = True
-            if not moved:
-                return
-
-    n = min(rows, cols)
-    for t in range(n):
-        # bring a nonzero entry to (t, t)
-        pos = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if D[i][j] != 0:
-                    pos = (i, j)
-                    break
-            if pos:
-                break
-        if pos is None:
-            break
-        i, j = pos
-        if i != t:
-            D[t], D[i] = D[i], D[t]
-            U[t], U[i] = U[i], U[t]
-        if j != t:
-            for M in (D, V):
-                for row in M:
-                    row[t], row[j] = row[j], row[t]
-        clear_position(t)
-    # enforce divisibility d_t | d_{t+1}: fold the offender into row t and re-clear
-    changed = True
-    while changed:
-        changed = False
-        for t in range(n - 1):
-            dt = D[t][t]
-            if dt == 0:
-                continue
-            for i in range(t + 1, n):
-                if D[i][i] % dt != 0:
-                    row_combine(t, i, 1, 1, 0, 1)
-                    clear_position(t)
-                    changed = True
-                    break
-            if changed:
-                break
-    for t in range(n):
-        if D[t][t] < 0:
-            for row in D:
-                row[t] = -row[t]
-            for row in V:
-                row[t] = -row[t]
-    return U, D, V
-
-
-def solve_mod_snf(A: np.ndarray, B: np.ndarray, m: int) -> list[np.ndarray | None]:
-    """One solution of A x = b (mod m) per column b of B via Smith normal form, or None."""
+    A, B = np.asarray(A), np.asarray(B)
     rows, cols = A.shape
-    U, D, V = smith_normal_form(A.tolist())
-    # only residues mod m matter, so U and V are reduced before multiplying
-    C = (np.asarray(U, dtype=object) % m).astype(np.int64) @ (B % m) % m
-    Y = np.zeros((cols, B.shape[1]), dtype=np.int64)
-    solvable = np.ones(B.shape[1], dtype=bool)
-    for i in range(rows):
-        d = D[i][i] if i < min(rows, cols) else 0
-        if d == 0:
-            solvable &= C[i] == 0
-            continue
-        g = gcd(d, m)
-        solvable &= C[i] % g == 0
-        mm = m // g
-        if mm > 1:
-            Y[i] = (C[i] // g) * pow((d // g) % mm, -1, mm) % m
-    X = (np.asarray(V, dtype=object) % m).astype(np.int64) @ Y % m
+    q = p**k
+    if q * q * cols >= 2**63:
+        raise ValueError(f"modulus {q} is too large for int64 arithmetic over {cols} unknowns")
+    aug = np.concatenate([A.astype(np.int64), B.astype(np.int64)], axis=1) % q
+    V = np.eye(cols, dtype=np.int64)
+    d = []
+    t = 0
+    for v in range(k):
+        pv = p**v
+        # columns t..c-1 hold no entry of valuation v below row t, and row
+        # operations with a pivot of valuation v cannot create one there
+        c = t
+        while c < cols and t < rows:
+            nz = np.nonzero(aug[t:, c] % (pv * p))[0]
+            if nz.size == 0:
+                c += 1
+                continue
+            i = t + nz[0]
+            aug[[t, i]] = aug[[i, t]]
+            aug[:, [t, c]] = aug[:, [c, t]]
+            V[:, [t, c]] = V[:, [c, t]]
+            # rows above t are zero from column t on, row t left of it
+            aug[t, t:] = aug[t, t:] * pow(int(aug[t, t]) // pv, -1, q) % q
+            below = t + 1 + np.nonzero(aug[t + 1 :, t])[0]
+            aug[below, t:] = (aug[below, t:] - np.outer(aug[below, t] // pv, aug[t, t:])) % q
+            V[:, t + 1 :] = (V[:, t + 1 :] - np.outer(V[:, t], aug[t, t + 1 : cols] // pv)) % q
+            aug[t, t + 1 : cols] = 0
+            d.append(pv)
+            t += 1
+            c += 1
+    C = aug[:, cols:]
+    d = np.array(d, dtype=np.int64).reshape(-1, 1)
+    solvable = ~np.any(C[t:], axis=0) & ~np.any(C[:t] % d, axis=0)
+    Y = np.zeros((cols, C.shape[1]), dtype=np.int64)
+    Y[:t] = C[:t] // d
+    X = V @ Y % q
     return [X[:, j] if ok else None for j, ok in enumerate(solvable)]
+
+
+def _prime_powers(m: int) -> list[tuple[int, int]]:
+    """(p, k) for each prime power p^k exactly dividing m, by trial division."""
+    out = []
+    p = 2
+    while p * p <= m:
+        k = 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
+    if m > 1:
+        out.append((m, 1))
+    return out
 
 
 def solve_mod(A, B, m: int) -> list[np.ndarray | None]:
     """One solution x of A x = b (mod m) per column b of B, or None.
 
     A is a rows x cols matrix and B a rows x k matrix of right-hand sides;
-    all k columns are solved in one elimination of A.
+    all k columns are solved in one elimination of A per prime power of m,
+    and the solutions are glued by the Chinese remainder theorem.
     """
-    A = np.asarray(A, dtype=np.int64)
+    A = np.asarray(A)
     B = np.asarray(B, dtype=np.int64)
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
         raise ValueError(f"right-hand sides must be a {A.shape[0]} x k matrix, got shape {B.shape}")
-    if A.size == 0:
-        return [None if np.any(b % m) else np.zeros(A.shape[1], dtype=np.int64) for b in B.T]
-    if is_prime(m):
-        return solve_mod_prime(A, B, m)
-    return solve_mod_snf(A, B, m)
+    X = np.zeros((A.shape[1], B.shape[1]), dtype=np.int64)
+    solvable = np.ones(B.shape[1], dtype=bool)
+    glued = 1
+    for p, k in _prime_powers(m):
+        q = p**k
+        part = solve_mod_prime(A, B, p) if k == 1 else smith_normal_form(A, B, p, k)
+        # X = x mod q and keeps its residues mod glued
+        lift = pow(glued, -1, q)
+        for j, x in enumerate(part):
+            if x is None:
+                solvable[j] = False
+            else:
+                X[:, j] += glued * ((x - X[:, j]) % q * lift % q)
+        glued *= q
+    return [X[:, j] if ok else None for j, ok in enumerate(solvable)]

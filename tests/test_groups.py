@@ -398,3 +398,15 @@ def test_classify_full_size_delta_on_z2_cubed():
     x = coboundary_solve(db)
     assert x is not None
     assert coboundary(x) == db
+
+
+def test_klein_class_survives_the_z8_lift():
+    """b^3 . a pushed into Z8 (values times 4), the lift of a Z2 class to
+    Z_{2|G|}, stays closed and nontrivial; the solves go through the Smith
+    form over Z/8."""
+    b = projection_sign_cocycle(K4, 1)
+    a = projection_sign_cocycle(K4, 0)
+    lifted = cup_1cocycles([b, b, b, a]).with_modulus(8)
+    assert classify(lifted) == (True, False, ())
+    shifted = lifted.mul(coboundary(random_cochain(random.Random(3), K4, 3, 8)))
+    assert classify(shifted, {"b^3 . a": lifted}) == (True, False, ("b^3 . a",))

@@ -1,11 +1,11 @@
-from fractions import Fraction
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomalion.linalg import is_prime, smith_normal_form, solve_mod, solve_mod_prime
+from anomalion.linalg import smith_normal_form, solve_mod, solve_mod_prime
 
 
 @st.composite
@@ -16,55 +16,32 @@ def small_matrix(draw):
     return [data[i * cols : (i + 1) * cols] for i in range(rows)]
 
 
-def exact_det(M) -> int:
-    """Determinant of a square integer matrix, by elimination over the rationals."""
-    a = [[Fraction(int(v)) for v in row] for row in M]
-    n = len(a)
-    det = Fraction(1)
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            return 0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return int(det)
-
-
-def test_exact_det():
-    assert exact_det([[2, 0], [0, 3]]) == 6
-    assert exact_det([[0, 1], [1, 0]]) == -1
-    assert exact_det([[1, 2], [2, 4]]) == 0
-    assert exact_det([[10**8 + 1, 10**8], [10**8, 10**8 - 1]]) == -1  # float det says 0
-
-
-@given(small_matrix())
-# U has entries near 7.5e7 here; its float determinant rounds to 2
-@example([[5, 3, 1, 3, 0], [0, -4, -4, 0, 0], [2, -4, 0, 4, 5], [5, 0, 0, 0, 0], [-1, -2, 0, 0, 0]])
-@settings(max_examples=150, deadline=None)
-def test_smith_normal_form_factorization(A):
-    U, D, V = smith_normal_form(A)
-    A = np.array(A, dtype=object)
-    U = np.array(U, dtype=object)
-    D = np.array(D, dtype=object)
-    V = np.array(V, dtype=object)
-    assert (U @ A @ V == D).all()
-    n = min(D.shape)
-    for i in range(n):
-        for j in range(len(D[i])):
-            if i != j:
-                assert D[i][j] == 0
-    for i in range(n - 1):
-        if D[i][i]:
-            assert D[i + 1][i + 1] % D[i][i] == 0
-    # unimodular transforms, checked exactly
-    assert abs(exact_det(U)) == 1
-    assert abs(exact_det(V)) == 1
+@given(st.sampled_from([4, 6, 8, 9, 12, 16, 18, 27]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_solve_mod_matches_brute_force(m, data):
+    """Composite moduli against enumeration of every x in Z_m^cols."""
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 3))
+    scale = data.draw(st.sampled_from([1, 2, 3, 4]))  # shared factors of m
+    entries = st.lists(st.integers(-6, 6), min_size=rows * cols, max_size=rows * cols)
+    A = scale * np.array(data.draw(entries), dtype=np.int64).reshape(rows, cols)
+    columns = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):  # in the image of A
+            columns.append(A @ np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=cols, max_size=cols))))
+        else:  # arbitrary, often unsolvable
+            columns.append(np.array(data.draw(st.lists(st.integers(-m, m), min_size=rows, max_size=rows))))
+    B = np.array(columns, dtype=np.int64).T
+    solved = solve_mod(A, B, m)
+    assert len(solved) == B.shape[1]
+    if m**cols <= 5000:
+        xs = np.array(list(itertools.product(range(m), repeat=cols)), dtype=np.int64).reshape(-1, cols)
+        images = xs @ A.T % m
+        for b, x in zip(B.T, solved):
+            assert (x is not None) == bool(np.any(np.all(images == b % m, axis=1)))
+    for b, x in zip(B.T, solved):
+        if x is not None:
+            assert np.array_equal((A @ x - b) % m, np.zeros_like(b))
 
 
 @given(small_matrix(), st.sampled_from([2, 3, 4, 5, 6, 8]), st.data())
@@ -191,5 +168,14 @@ def test_solve_mod_prime_gf2_reads_the_parity_of_large_entries():
     assert y.tolist() == [0, 1]
 
 
-def test_is_prime():
-    assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+def test_smith_normal_form_rejects_moduli_past_int64():
+    """V y sums cols products below q^2, so q^2 cols must stay below 2^63."""
+    A = np.eye(4, dtype=np.int64)
+    B = np.ones((4, 1), dtype=np.int64)
+    [x] = smith_normal_form(A, B, 2, 30)  # 2^60 * 4 = 2^62
+    assert x.tolist() == [1, 1, 1, 1]
+    wide = np.eye(4, 8, dtype=np.int64)
+    with pytest.raises(ValueError, match="too large"):
+        smith_normal_form(wide, B, 2, 30)  # 2^60 * 8 = 2^63
+    with pytest.raises(ValueError, match="too large"):
+        solve_mod([[1]], [[1]], 3 * 2**32)
