@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .groups import FiniteGroup, klein_bits, klein_four
-from .lattice import Region, Site, Window
+from .lattice import Region, Window
 from .symop import (
     SymOp,
     op_conj,
@@ -25,8 +25,11 @@ from .symop import (
     op_mul,
     op_product,
     ops_commute,
+    region_mask,
+    sites_outside,
     support,
     support_mask,
+    support_masks,
 )
 
 
@@ -64,7 +67,7 @@ class GateRule:
             return max((_diameter(support(g)) for g in self.gates), default=0)
         return 1
 
-    def generate(self, window: Window) -> list[SymOp]:
+    def generate(self, window: Window) -> Layer:
         r = self.region
         if self.pattern == "explicit":
             gates = list(self.gates)
@@ -102,12 +105,12 @@ class GateRule:
                 gates.append(SymOp.ccz(corners["bl"], corners["br"], corners["tr"]))
         else:
             raise AssertionError
-        for g in gates:
-            for s in support(g):
-                if not window.contains(s):
-                    raise InstantiationError(f"gate leaves window at {s}")
-        _check_layer(gates)
-        return gates
+        bad = sites_outside(gates, window)
+        if bad:
+            raise InstantiationError(f"gate leaves window at {bad[0]}")
+        layer = Layer(gates, self.range_bound())
+        _check_layer(layer)
+        return layer
 
 
 def _diameter(sites) -> int:
@@ -119,32 +122,22 @@ def _diameter(sites) -> int:
     return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
-def _check_layer(gates: list[SymOp]):
-    """Overlapping gates within a layer must commute."""
-    by_site: dict[Site, list[int]] = {}
-    for i, g in enumerate(gates):
-        for s in support(g):
-            by_site.setdefault(s, []).append(i)
-    checked = set()
-    for idxs in by_site.values():
-        for i in idxs:
-            for j in idxs:
-                if i < j and (i, j) not in checked:
-                    checked.add((i, j))
-                    if not ops_commute(gates[i], gates[j]):
-                        raise InstantiationError(
-                            f"layer gates {gates[i]} and {gates[j]} overlap and do not commute"
-                        )
+def _check_layer(layer: Layer):
+    """Gates within a layer must commute; only those the index says can fail are tested."""
+    for g in layer:
+        for h in layer.acting(g):
+            if not ops_commute(g, h):
+                raise InstantiationError(f"layer gates {g} and {h} overlap and do not commute")
 
 
 class Layer(tuple):
-    """A materialized layer: its gates, its range bound and a site index.
+    """A materialized layer: its gates, its range bound and a gate index.
 
     A circuit takes Layers as they are, without validation, so build one
     only from a validated layer of the same window (a sub-layer, inverse or
-    conjugate).  The bound defaults to the largest gate diameter; the site
-    index, keyed by site bit, is built on the first conjugation through
-    the layer.
+    conjugate).  The bound defaults to the largest gate diameter.  The
+    index, built on first use, maps each site bit to the positions of the
+    gates whose diagonal depends on it, and of those that flip it, as masks.
     """
 
     def __new__(cls, gates=(), bound: int | None = None):
@@ -158,28 +151,31 @@ class Layer(tuple):
             self._bound = max((_diameter(support(g)) for g in self), default=0)
         return self._bound
 
-    def acting(self, mask: int) -> list[SymOp]:
-        """The gates meeting the site mask, by _gate_key, ties in layer order."""
+    def acting(self, a: SymOp) -> list[SymOp]:
+        """The gates that can fail to commute with a, in layer order: those
+        whose diagonal meets a's flips or whose flips meet a's diagonal."""
         if self._index is None:
-            order = sorted(self, key=_gate_key)
-            by_bit: dict[int, list[int]] = {}
-            covered = 0
-            for rank, g in enumerate(order):
-                m = support_mask(g)
-                covered |= m
-                while m:
-                    bit = m & -m
-                    by_bit.setdefault(bit, []).append(rank)
-                    m ^= bit
-            self._index = (order, by_bit, covered)
-        order, by_bit, covered = self._index
-        mask &= covered
-        ranks = set()
-        while mask:
-            bit = mask & -mask
-            ranks.update(by_bit[bit])
-            mask ^= bit
-        return [order[r] for r in sorted(ranks)]
+            index = ({}, {})
+            for i, g in enumerate(self):
+                for by_bit, m in zip(index, support_masks(g)):
+                    while m:
+                        bit = m & -m
+                        by_bit[bit] = by_bit.get(bit, 0) | 1 << i
+                        m ^= bit
+            self._index = index
+        diag, flips = support_masks(a)
+        hit = 0
+        for by_bit, m in zip(self._index, (flips, diag)):
+            while m:
+                bit = m & -m
+                hit |= by_bit.get(bit, 0)
+                m ^= bit
+        gates = []
+        while hit:
+            low = hit & -hit
+            gates.append(self[low.bit_length() - 1])
+            hit ^= low
+        return gates
 
 
 @dataclass(frozen=True)
@@ -192,8 +188,7 @@ class ProceduralCircuit:
     def instantiate(self) -> list[Layer]:
         if "layers" not in self._cache:
             self._cache["layers"] = [
-                rule if isinstance(rule, Layer)
-                else Layer(rule.generate(self.window), rule.range_bound())
+                rule if isinstance(rule, Layer) else rule.generate(self.window)
                 for rule in self.layers
             ]
         return self._cache["layers"]
@@ -208,7 +203,7 @@ class ProceduralCircuit:
         if "unitary" not in self._cache:
             acc = SymOp.identity()
             for layer in self.instantiate():
-                acc = op_mul(_layer_product(layer), acc)
+                acc = op_mul(op_product(layer), acc)
             self._cache["unitary"] = acc
         return self._cache["unitary"]
 
@@ -226,14 +221,6 @@ class ProceduralCircuit:
     @staticmethod
     def empty(window: Window) -> "ProceduralCircuit":
         return ProceduralCircuit((), window)
-
-
-def _layer_product(gates) -> SymOp:
-    return op_product(sorted(gates, key=_gate_key))
-
-
-def _gate_key(g: SymOp):
-    return (sorted(support(g)), len(g.poly), len(g.flips))
 
 
 def concat(first_applied: ProceduralCircuit, then_applied: ProceduralCircuit) -> ProceduralCircuit:
@@ -256,8 +243,10 @@ def truncate_rest(c: ProceduralCircuit, region: Region) -> ProceduralCircuit:
 
 
 def _split(c: ProceduralCircuit, region: Region, inside: bool) -> ProceduralCircuit:
+    layers = c.instantiate()  # first, so that the mask covers the gates' sites
+    outside = ~region_mask(region)
     return ProceduralCircuit(
-        tuple(Layer(g for g in layer if region.contains_all(support(g)) == inside) for layer in c.instantiate()),
+        tuple(Layer(g for g in layer if (not support_mask(g) & outside) == inside) for layer in layers),
         c.window,
     )
 
@@ -265,8 +254,9 @@ def _split(c: ProceduralCircuit, region: Region, inside: bool) -> ProceduralCirc
 def conj_by_circuit(a: SymOp, c: ProceduralCircuit, check_margin: bool = True) -> SymOp:
     """phi(c)(a) = W a W^-1, applying layers in list order.
 
-    Only gates meeting the running support act, so rules over infinite
-    regions are fine inside the window.
+    Gates in a layer commute, so each layer acts once, by the product of
+    the gates that can fail to commute with the running operator; rules
+    over infinite regions are fine inside the window.
     """
     if check_margin and not a.is_identity():
         reach = c.total_range()
@@ -276,8 +266,9 @@ def conj_by_circuit(a: SymOp, c: ProceduralCircuit, check_margin: bool = True) -
                     f"support site {s} is within circuit range {reach} of the window edge"
                 )
     for layer in c.instantiate():
-        for g in layer.acting(support_mask(a)):
-            a = op_conj(a, g)
+        gates = layer.acting(a)
+        if gates:
+            a = op_conj(a, op_product(gates))
     return a
 
 

@@ -23,7 +23,18 @@ from dataclasses import dataclass, field
 
 from .circuits import GateRule, Layer, ProceduralCircuit, concat, conj_by_circuit
 from .lattice import Region, Window
-from .symop import SymOp, commutator, format_op, op_inv, op_mul, op_product, support
+from .symop import (
+    SymOp,
+    commutator,
+    format_op,
+    op_inv,
+    op_mul,
+    op_product,
+    region_mask,
+    sites_outside,
+    support,
+    support_mask,
+)
 
 
 class StabilizationError(ValueError):
@@ -46,15 +57,14 @@ class LocalizedAutomorphism:
         if (self.circuit is None) == (self.inner is None):
             raise ValueError("exactly one of circuit/inner must be given")
         if self.inner is not None:
-            bad = [s for s in support(self.inner) if not self.declared_region.contains(s)]
+            bad = sites_outside([self.inner], self.declared_region)
             if bad:
                 raise ValueError(f"inner unitary leaves its declared region at {bad[:4]}")
         else:
-            for layer in self.circuit.instantiate():
-                for g in layer:
-                    bad = [s for s in support(g) if not self.declared_region.contains(s)]
-                    if bad:
-                        raise ValueError(f"circuit gate leaves declared region at {bad[:4]}")
+            gates = (g for layer in self.circuit.instantiate() for g in layer)
+            bad = sites_outside(gates, self.declared_region)
+            if bad:
+                raise ValueError(f"circuit gate leaves declared region at {bad[:4]}")
 
     @property
     def is_inner(self) -> bool:
@@ -85,8 +95,8 @@ def _op_radius(a: SymOp) -> int:
 
 
 def _truncate_layer_to_disk(layer: list[SymOp], r: int) -> SymOp:
-    keyed = sorted(((sorted(support(g)), g) for g in layer), key=lambda kg: kg[0])
-    return op_product([g for key, g in keyed if all(max(abs(s[0]), abs(s[1])) <= r for s in key)])
+    outside = ~region_mask(Region.origin_disk(r))
+    return op_product(g for g in layer if not support_mask(g) & outside)
 
 
 def _eta_single_layer(layer: list[SymOp], window: Window, pair) -> SymOp:
@@ -173,7 +183,7 @@ def eta(alpha: LocalizedAutomorphism, beta: LocalizedAutomorphism) -> SymOp:
     reach = 2 * (alpha.range_bound() + beta.range_bound()
                  + alpha.declared_region.thickening + beta.declared_region.thickening) + 2
     disk = Region.origin_disk(reach)
-    bad = [s for s in support(result) if not disk.contains(s)]
+    bad = sites_outside([result], disk)
     if bad:
         raise RouteDisagreement(f"eta output leaves the origin disk at {bad[:4]}")
     return result

@@ -16,15 +16,19 @@ Operators are bit-packed.  An append-only interner gives every site one
 bit on first use, so a site set is an int mask: a monomial is the mask of
 its sites, f a frozenset of masks and S one mask, and sigma_S expands a
 monomial m over the submasks of m & S.  Products and inverses stay packed
-from end to end.  Sites are decoded only at the boundary: the
-SymOp(poly, flips) constructor and the .poly / .flips properties take and
-return site sets, as do support, format_op and parse_op.
+from end to end.  A region or window is tested as a mask too: region_mask
+gives the mask of the interned sites it contains, so a support lies in it
+when support_mask & ~region_mask is zero.  Sites are decoded only at the
+boundary: the SymOp(poly, flips) constructor and the .poly / .flips
+properties take and return site sets, as do support, format_op and
+parse_op, and sites_outside decodes the offending sites for an error.
 
 Bits are handed out in first-use order, which differs between runs that
 build operators in a different order.  No result may depend on it: every
 listing of sites or monomials sorts by site, never by mask or by the
 iteration order of a packed set.  The interner's miss path takes a lock,
-so operators stay safe to share across threads.
+so operators stay safe to share across threads; a region mask is cached
+with the number of sites it covers and extended as the interner grows.
 """
 
 from __future__ import annotations
@@ -83,23 +87,25 @@ def _sites(mask: int) -> list[Site]:
 
 
 def _poly_subst(poly: frozenset, flips: int) -> frozenset:
-    """f o sigma_S: each monomial m expands to m ^ c over the submasks c of m & S."""
+    """f o sigma_S: each monomial m expands to m ^ c over the submasks c of m & S.
+
+    Only the monomials meeting S change; the terms with c != 0 are
+    collected as toggles and XORed into poly.
+    """
     if not flips:
         return poly
-    acc = set()
+    toggles = set()
     for m in poly:
         hit = m & flips
         sub = hit
-        while True:
+        while sub:
             t = m ^ sub
-            if t in acc:
-                acc.remove(t)
+            if t in toggles:
+                toggles.remove(t)
             else:
-                acc.add(t)
-            if not sub:
-                break
+                toggles.add(t)
             sub = (sub - 1) & hit
-    return frozenset(acc)
+    return poly ^ toggles if toggles else poly
 
 
 class SymOp:
@@ -242,8 +248,41 @@ def support_mask(a: SymOp) -> int:
     return reduce(or_, a._poly, a._flips)
 
 
+def support_masks(a: SymOp) -> tuple[int, int]:
+    """The sites a's diagonal depends on and the sites a flips, as masks.
+
+    D_f X_S and D_h X_T commute when supp(f) misses T and S misses supp(h).
+    """
+    return reduce(or_, a._poly, 0), a._flips
+
+
 def support(a: SymOp) -> frozenset:
     return frozenset(_sites(support_mask(a)))
+
+
+_REGION_MASKS: dict = {}  # region -> (mask, n): its mask over the first n sites
+
+
+def region_mask(region) -> int:
+    """The mask of the interned sites that region (a Region or Window) contains.
+
+    Cached per region and extended as the interner grows; an entry covers
+    the sites interned before it was stored, so a race only costs a
+    recompute.  Take it after the operators it is tested against exist.
+    """
+    mask, n = _REGION_MASKS.get(region, (0, 0))
+    end = len(_SITES)
+    if n < end:
+        for i in range(n, end):
+            if region.contains(_SITES[i]):
+                mask |= 1 << i
+        _REGION_MASKS[region] = (mask, end)
+    return mask
+
+
+def sites_outside(ops, region) -> list[Site]:
+    """The sites of the supports of ops that region does not contain, sorted."""
+    return sorted(_sites(reduce(or_, map(support_mask, ops), 0) & ~region_mask(region)))
 
 
 def scalar_phase(a: SymOp) -> PhaseValue | None:

@@ -1,10 +1,10 @@
 import random
+import re
 
 import pytest
 
 from anomalion.anomaly import (
     NonScalarError,
-    SupportAssertion,
     anomaly_2d,
     build_truncation_2d,
     regauge_beta,
@@ -252,7 +252,9 @@ def test_regauge_rho_mu_matches_product_collapse(ccz_data, window12):
             assert data2.mu[g, h] == res.op
 
 
-def test_regauge_rho_rejects_alpha_off_the_left_half_line(ccz_data):
+def test_tau_rejects_alpha_off_the_left_half_line(ccz_data):
+    # regauge_rho rebuilds alpha from mu' and beta' and never reads the
+    # input alpha; tau reads it through eta, whose region check rejects it
     import dataclasses
 
     w = ccz_data.window
@@ -264,8 +266,9 @@ def test_regauge_rho_rejects_alpha_off_the_left_half_line(ccz_data):
         alpha={**ccz_data.alpha, (0b01, 0b10): SymOp.z(far)},
         _conj_beta_cache=dict(ccz_data._conj_beta_cache),
     )
-    with pytest.raises(SupportAssertion, match=r"alpha\(1,2\) leaves half_line_L"):
-        regauge_rho(broken, {})
+    assert regauge_rho(broken, {}).alpha == regauge_rho(ccz_data, {}).alpha
+    with pytest.raises(ValueError, match=r"inner unitary leaves its declared region at \[" + re.escape(str(far))):
+        tau_cochain(broken)
 
 
 def test_nonscalar_tau_detection(ccz_data):

@@ -32,7 +32,6 @@ from anomalion.symop import (
     op_product,
     ops_commute,
     support,
-    support_mask,
 )
 from oracle import DenseSpace
 
@@ -353,6 +352,14 @@ def rand_derived(rng, c):
     return c
 
 
+def can_fail_to_commute(g, a):
+    """D_f X_S and D_h X_T commute when supp(f) misses T and S misses supp(h)."""
+    def diag(op):
+        return frozenset().union(*op.poly)
+
+    return bool(diag(g) & a.flips or g.flips & diag(a))
+
+
 @given(st.integers(0, 2**32))
 @settings(max_examples=300, deadline=None)
 def test_indexed_conj_matches_full_scan(seed):
@@ -361,10 +368,27 @@ def test_indexed_conj_matches_full_scan(seed):
     for _ in range(3):
         a = op_mul(rand_gate(rng), rand_gate(rng))
         assert conj_by_circuit(a, c, check_margin=False) == conj_full_scan(a, c)
+        b = a
         for layer in c.instantiate():
-            supp = support(a)
-            acting = layer.acting(support_mask(a))
-            assert acting == sorted((g for g in layer if support(g) & supp), key=conj_order)
+            acting = layer.acting(b)
+            assert acting == [g for g in layer if can_fail_to_commute(g, b)]
+            assert all(ops_commute(g, b) for g in layer if not can_fail_to_commute(g, b))
+            for g in acting:
+                b = op_conj(b, g)
+        assert b == conj_full_scan(a, c)
+
+
+def test_diagonal_passes_ccz_layer_without_acting_gates(window12):
+    c = builtin_action("ccz_x_2d", window12).circuit(0b10)  # the CCZ layer only
+    (layer,) = c.instantiate()
+    diag = op_mul(SymOp.cz((0, 0), (1, 0)), op_mul(SymOp.z((0, 1)), SymOp.scalar(-1)))
+    assert layer.acting(diag) == []
+    assert conj_by_circuit(diag, c) == diag == conj_full_scan(diag, c)
+    # X at a site meets the six triangles around it, which then act
+    x = SymOp.x((0, 0))
+    acting = layer.acting(x)
+    assert len(acting) == 6 and all((0, 0) in support(g) for g in acting)
+    assert conj_by_circuit(x, c) == conj_full_scan(x, c) != x
 
 
 def test_total_range_of_derived_circuits(window12):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import anomalion
 from anomalion import symop
 from anomalion.groups import PhaseValue
+from anomalion.lattice import Region, Window
 from anomalion.symop import (
     ALL_PLUS,
     DegreeError,
@@ -29,7 +30,9 @@ from anomalion.symop import (
     op_mul,
     op_product,
     parse_op,
+    region_mask,
     scalar_phase,
+    sites_outside,
     support,
     support_mask,
 )
@@ -258,32 +261,93 @@ def test_report_does_not_depend_on_intern_order(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def brute_region_mask(region) -> int:
+    return sum(1 << i for i, s in enumerate(list(symop._SITES)) if region.contains(s))
+
+
 def test_interner_gives_each_fresh_site_one_bit():
-    """Threads interning the same fresh sites at once agree on one bit each."""
-    n_threads = 4
+    """Threads interning the same fresh sites at once agree on one bit each,
+    and region masks taken meanwhile end up equal to the brute-force ones."""
+    n_threads, n_mask_threads = 4, 2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for round_ in range(8):
             sites = [(10**6 + i, -(10**6) - round_) for i in range(500)]
             assert not any(s in symop._BITS for s in sites)
+            regions = [
+                Region.origin_disk(10**6 + 250),
+                Region.complement_of(Region.half_plane_H()),
+                Window(10**6 + 100, 10**6 + 399, -(10**6) - 7, 0),
+            ]
             before = len(symop._SITES)
-            barrier = threading.Barrier(n_threads, timeout=30)
+            barrier = threading.Barrier(n_threads + n_mask_threads, timeout=30)
+            interned = threading.Event()
             got = [None] * n_threads
+            masks = [[] for _ in range(n_mask_threads)]
 
             def intern(k):
                 barrier.wait()
                 got[k] = [support_mask(SymOp.x(s)) for s in sites]
 
+            def take_masks(k):
+                barrier.wait()
+                while not interned.is_set():
+                    masks[k] += [(r, region_mask(r)) for r in regions]
+
             threads = [threading.Thread(target=intern, args=(k,)) for k in range(n_threads)]
-            for t in threads:
+            watchers = [threading.Thread(target=take_masks, args=(k,)) for k in range(n_mask_threads)]
+            for t in threads + watchers:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
+            interned.set()
+            for t in watchers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads + watchers)
             assert all(g == got[0] for g in got)
             assert all(m.bit_count() == 1 for m in got[0]) and len(set(got[0])) == len(sites)
             assert len(symop._SITES) == before + len(sites)
             assert all(support(SymOp.x(s)) == {s} for s in sites)
+            final = {r: brute_region_mask(r) for r in regions}
+            assert all(region_mask(r) == final[r] for r in regions)
+            # a mask taken while sites were interned is right for the sites it covers
+            assert all(m & ~final[r] == 0 for k in masks for r, m in k)
     finally:
         sys.setswitchinterval(interval)
+
+
+base_regions = st.one_of(
+    st.just(Region.full()),
+    st.builds(Region.half_plane_H, st.integers(0, 3)),
+    st.builds(Region.boundary_line, st.integers(0, 3)),
+    st.builds(Region.half_line_R, st.integers(0, 3)),
+    st.builds(Region.half_line_L, st.integers(0, 3)),
+    st.builds(Region.origin_disk, st.integers(0, 5), st.integers(0, 2)),
+)
+regions = st.one_of(
+    st.recursive(
+        base_regions,
+        lambda inner: st.one_of(
+            st.builds(Region.complement_of, inner, st.integers(0, 2)),
+            st.builds(Region.intersection_of, inner, inner),
+        ),
+        max_leaves=4,
+    ),
+    st.builds(Window, st.integers(-6, 0), st.integers(0, 6), st.integers(-6, 0), st.integers(0, 6)),
+)
+lattice_sites = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+
+
+@given(regions, st.lists(lattice_sites, max_size=12))
+@settings(max_examples=200, deadline=None)
+@example(Region.complement_of(Region.origin_disk(2), 1), [(3, 3), (40, -40)])
+@example(Region.intersection_of(Region.half_line_L(1), Region.origin_disk(3)), [(-2, 1), (0, 5)])
+@example(Window(-3, 2, -1, 4), [(2, 4), (3, 4)])
+def test_region_mask_agrees_with_contains(region, fresh):
+    for s in Window.centered(8, 8).sites():
+        SymOp.z(s)
+    assert region_mask(region) == brute_region_mask(region)
+    ops = [SymOp.x(s) for s in fresh]
+    assert region_mask(region) == brute_region_mask(region)
+    assert sites_outside(ops, region) == sorted({s for s in fresh if not region.contains(s)})
