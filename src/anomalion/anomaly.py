@@ -85,6 +85,23 @@ def split_right(op: SymOp) -> SymOp:
 
 @dataclass
 class TruncationData2d:
+    """The truncated 2d action and its boundary data mu, alpha/beta and u.
+
+    One memo, keyed by operator value, holds the lattice steps that tau,
+    the u lift and the beta regauging repeat: rho~(g)(a) under
+    ("rho", g, a), op_conj(a, w) under ("conj", a, w), op_inv(a) under
+    ("inv", a), tau's eta factor under ("eta", alpha, w) and tau's phase
+    under ("tau", f1, ..., f6).  Each is a pure function of its operands
+    and of action, rho_tilde and origin_radius, which are never reassigned,
+    so a hit returns exactly the value and the verdict (margin check, route
+    agreement, disk checks, scalar assertion) of a fresh call.  A call that
+    raises stores nothing, so every tuple that reaches it raises again.
+    Equal results are stored as one object, so later keys built from them
+    match by identity and hold no duplicate operators.
+    dataclasses.replace starts an empty memo, and mu/alpha/beta/u may be
+    edited in place: keys are the values read, not the group elements.
+    """
+
     action: CircuitAction
     rho_tilde: tuple[ProceduralCircuit, ...]
     mu: dict
@@ -94,7 +111,7 @@ class TruncationData2d:
     origin_radius: int
     cropped: tuple[str, ...] = ()
     assertions: tuple[str, ...] = ()
-    _conj_beta_cache: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def group(self) -> FiniteGroup:
@@ -104,15 +121,39 @@ class TruncationData2d:
     def window(self) -> Window:
         return self.action.window
 
+    def _memoized(self, key, fn, *args):
+        val = self._memo.get(key)  # no memoized step returns None
+        if val is None:
+            val = self._memo[key] = self._intern(fn(*args))
+        return val
+
+    def _intern(self, val):
+        """The memo's one object equal to val."""
+        return self._memo.setdefault(val, val)
+
     def rho_apply(self, g: int, a: SymOp) -> SymOp:
-        return conj_by_circuit(a, self.rho_tilde[g])
+        return self._memoized(("rho", g, a), conj_by_circuit, a, self.rho_tilde[g])
 
     def beta_conj_rho(self, g: int, pair: tuple[int, int]) -> SymOp:
-        """rho~(g)(beta(pair)), cached."""
-        key = (g, pair)
-        if key not in self._conj_beta_cache:
-            self._conj_beta_cache[key] = self.rho_apply(g, self.beta[pair])
-        return self._conj_beta_cache[key]
+        """rho~(g)(beta(pair))."""
+        return self.rho_apply(g, self.beta[pair])
+
+    def conj(self, a: SymOp, w: SymOp) -> SymOp:
+        return self._memoized(("conj", a, w), op_conj, a, w)
+
+    def inv(self, a: SymOp) -> SymOp:
+        return self._memoized(("inv", a), op_inv, a)
+
+    def eta(self, a: SymOp, w: SymOp) -> SymOp:
+        """eta of Ad a on the left half-line against Ad w on the right one."""
+        return self._memoized(("eta", a, w), self._eta, a, w)
+
+    def _eta(self, a: SymOp, w: SymOp) -> SymOp:
+        thick = self.origin_radius + self.action.total_range() + 1
+        return eta(
+            LocalizedAutomorphism(Region.half_line_L(thick), inner=a),
+            LocalizedAutomorphism(Region.half_line_R(thick), inner=w),
+        )
 
 
 def _truncate_and_collapse(action: CircuitAction, reach: int, half: Region, region: Region, label: str):
@@ -164,7 +205,8 @@ def _lift_u(data: TruncationData2d, label: str) -> list[str]:
     origin disk; returns the log of cropped debris."""
     G = data.group
     fail = weak_morphism_failure(
-        G, lambda g, h: data.beta[g, h], lambda g, h, k: data.beta_conj_rho(g, (h, k)), op_mul, op_inv
+        G, lambda g, h: data.beta[g, h], lambda g, h, k: data.beta_conj_rho(g, (h, k)),
+        op_mul, data.inv,
     )
     disk = Region.origin_disk(data.origin_radius)
     cropped = []
@@ -172,7 +214,7 @@ def _lift_u(data: TruncationData2d, label: str) -> list[str]:
         res = crop_window_debris(fail(g, h, k), data.window)
         cropped += [f"{label}({g},{h},{k}): {c}" for c in res.cropped]
         _assert_region(res.op, disk, f"{label}({g},{h},{k})")
-        data.u[g, h, k] = res.op
+        data.u[g, h, k] = data._intern(res.op)
     return cropped
 
 
@@ -184,6 +226,11 @@ def tau4(data: TruncationData2d, g: int, h: int, k: int, l: int) -> PhaseValue:
     beta(k,l) applied to u(g,h,kl)^-1; eta of alpha(g,h) against beta(k,l)
     conjugated through beta(g,h) rho~(gh); and beta(g,h) applied to
     u(gh,k,l)^-1.
+
+    Every step goes through data's memo, keyed by the operator values it
+    reads, and the phase by the six factor values: u, alpha and beta take a
+    handful of values, so the lattice is touched once per distinct value,
+    not once per tuple, and a hit carries the checks of a fresh call.
     """
     G = data.group
     gh, hk, kl = G.mul(g, h), G.mul(h, k), G.mul(k, l)
@@ -191,21 +238,18 @@ def tau4(data: TruncationData2d, g: int, h: int, k: int, l: int) -> PhaseValue:
     beta = data.beta
 
     f1 = u[g, h, k]
-    w2 = data.beta_conj_rho(g, (h, k))
-    f2 = op_conj(u[g, hk, l], w2)
+    f2 = data.conj(u[g, hk, l], data.beta_conj_rho(g, (h, k)))
     f3 = data.rho_apply(g, u[h, k, l])
     w4 = data.rho_apply(g, data.beta_conj_rho(h, (k, l)))
-    f4 = op_conj(op_inv(u[g, h, kl]), w4)
-    w5 = op_conj(data.beta_conj_rho(gh, (k, l)), beta[g, h])
-    thick = data.origin_radius + data.action.total_range() + 1
-    f5 = eta(
-        LocalizedAutomorphism(Region.half_line_L(thick), inner=data.alpha[g, h]),
-        LocalizedAutomorphism(Region.half_line_R(thick), inner=w5),
-    )
-    f6 = op_conj(op_inv(u[gh, k, l]), beta[g, h])
+    f4 = data.conj(data.inv(u[g, h, kl]), w4)
+    f5 = data.eta(data.alpha[g, h], data.conj(data.beta_conj_rho(gh, (k, l)), beta[g, h]))
+    f6 = data.conj(data.inv(u[gh, k, l]), beta[g, h])
 
-    total = op_mul(op_mul(op_mul(f1, f2), op_mul(f3, f4)), op_mul(f5, f6))
-    return _assert_scalar(total, f"tau({g},{h},{k},{l})")
+    def phase():
+        total = op_mul(op_mul(op_mul(f1, f2), op_mul(f3, f4)), op_mul(f5, f6))
+        return _assert_scalar(total, f"tau({g},{h},{k},{l})")
+
+    return data._memoized(("tau", f1, f2, f3, f4, f5, f6), phase)
 
 
 def tau_cochain(data: TruncationData2d) -> Cochain:
@@ -319,29 +363,31 @@ def regauge_beta(data: TruncationData2d, v: dict) -> TruncationData2d:
     def vv(g, h):
         return v.get((g, h), SymOp.identity())
 
-    beta2, alpha2, u2 = {}, {}, {}
+    beta2, alpha2 = {}, {}
     for g in G.elements():
         for h in G.elements():
             beta2[g, h] = op_mul(vv(g, h), data.beta[g, h])
             alpha2[g, h] = op_mul(data.mu[g, h], op_inv(beta2[g, h]))
+    new_radius = data.origin_radius + data.action.total_range() + 1
+    out = TruncationData2d(
+        data.action, data.rho_tilde, dict(data.mu), alpha2, beta2, {},
+        new_radius, data.cropped, data.assertions + ("beta regauged by Ad_v",),
+    )
+    # steps on v go through out's memo (same rho~), so data's memo does not
+    # grow with every regauging
     for g in G.elements():
         for h in G.elements():
             for k in G.elements():
                 gh, hk = G.mul(g, h), G.mul(h, k)
                 t1 = vv(g, h)
-                t2 = op_conj(vv(gh, k), data.beta[g, h])
+                t2 = out.conj(vv(gh, k), data.beta[g, h])
                 t3 = data.u[g, h, k]
-                t4 = op_conj(op_inv(vv(g, hk)), data.beta_conj_rho(g, (h, k)))
-                t5 = data.rho_apply(g, op_inv(vv(h, k)))
-                u2[g, h, k] = op_mul(op_mul(t1, t2), op_mul(t3, op_mul(t4, t5)))
-    new_radius = data.origin_radius + data.action.total_range() + 1
+                t4 = out.conj(out.inv(vv(g, hk)), data.beta_conj_rho(g, (h, k)))
+                t5 = out.rho_apply(g, out.inv(vv(h, k)))
+                out.u[g, h, k] = op_mul(op_mul(t1, t2), op_mul(t3, op_mul(t4, t5)))
     disk2 = Region.origin_disk(new_radius)
-    for key, op in u2.items():
+    for key, op in out.u.items():
         _assert_region(op, disk2, f"u'{key}")
-    out = TruncationData2d(
-        data.action, data.rho_tilde, dict(data.mu), alpha2, beta2, u2,
-        new_radius, data.cropped, data.assertions + ("beta regauged by Ad_v",),
-    )
     return out
 
 
@@ -396,12 +442,17 @@ def regauge_rho(data: TruncationData2d, gamma: dict) -> TruncationData2d:
     splits = {g: split_boundary_circuit(gam(g)) for g in G.elements()}
     w_r = {g: splits[g][1].unitary() for g in G.elements()}
 
+    def rho_apply(g: int, a: SymOp) -> SymOp:
+        # operands built from gamma stay out of data's memo, which would
+        # otherwise grow with every regauging
+        return conj_by_circuit(a, data.rho_tilde[g])
+
     rho2 = tuple(concat(data.rho_tilde[g], gam(g)) for g in G.elements())
     beta_of = weak_morphism_regauge(
-        G, lambda g, h: data.beta[g, h], w_r.__getitem__, data.rho_apply, op_mul, op_inv
+        G, lambda g, h: data.beta[g, h], w_r.__getitem__, rho_apply, op_mul, op_inv
     )
     mu_of = weak_morphism_regauge(
-        G, lambda g, h: data.mu[g, h], lambda g: gam(g).unitary(), data.rho_apply, op_mul, op_inv
+        G, lambda g, h: data.mu[g, h], lambda g: gam(g).unitary(), rho_apply, op_mul, op_inv
     )
     mu2, beta2, alpha2 = {}, {}, {}
     cropped = list(data.cropped)

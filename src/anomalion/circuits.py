@@ -198,6 +198,12 @@ class ProceduralCircuit:
             self._cache["range"] = sum(rule.range_bound() for rule in self.layers)
         return self._cache["range"]
 
+    def interior(self) -> Window | None:
+        """The window sites at edge distance >= total_range(), None if none."""
+        if "interior" not in self._cache:
+            self._cache["interior"] = self.window.shrunk(self.total_range())
+        return self._cache["interior"]
+
     def unitary(self) -> SymOp:
         """W_N ... W_1 (first layer rightmost, i.e. applied first)."""
         if "unitary" not in self._cache:
@@ -256,15 +262,17 @@ def conj_by_circuit(a: SymOp, c: ProceduralCircuit, check_margin: bool = True) -
 
     Gates in a layer commute, so each layer acts once, by the product of
     the gates that can fail to commute with the running operator; rules
-    over infinite regions are fine inside the window.
+    over infinite regions are fine inside the window.  With check_margin,
+    a's support must lie in interior(): a mask test, with sites decoded
+    only for the error message.
     """
-    if check_margin and not a.is_identity():
-        reach = c.total_range()
-        for s in support(a):
-            if c.window.edge_distance(s) < reach:
-                raise MarginError(
-                    f"support site {s} is within circuit range {reach} of the window edge"
-                )
+    if check_margin:
+        inner = c.interior()
+        if support_mask(a) & ~(0 if inner is None else region_mask(inner)):
+            bad = next(s for s in sorted(support(a)) if inner is None or not inner.contains(s))
+            raise MarginError(
+                f"support site {bad} is within circuit range {c.total_range()} of the window edge"
+            )
     for layer in c.instantiate():
         gates = layer.acting(a)
         if gates:

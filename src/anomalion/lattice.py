@@ -67,6 +67,15 @@ class Window:
         dy = min(s[1] - self.y_min, self.y_max - s[1])
         return min(dx, dy)
 
+    def shrunk(self, d: int) -> "Window | None":
+        """The window of the sites at edge distance >= d, None if there are
+        none; a chain keeps y = 0."""
+        x_min, x_max = self.x_min + d, self.x_max - d
+        y_min, y_max = (0, 0) if self.is_chain else (self.y_min + d, self.y_max - d)
+        if x_min > x_max or y_min > y_max:
+            return None
+        return Window(x_min, x_max, y_min, y_max)
+
     def in_interior(self, s: Site) -> bool:
         """At least margin away from the window rim."""
         return self.contains(s) and self.edge_distance(s) >= self.margin

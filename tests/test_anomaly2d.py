@@ -13,15 +13,57 @@ from anomalion.anomaly import (
     tau4,
     tau_cochain,
 )
-from anomalion.circuits import GateRule, ProceduralCircuit, builtin_action, product_collapse
+import anomalion.anomaly as anomaly_module
+from anomalion.circuits import (
+    GateRule,
+    ProceduralCircuit,
+    builtin_action,
+    conj_by_circuit,
+    product_collapse,
+)
 from anomalion.groups import Cochain, coboundary, cohomologous, klein_bits
 from anomalion.lattice import Region, Window, classify_support
+from anomalion.pairing import LocalizedAutomorphism, eta
 from anomalion.sampling import random_inner, region_sites
-from anomalion.symop import SymOp, op_product, support
+from anomalion.symop import SymOp, op_conj, op_inv, op_mul, op_product, scalar_phase, support
 
 
 def bits(e):
     return klein_bits(e)
+
+
+def _oracle_tau(data, g, h, k, l):
+    """The six-factor product of tau4 with every lattice step taken afresh,
+    no memo; asserted scalar like tau4."""
+    G = data.group
+    gh, hk, kl = G.mul(g, h), G.mul(h, k), G.mul(k, l)
+    u, beta, rho = data.u, data.beta, data.rho_tilde
+
+    f1 = u[g, h, k]
+    f2 = op_conj(u[g, hk, l], conj_by_circuit(beta[h, k], rho[g]))
+    f3 = conj_by_circuit(u[h, k, l], rho[g])
+    w4 = conj_by_circuit(conj_by_circuit(beta[k, l], rho[h]), rho[g])
+    f4 = op_conj(op_inv(u[g, h, kl]), w4)
+    w5 = op_conj(conj_by_circuit(beta[k, l], rho[gh]), beta[g, h])
+    thick = data.origin_radius + data.action.total_range() + 1
+    f5 = eta(
+        LocalizedAutomorphism(Region.half_line_L(thick), inner=data.alpha[g, h]),
+        LocalizedAutomorphism(Region.half_line_R(thick), inner=w5),
+    )
+    f6 = op_conj(op_inv(u[gh, k, l]), beta[g, h])
+    total = op_mul(op_mul(op_mul(f1, f2), op_mul(f3, f4)), op_mul(f5, f6))
+    phase = scalar_phase(total)
+    if phase is None:
+        raise NonScalarError(f"tau({g},{h},{k},{l}) is not scalar")
+    return phase
+
+
+def _oracle_tau_raises(data, g, h, k, l):
+    try:
+        _oracle_tau(data, g, h, k, l)
+    except NonScalarError:
+        return True
+    return False
 
 
 def test_margin_precondition(window12):
@@ -166,7 +208,6 @@ def test_u_scalar_shift_moves_tau_by_coboundary(ccz_action, ccz_data):
             key: op_mul(SymOp.scalar(-1 if psi_bits[key] else 1), u)
             for key, u in ccz_data.u.items()
         },
-        _conj_beta_cache=dict(ccz_data._conj_beta_cache),
     )
     tau0 = tau_cochain(ccz_data)
     tau1 = tau_cochain(shifted)
@@ -264,11 +305,64 @@ def test_tau_rejects_alpha_off_the_left_half_line(ccz_data):
     broken = dataclasses.replace(
         ccz_data,
         alpha={**ccz_data.alpha, (0b01, 0b10): SymOp.z(far)},
-        _conj_beta_cache=dict(ccz_data._conj_beta_cache),
     )
     assert regauge_rho(broken, {}).alpha == regauge_rho(ccz_data, {}).alpha
     with pytest.raises(ValueError, match=r"inner unitary leaves its declared region at \[" + re.escape(str(far))):
         tau_cochain(broken)
+
+
+def test_memoized_tau_matches_oracle(ccz_data, window12):
+    """tau_cochain through the memo equals the fresh six-factor product on
+    every tuple, for the truncation and for one beta and one rho~ regauging."""
+    G = ccz_data.group
+    rng = random.Random(41)
+    disk_sites = region_sites(window12, Region.origin_disk(2))
+    v = {(g, h): random_inner(rng, disk_sites) for g in G.elements() for h in G.elements()}
+    gamma = {0b10: ProceduralCircuit((GateRule("explicit", gates=(SymOp.x((1, 0)),)),), window12)}
+    for data in (ccz_data, regauge_beta(ccz_data, v), regauge_rho(ccz_data, gamma)):
+        want = Cochain.from_function(G, 4, 2, lambda *t: _oracle_tau(data, *t).as_sign() == -1)
+        assert tau_cochain(data) == want
+
+
+def test_tau_touches_the_lattice_once_per_value(ccz_data, monkeypatch):
+    """A fresh memo computes tau with O(|G|) conjugations and eta calls,
+    not one per tuple (512 and 256 without the memo)."""
+    import dataclasses
+
+    calls = {"conj_by_circuit": 0, "eta": 0}
+
+    def counting(name):
+        fn = getattr(anomaly_module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(anomaly_module, name, counting(name))
+    data = dataclasses.replace(ccz_data)
+    tau = tau_cochain(data)
+    order = data.group.order
+    assert calls["conj_by_circuit"] <= 4 * order
+    assert calls["eta"] <= order ** 2
+    assert tau == tau_cochain(ccz_data)
+
+
+def test_replace_starts_an_empty_memo(ccz_data):
+    """Replacing beta must not serve conjugates of the old beta."""
+    import dataclasses
+
+    for g in ccz_data.group.elements():
+        for pair in ccz_data.beta:
+            ccz_data.beta_conj_rho(g, pair)
+    new_beta = {p: op_mul(SymOp.z((0, 0)), b) for p, b in ccz_data.beta.items()}
+    data = dataclasses.replace(ccz_data, beta=new_beta)
+    assert not data._memo
+    for g in data.group.elements():
+        for p, b in new_beta.items():
+            assert data.beta_conj_rho(g, p) == conj_by_circuit(b, data.rho_tilde[g])
 
 
 def test_nonscalar_tau_detection(ccz_data):
@@ -277,9 +371,10 @@ def test_nonscalar_tau_detection(ccz_data):
     broken = dataclasses.replace(
         ccz_data,
         u={**ccz_data.u, (0b01, 0b01, 0b10): SymOp.z((1, 0))},
-        _conj_beta_cache=dict(ccz_data._conj_beta_cache),
     )
-    with pytest.raises(NonScalarError):
+    first = next(t for t in broken.group.tuples(4) if _oracle_tau_raises(broken, *t))
+    message = "tau({},{},{},{}) is not scalar".format(*first)
+    with pytest.raises(NonScalarError, match=re.escape(message)):
         tau_cochain(broken)
 
 

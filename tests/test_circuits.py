@@ -169,6 +169,43 @@ def test_conj_margin_error(window12):
         conj_by_circuit(SymOp.z((window12.x_max, 0)), c)
 
 
+def test_margin_mask_matches_edge_distance():
+    """The mask margin check raises exactly when some support site is
+    within the circuit's range of the rim (edge distance < range), for
+    operators near the rim and outside the window; on a chain, sites off
+    the row y = 0 lie outside the window and raise too."""
+    rng = random.Random(2024)
+    windows = (Window.centered(12, 12, 3), Window(-3, 5, -6, 2, 1), Window.chain(12, 3))
+    for window in windows:
+        pattern = "cz_chain_edges" if window.is_chain else "cz_horizontal_edges"
+        for reach in range(8):
+            c = ProceduralCircuit((GateRule(pattern, Region.full()),) * reach, window)
+            assert c.total_range() == reach
+            for _ in range(60):
+                sites = {
+                    (rng.randint(window.x_min - 2, window.x_max + 2),
+                     0 if window.is_chain else rng.randint(window.y_min - 2, window.y_max + 2))
+                    for _ in range(rng.randint(1, 3))
+                }
+                flips = {s for s in sites if rng.random() < 0.5}
+                a = SymOp(frozenset(frozenset([s]) for s in sites - flips), frozenset(flips))
+                per_site = any(window.edge_distance(s) < reach for s in sites)
+                try:
+                    conj_by_circuit(a, c)
+                    raised = False
+                except MarginError as err:
+                    first = min(s for s in sites if window.edge_distance(s) < reach)
+                    assert f"support site {first} " in str(err)
+                    raised = True
+                assert raised == per_site, (window, reach, sorted(sites))
+    chain = windows[2]
+    with pytest.raises(MarginError):
+        conj_by_circuit(SymOp.z((0, 1)), ProceduralCircuit.empty(chain))
+    deep = ProceduralCircuit((GateRule("cz_chain_edges", Region.full()),) * 7, chain)
+    assert deep.interior() is None
+    assert conj_by_circuit(SymOp.scalar(-1), deep) == SymOp.scalar(-1)
+
+
 def test_circuit_unitary_matches_dense():
     w = Window(0, 2, 0, 2)
     action = builtin_action("ccz_x_2d", w)
