@@ -15,6 +15,8 @@ valid layer are valid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .groups import FiniteGroup, klein_bits, klein_four
 from .lattice import Region, Window
@@ -136,14 +138,17 @@ class Layer(tuple):
     A circuit takes Layers as they are, without validation, so build one
     only from a validated layer of the same window (a sub-layer, inverse or
     conjugate).  The bound defaults to the largest gate diameter.  The
-    index, built on first use, maps each site bit to the positions of the
-    gates whose diagonal depends on it, and of those that flip it, as masks.
+    product, the site mask and the index are built on first use; the index
+    maps each site bit to the positions of the gates whose diagonal depends
+    on it, and of those that flip it, as masks.
     """
 
     def __new__(cls, gates=(), bound: int | None = None):
         layer = super().__new__(cls, gates)
         layer._bound = bound
         layer._index = None
+        layer._product = None
+        layer._mask = None
         return layer
 
     def range_bound(self) -> int:
@@ -151,9 +156,30 @@ class Layer(tuple):
             self._bound = max((_diameter(support(g)) for g in self), default=0)
         return self._bound
 
+    def product(self) -> SymOp:
+        """The layer unitary, the product of its (commuting) gates."""
+        if self._product is None:
+            self._product = op_product(self)
+        return self._product
+
+    def mask(self) -> int:
+        """The sites the layer's gates touch, as a mask."""
+        if self._mask is None:
+            self._mask = reduce(or_, map(support_mask, self), 0)
+        return self._mask
+
+    def conj(self, a: SymOp) -> SymOp:
+        """phi(layer)(a): conjugation by the gates that can fail to commute with a."""
+        gates = self.acting(a)
+        return op_conj(a, op_product(gates)) if gates else a
+
     def acting(self, a: SymOp) -> list[SymOp]:
         """The gates that can fail to commute with a, in layer order: those
-        whose diagonal meets a's flips or whose flips meet a's diagonal."""
+        whose diagonal meets a's flips or whose flips meet a's diagonal.
+        An a that misses the layer's mask meets none, and builds no index."""
+        diag, flips = support_masks(a)
+        if not (diag | flips) & self.mask():
+            return []
         if self._index is None:
             index = ({}, {})
             for i, g in enumerate(self):
@@ -163,7 +189,6 @@ class Layer(tuple):
                         by_bit[bit] = by_bit.get(bit, 0) | 1 << i
                         m ^= bit
             self._index = index
-        diag, flips = support_masks(a)
         hit = 0
         for by_bit, m in zip(self._index, (flips, diag)):
             while m:
@@ -195,7 +220,7 @@ class ProceduralCircuit:
 
     def total_range(self) -> int:
         if "range" not in self._cache:
-            self._cache["range"] = sum(rule.range_bound() for rule in self.layers)
+            self._cache["range"] = sum(layer.range_bound() for layer in self.instantiate())
         return self._cache["range"]
 
     def interior(self) -> Window | None:
@@ -209,7 +234,7 @@ class ProceduralCircuit:
         if "unitary" not in self._cache:
             acc = SymOp.identity()
             for layer in self.instantiate():
-                acc = op_mul(op_product(layer), acc)
+                acc = op_mul(layer.product(), acc)
             self._cache["unitary"] = acc
         return self._cache["unitary"]
 
@@ -240,19 +265,10 @@ def concat(first_applied: ProceduralCircuit, then_applied: ProceduralCircuit) ->
 
 def truncate(c: ProceduralCircuit, region: Region) -> ProceduralCircuit:
     """Keep exactly the gates whose entire support lies in the region."""
-    return _split(c, region, True)
-
-
-def truncate_rest(c: ProceduralCircuit, region: Region) -> ProceduralCircuit:
-    """The gates truncate() drops, as a circuit (straddlers included)."""
-    return _split(c, region, False)
-
-
-def _split(c: ProceduralCircuit, region: Region, inside: bool) -> ProceduralCircuit:
     layers = c.instantiate()  # first, so that the mask covers the gates' sites
     outside = ~region_mask(region)
     return ProceduralCircuit(
-        tuple(Layer(g for g in layer if (not support_mask(g) & outside) == inside) for layer in layers),
+        tuple(Layer(g for g in layer if not support_mask(g) & outside) for layer in layers),
         c.window,
     )
 
@@ -274,9 +290,7 @@ def conj_by_circuit(a: SymOp, c: ProceduralCircuit, check_margin: bool = True) -
                 f"support site {bad} is within circuit range {c.total_range()} of the window edge"
             )
     for layer in c.instantiate():
-        gates = layer.acting(a)
-        if gates:
-            a = op_conj(a, op_product(gates))
+        a = layer.conj(a)
     return a
 
 

@@ -5,13 +5,17 @@ inner, and eta(alpha, beta) is the canonical unitary with
 Ad_eta = [alpha, beta].  Single layers are handled by truncating the layer
 near the origin (the product stabilizes once the truncation radius passes
 the ranges involved; we certify stabilization by comparing radii r and
-r+2), and multi-layer circuits by the one-layer-at-a-time recursions
+r+2, and a layer wholly inside disk r is paired once, on its product,
+which both truncations equal), and multi-layer circuits by the
+one-layer-at-a-time recursions
 
     eta(A, B.B') = eta(A, B) * phi(B)(eta(A, B'))
     eta(A.A', B) = phi(A)(eta(A', B)) * eta(A, B)
 
-where the primed circuit is the part applied first to states.  Inner
-arguments use the closed forms eta(Ad_u, beta) = u beta(u^-1) and
+where the primed circuit is the part applied first to states, evaluated
+in Horner form over the layers in list order (each phi(layer) is an
+automorphism), so each layer is paired and conjugated through once.
+Inner arguments use the closed forms eta(Ad_u, beta) = u beta(u^-1) and
 eta(alpha, Ad_u) = alpha(u) u^-1.  Every route available for a given pair
 is computed and must agree bit-exactly.
 """
@@ -70,9 +74,6 @@ class LocalizedAutomorphism:
     def is_inner(self) -> bool:
         return self.inner is not None
 
-    def window(self) -> Window | None:
-        return self.circuit.window if self.circuit is not None else None
-
     def range_bound(self) -> int:
         if self.is_inner:
             return _op_radius(self.inner)
@@ -94,66 +95,54 @@ def _op_radius(a: SymOp) -> int:
     return max((max(abs(s[0]), abs(s[1])) for s in support(a)), default=0)
 
 
-def _truncate_layer_to_disk(layer: list[SymOp], r: int) -> SymOp:
+def _truncate_layer_to_disk(layer: Layer, r: int) -> SymOp:
     outside = ~region_mask(Region.origin_disk(r))
     return op_product(g for g in layer if not support_mask(g) & outside)
 
 
-def _eta_single_layer(layer: list[SymOp], window: Window, pair) -> SymOp:
+def _eta_single_layer(layer: Layer, window: Window, pair) -> SymOp:
     """pair(T_r) for the layer truncated to the disks of radii r and r+2.
 
     Constancy between the two radii is the actual stabilization
     certificate; the largest window-feasible pair is used, and degenerate
-    windows are refused.
+    windows are refused.  A layer inside disk r has T_r = T_{r+2}.
     """
     r2 = window.edge_distance((0, 0))
     r = r2 - 2
     if r < 2:
         raise StabilizationError("window too small to stabilize the pairing")
+    if not layer.mask() & ~region_mask(Region.origin_disk(r)):
+        return pair(layer.product())
     vals = [pair(_truncate_layer_to_disk(layer, radius)) for radius in (r, r2)]
     if vals[0] != vals[1]:
         raise StabilizationError("eta did not stabilize between radii; margin too small")
     return vals[0]
 
 
-def _suffix_circuit(c: ProceduralCircuit, start: int) -> ProceduralCircuit:
-    return ProceduralCircuit(tuple(c.instantiate()[start:]), c.window)
-
-
 def eta_R(alpha: LocalizedAutomorphism, b_circuit: ProceduralCircuit) -> SymOp:
-    """Recursion over the layers of the right circuit.
+    """Horner form over the right circuit's layers, layer 0 applied first:
+    eta(A, F(..k)) = eta(A, layer_k) * phi(layer_k)(eta(A, F(..k-1))).
 
-    eta(A, F(k..)) = eta(A, F(k+1..)) * phi(F(k+1..))(eta(A, layer_k)),
-    layer 0 being the one applied first to states.
+    One certified pairing (_eta_single_layer) and one conjugation per
+    layer; it multiplies out to the suffix recursion because phi(layer_k)
+    is an automorphism.
     """
-    layers = b_circuit.instantiate()
-    window = b_circuit.window
-    acc = None
-    for k in range(len(layers) - 1, -1, -1):
+    z = SymOp.identity()
+    for layer in b_circuit.instantiate():
         # eta for a single right layer: alpha(B_r) B_r^-1
-        piece = _eta_single_layer(layers[k], window, lambda b: op_mul(alpha.apply(b), op_inv(b)))
-        if acc is None:
-            acc = piece
-        else:
-            rest = _suffix_circuit(b_circuit, k + 1)
-            acc = op_mul(acc, conj_by_circuit(piece, rest, check_margin=False))
-    return SymOp.identity() if acc is None else acc
+        piece = _eta_single_layer(layer, b_circuit.window, lambda b: op_mul(alpha.apply(b), op_inv(b)))
+        z = op_mul(piece, layer.conj(z))
+    return z
 
 
 def eta_L(a_circuit: ProceduralCircuit, beta: LocalizedAutomorphism) -> SymOp:
-    """Mirror recursion: eta(F(k..), B) = phi(F(k+1..))(eta(layer_k, B)) * eta(F(k+1..), B)."""
-    layers = a_circuit.instantiate()
-    window = a_circuit.window
-    acc = None
-    for k in range(len(layers) - 1, -1, -1):
+    """Mirror Horner form: eta(F(..k), B) = phi(layer_k)(eta(F(..k-1), B)) * eta(layer_k, B)."""
+    z = SymOp.identity()
+    for layer in a_circuit.instantiate():
         # eta for a single left layer: A_r beta(A_r^-1)
-        piece = _eta_single_layer(layers[k], window, lambda a: op_mul(a, beta.apply(op_inv(a))))
-        if acc is None:
-            acc = piece
-        else:
-            rest = _suffix_circuit(a_circuit, k + 1)
-            acc = op_mul(conj_by_circuit(piece, rest, check_margin=False), acc)
-    return SymOp.identity() if acc is None else acc
+        piece = _eta_single_layer(layer, a_circuit.window, lambda a: op_mul(a, beta.apply(op_inv(a))))
+        z = op_mul(layer.conj(z), piece)
+    return z
 
 
 def eta(alpha: LocalizedAutomorphism, beta: LocalizedAutomorphism) -> SymOp:

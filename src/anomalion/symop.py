@@ -292,11 +292,6 @@ def scalar_phase(a: SymOp) -> PhaseValue | None:
     return PhaseValue.minus_one() if a._poly else PhaseValue.one()
 
 
-def constant_term(a: SymOp) -> int:
-    """f(0), i.e. 1 if the empty monomial is present else 0."""
-    return 1 if 0 in a._poly else 0
-
-
 # -- reference states and expectations ----------------------------------
 
 

@@ -18,12 +18,11 @@ from anomalion.circuits import (
     crop_window_debris,
     product_collapse,
     truncate,
-    truncate_rest,
     validate_action,
 )
 from anomalion.groups import FiniteGroup
 from anomalion.lattice import Region, Window
-from anomalion.pairing import _suffix_circuit
+from anomalion.pairing import _conjugated_circuit
 from anomalion.symop import (
     SymOp,
     format_op,
@@ -32,8 +31,10 @@ from anomalion.symop import (
     op_product,
     ops_commute,
     support,
+    support_mask,
 )
 from oracle import DenseSpace
+from reference import suffix_circuit, truncate_rest
 
 
 def test_instantiate_x_sites():
@@ -376,8 +377,12 @@ def rand_circuit(rng):
     return ProceduralCircuit(tuple(rand_layer(rng) for _ in range(rng.randrange(4))), GRID)
 
 
-def rand_derived(rng, c):
-    kind = rng.randrange(5)
+DERIVED_KINDS = 6
+
+
+def rand_derived(rng, c, kind=None):
+    if kind is None:
+        kind = rng.randrange(DERIVED_KINDS)
     if kind == 0:
         return truncate(c, Region.origin_disk(rng.randrange(4)))
     if kind == 1:
@@ -385,7 +390,9 @@ def rand_derived(rng, c):
     if kind == 2:
         return concat(c, rand_circuit(rng))
     if kind == 3:
-        return _suffix_circuit(c, rng.randrange(len(c.layers) + 1))
+        return suffix_circuit(c, rng.randrange(len(c.layers) + 1))
+    if kind == 4:
+        return _conjugated_circuit(c, rand_circuit(rng))
     return c
 
 
@@ -415,6 +422,22 @@ def test_indexed_conj_matches_full_scan(seed):
         assert b == conj_full_scan(a, c)
 
 
+@given(st.integers(0, 2**32), st.integers(0, DERIVED_KINDS - 1))
+@settings(max_examples=200, deadline=None)
+def test_layer_product_and_mask_match_gates(seed, kind):
+    """The cached product and mask of generated, truncated, inverted,
+    concatenated, suffix and conjugated layers are those of their gates."""
+    rng = random.Random(seed)
+    c = rand_derived(rng, rand_circuit(rng), kind)
+    for layer in c.instantiate():
+        want = 0
+        for g in layer:
+            want |= support_mask(g)
+        assert layer.mask() == want
+        assert layer.product() == op_product(layer)
+        assert layer.product() is layer.product()
+
+
 def test_diagonal_passes_ccz_layer_without_acting_gates(window12):
     c = builtin_action("ccz_x_2d", window12).circuit(0b10)  # the CCZ layer only
     (layer,) = c.instantiate()
@@ -439,7 +462,7 @@ def test_total_range_of_derived_circuits(window12):
     assert not c.instantiate()[1]
     assert c.total_range() == 2
     assert concat(c, c).total_range() == 4
-    assert _suffix_circuit(c, 1).total_range() == 2
+    assert suffix_circuit(c, 1).total_range() == 2
     assert truncate(c, Region.half_plane_H()).total_range() == 1
     assert truncate(c, Region.boundary_line()).total_range() == 1
     assert truncate_rest(c, Region.half_plane_H()).total_range() == 0
@@ -448,13 +471,26 @@ def test_total_range_of_derived_circuits(window12):
     assert ccz.total_range() == 1 and ccz.inverse().total_range() == 1
 
 
+def test_explicit_rule_diameters_decoded_once(window12, monkeypatch):
+    from anomalion import circuits
+
+    calls = []
+    diameter = circuits._diameter
+    monkeypatch.setattr(circuits, "_diameter", lambda sites: calls.append(sites) or diameter(sites))
+    gates = (SymOp.cz((0, 0), (1, 0)), SymOp.x((2, 2)))
+    c = ProceduralCircuit((GateRule("explicit", gates=gates),), window12)
+    assert c.total_range() == 1
+    conj_by_circuit(SymOp.x((0, 0)), c)
+    assert c.total_range() == 1 and len(calls) == len(gates)
+
+
 def test_rules_generated_once_and_inverse_cached(window12, monkeypatch):
     calls = []
     generate = GateRule.generate
     monkeypatch.setattr(GateRule, "generate", lambda rule, w: calls.append(rule) or generate(rule, w))
     c = builtin_action("ccz_x_2d", window12).circuit(0b11)
     H = Region.half_plane_H()
-    derived = [truncate(c, H), truncate_rest(c, H), concat(c, c), _suffix_circuit(c, 1), c.inverse()]
+    derived = [truncate(c, H), truncate_rest(c, H), concat(c, c), suffix_circuit(c, 1), c.inverse()]
     for d in derived:
         d.instantiate()
     a = SymOp.x((0, 0))

@@ -1,14 +1,22 @@
+import random
+
 import pytest
 
-from anomalion.circuits import GateRule, ProceduralCircuit, conj_by_circuit
+from anomalion import pairing
+from anomalion.circuits import GateRule, Layer, ProceduralCircuit, concat, conj_by_circuit
 from anomalion.lattice import Region, Window
 from anomalion.pairing import (
     LocalizedAutomorphism,
     StabilizationError,
+    _eta_single_layer,
     eta,
+    eta_L,
+    eta_R,
     run_identity_suite,
 )
+from anomalion.sampling import random_circuit, region_sites
 from anomalion.symop import SymOp, commutator, op_inv, op_mul, op_product, support
+from reference import eta_L_suffix, eta_R_suffix
 
 
 def left_circuit(window, gates_layers):
@@ -119,3 +127,88 @@ def test_identity_suite_chain_mode(chain12):
     rep = run_identity_suite(chain12, n_pairs=15, seed=23)
     assert rep.ok, rep.failures[:2]
     assert all(v == 15 for v in rep.checks.values())
+
+
+@pytest.mark.parametrize("which", ["window12", "chain12"])
+def test_horner_routes_match_suffix_recursion(which, request):
+    """eta_R / eta_L in Horner form equal the suffix-by-suffix recursion,
+    with every layer paired at both radii, bit-exactly, on seeded random
+    circuits and concatenations of up to 8 layers.  Conjugation keeps the
+    flip set of a D_f X_S operator, so alpha(B) B^-1 and every eta value is
+    diagonal: the two factors of a Horner step commute, and only the layer
+    order and what is conjugated are observable."""
+    window = request.getfixturevalue(which)
+    rng = random.Random(12)
+    box = Region.origin_disk(max(2, window.edge_distance((0, 0)) - window.margin))
+    l_sites = region_sites(window, Region.intersection_of(Region.half_line_L(1), box))
+    r_sites = region_sites(window, Region.intersection_of(Region.half_line_R(1), box))
+    depths = set()
+    for _ in range(25):
+        ca, cb = random_circuit(rng, window, l_sites), random_circuit(rng, window, r_sites)
+        for _ in range(rng.randrange(4)):
+            ca = concat(random_circuit(rng, window, l_sites), ca)
+            cb = concat(cb, random_circuit(rng, window, r_sites))
+        depths.add(max(len(ca.layers), len(cb.layers)))
+        alpha = LocalizedAutomorphism(Region.half_line_L(3), circuit=ca)
+        beta = LocalizedAutomorphism(Region.half_line_R(3), circuit=cb)
+        got = eta_R(alpha, cb)
+        assert got == eta_R_suffix(alpha, cb) and got.is_diagonal()
+        assert eta_L(ca, beta) == eta_L_suffix(ca, beta)
+    assert max(depths) > 4
+
+
+def test_single_layer_compares_radii_when_a_gate_is_in_the_annulus(window12):
+    r = window12.edge_distance((0, 0)) - 2
+    annulus = SymOp.z((r + 1, 0))  # in disk r+2, not in disk r
+    layer = Layer([SymOp.z((0, 0)), annulus])
+    with pytest.raises(StabilizationError, match="did not stabilize"):
+        _eta_single_layer(layer, window12, lambda t: t)
+    # X at the origin commutes with the annulus Z, so both radii agree
+    blind = lambda t: commutator(SymOp.x((0, 0)), t)
+    assert _eta_single_layer(layer, window12, blind) == SymOp.scalar(-1)
+    # a layer wholly inside disk r is paired once, on its product
+    inner = Layer([SymOp.z((0, 0)), SymOp.z((r, 0))])
+    seen = []
+    assert _eta_single_layer(inner, window12, lambda t: seen.append(t) or t) == inner.product()
+    assert seen == [inner.product()]
+
+
+def test_one_pairing_and_one_layer_conjugation_per_layer(window12, monkeypatch):
+    """Each route pairs each layer once (one conj_by_circuit of the other
+    argument) and conjugates through each of its own layers once (Layer.conj
+    calls outside conj_by_circuit)."""
+    counts = {"conj_by_circuit": 0, "layer_conj": 0}
+    inside = []
+
+    def counted_conj(a, c, check_margin=True):
+        counts["conj_by_circuit"] += 1
+        inside.append(c)
+        try:
+            return conj_by_circuit(a, c, check_margin)
+        finally:
+            inside.pop()
+
+    layer_conj = Layer.conj
+
+    def counted_layer_conj(layer, a):
+        counts["layer_conj"] += not inside
+        return layer_conj(layer, a)
+
+    monkeypatch.setattr(pairing, "conj_by_circuit", counted_conj)
+    monkeypatch.setattr(Layer, "conj", counted_layer_conj)
+
+    def run(f, *args):
+        for k in counts:
+            counts[k] = 0
+        f(*args)
+        return dict(counts)
+
+    a_layers = [[SymOp.x((-1, 0))], [SymOp.cz((-2, 0), (-1, 0))]]
+    b_layers = [[SymOp.cz((0, 0), (1, 0))], [SymOp.x((1, 0))], [SymOp.z((2, 0))]]
+    one_a = LocalizedAutomorphism(Region.half_line_L(2), circuit=left_circuit(window12, a_layers[:1]))
+    one_b = LocalizedAutomorphism(Region.half_line_R(2), circuit=left_circuit(window12, b_layers[:1]))
+    assert run(eta, one_a, one_b) == {"conj_by_circuit": 2, "layer_conj": 2}
+    alpha = LocalizedAutomorphism(Region.half_line_L(2), circuit=left_circuit(window12, a_layers))
+    beta = LocalizedAutomorphism(Region.half_line_R(2), circuit=left_circuit(window12, b_layers))
+    assert run(eta_R, alpha, beta.circuit) == {"conj_by_circuit": 3, "layer_conj": 3}
+    assert run(eta_L, alpha.circuit, beta) == {"conj_by_circuit": 2, "layer_conj": 2}

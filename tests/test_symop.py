@@ -22,7 +22,6 @@ from anomalion.symop import (
     ReferenceState,
     SymOp,
     commutator,
-    constant_term,
     expectation_value,
     format_op,
     op_conj,
@@ -37,6 +36,7 @@ from anomalion.symop import (
     support_mask,
 )
 from oracle import DenseSpace
+from reference import constant_term
 
 I_, J_, K_ = (0, 0), (1, 0), (2, 0)
 
