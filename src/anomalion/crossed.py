@@ -496,10 +496,10 @@ def postnikov3(
 ) -> list[Cochain]:
     """The degree-3 kernel-valued cocycle of each section sigma of N -> pi1.
 
-    nu(x,y) = sigma(x)sigma(y)sigma(xy)^-1 lifts through bd (deterministic
-    preimage choice); the alternating combination of lifts lands in
-    ker(bd), is converted to phases through the supplied iso, and is
-    verified to be closed.  The module and the iso are checked once per
+    nu(x,y) = sigma(x)sigma(y)sigma(xy)^-1 lifts through bd once per pair
+    (deterministic preimage choice); the alternating combination of lifts
+    lands in ker(bd), is converted to phases through the supplied iso, and
+    is verified to be closed.  The module and the iso are checked once per
     call, however many sections are given.
     """
     rep = validate_crossed_module(cm)
@@ -517,14 +517,19 @@ def postnikov3(
             if proj[sigma[x]] != x:
                 raise ValueError(f"sigma is not a section at {x}")
 
-        def nu_lift(x: int, y: int) -> int:
-            n = N.mul(N.mul(sigma[x], sigma[y]), N.inv(sigma[pi1.mul(x, y)]))
-            if n not in preimage:
-                raise ValueError("nu value is not in the image of bd")
-            return preimage[n]
+        # nu lifted through bd, one entry per pair (x, y)
+        lift = []
+        for x in pi1.elements():
+            row = []
+            for y in pi1.elements():
+                n = N.mul(N.mul(sigma[x], sigma[y]), N.inv(sigma[pi1.mul(x, y)]))
+                if n not in preimage:
+                    raise ValueError("nu value is not in the image of bd")
+                row.append(preimage[n])
+            lift.append(row)
 
         fail = weak_morphism_failure(
-            pi1, nu_lift, lambda x, y, z: cm.act(sigma[x], nu_lift(y, z)), M.mul, M.inv
+            pi1, lambda x, y: lift[x][y], lambda x, y, z: cm.act(sigma[x], lift[y][z]), M.mul, M.inv
         )
         return _kernel_cochain(cm, pi1, fail, iso, "postnikov cochain")
 

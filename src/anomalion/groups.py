@@ -9,12 +9,12 @@ All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import lru_cache
+from itertools import product, repeat
 from math import gcd, lcm
+from operator import mod
 
-import numpy as np
-
-from .linalg import solve_mod
+from .linalg import Matrix, solve_mod
 
 
 class GroupTableError(ValueError):
@@ -314,7 +314,8 @@ class Cochain:
             raise ValueError("modulus must be positive")
         if len(self.values) != self.group.order**self.degree:
             raise ValueError("value table has wrong size")
-        object.__setattr__(self, "values", tuple(v % self.modulus for v in self.values))
+        m = self.modulus
+        object.__setattr__(self, "values", tuple([v % m for v in self.values]))
 
     # indexing
     def _idx(self, args: tuple[int, ...]) -> int:
@@ -349,11 +350,11 @@ class Cochain:
         a, b = m // self.modulus, m // other.modulus
         return Cochain(
             self.group, self.degree, m,
-            tuple(x * a + y * b for x, y in zip(self.values, other.values)),
+            tuple([x * a + y * b for x, y in zip(self.values, other.values)]),
         )
 
     def inverse(self) -> "Cochain":
-        return Cochain(self.group, self.degree, self.modulus, tuple(-v for v in self.values))
+        return Cochain(self.group, self.degree, self.modulus, tuple([-v for v in self.values]))
 
     def with_modulus(self, m: int) -> "Cochain":
         if m % self.modulus:
@@ -376,50 +377,84 @@ class Cochain:
         return {"degree": self.degree, "modulus": self.modulus, "values": keyed}
 
 
-def _faces(group: FiniteGroup, n: int) -> np.ndarray:
-    """Index in G^n of face i of every tuple of G^(n+1), one row per i.
+def _faces(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], ...]:
+    """Index in G^n of face i of every tuple of G^(n+1), one tuple per i.
 
     The inhomogeneous differential is (delta c)(g_0..g_n) = sum_i (-1)^i
     c(face_i): face 0 drops g_0, face i merges g_(i-1) g_i, face n+1 drops
-    g_n.  Tuples are in the row-major index order of Cochain.values.
+    g_n.  Tuples are in the row-major index order of Cochain.values.  Each
+    face is assembled from slices of range(order^n), and the faces are
+    cached per (multiplication table, n).
     """
-    order = group.order
-    args = np.indices((order,) * (n + 1)).reshape(n + 1, -1)
-    mul = np.asarray(group.mul_table, dtype=np.int64)
+    return _face_table(group.mul_table, n)
 
-    def idx(entries) -> np.ndarray:
-        i = np.zeros(args.shape[1], dtype=np.int64)
-        for a in entries:
-            i = i * order + a
-        return i
 
-    merged = [idx([*args[: i - 1], mul[args[i - 1], args[i]], *args[i + 1 :]]) for i in range(1, n + 1)]
-    return np.stack([idx(args[1:]), *merged, idx(args[:n])])
+@lru_cache(maxsize=16)
+def _face_table(mul: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
+    order = len(mul)
+    base = list(range(order**n))
+    size = order * len(base)
+    faces = [base * order]
+    for i in range(1, n + 1):
+        # (prefix p, a, b, suffix s), p in G^(i-1) and s in G^(n-i), has index
+        # p*step*order + (a*order + b)*suf + s; its face i, (p, ab, s), has
+        # p*step + ab*suf + s
+        pre, suf = order ** (i - 1), order ** (n - i)
+        step = order * suf
+        face = [0] * size
+        for a, row in enumerate(mul):
+            for b, ab in enumerate(row):
+                at, to = (a * order + b) * suf, ab * suf
+                if pre <= suf:  # one block of suffixes per prefix
+                    for p in range(pre):
+                        dst, src = p * step * order + at, p * step + to
+                        face[dst : dst + suf] = base[src : src + suf]
+                else:  # one stride over prefixes per suffix
+                    for s in range(suf):
+                        face[at + s :: step * order] = base[to + s :: step]
+        faces.append(face)
+    last = [0] * size
+    for g in range(order):
+        last[g::order] = base
+    faces.append(last)
+    return tuple(map(tuple, faces))
+
+
+def _face_sums(c: Cochain) -> list[int]:
+    """sum_i (-1)^i c(face_i) on every tuple of G^(n+1), not reduced mod m."""
+    v = c.values
+    faces = _faces(c.group, c.degree)
+    # faces come in (+, -) pairs; n + 2 faces leave a last + face when n is odd
+    total = [v[i] - v[j] for i, j in zip(faces[0], faces[1])]
+    for plus, minus in zip(faces[2::2], faces[3::2]):
+        total = [t + v[i] - v[j] for t, i, j in zip(total, plus, minus)]
+    if len(faces) % 2:
+        total = [t + v[i] for t, i in zip(total, faces[-1])]
+    return total
 
 
 def coboundary(c: Cochain) -> Cochain:
     """Inhomogeneous differential with trivial action on coefficients."""
-    values = np.asarray(c.values, dtype=np.int64)
-    faces = _faces(c.group, c.degree)
-    total = sum((-1) ** i * values[f] for i, f in enumerate(faces))
-    return Cochain(c.group, c.degree + 1, c.modulus, tuple(total.tolist()))
+    return Cochain(c.group, c.degree + 1, c.modulus, tuple(_face_sums(c)))
 
 
 def is_cocycle(c: Cochain) -> bool:
-    return coboundary(c).is_identically_one()
+    return not any(map(mod, _face_sums(c), repeat(c.modulus)))
 
 
-def coboundary_matrix(group: FiniteGroup, n: int) -> np.ndarray:
-    """Matrix of delta: C^{n-1} -> C^n in the index bases.
+def coboundary_matrix(group: FiniteGroup, n: int) -> Matrix:
+    """Matrix of delta: C^{n-1} -> C^n in the index bases, as sparse columns.
 
-    int8: an entry sums at most n + 1 signs.
+    Entry (r, j) is the signed count of the faces of tuple r that are j.
     """
     faces = _faces(group, n - 1)
-    A = np.zeros((faces.shape[1], group.order ** (n - 1)), dtype=np.int8)
-    rows = np.arange(faces.shape[1])
-    for i, f in enumerate(faces):
-        np.add.at(A, (rows, f), (-1) ** i)
-    return A
+    columns: list[dict[int, int]] = [{} for _ in range(group.order ** (n - 1))]
+    for i, face in enumerate(faces):
+        sign = -1 if i % 2 else 1
+        for r, j in enumerate(face):
+            col = columns[j]
+            col[r] = col.get(r, 0) + sign
+    return Matrix(len(faces[0]), [{r: v for r, v in col.items() if v} for col in columns])
 
 
 def coboundary_solve(c: Cochain) -> Cochain | None:
@@ -432,8 +467,8 @@ def coboundary_solve(c: Cochain) -> Cochain | None:
     g, n, m = c.group, c.degree, c.modulus
     if n == 0:
         raise ValueError("degree-0 cochains have no coboundary predecessors")
-    [x] = solve_mod(coboundary_matrix(g, n), np.reshape(c.values, (-1, 1)), m)
-    return None if x is None else Cochain(g, n - 1, m, tuple(x.tolist()))
+    [x] = solve_mod(coboundary_matrix(g, n), [[v] for v in c.values], m)
+    return None if x is None else Cochain(g, n - 1, m, tuple(x))
 
 
 def cohomologous(c1: Cochain, c2: Cochain) -> bool:
@@ -448,8 +483,9 @@ def classify(c: Cochain, candidates: dict[str, Cochain] | None = None) -> tuple[
     """(is_cocycle, trivial, names of the candidates c is cohomologous to).
 
     Names keep the order of `candidates`.  c is checked once, delta is built
-    once, and c and every c * rep^-1 are solved in one elimination, one
-    right-hand side per column.  Candidates must share c's group, degree and
+    once as sparse columns, and c and every c * rep^-1 are solved together,
+    one right-hand side per column, in one elimination per prime power of
+    the modulus.  Candidates must share c's group, degree and
     modulus; one that is not closed matches nothing, since c * rep^-1 is
     then not closed either.  A non-closed c gives (False, False, ()).
     """
@@ -463,7 +499,7 @@ def classify(c: Cochain, candidates: dict[str, Cochain] | None = None) -> tuple[
     if c.degree == 0:
         raise ValueError("degree-0 cochains have no coboundary predecessors")
     rhs = [c.values] + [c.mul(rep.inverse()).values for rep in candidates.values()]
-    solved = solve_mod(coboundary_matrix(c.group, c.degree), np.transpose(rhs), c.modulus)
+    solved = solve_mod(coboundary_matrix(c.group, c.degree), list(zip(*rhs)), c.modulus)
     names = tuple(name for name, x in zip(candidates, solved[1:]) if x is not None)
     return True, solved[0] is not None, names
 

@@ -1,74 +1,133 @@
-"""Exact linear algebra over Z_m: GF(p) elimination and a Smith form over Z/p^k.
+"""Exact linear algebra over Z_m on Python ints: GF(p) elimination and a Smith form over Z/p^k.
 
 Solves A x = b (mod m) for integer matrices, for every column b of a matrix
 of right-hand sides in one elimination of A.  m is split into prime powers
 p^k; each is solved on its own and the solutions are glued by the Chinese
 remainder theorem, so a column is solvable iff it is solvable mod every
-p^k.  Prime moduli go through Gauss-Jordan elimination of [A | B] to
-reduced row-echelon form.  For p = 2 the rows are packed eight entries a
-byte (np.packbits, little bit order), so a pivot test is one byte and one
-bit mask and a row operation is an XOR of byte rows; odd primes keep int64
-rows and scale and subtract.  The two paths cannot disagree: the reduced
-row-echelon form of a matrix is unique, and with free variables set to 0
-it fixes every solution and every unsolvable column bit for bit.  Prime
-powers with k > 1 go through a Smith form over the local ring Z/p^k, where
-every nonzero residue is a unit times a power of p.
+p^k.  Python ints are exact at any size, so no modulus is too large.
+
+For a prime p the solution is the reduced row-echelon one: the pivots are
+the leftmost independent columns of A (column c is a pivot iff it is not a
+combination of columns 0..c-1) and free variables are 0.  The pivot
+columns are independent, so a solvable b has exactly one solution supported
+on them.  Any elimination that finds the same pivots therefore gives the
+same solution, bit for bit, and rejects the same columns.
+
+- p = 2: each column is one int, bit r for row r.  The columns of A are
+  inserted left to right into an XOR basis keyed by the leading bit; a
+  column that does not reduce to 0 is independent of those before it and
+  becomes a pivot.  Each basis entry carries the mask of the pivot columns
+  it sums, so a b that reduces to 0 is solved by the mask it collects.
+- odd p: Gauss-Jordan elimination of [A | B] on row lists.
+- p^k with k > 1: a Smith form over the local ring Z/p^k, where every
+  nonzero residue is a unit times a power of p.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from operator import index
 
 
-def solve_mod_prime(A: np.ndarray, B: np.ndarray, p: int) -> list[np.ndarray | None]:
+class Matrix:
+    """An integer matrix of shape (rows, cols) kept as sparse columns, one
+    {row: nonzero entry} dict per column."""
+
+    __slots__ = ("shape", "columns")
+
+    def __init__(self, rows: int, columns: list[dict[int, int]]):
+        self.shape = (rows, len(columns))
+        self.columns = columns
+
+    @staticmethod
+    def from_rows(M) -> "Matrix":
+        """The matrix of a sequence of equal-length rows of integers."""
+        try:
+            rows = [[index(v) for v in row] for row in M]
+        except TypeError:
+            raise ValueError("a matrix must be a sequence of rows of integers") from None
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("the rows of a matrix must have equal lengths")
+        return Matrix(len(rows), [{r: v for r, v in enumerate(col) if v} for col in zip(*rows)])
+
+
+def _as_matrix(M) -> Matrix:
+    return M if isinstance(M, Matrix) else Matrix.from_rows(M)
+
+
+def _dense_rows(A: Matrix, B: Matrix, q: int) -> list[list[int]]:
+    """[A | B] mod q as one list of ints per row."""
+    aug = [[0] * (A.shape[1] + B.shape[1]) for _ in range(A.shape[0])]
+    for c, col in enumerate(A.columns + B.columns):
+        for r, v in col.items():
+            aug[r][c] = v % q
+    return aug
+
+
+def _transpose(rows: list[list[int]], width: int) -> list[tuple[int, ...]]:
+    """The columns of a list of rows of the given width (which may be empty)."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def _bits(column: dict[int, int]) -> int:
+    """The column mod 2 as one int, bit r for row r."""
+    return sum(1 << r for r, v in column.items() if v & 1)
+
+
+def solve_mod_prime(A, B, p: int) -> list[list[int] | None]:
     """One solution of A x = b mod p (p prime) per column b of B, or None.
 
-    Free variables are 0.  For p = 2 the rows of [A | B] are packed bits.
+    The pivots are the leftmost independent columns and free variables are
+    0 (see the module docstring).
     """
-    A, B = np.asarray(A), np.asarray(B)
+    A, B = _as_matrix(A), _as_matrix(B)
     rows, cols = A.shape
-    width = cols + B.shape[1]
     if p == 2:
-        # the cast to uint8 wraps mod 256, so it keeps every entry's parity
-        aug = np.concatenate([A.astype(np.uint8), B.astype(np.uint8)], axis=1) & 1
-        aug = np.packbits(aug, axis=1, bitorder="little")
-    else:
-        aug = np.concatenate([A.astype(np.int64), B.astype(np.int64)], axis=1) % p
+        basis: dict[int, tuple[int, int]] = {}  # leading bit -> (bits, pivot mask)
 
-    def column(c):
-        return aug[:, c >> 3] & (1 << (c & 7)) if p == 2 else aug[:, c]
+        def reduce(v: int, mask: int) -> tuple[int, int]:
+            while v and (entry := basis.get(v.bit_length())):
+                v, mask = v ^ entry[0], mask ^ entry[1]
+            return v, mask
 
-    pivot_cols = []
-    r = 0
+        for c, col in enumerate(A.columns):
+            v, mask = reduce(_bits(col), 1 << c)
+            if v:
+                basis[v.bit_length()] = (v, mask)
+        out = []
+        for col in B.columns:
+            v, mask = reduce(_bits(col), 0)
+            out.append(None if v else [mask >> c & 1 for c in range(cols)])
+        return out
+    aug = _dense_rows(A, B, p)
+    pivots = []
     for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(column(c)[r:])[0]
-        if nz.size == 0:
+        r = len(pivots)
+        pr = next((i for i in range(r, rows) if aug[i][c]), None)
+        if pr is None:
             continue
-        pr = r + nz[0]
-        if pr != r:
-            aug[[r, pr]] = aug[[pr, r]]
-        mask = np.nonzero(column(c))[0]
-        mask = mask[mask != r]
+        aug[r], aug[pr] = aug[pr], aug[r]
+        head = aug[r]
+        u = pow(head[c], -1, p)
         # the pivot row is zero left of c, so the update starts at c
-        if p == 2:
-            aug[mask, c >> 3 :] ^= aug[r, c >> 3 :]
-        else:
-            aug[r, c:] = aug[r, c:] * pow(int(aug[r, c]), p - 2, p) % p
-            aug[mask, c:] = (aug[mask, c:] - np.outer(aug[mask, c], aug[r, c:])) % p
-        pivot_cols.append(c)
-        r += 1
-    if p == 2:
-        aug = np.unpackbits(aug, axis=1, count=width, bitorder="little")
-    # rows below the rank must be consistent
-    solvable = ~np.any(aug[r:, cols:], axis=0)
-    X = np.zeros((cols, aug.shape[1] - cols), dtype=np.int64)
-    X[pivot_cols] = aug[: len(pivot_cols), cols:]
-    return [X[:, j] if ok else None for j, ok in enumerate(solvable)]
+        head[c:] = tail = [x * u % p for x in head[c:]]
+        for row in aug:
+            f = row[c]
+            if f and row is not head:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+    out = []
+    for col in _transpose([row[cols:] for row in aug], B.shape[1]):
+        if any(col[len(pivots):]):  # rows below the rank must be consistent
+            out.append(None)
+            continue
+        x = [0] * cols
+        for c, v in zip(pivots, col):
+            x[c] = v
+        out.append(x)
+    return out
 
 
-def smith_normal_form(A: np.ndarray, B: np.ndarray, p: int, k: int) -> list[np.ndarray | None]:
+def smith_normal_form(A, B, p: int, k: int) -> list[list[int] | None]:
     """One solution of A x = b mod q = p^k per column b of B, or None.
 
     The Smith form U A V = D = diag(p^v_t) over Z/p^k.  Pivots are taken
@@ -76,18 +135,15 @@ def smith_normal_form(A: np.ndarray, B: np.ndarray, p: int, k: int) -> list[np.n
     divisible by p^v, any entry of valuation exactly v divides the block.
     Its row is scaled to p^v, its column cleared by row operations on
     [A | B] (so U is never formed) and its row by column operations
-    recorded in V.  With C = U B, a column is solvable iff p^v_t divides
-    its row t below the rank and it is zero past the rank, and then
-    x = V y with y_t = C_t / p^v_t.  Raises ValueError when q^2 cols
-    reaches 2^63, where the int64 sums of V y could wrap.
+    recorded in V, kept as the row list of its transpose.  With C = U B, a
+    column is solvable iff p^v_t divides its row t below the rank and it is
+    zero past the rank, and then x = V y with y_t = C_t / p^v_t.
     """
-    A, B = np.asarray(A), np.asarray(B)
+    A, B = _as_matrix(A), _as_matrix(B)
     rows, cols = A.shape
     q = p**k
-    if q * q * cols >= 2**63:
-        raise ValueError(f"modulus {q} is too large for int64 arithmetic over {cols} unknowns")
-    aug = np.concatenate([A.astype(np.int64), B.astype(np.int64)], axis=1) % q
-    V = np.eye(cols, dtype=np.int64)
+    aug = _dense_rows(A, B, q)
+    VT = [[int(i == j) for j in range(cols)] for i in range(cols)]
     d = []
     t = 0
     for v in range(k):
@@ -96,30 +152,43 @@ def smith_normal_form(A: np.ndarray, B: np.ndarray, p: int, k: int) -> list[np.n
         # operations with a pivot of valuation v cannot create one there
         c = t
         while c < cols and t < rows:
-            nz = np.nonzero(aug[t:, c] % (pv * p))[0]
-            if nz.size == 0:
+            i = next((i for i in range(t, rows) if aug[i][c] % (pv * p)), None)
+            if i is None:
                 c += 1
                 continue
-            i = t + nz[0]
-            aug[[t, i]] = aug[[i, t]]
-            aug[:, [t, c]] = aug[:, [c, t]]
-            V[:, [t, c]] = V[:, [c, t]]
+            aug[t], aug[i] = aug[i], aug[t]
+            if c != t:
+                for row in aug:
+                    row[t], row[c] = row[c], row[t]
+                VT[t], VT[c] = VT[c], VT[t]
             # rows above t are zero from column t on, row t left of it
-            aug[t, t:] = aug[t, t:] * pow(int(aug[t, t]) // pv, -1, q) % q
-            below = t + 1 + np.nonzero(aug[t + 1 :, t])[0]
-            aug[below, t:] = (aug[below, t:] - np.outer(aug[below, t] // pv, aug[t, t:])) % q
-            V[:, t + 1 :] = (V[:, t + 1 :] - np.outer(V[:, t], aug[t, t + 1 : cols] // pv)) % q
-            aug[t, t + 1 : cols] = 0
+            head = aug[t]
+            u = pow(head[t] // pv, -1, q)
+            head[t:] = tail = [x * u % q for x in head[t:]]
+            for row in aug[t + 1 :]:
+                if row[t]:
+                    f = row[t] // pv
+                    row[t:] = [(x - f * y) % q for x, y in zip(row[t:], tail)]
+            pivot_col = VT[t]
+            for j in range(t + 1, cols):
+                f = head[j] // pv
+                if f:
+                    VT[j] = [(x - f * y) % q for x, y in zip(VT[j], pivot_col)]
+            head[t + 1 : cols] = [0] * (cols - t - 1)
             d.append(pv)
             t += 1
             c += 1
-    C = aug[:, cols:]
-    d = np.array(d, dtype=np.int64).reshape(-1, 1)
-    solvable = ~np.any(C[t:], axis=0) & ~np.any(C[:t] % d, axis=0)
-    Y = np.zeros((cols, C.shape[1]), dtype=np.int64)
-    Y[:t] = C[:t] // d
-    X = V @ Y % q
-    return [X[:, j] if ok else None for j, ok in enumerate(solvable)]
+    C = [row[cols:] for row in aug]
+    nrhs = B.shape[1]
+    solvable = [not any(col[t:]) and not any(y % dt for y, dt in zip(col, d)) for col in _transpose(C, nrhs)]
+    # X = V Y, one axpy of a row of Y per nonzero entry of V
+    X = [[0] * nrhs for _ in range(cols)]
+    for dt, c_row, v_col in zip(d, C, VT):
+        y_row = [y // dt for y in c_row]
+        for r, a in enumerate(v_col):
+            if a:
+                X[r] = [x + a * y for x, y in zip(X[r], y_row)]
+    return [[x % q for x in col] if ok else None for col, ok in zip(_transpose(X, nrhs), solvable)]
 
 
 def _prime_powers(m: int) -> list[tuple[int, int]]:
@@ -139,19 +208,19 @@ def _prime_powers(m: int) -> list[tuple[int, int]]:
     return out
 
 
-def solve_mod(A, B, m: int) -> list[np.ndarray | None]:
+def solve_mod(A, B, m: int) -> list[list[int] | None]:
     """One solution x of A x = b (mod m) per column b of B, or None.
 
-    A is a rows x cols matrix and B a rows x k matrix of right-hand sides;
-    all k columns are solved in one elimination of A per prime power of m,
-    and the solutions are glued by the Chinese remainder theorem.
+    A is a rows x cols matrix and B a rows x k matrix of right-hand sides,
+    each a Matrix or a sequence of rows; all k columns are solved in one
+    elimination of A per prime power of m, and the solutions are glued by
+    the Chinese remainder theorem.
     """
-    A = np.asarray(A)
-    B = np.asarray(B, dtype=np.int64)
-    if B.ndim != 2 or B.shape[0] != A.shape[0]:
+    A, B = _as_matrix(A), _as_matrix(B)
+    if B.shape[0] != A.shape[0]:
         raise ValueError(f"right-hand sides must be a {A.shape[0]} x k matrix, got shape {B.shape}")
-    X = np.zeros((A.shape[1], B.shape[1]), dtype=np.int64)
-    solvable = np.ones(B.shape[1], dtype=bool)
+    X = [[0] * A.shape[1] for _ in B.columns]
+    solvable = [True] * B.shape[1]
     glued = 1
     for p, k in _prime_powers(m):
         q = p**k
@@ -162,6 +231,6 @@ def solve_mod(A, B, m: int) -> list[np.ndarray | None]:
             if x is None:
                 solvable[j] = False
             else:
-                X[:, j] += glued * ((x - X[:, j]) % q * lift % q)
+                X[j] = [a + glued * ((b - a) * lift % q) for a, b in zip(X[j], x)]
         glued *= q
-    return [X[:, j] if ok else None for j, ok in enumerate(solvable)]
+    return [x if ok else None for x, ok in zip(X, solvable)]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 from anomalion.cli import main
@@ -231,3 +232,34 @@ def test_perfbench_tracer_installs():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_and_cohomology_load_no_numpy():
+    """The library needs no third-party package.  Importing the CLI, one
+    classify of a Klein-four degree-4 cochain and one postnikov3 of a Z4
+    module leave numpy unloaded; this runs in a subprocess because pytest
+    has already imported numpy here."""
+    code = textwrap.dedent("""
+        import sys
+        import anomalion.cli
+        from anomalion.crossed import ActionTable, CrossedModule, all_sections, postnikov3
+        from anomalion.groups import (
+            FiniteGroup, GroupHom, builtin_class_candidates, classify, cup_1cocycles, klein_four,
+            projection_sign_cocycle,
+        )
+        K4 = klein_four()
+        a, b = projection_sign_cocycle(K4, 0), projection_sign_cocycle(K4, 1)
+        tau = cup_1cocycles([b, b, b, a])
+        assert classify(tau, builtin_class_candidates(K4, 4)) == (True, False, ("b^3 . a",))
+        Z4 = FiniteGroup.cyclic(4)
+        cm = CrossedModule(Z4, Z4, GroupHom(Z4, Z4, (0, 2, 0, 2)), ActionTable.trivial(Z4, Z4))
+        assert len(postnikov3(cm, all_sections(cm))) == 4
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
