@@ -13,6 +13,7 @@ window-rim debris is cropped and logged.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -83,23 +84,31 @@ def split_right(op: SymOp) -> SymOp:
     return SymOp(poly, flips)
 
 
+_NUMBERING_LOCK = threading.Lock()
+
+
 @dataclass
 class TruncationData2d:
     """The truncated 2d action and its boundary data mu, alpha/beta and u.
 
-    One memo, keyed by operator value, holds the lattice steps that tau,
-    the u lift and the beta regauging repeat: rho~(g)(a) under
-    ("rho", g, a), op_conj(a, w) under ("conj", a, w), op_inv(a) under
-    ("inv", a), tau's eta factor under ("eta", alpha, w) and tau's phase
-    under ("tau", f1, ..., f6).  Each is a pure function of its operands
-    and of action, rho_tilde and origin_radius, which are never reassigned,
-    so a hit returns exactly the value and the verdict (margin check, route
-    agreement, disk checks, scalar assertion) of a fresh call.  A call that
-    raises stores nothing, so every tuple that reaches it raises again.
-    Equal results are stored as one object, so later keys built from them
-    match by identity and hold no duplicate operators.
-    dataclasses.replace starts an empty memo, and mu/alpha/beta/u may be
-    edited in place: keys are the values read, not the group elements.
+    The lattice steps that tau, the u lift and the beta regauging repeat are
+    memoized on value numbers.  _id(a) numbers each distinct operator value
+    once, in first-seen order (_vals[i] is the value numbered i, _ids maps it
+    back), so equal values share one number.  _memo maps ("rho", g, i) to
+    the number of rho~(g)(_vals[i]), ("conj", i, j) to that of
+    op_conj(_vals[i], _vals[j]), ("inv", i) to that of op_inv(_vals[i]),
+    ("eta", i, j) to that of tau's eta factor of _vals[i] against _vals[j],
+    and ("tau", f1, ..., f6) to tau's phase for those six factor numbers.
+    Each step is a pure function of its operands and of action, rho_tilde
+    and origin_radius, which are never reassigned, so a hit returns exactly
+    the value and the verdict (margin check, route agreement, disk checks,
+    scalar assertion) of a fresh call.  A call that raises stores nothing,
+    so every tuple that reaches it raises again.
+
+    rho_apply, conj, inv and eta take and return operators; each converts
+    into the numbered step.  dataclasses.replace starts an empty table and
+    memo, and mu/alpha/beta/u may be edited in place: tau numbers the values
+    it reads on every call, not the group elements.
     """
 
     action: CircuitAction
@@ -111,6 +120,8 @@ class TruncationData2d:
     origin_radius: int
     cropped: tuple[str, ...] = ()
     assertions: tuple[str, ...] = ()
+    _vals: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -121,39 +132,68 @@ class TruncationData2d:
     def window(self) -> Window:
         return self.action.window
 
-    def _memoized(self, key, fn, *args):
-        val = self._memo.get(key)  # no memoized step returns None
-        if val is None:
-            val = self._memo[key] = self._intern(fn(*args))
-        return val
+    def _id(self, a: SymOp) -> int:
+        """The number of a's value, assigned on first sight."""
+        i = self._ids.get(a)
+        if i is None:
+            with _NUMBERING_LOCK:
+                i = self._ids.get(a)
+                if i is None:
+                    # published last: a visible number is decodable
+                    self._vals.append(a)
+                    i = self._ids[a] = len(self._vals) - 1
+        return i
 
-    def _intern(self, val):
-        """The memo's one object equal to val."""
-        return self._memo.setdefault(val, val)
+    def _store(self, key: tuple, a: SymOp) -> int:
+        i = self._memo[key] = self._id(a)
+        return i
+
+    # each step computes, and looks up conj_by_circuit and eta as module
+    # globals, only on a memo miss
+
+    def _rho(self, g: int, i: int) -> int:
+        key = ("rho", g, i)
+        j = self._memo.get(key)
+        return self._store(key, conj_by_circuit(self._vals[i], self.rho_tilde[g])) if j is None else j
+
+    def _conj(self, i: int, j: int) -> int:
+        key = ("conj", i, j)
+        k = self._memo.get(key)
+        return self._store(key, op_conj(self._vals[i], self._vals[j])) if k is None else k
+
+    def _inv(self, i: int) -> int:
+        key = ("inv", i)
+        j = self._memo.get(key)
+        return self._store(key, op_inv(self._vals[i])) if j is None else j
+
+    def _eta(self, i: int, j: int) -> int:
+        key = ("eta", i, j)
+        k = self._memo.get(key)
+        return self._store(key, self._eta_op(self._vals[i], self._vals[j])) if k is None else k
+
+    def _eta_op(self, a: SymOp, w: SymOp) -> SymOp:
+        thick = self.origin_radius + self.action.total_range() + 1
+        return eta(
+            LocalizedAutomorphism(Region.half_line_L(thick), inner=a),
+            LocalizedAutomorphism(Region.half_line_R(thick), inner=w),
+        )
 
     def rho_apply(self, g: int, a: SymOp) -> SymOp:
-        return self._memoized(("rho", g, a), conj_by_circuit, a, self.rho_tilde[g])
+        return self._vals[self._rho(g, self._id(a))]
 
     def beta_conj_rho(self, g: int, pair: tuple[int, int]) -> SymOp:
         """rho~(g)(beta(pair))."""
         return self.rho_apply(g, self.beta[pair])
 
     def conj(self, a: SymOp, w: SymOp) -> SymOp:
-        return self._memoized(("conj", a, w), op_conj, a, w)
+        return self._vals[self._conj(self._id(a), self._id(w))]
 
     def inv(self, a: SymOp) -> SymOp:
-        return self._memoized(("inv", a), op_inv, a)
+        return self._vals[self._inv(self._id(a))]
 
     def eta(self, a: SymOp, w: SymOp) -> SymOp:
         """eta of Ad a on the left half-line against Ad w on the right one."""
-        return self._memoized(("eta", a, w), self._eta, a, w)
-
-    def _eta(self, a: SymOp, w: SymOp) -> SymOp:
-        thick = self.origin_radius + self.action.total_range() + 1
-        return eta(
-            LocalizedAutomorphism(Region.half_line_L(thick), inner=a),
-            LocalizedAutomorphism(Region.half_line_R(thick), inner=w),
-        )
+        return self._vals[self._eta(self._id(a), self._id(w))]
 
 
 def _truncate_and_collapse(action: CircuitAction, reach: int, half: Region, region: Region, label: str):
@@ -202,59 +242,81 @@ def build_truncation_2d(action: CircuitAction, origin_radius: int | None = None)
 def _lift_u(data: TruncationData2d, label: str) -> list[str]:
     """Fill data.u with the failure of the second weak-morphism equation for
     (rho~, beta), window-rim debris cropped and each value asserted in the
-    origin disk; returns the log of cropped debris."""
+    origin disk; returns the log of cropped debris, one entry per triple.
+    Cropping is a pure function of the operator, so each distinct failure
+    value is cropped and checked once."""
     G = data.group
     fail = weak_morphism_failure(
         G, lambda g, h: data.beta[g, h], lambda g, h, k: data.beta_conj_rho(g, (h, k)),
         op_mul, data.inv,
     )
     disk = Region.origin_disk(data.origin_radius)
-    cropped = []
+    crops, cropped = {}, []
     for g, h, k in product(G.elements(), repeat=3):
-        res = crop_window_debris(fail(g, h, k), data.window)
+        f = fail(g, h, k)
+        res = crops.get(f)
+        if res is None:
+            res = crop_window_debris(f, data.window)
+            _assert_region(res.op, disk, f"{label}({g},{h},{k})")
+            crops[f] = res
         cropped += [f"{label}({g},{h},{k}): {c}" for c in res.cropped]
-        _assert_region(res.op, disk, f"{label}({g},{h},{k})")
-        data.u[g, h, k] = data._intern(res.op)
+        data.u[g, h, k] = res.op
     return cropped
 
 
-def tau4(data: TruncationData2d, g: int, h: int, k: int, l: int) -> PhaseValue:
-    """The degree-4 phase: six-factor product, asserted scalar.
+def _tau_phases(data: TruncationData2d, tuples) -> list[PhaseValue]:
+    """The degree-4 phase of each (g, h, k, l) in tuples, in order.
 
-    Factors, in order: u(g,h,k); the rho~(g)-conjugated beta(h,k) applied
-    to u(g,hk,l); rho~(g) applied to u(h,k,l); the rho~(g)rho~(h)-conjugated
-    beta(k,l) applied to u(g,h,kl)^-1; eta of alpha(g,h) against beta(k,l)
-    conjugated through beta(g,h) rho~(gh); and beta(g,h) applied to
-    u(gh,k,l)^-1.
+    The six factors, each a value number: u(g,h,k); the rho~(g)-conjugated
+    beta(h,k) applied to u(g,hk,l); rho~(g) applied to u(h,k,l); the
+    rho~(g)rho~(h)-conjugated beta(k,l) applied to u(g,h,kl)^-1; eta of
+    alpha(g,h) against beta(k,l) conjugated through beta(g,h) rho~(gh); and
+    beta(g,h) applied to u(gh,k,l)^-1.  Their product is asserted scalar.
 
-    Every step goes through data's memo, keyed by the operator values it
-    reads, and the phase by the six factor values: u, alpha and beta take a
-    handful of values, so the lattice is touched once per distinct value,
-    not once per tuple, and a hit carries the checks of a fresh call.
+    u, alpha and beta are numbered as read on this call, and every step
+    goes through data's memo: they take a handful of values, so the lattice
+    is touched once per distinct value, not once per tuple.
     """
     G = data.group
-    gh, hk, kl = G.mul(g, h), G.mul(h, k), G.mul(k, l)
-    u = data.u
-    beta = data.beta
+    num = data._id
+    u = {t: num(a) for t, a in data.u.items()}
+    alpha = {p: num(a) for p, a in data.alpha.items()}
+    beta = {p: num(b) for p, b in data.beta.items()}
+    rho, conj, inv, eta_of = data._rho, data._conj, data._inv, data._eta
+    memo, vals = data._memo, data._vals
+    out = []
+    for g, h, k, l in tuples:
+        gh, hk, kl = G.mul(g, h), G.mul(h, k), G.mul(k, l)
+        b_gh, b_kl = beta[g, h], beta[k, l]
+        key = (
+            "tau",
+            u[g, h, k],
+            conj(u[g, hk, l], rho(g, beta[h, k])),
+            rho(g, u[h, k, l]),
+            conj(inv(u[g, h, kl]), rho(g, rho(h, b_kl))),
+            eta_of(alpha[g, h], conj(rho(gh, b_kl), b_gh)),
+            conj(inv(u[gh, k, l]), b_gh),
+        )
+        phase = memo.get(key)
+        if phase is None:
+            f1, f2, f3, f4, f5, f6 = (vals[i] for i in key[1:])
+            total = op_mul(op_mul(op_mul(f1, f2), op_mul(f3, f4)), op_mul(f5, f6))
+            phase = memo[key] = _assert_scalar(total, f"tau({g},{h},{k},{l})")
+        out.append(phase)
+    return out
 
-    f1 = u[g, h, k]
-    f2 = data.conj(u[g, hk, l], data.beta_conj_rho(g, (h, k)))
-    f3 = data.rho_apply(g, u[h, k, l])
-    w4 = data.rho_apply(g, data.beta_conj_rho(h, (k, l)))
-    f4 = data.conj(data.inv(u[g, h, kl]), w4)
-    f5 = data.eta(data.alpha[g, h], data.conj(data.beta_conj_rho(gh, (k, l)), beta[g, h]))
-    f6 = data.conj(data.inv(u[gh, k, l]), beta[g, h])
 
-    def phase():
-        total = op_mul(op_mul(op_mul(f1, f2), op_mul(f3, f4)), op_mul(f5, f6))
-        return _assert_scalar(total, f"tau({g},{h},{k},{l})")
-
-    return data._memoized(("tau", f1, f2, f3, f4, f5, f6), phase)
+def tau4(data: TruncationData2d, g: int, h: int, k: int, l: int) -> PhaseValue:
+    """The degree-4 phase tau(g,h,k,l): the six-factor product of
+    _tau_phases on one tuple, asserted scalar."""
+    return _tau_phases(data, [(g, h, k, l)])[0]
 
 
 def tau_cochain(data: TruncationData2d) -> Cochain:
+    """tau on every tuple of G^4 as a Z2 cochain, in one pass of _tau_phases
+    (see it and TruncationData2d for the memo)."""
     G = data.group
-    return Cochain.from_function(G, 4, 2, lambda g, h, k, l: _phase_bit(tau4(data, g, h, k, l)))
+    return Cochain(G, 4, 2, tuple(_phase_bit(p) for p in _tau_phases(data, G.tuples(4))))
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .groups import FiniteGroup, klein_bits, klein_four
 from .lattice import Region, Window
 from .symop import (
     SymOp,
+    _sites,
     op_conj,
     op_inv,
     op_mul,
@@ -61,13 +62,6 @@ class GateRule:
     def __post_init__(self):
         if self.pattern not in PATTERNS:
             raise InstantiationError(f"unknown pattern {self.pattern!r}")
-
-    def range_bound(self) -> int:
-        if self.pattern == "x_sites":
-            return 0
-        if self.pattern == "explicit":
-            return max((_diameter(support(g)) for g in self.gates), default=0)
-        return 1
 
     def generate(self, window: Window) -> Layer:
         r = self.region
@@ -110,18 +104,30 @@ class GateRule:
         bad = sites_outside(gates, window)
         if bad:
             raise InstantiationError(f"gate leaves window at {bad[0]}")
-        layer = Layer(gates, self.range_bound())
+        # x_sites has range 0 and the other patterns 1; an explicit layer
+        # takes its largest gate diameter when first asked
+        bound = None if self.pattern == "explicit" else 0 if self.pattern == "x_sites" else 1
+        layer = Layer(gates, bound)
         _check_layer(layer)
         return layer
 
 
-def _diameter(sites) -> int:
-    sites = list(sites)
+def _diameter(mask: int) -> int:
+    """The larger of the x and y extents of the sites of a mask."""
+    sites = _sites(mask)
     if not sites:
         return 0
-    xs = [s[0] for s in sites]
-    ys = [s[1] for s in sites]
-    return max(max(xs) - min(xs), max(ys) - min(ys))
+    x_lo, y_lo = x_hi, y_hi = sites[0]
+    for x, y in sites:
+        if x < x_lo:
+            x_lo = x
+        elif x > x_hi:
+            x_hi = x
+        if y < y_lo:
+            y_lo = y
+        elif y > y_hi:
+            y_hi = y
+    return max(x_hi - x_lo, y_hi - y_lo)
 
 
 def _check_layer(layer: Layer):
@@ -153,7 +159,7 @@ class Layer(tuple):
 
     def range_bound(self) -> int:
         if self._bound is None:
-            self._bound = max((_diameter(support(g)) for g in self), default=0)
+            self._bound = max((_diameter(support_mask(g)) for g in self), default=0)
         return self._bound
 
     def product(self) -> SymOp:

@@ -274,9 +274,10 @@ class PhaseValue:
         return PhaseValue(1, 2)
 
     def as_sign(self) -> int:
-        if self == PhaseValue.one():
+        # in lowest terms, +1 is 0/1 and -1 is 1/2
+        if self.modulus == 1:
             return 1
-        if self == PhaseValue.minus_one():
+        if self.modulus == 2:
             return -1
         raise ValueError(f"{self} is not a sign")
 

@@ -214,11 +214,19 @@ def solve_mod(A, B, m: int) -> list[list[int] | None]:
     A is a rows x cols matrix and B a rows x k matrix of right-hand sides,
     each a Matrix or a sequence of rows; all k columns are solved in one
     elimination of A per prime power of m, and the solutions are glued by
-    the Chinese remainder theorem.
+    the Chinese remainder theorem.  Columns equal mod m are solved once.
     """
     A, B = _as_matrix(A), _as_matrix(B)
     if B.shape[0] != A.shape[0]:
         raise ValueError(f"right-hand sides must be a {A.shape[0]} x k matrix, got shape {B.shape}")
+    position, distinct, where = {}, [], []
+    for col in B.columns:
+        key = frozenset((r, v % m) for r, v in col.items() if v % m)
+        if key not in position:
+            position[key] = len(distinct)
+            distinct.append(col)
+        where.append(position[key])
+    B = Matrix(B.shape[0], distinct)
     X = [[0] * A.shape[1] for _ in B.columns]
     solvable = [True] * B.shape[1]
     glued = 1
@@ -233,4 +241,4 @@ def solve_mod(A, B, m: int) -> list[list[int] | None]:
             else:
                 X[j] = [a + glued * ((b - a) * lift % q) for a, b in zip(X[j], x)]
         glued *= q
-    return [x if ok else None for x, ok in zip(X, solvable)]
+    return [list(X[j]) if solvable[j] else None for j in where]

@@ -419,3 +419,119 @@ def test_conjugation_by_circuit_keeps_cochain(conjugate):
     conj = anomaly_2d(conjugate(action, w))
     assert conj.matched_class == base.matched_class == "b^3 . a"
     assert conj.cochain == base.cochain
+
+
+@pytest.fixture(scope="module")
+def order8_data():
+    """The truncation of the order8 benchmark action: ccz_x_2d times a
+    trivially acting Z2, from scripts/report_digests.py's ORDER8_CONFIG."""
+    import importlib.util
+    from pathlib import Path
+
+    from anomalion.circuits import action_from_config
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    action = action_from_config(script.ORDER8_CONFIG, Window.centered(12, 12, margin=3))
+    return build_truncation_2d(action)
+
+
+def test_tau_hashes_each_value_once_per_call(order8_data, monkeypatch):
+    """tau runs on value numbers: operators are hashed when first numbered
+    and on memo misses, not once per step of each of the |G|^4 tuples."""
+    import dataclasses
+
+    calls = [0]
+    hash_op = SymOp.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return hash_op(self)
+
+    data = dataclasses.replace(order8_data)
+    monkeypatch.setattr(SymOp, "__hash__", counting)
+    tau_cochain(data)
+    assert 0 < calls[0] < data.group.order ** 4
+
+
+def test_order8_tau_is_pulled_back_from_ccz(order8_data):
+    """On the order8 action, tau agrees with the fresh six-factor product on
+    a seeded sample and is b^3.a pulled back along the Klein quotient."""
+    from anomalion.groups import GroupHom, cup_1cocycles, klein_four, projection_sign_cocycle, pullback
+
+    G = order8_data.group
+    tau = tau_cochain(order8_data)
+    sample = random.Random(47).sample(list(G.tuples(4)), 300)
+    for t in sample:
+        assert tau(*t) == (_oracle_tau(order8_data, *t).as_sign() == -1)
+    # element i has an X layer if i & 2 and a CCZ layer if i & 4; Klein
+    # element e has the X layer if e & 1 and the CCZ layer if e & 2
+    K4 = klein_four()
+    quotient = GroupHom(G, K4, tuple((i >> 1 & 1) | (i >> 2 & 1) << 1 for i in G.elements()))
+    assert quotient.is_valid()
+    a, b = projection_sign_cocycle(K4, 0), projection_sign_cocycle(K4, 1)
+    assert tau == pullback(cup_1cocycles([b, b, b, a]), quotient)
+
+
+def test_second_tau_touches_no_lattice(order8_data, monkeypatch):
+    import dataclasses
+
+    data = dataclasses.replace(order8_data)
+    tau = tau_cochain(data)
+    calls = []
+    for name in ("conj_by_circuit", "eta"):
+        monkeypatch.setattr(anomaly_module, name, lambda *args, name=name: calls.append(name))
+    assert tau_cochain(data) == tau
+    assert calls == []
+
+
+def test_tau_reads_u_edited_in_place(ccz_data):
+    """The memo is keyed by the values read, so an in-place edit of u
+    between two calls is honoured."""
+    import dataclasses
+
+    data = dataclasses.replace(ccz_data, u=dict(ccz_data.u))
+    tau0 = tau_cochain(data)
+    key = (0b01, 0b11, 0b10)
+    data.u[key] = op_mul(SymOp.scalar(-1), data.u[key])
+    tau1 = tau_cochain(data)
+    assert tau1 != tau0
+    want = Cochain.from_function(data.group, 4, 2, lambda *t: _oracle_tau(data, *t).as_sign() == -1)
+    assert tau1 == want
+
+
+def _u_crop_log(data, label):
+    """The u lift's crop log with every triple's failure cropped afresh."""
+    from itertools import product
+
+    from anomalion.circuits import crop_window_debris
+    from anomalion.crossed import weak_morphism_failure
+
+    G = data.group
+    fail = weak_morphism_failure(
+        G, lambda g, h: data.beta[g, h],
+        lambda g, h, k: conj_by_circuit(data.beta[h, k], data.rho_tilde[g]), op_mul, op_inv,
+    )
+    log = []
+    for g, h, k in product(G.elements(), repeat=3):
+        res = crop_window_debris(fail(g, h, k), data.window)
+        log += [f"{label}({g},{h},{k}): {c}" for c in res.cropped]
+        assert data.u[g, h, k] == res.op
+    return log
+
+
+def test_u_crop_log_matches_per_triple_crops(ccz_data):
+    """Each distinct failure value is cropped once; the log still has its
+    lines for every triple, in triple order."""
+    w = ccz_data.window
+    reach = ccz_data.action.total_range()
+    alternating = ProceduralCircuit((GateRule("explicit", gates=tuple(
+        SymOp.cz((x, 0), (x + 1, 0)) for x in range(w.x_min + reach, w.x_max - reach) if x % 2 == 0
+    )),), w)
+    regauged = regauge_rho(ccz_data, {g: alternating for g in ccz_data.group.elements() if bits(g)[0]})
+    for data, label in ((ccz_data, "u"), (regauged, "u'")):
+        want = _u_crop_log(data, label)
+        assert want
+        assert [c for c in data.cropped if c.startswith(label + "(")] == want

@@ -511,3 +511,31 @@ def test_validate_action_checks_every_interior_site(window12):
     )
     action = CircuitAction(FiniteGroup.cyclic(2), (ProceduralCircuit((), window12), c1), window12)
     assert validate_action(action) == [f"rho(1)rho(1) != rho(0) on {SymOp.x(t)}"]
+
+
+def test_explicit_layer_range_is_largest_gate_diameter(window12):
+    """Random explicit layers of diagonal gates on far-apart sites: the
+    total range is the sum over layers of the largest x or y extent of a
+    gate's support."""
+    rng = random.Random(17)
+    sites = list(window12.sites())
+
+    def extent(g):
+        xs = [s[0] for s in support(g)]
+        ys = [s[1] for s in support(g)]
+        return max(max(xs) - min(xs), max(ys) - min(ys))
+
+    for _ in range(30):
+        layers = []
+        for _ in range(rng.randint(1, 3)):
+            gates = []
+            for _ in range(rng.randint(1, 5)):
+                picked = rng.sample(sites, rng.randint(1, 3))
+                gates.append((SymOp.z, SymOp.cz, SymOp.ccz)[len(picked) - 1](*picked))
+            layers.append(GateRule("explicit", gates=tuple(gates)))
+        c = ProceduralCircuit(tuple(layers), window12)
+        want = sum(max(extent(g) for g in rule.gates) for rule in layers)
+        assert c.total_range() == want
+        assert [layer.range_bound() for layer in c.instantiate()] == [
+            max(extent(g) for g in rule.gates) for rule in layers
+        ]

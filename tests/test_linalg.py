@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -188,3 +189,31 @@ def test_smith_normal_form_solves_moduli_past_int64():
     m = 3 * 2**32
     [x] = solve_mod([[1]], [[1]], m)
     assert x == [1]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 12])
+def test_solve_mod_solves_repeated_columns_once(m, monkeypatch):
+    """Columns equal mod m are solved once: each gets the solution of a
+    single-column solve, and the elimination sees only the distinct ones."""
+    import anomalion.linalg as linalg
+
+    rng = random.Random(m)
+    A = [[rng.randrange(-m, m) for _ in range(4)] for _ in range(5)]
+    x0 = [rng.randrange(m) for _ in range(4)]
+    distinct = [[sum(a * x for a, x in zip(row, x0)) % m for row in A]]  # solvable
+    distinct += [[rng.randrange(m) for _ in range(5)] for _ in range(2)]
+    picks = [rng.randrange(3) for _ in range(12)]
+    # a repeat may differ by a multiple of m
+    columns = [[v + m * rng.randrange(-1, 2) for v in distinct[j]] for j in picks]
+    B = [list(row) for row in zip(*columns)]
+    widths = []
+    for name in ("solve_mod_prime", "smith_normal_form"):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda A, B, *pk, fn=fn: widths.append(B.shape[1]) or fn(A, B, *pk))
+    solved = solve_mod(A, B, m)
+    assert widths and set(widths) == {len(set(picks))}
+    monkeypatch.undo()
+    assert len(solved) == len(columns) and any(x is not None for x in solved)
+    for col, x in zip(columns, solved):
+        [single] = solve_mod(A, [[v] for v in col], m)
+        assert x == single
