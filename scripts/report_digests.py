@@ -43,6 +43,24 @@ ORDER8_CONFIG = {
     ],
 }
 
+# levin_gu_1d times a trivially acting Z2: element i of Z2^2 has the X and
+# chain-CZ layers if i & 1, so e1 and e3 have one and the same circuit.
+LEVIN_GU_Z2_CONFIG = {
+    "name": "levin_gu_1d_times_trivial_z2",
+    "group": {
+        "order": 4,
+        "mul": [i ^ j for i in range(4) for j in range(4)],
+        "names": [f"e{i}" for i in range(4)],
+    },
+    "generators": [
+        {
+            "element": f"e{i}",
+            "layers": [{"pattern": "x_sites"}, {"pattern": "cz_chain_edges"}] if i & 1 else [],
+        }
+        for i in range(4)
+    ],
+}
+
 # Z8 -> Z8 by x4 with trivial action: the kernel is Z4 and pi1 = Z8/{0,4}
 # is Z4, so the postnikov class is a Z4-valued 3-cochain (the SNF path),
 # and each of the 4 pi1 elements has 2 lifts: 16 sections.
@@ -102,6 +120,7 @@ RUNS = (
     ["crossed", "postnikov", "--input", "postnikov_cm.json", "--all-sections", "--seed", "9"],
     ["crossed", "validate", "--input", "square.json"],
     ["crossed", "convert", "--input", "square.json"],
+    ["anomaly1d", "--action", "levin_gu_z2_action.json", "--seed", "10"],
 )
 
 
@@ -112,6 +131,8 @@ def main() -> int:
         # reports name the config by the path given, so it is relative to cwd
         with open(os.path.join(tmp, "order8_action.json"), "w") as fh:
             json.dump(ORDER8_CONFIG, fh)
+        with open(os.path.join(tmp, "levin_gu_z2_action.json"), "w") as fh:
+            json.dump(LEVIN_GU_Z2_CONFIG, fh)
         with open(os.path.join(tmp, "postnikov_cm.json"), "w") as fh:
             json.dump(POSTNIKOV_CM, fh)
         with open(os.path.join(tmp, "square.json"), "w") as fh:

@@ -13,7 +13,7 @@ from .groups import (
     is_cocycle,
     pullback,
 )
-from .lattice import Region, Site, Window, classify_support
+from .lattice import Region, Site, Window
 from .symop import (
     SymOp,
     commutator,
@@ -68,7 +68,7 @@ __all__ = [
     "Cochain", "FiniteGroup", "GroupHom", "PhaseValue",
     "classify", "coboundary", "coboundary_solve", "cohomologous", "cup_1cocycles",
     "is_cocycle", "pullback",
-    "Region", "Site", "Window", "classify_support",
+    "Region", "Site", "Window",
     "SymOp", "commutator", "expectation_product_state", "format_op",
     "op_conj", "op_inv", "op_mul", "parse_op", "scalar_phase", "support",
     "CircuitAction", "GateRule", "ProceduralCircuit", "builtin_action",

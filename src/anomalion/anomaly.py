@@ -198,16 +198,29 @@ class TruncationData2d:
 
 def _truncate_and_collapse(action: CircuitAction, reach: int, half: Region, region: Region, label: str):
     """rho~ = rho truncated to half, the collapses of rho~(g) rho~(h) rho~(gh)^-1
-    by (g, h), asserted to lie in region, and the log of cropped rim debris."""
+    by (g, h), asserted to lie in region, and the log of cropped rim debris,
+    one entry per pair in pair order.
+
+    Each distinct circuit of the action is truncated once, so elements with
+    one circuit share one rho~ object.  A collapse depends only on the
+    circuit triple (rho(g), rho(h), rho(gh)), so each distinct triple is
+    collapsed and region-checked once, at its first pair: a triple that
+    fails raises there, with that pair's label.
+    """
     if action.window.margin < 3 * reach:
         raise ValueError(f"window margin {action.window.margin} < 3x action range {reach}")
     G = action.group
-    rho = tuple(truncate(action.circuit(g), half) for g in G.elements())
-    collapsed, cropped = {}, []
+    cut = [truncate(c, half) for c in action.distinct]
+    rho = tuple(cut[i] for i in action.slot)
+    slot, done, collapsed, cropped = action.slot, {}, {}, []
     for g, h in product(G.elements(), repeat=2):
-        res = product_collapse([rho[g], rho[h], rho[G.mul(g, h)]], [1, 1, -1], expect_region=region)
+        gh = G.mul(g, h)
+        key = (slot[g], slot[h], slot[gh])
+        res = done.get(key)
+        if res is None:
+            res = done[key] = product_collapse([rho[g], rho[h], rho[gh]], [1, 1, -1], expect_region=region)
+            _assert_region(res.op, region, f"{label}({g},{h})")
         cropped += [f"{label}({g},{h}): {c}" for c in res.cropped]
-        _assert_region(res.op, region, f"{label}({g},{h})")
         collapsed[g, h] = res.op
     return rho, collapsed, cropped
 

@@ -217,11 +217,19 @@ class ProceduralCircuit:
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def instantiate(self) -> list[Layer]:
+        """The layers, each rule materialized on first use.  Rules go through
+        the "made" map, rule -> Layer on this window, so equal rules give one
+        Layer; a CircuitAction shares one map among its circuits."""
         if "layers" not in self._cache:
-            self._cache["layers"] = [
-                rule if isinstance(rule, Layer) else rule.generate(self.window)
-                for rule in self.layers
-            ]
+            made = self._cache.setdefault("made", {})
+            layers = []
+            for rule in self.layers:
+                if not isinstance(rule, Layer):
+                    if rule not in made:
+                        made[rule] = rule.generate(self.window)
+                    rule = made[rule]
+                layers.append(rule)
+            self._cache["layers"] = layers
         return self._cache["layers"]
 
     def total_range(self) -> int:
@@ -378,16 +386,40 @@ def product_collapse(
 
 @dataclass(frozen=True)
 class CircuitAction:
+    """rho(g) = the circuit assign[g].
+
+    The automorphisms do not depend on how elements are labelled, so every
+    lattice step is taken once per distinct circuit.  On construction equal
+    circuits (same layers and window) become one object: distinct lists
+    them in first-seen order and slot[g] is the position of g's circuit in
+    it.  The circuits on the action's window share one rule -> Layer map,
+    so equal rules are materialized once, still on first use.
+    """
+
     group: FiniteGroup
     assign: tuple[ProceduralCircuit, ...]  # indexed by group element
     window: Window
     name: str = "action"
+    distinct: tuple[ProceduralCircuit, ...] = field(init=False, repr=False, compare=False)
+    slot: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        first: dict[ProceduralCircuit, int] = {}
+        slot = tuple(first.setdefault(c, len(first)) for c in self.assign)
+        distinct = tuple(first)  # the first-seen object of each value
+        made: dict = {}
+        for c in distinct:
+            if c.window == self.window:
+                c._cache.setdefault("made", made)
+        object.__setattr__(self, "assign", tuple(distinct[i] for i in slot))
+        object.__setattr__(self, "distinct", distinct)
+        object.__setattr__(self, "slot", slot)
 
     def circuit(self, g: int) -> ProceduralCircuit:
         return self.assign[g]
 
     def total_range(self) -> int:
-        return max((c.total_range() for c in self.assign), default=0)
+        return max((c.total_range() for c in self.distinct), default=0)
 
     def apply(self, g: int, a: SymOp) -> SymOp:
         return conj_by_circuit(a, self.assign[g])
@@ -395,11 +427,18 @@ class CircuitAction:
 
 def validate_action(action: CircuitAction) -> list[str]:
     """rho(g) rho(h) = rho(gh) on Z and X at every interior site, which
-    determines the automorphisms; returns violations."""
+    determines the automorphisms; returns violations, one per failing pair
+    and observable, in pair order.
+
+    The images of the observables are taken once per distinct circuit, and
+    the composition is checked once per distinct circuit triple
+    (circuit(g), circuit(h), circuit(gh)); every pair of a triple fails on
+    the same observables.
+    """
     window = action.window
+    G = action.group
     violations = []
-    idc = action.assign[action.group.id]
-    if not idc.is_identity():
+    if not action.assign[G.id].is_identity():
         violations.append("identity element has a nonempty circuit")
     reach = action.total_range()
     interior = [
@@ -408,13 +447,21 @@ def validate_action(action: CircuitAction) -> list[str]:
     if not interior:
         raise MarginError("window too small to validate the action")
     observables = [obs for s in interior for obs in (SymOp.z(s), SymOp.x(s))]
-    images = {g: [action.apply(g, obs) for obs in observables] for g in action.group.elements()}
-    for g in action.group.elements():
-        for h in action.group.elements():
-            gh = action.group.mul(g, h)
-            for obs, h_obs, gh_obs in zip(observables, images[h], images[gh]):
-                if action.apply(g, h_obs) != gh_obs:
-                    violations.append(f"rho({g})rho({h}) != rho({gh}) on {obs}")
+    images = [[conj_by_circuit(obs, c) for obs in observables] for c in action.distinct]
+    slot, failing = action.slot, {}
+    for g in G.elements():
+        for h in G.elements():
+            gh = G.mul(g, h)
+            key = (slot[g], slot[h], slot[gh])
+            bad = failing.get(key)
+            if bad is None:
+                c = action.distinct[slot[g]]
+                bad = failing[key] = [
+                    obs
+                    for obs, h_obs, gh_obs in zip(observables, images[slot[h]], images[slot[gh]])
+                    if conj_by_circuit(h_obs, c) != gh_obs
+                ]
+            violations += [f"rho({g})rho({h}) != rho({gh}) on {obs}" for obs in bad]
     return violations
 
 

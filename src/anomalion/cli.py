@@ -357,11 +357,12 @@ def cmd_reproduce_ccz(args) -> int:
     print("  tau cocycle:", rep.is_cocycle, "| trivial:", rep.trivial, "| class:", rep.matched_class)
     extra = {"command": "reproduce-ccz", "seed": args.seed,
              "mu_example": format_op(mu_example), "u_example": format_op(u_example)}
+    expected = rep.is_cocycle and not rep.trivial and rep.matched_class == "b^3 . a"
     if args.check_gauge:
         gauge = _gauge_checks(data, rep.cochain, args.check_gauge, args.seed)
         extra["gauge_checks"] = gauge
+        expected = expected and gauge["ok"]
     _emit(_anomaly_json(rep, extra), args.report)
-    expected = rep.is_cocycle and not rep.trivial and rep.matched_class == "b^3 . a"
     return EXIT_OK if expected else EXIT_ASSERTION
 
 

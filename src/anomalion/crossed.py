@@ -606,55 +606,6 @@ def twist(d: WeakMorphismData, b: Cochain, iso: KernelPhaseIso | None = None) ->
     return WeakMorphismData(d.G, cm, d.rho_t, mu2)
 
 
-def weak_morphisms_isomorphic(d1: WeakMorphismData, d2: WeakMorphismData) -> bool:
-    """Brute-force search for an isomorphism of the extension groups.
-
-    Candidate maps are (m, g) -> (m * s(g), g) with s valued in ker(bd)
-    and s(1) = 1; commuting with the inclusion of M, the projection to G
-    and the structure map to N forces this shape, so the search is
-    exhaustive.  Checks the homomorphism property against both group laws.
-    """
-    if d1.G != d2.G or d1.target is not d2.target and d1.target != d2.target:
-        raise ValueError("data live over different groups or targets")
-    if d1.rho_t != d2.rho_t:
-        raise ValueError("isomorphism search assumes a common rho~")
-    G, cm = d1.G, d1.target
-    M = cm.M
-    ker = cm_kernel(cm)
-    if M.order * G.order > 64:
-        raise ValueError("extension too large for the brute-force search")
-
-    def law(d, m0, g0, m1, g1):
-        return (
-            M.mul(M.mul(m0, cm.act(d.rho_t[g0], m1)), d.mu[g0][g1]),
-            G.mul(g0, g1),
-        )
-
-    others = [g for g in G.elements() if g != G.id]
-    for combo in product(ker, repeat=len(others)):
-        s = {G.id: M.id}
-        s.update(dict(zip(others, combo)))
-        good = True
-        for g0 in G.elements():
-            for m0 in M.elements():
-                for g1 in G.elements():
-                    for m1 in M.elements():
-                        pm, pg = law(d1, m0, g0, m1, g1)
-                        qm, qg = law(d2, M.mul(m0, s[g0]), g0, M.mul(m1, s[g1]), g1)
-                        if (M.mul(pm, s[pg]), pg) != (qm, qg):
-                            good = False
-                            break
-                    if not good:
-                        break
-                if not good:
-                    break
-            if not good:
-                break
-        if good:
-            return True
-    return False
-
-
 # -- pointwise verification of the lattice crossed square --------------------
 
 

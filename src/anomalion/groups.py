@@ -189,31 +189,6 @@ class GroupHom:
 # -- subgroups and quotients ------------------------------------------
 
 
-def subgroup_closure(g: FiniteGroup, gens) -> list[int]:
-    """Sorted element list of the subgroup generated by gens."""
-    seen = {g.id}
-    frontier = [g.id]
-    gens = list(gens)
-    while frontier:
-        a = frontier.pop()
-        for s in gens:
-            for b in (g.mul(a, s), g.mul(s, a)):
-                if b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-    # close under products of found elements (gens may not include inverses)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(seen):
-            for b in list(seen):
-                c = g.mul(a, b)
-                if c not in seen:
-                    seen.add(c)
-                    changed = True
-    return sorted(seen)
-
-
 def is_normal(g: FiniteGroup, sub: list[int]) -> bool:
     s = set(sub)
     return all(g.conj(a, h) in s for a in g.elements() for h in sub)

@@ -166,9 +166,6 @@ class Region:
     def contains(self, s: Site) -> bool:
         return self.core_distance(s) <= self.thickening
 
-    def contains_all(self, sites: Iterable[Site]) -> bool:
-        return all(self.contains(s) for s in sites)
-
     def thickened(self, extra: int) -> "Region":
         return replace(self, thickening=self.thickening + extra)
 
@@ -226,23 +223,3 @@ class Region:
         if self.kind == "intersection":
             obj["inner2"] = self.inner2.to_json()
         return obj
-
-
-@dataclass(frozen=True)
-class SupportReport:
-    memberships: tuple[tuple[str, bool], ...]
-    max_dist_to_boundary_line: int
-    max_dist_to_origin: int
-
-    def fully_inside(self, i: int) -> bool:
-        return self.memberships[i][1]
-
-
-def classify_support(sites: Iterable[Site], regions: list[Region]) -> SupportReport:
-    """Per-region membership of a finite site set, plus distance extremes."""
-    sites = list(sites)
-    memberships = tuple((r.kind, r.contains_all(sites)) for r in regions)
-    line = Region.boundary_line()
-    dline = max((line.core_distance(s) for s in sites), default=0)
-    dorig = max((max(abs(s[0]), abs(s[1])) for s in sites), default=0)
-    return SupportReport(memberships, dline, dorig)

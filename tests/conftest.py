@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from anomalion.anomaly import build_truncation_1d, build_truncation_2d
@@ -13,6 +16,16 @@ def window12():
 @pytest.fixture(scope="session")
 def chain12():
     return Window.chain(12, margin=3)
+
+
+@pytest.fixture(scope="session")
+def digest_script():
+    """scripts/report_digests.py as a module, for its action configs."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 @pytest.fixture(scope="session")

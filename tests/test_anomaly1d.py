@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from anomalion.anomaly import build_truncation_1d, nayak_else_1d
-from anomalion.circuits import GateRule, ProceduralCircuit, builtin_action, onsite_x_action_1d, truncate
+from anomalion.circuits import (
+    GateRule,
+    ProceduralCircuit,
+    action_from_config,
+    builtin_action,
+    onsite_x_action_1d,
+    truncate,
+)
 from anomalion.groups import coboundary_solve
 from anomalion.lattice import Region, Window
 from anomalion.sampling import random_circuit, region_sites
 from anomalion.symop import SymOp, op_mul, support
 from oracle import ColumnOracle
+from reference import collapse_per_pair
 
 
 def test_levin_gu_lifts(lg_data):
@@ -138,3 +146,18 @@ def test_conjugation_by_circuit_keeps_cochain(conjugate):
         conj = nayak_else_1d(conjugate(action, w))
         assert conj.matched_class == "a^3"
         assert conj.cochain == base.cochain
+
+
+def test_shared_1d_truncation_matches_per_pair_collapse(digest_script, chain12):
+    """levin_gu_1d times a trivial Z2: e1 and e3 share one circuit, which is
+    truncated once; nu and the crop log, one line per pair in pair order,
+    equal a product_collapse per pair over unshared truncations."""
+    action = action_from_config(digest_script.LEVIN_GU_Z2_CONFIG, chain12)
+    assert action.slot == (0, 1, 0, 1)
+    data = build_truncation_1d(action)
+    assert data.rho_tilde[1] is data.rho_tilde[3]
+    disk = Region.origin_disk(data.origin_radius)
+    nu, cropped = collapse_per_pair(action, Region.half_line_R(), disk, "nu")
+    assert data.nu_lift == nu
+    assert cropped
+    assert list(data.cropped) == cropped

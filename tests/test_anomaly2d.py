@@ -17,15 +17,17 @@ import anomalion.anomaly as anomaly_module
 from anomalion.circuits import (
     GateRule,
     ProceduralCircuit,
+    action_from_config,
     builtin_action,
     conj_by_circuit,
     product_collapse,
 )
 from anomalion.groups import Cochain, coboundary, cohomologous, klein_bits
-from anomalion.lattice import Region, Window, classify_support
+from anomalion.lattice import Region, Window
 from anomalion.pairing import LocalizedAutomorphism, eta
 from anomalion.sampling import random_inner, region_sites
 from anomalion.symop import SymOp, op_conj, op_inv, op_mul, op_product, scalar_phase, support
+from reference import classify_support, collapse_per_pair
 
 
 def bits(e):
@@ -422,20 +424,10 @@ def test_conjugation_by_circuit_keeps_cochain(conjugate):
 
 
 @pytest.fixture(scope="module")
-def order8_data():
+def order8_data(digest_script, window12):
     """The truncation of the order8 benchmark action: ccz_x_2d times a
     trivially acting Z2, from scripts/report_digests.py's ORDER8_CONFIG."""
-    import importlib.util
-    from pathlib import Path
-
-    from anomalion.circuits import action_from_config
-
-    path = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
-    spec = importlib.util.spec_from_file_location("report_digests", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    action = action_from_config(script.ORDER8_CONFIG, Window.centered(12, 12, margin=3))
-    return build_truncation_2d(action)
+    return build_truncation_2d(action_from_config(digest_script.ORDER8_CONFIG, window12))
 
 
 def test_tau_hashes_each_value_once_per_call(order8_data, monkeypatch):
@@ -535,3 +527,29 @@ def test_u_crop_log_matches_per_triple_crops(ccz_data):
         want = _u_crop_log(data, label)
         assert want
         assert [c for c in data.cropped if c.startswith(label + "(")] == want
+
+
+def test_truncation_collapses_once_per_circuit_triple(digest_script, window12, monkeypatch):
+    """The 8 elements of the order8 action have 4 distinct circuits: each is
+    truncated once, and each of the 16 distinct circuit triples of the 64
+    pairs is collapsed once."""
+    action = action_from_config(digest_script.ORDER8_CONFIG, window12)
+    calls = []
+    collapse = anomaly_module.product_collapse
+    monkeypatch.setattr(
+        anomaly_module, "product_collapse", lambda *args, **kw: calls.append(args) or collapse(*args, **kw)
+    )
+    data = build_truncation_2d(action)
+    assert len(calls) == 16
+    assert len({id(c) for c in data.rho_tilde}) == len(action.distinct) == 4
+
+
+def test_shared_truncation_matches_per_pair_collapse(order8_data):
+    """mu and its crop log, one line per pair in pair order, equal a
+    product_collapse per pair over unshared truncations."""
+    action = order8_data.action
+    line = Region.boundary_line(action.total_range() + 1)
+    mu, cropped = collapse_per_pair(action, Region.half_plane_H(), line, "mu")
+    assert order8_data.mu == mu
+    assert cropped
+    assert [c for c in order8_data.cropped if c.startswith("mu(")] == cropped

@@ -12,6 +12,7 @@ from anomalion.circuits import (
     InstantiationError,
     MarginError,
     ProceduralCircuit,
+    action_from_config,
     builtin_action,
     concat,
     conj_by_circuit,
@@ -20,7 +21,7 @@ from anomalion.circuits import (
     truncate,
     validate_action,
 )
-from anomalion.groups import FiniteGroup
+from anomalion.groups import FiniteGroup, klein_four
 from anomalion.lattice import Region, Window
 from anomalion.pairing import _conjugated_circuit
 from anomalion.symop import (
@@ -34,7 +35,7 @@ from anomalion.symop import (
     support_mask,
 )
 from oracle import DenseSpace
-from reference import suffix_circuit, truncate_rest
+from reference import suffix_circuit, truncate_rest, validate_per_pair
 
 
 def test_instantiate_x_sites():
@@ -539,3 +540,65 @@ def test_explicit_layer_range_is_largest_gate_diameter(window12):
         assert [layer.range_bound() for layer in c.instantiate()] == [
             max(extent(g) for g in rule.gates) for rule in layers
         ]
+
+
+def test_order8_action_generates_each_rule_once(digest_script, window12, monkeypatch):
+    """Equal circuits of an action are one object and equal rules one Layer,
+    still materialized on first use: the order8 config's 8 elements have 4
+    distinct circuits over 2 distinct rules."""
+    calls = []
+    generate = GateRule.generate
+    monkeypatch.setattr(GateRule, "generate", lambda rule, w: calls.append(rule) or generate(rule, w))
+    action = action_from_config(digest_script.ORDER8_CONFIG, window12)
+    assert calls == []
+    assert validate_action(action) == []
+    assert len(calls) == 2
+    # element i has an X layer if i & 2 and a CCZ layer if i & 4
+    assert action.slot == (0, 0, 1, 1, 2, 2, 3, 3)
+    assert all(action.circuit(g) is action.distinct[action.slot[g]] for g in action.group.elements())
+    x_layer, ccz_layer = action.circuit(7).instantiate()
+    assert action.circuit(2).instantiate() == [x_layer] and action.circuit(2).instantiate()[0] is x_layer
+    assert action.circuit(4).instantiate()[0] is ccz_layer
+
+
+def test_validate_action_conjugates_once_per_circuit(digest_script, window12, monkeypatch):
+    """On the order8 action, the 8 observables are conjugated once per
+    distinct circuit (4) and the composition checked once per distinct
+    circuit triple (16): 160 conjugations, not 8 x 8 + 64 x 8."""
+    from anomalion import circuits
+
+    action = action_from_config(digest_script.ORDER8_CONFIG, window12)
+    calls = [0]
+    conj = circuits.conj_by_circuit
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return conj(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "conj_by_circuit", counting)
+    assert validate_action(action) == []
+    assert calls[0] == 160
+
+
+def test_shared_circuits_report_each_failing_pair(window12):
+    """Klein four with e1 and e2 given equal circuits, built apart, that
+    square to Z_t, and e3 the empty circuit: the four pairs of the one
+    failing circuit triple each get their own line, in pair order, as the
+    per-pair loop reports them."""
+    t, s = (-1, 0), (0, 0)
+
+    def squares_to_z():
+        return ProceduralCircuit(
+            (GateRule("explicit", gates=(SymOp.x(s),)), GateRule("explicit", gates=(SymOp.cz(s, t),))),
+            window12,
+        )
+
+    empty = ProceduralCircuit((), window12)
+    K4 = klein_four()
+    action = CircuitAction(K4, (empty, squares_to_z(), squares_to_z(), ProceduralCircuit((), window12)), window12)
+    assert action.slot == (0, 1, 1, 0)
+    got = validate_action(action)
+    assert got == validate_per_pair(action)
+    assert got == [
+        f"rho({g})rho({h}) != rho({K4.mul(g, h)}) on {SymOp.x(t)}" for g, h in ((1, 1), (1, 2), (2, 1), (2, 2))
+    ]

@@ -188,6 +188,28 @@ def test_spt_trivialize2d_failed_check_exits_nonzero(tmp_path, monkeypatch):
         assert data["status"] == "ok" and data["delta_equals_tau"] is verdict
 
 
+def test_reproduce_ccz_failed_gauge_check_exits_nonzero(tmp_path, monkeypatch):
+    """A regauged tau that differs from tau fails the run; the report is
+    still written, with the failed check in it."""
+    import anomalion.cli as cli
+    from anomalion.groups import Cochain
+
+    tau = cli.tau_cochain
+
+    def flipped(data):
+        c = tau(data)
+        return Cochain(c.group, c.degree, c.modulus, tuple(1 - v for v in c.values))
+
+    monkeypatch.setattr(cli, "tau_cochain", flipped)
+    rep = tmp_path / "ccz.json"
+    assert run(["reproduce-ccz", "--check-gauge", "1", "--report", str(rep)]) == 1
+    data = json.loads(rep.read_text())
+    assert data["matched_class"] == "b^3 . a"
+    assert data["gauge_checks"] == {
+        "beta_regauge_pass": 0, "rho_regauge_pass": 0, "count": 1, "ok": False,
+    }
+
+
 def test_inconsistent_action_config_rejected(tmp_path):
     # Z3 table with an involution generator cannot be a group action
     cfg = tmp_path / "bad.json"

