@@ -22,6 +22,7 @@ from .circuits import (
     CircuitAction,
     Layer,
     ProceduralCircuit,
+    apply_inverse_circuit,
     concat,
     conj_by_circuit,
     crop_window_debris,
@@ -105,8 +106,8 @@ class TruncationData2d:
     scalar assertion) of a fresh call.  A call that raises stores nothing,
     so every tuple that reaches it raises again.
 
-    rho_apply, conj, inv and eta take and return operators; each converts
-    into the numbered step.  dataclasses.replace starts an empty table and
+    rho_apply, conj and inv take and return operators; each converts into
+    the numbered step.  dataclasses.replace starts an empty table and
     memo, and mu/alpha/beta/u may be edited in place: tau numbers the values
     it reads on every call, not the group elements.
     """
@@ -167,16 +168,17 @@ class TruncationData2d:
         return self._store(key, op_inv(self._vals[i])) if j is None else j
 
     def _eta(self, i: int, j: int) -> int:
+        """eta of Ad _vals[i] on the left half-line against Ad _vals[j] on
+        the right one."""
         key = ("eta", i, j)
         k = self._memo.get(key)
-        return self._store(key, self._eta_op(self._vals[i], self._vals[j])) if k is None else k
-
-    def _eta_op(self, a: SymOp, w: SymOp) -> SymOp:
-        thick = self.origin_radius + self.action.total_range() + 1
-        return eta(
-            LocalizedAutomorphism(Region.half_line_L(thick), inner=a),
-            LocalizedAutomorphism(Region.half_line_R(thick), inner=w),
-        )
+        if k is None:
+            thick = self.origin_radius + self.action.total_range() + 1
+            k = self._store(key, eta(
+                LocalizedAutomorphism(Region.half_line_L(thick), inner=self._vals[i]),
+                LocalizedAutomorphism(Region.half_line_R(thick), inner=self._vals[j]),
+            ))
+        return k
 
     def rho_apply(self, g: int, a: SymOp) -> SymOp:
         return self._vals[self._rho(g, self._id(a))]
@@ -190,10 +192,6 @@ class TruncationData2d:
 
     def inv(self, a: SymOp) -> SymOp:
         return self._vals[self._inv(self._id(a))]
-
-    def eta(self, a: SymOp, w: SymOp) -> SymOp:
-        """eta of Ad a on the left half-line against Ad w on the right one."""
-        return self._vals[self._eta(self._id(a), self._id(w))]
 
 
 def _truncate_and_collapse(action: CircuitAction, reach: int, half: Region, region: Region, label: str):
@@ -225,11 +223,11 @@ def _truncate_and_collapse(action: CircuitAction, reach: int, half: Region, regi
     return rho, collapsed, cropped
 
 
-def build_truncation_2d(action: CircuitAction, origin_radius: int | None = None) -> TruncationData2d:
-    """Truncate to the half-plane and extract mu, alpha/beta and u."""
+def build_truncation_2d(action: CircuitAction) -> TruncationData2d:
+    """Truncate to the half-plane and extract mu, alpha/beta and u, the
+    latter in the origin disk of radius max(2, 2 x action range)."""
     reach = action.total_range()
-    if origin_radius is None:
-        origin_radius = max(2, 2 * reach)
+    origin_radius = max(2, 2 * reach)
     rho, mu, cropped = _truncate_and_collapse(
         action, reach, Region.half_plane_H(), Region.boundary_line(reach + 1), "mu"
     )
@@ -384,12 +382,13 @@ class TruncationData1d:
         return conj_by_circuit(a, self.rho_tilde[g])
 
 
-def build_truncation_1d(action: CircuitAction, origin_radius: int | None = None) -> TruncationData1d:
+def build_truncation_1d(action: CircuitAction) -> TruncationData1d:
+    """Truncate to the right half-line and collapse nu, asserted in the
+    origin disk of radius max(2, 2 x action range)."""
     if not action.window.is_chain:
         raise ValueError("1d pipeline needs a chain window")
     reach = action.total_range()
-    if origin_radius is None:
-        origin_radius = max(2, 2 * reach)
+    origin_radius = max(2, 2 * reach)
     rho, nu, cropped = _truncate_and_collapse(
         action, reach, Region.half_line_R(), Region.origin_disk(origin_radius), "nu"
     )
@@ -551,8 +550,7 @@ class StateNotInvariant(ValueError):
     pass
 
 
-def _interior_sites(window: Window, slack: int = 0):
-    return [s for s in window.sites() if window.edge_distance(s) >= window.margin + slack]
+CORRECTION_RADIUS = 2  # of the origin disk that find_state_correction searches
 
 
 def state_stabilizer_generators(window: Window, state: ReferenceState, dressing=None):
@@ -562,10 +560,10 @@ def state_stabilizer_generators(window: Window, state: ReferenceState, dressing=
     (Z on z-sites, X on x-sites); omega values +1 on all of them pin the
     state, so checking them is sound for the representable class.
     """
-    from .circuits import apply_inverse_circuit
-
     gens = []
-    for s in _interior_sites(window):
+    for s in window.sites():
+        if window.edge_distance(s) < window.margin:
+            continue
         base = SymOp.z(s) if state.basis_at(s) == "z" else SymOp.x(s)
         gens.append(apply_inverse_circuit(base, dressing) if dressing is not None else base)
     return gens
@@ -615,15 +613,15 @@ def find_state_correction(
     window: Window,
     state: ReferenceState,
     dressing=None,
-    radius: int = 2,
 ) -> SymOp:
-    """Smallest Pauli-type W with omega o Ad_W o rho~ = omega, or raise."""
+    """Smallest Pauli-type W supported in the origin disk of radius
+    CORRECTION_RADIUS with omega o Ad_W o rho~ = omega, or raise."""
     conjugated = [
         conj_by_circuit(t, rho_circuit)
         for t in state_stabilizer_generators(window, state, dressing)
     ]
     one = Fraction(1)
-    for w in _pauli_candidates(window, radius):
+    for w in _pauli_candidates(window, CORRECTION_RADIUS):
         if all(expectation_product_state(op_conj(co, w), dressing, state) == one for co in conjugated):
             return w
     raise StateNotInvariant("no state-preserving origin correction in the Pauli family")
@@ -652,7 +650,6 @@ def spt_relative_1d(
     dress1: ProceduralCircuit | None,
     dress2: ProceduralCircuit | None,
     state: ReferenceState = ALL_ZEROS,
-    correction_radius: int = 2,
 ) -> SptRelative1dReport:
     """Relative degree-2 class of two invariant dressed product states."""
     G = action.group
@@ -667,7 +664,7 @@ def spt_relative_1d(
     cochains = []
     for dress in (dress1, dress2):
         w = {
-            g: find_state_correction(data.rho_tilde[g], window, state, dress, correction_radius)
+            g: find_state_correction(data.rho_tilde[g], window, state, dress)
             for g in G.elements()
         }
 

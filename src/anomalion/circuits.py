@@ -344,7 +344,7 @@ def crop_window_debris(a: SymOp, window: Window) -> CollapseResult:
 def product_collapse(
     circuits: list[ProceduralCircuit],
     signs: list[int],
-    expect_region: Region | None = None,
+    expect_region: Region,
 ) -> CollapseResult:
     """Multiply circuit unitaries (with +-1 exponents) into one SymOp.
 
@@ -362,23 +362,17 @@ def product_collapse(
         elif s != 1:
             raise ValueError("signs must be +-1")
         acc = op_mul(acc, w)
-    if expect_region is not None:
-        bad = [
-            s
-            for s in support(acc)
-            if not expect_region.contains(s) and not window.in_edge_strip(s)
-        ]
-        if bad:
-            raise CollapseError(
-                f"product does not collapse: support reaches {sorted(bad)[:8]} "
-                f"outside the expected region"
-            )
-        result = crop_window_debris(acc, window)
-        leftover = [s for s in support(result.op) if not expect_region.contains(s)]
-        if leftover:
-            raise CollapseError(f"cropped product still reaches {sorted(leftover)[:8]}")
-        return result
-    return crop_window_debris(acc, window)
+    bad = [s for s in support(acc) if not expect_region.contains(s) and not window.in_edge_strip(s)]
+    if bad:
+        raise CollapseError(
+            f"product does not collapse: support reaches {sorted(bad)[:8]} "
+            f"outside the expected region"
+        )
+    result = crop_window_debris(acc, window)
+    leftover = [s for s in support(result.op) if not expect_region.contains(s)]
+    if leftover:
+        raise CollapseError(f"cropped product still reaches {sorted(leftover)[:8]}")
+    return result
 
 
 # -- group actions by circuits -------------------------------------------
@@ -463,9 +457,6 @@ def validate_action(action: CircuitAction) -> list[str]:
                 ]
             violations += [f"rho({g})rho({h}) != rho({gh}) on {obs}" for obs in bad]
     return violations
-
-
-BUILTIN_ACTIONS = ("ccz_x_2d", "levin_gu_1d", "onsite_x_2d")
 
 
 def builtin_action(name: str, window: Window) -> CircuitAction:

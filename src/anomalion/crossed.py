@@ -89,8 +89,9 @@ class ValidationReport:
     violations: tuple[str, ...]
 
     @staticmethod
-    def from_list(v: list[str], cap: int = 64) -> "ValidationReport":
-        return ValidationReport(not v, tuple(v[:cap]))
+    def from_list(v: list[str]) -> "ValidationReport":
+        """ok iff v is empty; keeps the first 64 violations."""
+        return ValidationReport(not v, tuple(v[:64]))
 
 
 @dataclass(frozen=True)

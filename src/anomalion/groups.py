@@ -305,9 +305,6 @@ class Cochain:
             raise ValueError("wrong arity")
         return self.values[self._idx(args)]
 
-    def phase(self, *args: int) -> PhaseValue:
-        return PhaseValue(self(*args), self.modulus)
-
     @staticmethod
     def constant(group: FiniteGroup, degree: int, modulus: int = 2, value: int = 0) -> "Cochain":
         return Cochain(group, degree, modulus, (value,) * group.order**degree)
@@ -316,9 +313,6 @@ class Cochain:
     def from_function(group: FiniteGroup, degree: int, modulus: int, fn) -> "Cochain":
         vals = [fn(*args) % modulus for args in group.tuples(degree)]
         return Cochain(group, degree, modulus, tuple(vals))
-
-    def is_identically_one(self) -> bool:
-        return not any(self.values)
 
     def mul(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)

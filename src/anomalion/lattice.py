@@ -76,10 +76,6 @@ class Window:
             return None
         return Window(x_min, x_max, y_min, y_max)
 
-    def in_interior(self, s: Site) -> bool:
-        """At least margin away from the window rim."""
-        return self.contains(s) and self.edge_distance(s) >= self.margin
-
     def in_edge_strip(self, s: Site) -> bool:
         return self.contains(s) and self.edge_distance(s) < self.margin
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z_m on Python ints: GF(p) elimination and a Smith form over Z/p^k.
+"""Exact linear algebra over Z_m on Python ints: a GF(2) XOR basis and a Smith form over Z/p^k.
 
 Solves A x = b (mod m) for integer matrices, for every column b of a matrix
 of right-hand sides in one elimination of A.  m is split into prime powers
@@ -18,9 +18,13 @@ same solution, bit for bit, and rejects the same columns.
   column that does not reduce to 0 is independent of those before it and
   becomes a pivot.  Each basis entry carries the mask of the pivot columns
   it sums, so a b that reduces to 0 is solved by the mask it collects.
-- odd p: Gauss-Jordan elimination of [A | B] on row lists.
-- p^k with k > 1: a Smith form over the local ring Z/p^k, where every
-  nonzero residue is a unit times a power of p.
+- every p^k other than 2^1: a Smith form over the local ring Z/p^k, where
+  every nonzero residue is a unit times a power of p.  At k = 1 every
+  nonzero entry is a unit, so it takes as pivot the first column with a
+  nonzero entry below the rows already pivoted: the leftmost independent
+  column.  Its column operations only subtract a pivot column from the
+  columns after it, so the first rank columns of V, the only ones that
+  x = V y uses, are supported on the pivots: x is the solution above.
 """
 
 from __future__ import annotations
@@ -77,53 +81,28 @@ def solve_mod_prime(A, B, p: int) -> list[list[int] | None]:
     """One solution of A x = b mod p (p prime) per column b of B, or None.
 
     The pivots are the leftmost independent columns and free variables are
-    0 (see the module docstring).
+    0 (see the module docstring): an XOR basis for p = 2, the Smith form at
+    k = 1 for odd p.
     """
+    if p != 2:
+        return smith_normal_form(A, B, p, 1)
     A, B = _as_matrix(A), _as_matrix(B)
-    rows, cols = A.shape
-    if p == 2:
-        basis: dict[int, tuple[int, int]] = {}  # leading bit -> (bits, pivot mask)
+    cols = A.shape[1]
+    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (bits, pivot mask)
 
-        def reduce(v: int, mask: int) -> tuple[int, int]:
-            while v and (entry := basis.get(v.bit_length())):
-                v, mask = v ^ entry[0], mask ^ entry[1]
-            return v, mask
+    def reduce(v: int, mask: int) -> tuple[int, int]:
+        while v and (entry := basis.get(v.bit_length())):
+            v, mask = v ^ entry[0], mask ^ entry[1]
+        return v, mask
 
-        for c, col in enumerate(A.columns):
-            v, mask = reduce(_bits(col), 1 << c)
-            if v:
-                basis[v.bit_length()] = (v, mask)
-        out = []
-        for col in B.columns:
-            v, mask = reduce(_bits(col), 0)
-            out.append(None if v else [mask >> c & 1 for c in range(cols)])
-        return out
-    aug = _dense_rows(A, B, p)
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        pr = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        head = aug[r]
-        u = pow(head[c], -1, p)
-        # the pivot row is zero left of c, so the update starts at c
-        head[c:] = tail = [x * u % p for x in head[c:]]
-        for row in aug:
-            f = row[c]
-            if f and row is not head:
-                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
-        pivots.append(c)
+    for c, col in enumerate(A.columns):
+        v, mask = reduce(_bits(col), 1 << c)
+        if v:
+            basis[v.bit_length()] = (v, mask)
     out = []
-    for col in _transpose([row[cols:] for row in aug], B.shape[1]):
-        if any(col[len(pivots):]):  # rows below the rank must be consistent
-            out.append(None)
-            continue
-        x = [0] * cols
-        for c, v in zip(pivots, col):
-            x[c] = v
-        out.append(x)
+    for col in B.columns:
+        v, mask = reduce(_bits(col), 0)
+        out.append(None if v else [mask >> c & 1 for c in range(cols)])
     return out
 
 

@@ -50,27 +50,23 @@ def random_diagonal_gate(rng: random.Random, sites: list, sites_set: set) -> Sym
     return SymOp.ccz(s, t, u)
 
 
-def random_circuit(
-    rng: random.Random,
-    window: Window,
-    sites: list,
-    max_layers: int = 2,
-    max_gates: int = 4,
-) -> ProceduralCircuit:
-    """Random representable circuit on the sites of a region_sites list."""
+def random_circuit(rng: random.Random, window: Window, sites: list) -> ProceduralCircuit:
+    """Random representable circuit on the sites of a region_sites list: one
+    or two layers, each of one to four draws of X gates or of diagonal gates,
+    repeats dropped."""
     sites_set = set(sites)
     layers = []
-    for _ in range(rng.randrange(1, max_layers + 1)):
+    for _ in range(rng.randrange(1, 3)):
         if rng.random() < 0.5:
             gates = []
             used = set()
-            for _ in range(rng.randrange(1, max_gates + 1)):
+            for _ in range(rng.randrange(1, 5)):
                 s = sites[rng.randrange(len(sites))]
                 if s not in used:
                     used.add(s)
                     gates.append(SymOp.x(s))
         else:
-            gates = [random_diagonal_gate(rng, sites, sites_set) for _ in range(rng.randrange(1, max_gates + 1))]
+            gates = [random_diagonal_gate(rng, sites, sites_set) for _ in range(rng.randrange(1, 5))]
             seen = set()
             dedup = []
             for g in gates:
@@ -112,11 +108,12 @@ def random_boundary_gamma(rng: random.Random, window: Window, group: FiniteGroup
     return gamma
 
 
-def random_inner(rng: random.Random, sites: list, max_terms: int = 3) -> SymOp:
-    """Random SymOp on the sites of a region_sites list (diagonal terms plus flips)."""
+def random_inner(rng: random.Random, sites: list) -> SymOp:
+    """Random SymOp on the sites of a region_sites list (up to three
+    diagonal terms plus flips)."""
     sites_set = set(sites)
     poly = set()
-    for _ in range(rng.randrange(max_terms + 1)):
+    for _ in range(rng.randrange(4)):
         g = random_diagonal_gate(rng, sites, sites_set)
         poly ^= g.poly
     if rng.random() < 0.3:

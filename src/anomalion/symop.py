@@ -43,13 +43,6 @@ from operator import or_
 from .groups import PhaseValue
 from .lattice import Site
 
-DEFAULT_MAX_DEGREE = 3
-
-
-class DegreeError(ValueError):
-    pass
-
-
 # -- the site interner -----------------------------------------------------
 
 _SITES: list[Site] = []  # bit position -> site
@@ -156,14 +149,6 @@ class SymOp:
         raise ValueError("sign must be +-1")
 
     @staticmethod
-    def diagonal(monomials, max_degree: int = DEFAULT_MAX_DEGREE) -> "SymOp":
-        poly = frozenset(frozenset(m) for m in monomials)
-        for m in poly:
-            if len(m) > max_degree:
-                raise DegreeError(f"monomial degree {len(m)} exceeds cap {max_degree}")
-        return SymOp(poly)
-
-    @staticmethod
     def z(site: Site) -> "SymOp":
         return _packed(frozenset((_bit(site),)), 0)
 
@@ -191,9 +176,6 @@ class SymOp:
 
     def is_identity(self) -> bool:
         return not self._poly and not self._flips
-
-    def is_diagonal(self) -> bool:
-        return not self._flips
 
     def __repr__(self):
         return format_op(self)

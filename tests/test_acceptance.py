@@ -131,7 +131,7 @@ def test_criterion_1c_tau_table_and_runtime(timed_ccz):
 
 def test_criterion_2_tau_closed(timed_ccz):
     *_, tau, _ = (None, None, None, timed_ccz[3], None)
-    ok = coboundary(tau).is_identically_one()
+    ok = not any(coboundary(tau).values)
     ok = _line("2", ok, "coboundary(tau) is identically 1 over all 4^5 tuples")
     assert ok
 
@@ -306,7 +306,7 @@ def test_criterion_11_spt():
     data = build_truncation_2d(onsite)
     tau = tau_cochain(data)
     rep2d = spt_trivialize_2d(data, None, state=ALL_PLUS)
-    ok = tau.is_identically_one() and rep2d.status == "ok" and rep2d.delta_equals_tau
+    ok = not any(tau.values) and rep2d.status == "ok" and rep2d.delta_equals_tau
 
     ccz = builtin_action("ccz_x_2d", window)
     ccz_data = build_truncation_2d(ccz)

@@ -74,7 +74,7 @@ def test_onsite_restriction_is_constant_one(chain12):
     data = build_truncation_1d(action)
     assert all(nu.is_identity() for nu in data.nu_lift.values())
     rep = nayak_else_1d(action, data)
-    assert rep.cochain.is_identically_one()
+    assert not any(rep.cochain.values)
     assert rep.trivial
 
 
@@ -85,7 +85,7 @@ def test_trivial_action(chain12):
     G = FiniteGroup.cyclic(2)
     triv = CircuitAction(G, (ProceduralCircuit((), chain12), ProceduralCircuit((), chain12)), chain12)
     rep = nayak_else_1d(triv)
-    assert rep.cochain.is_identically_one()
+    assert not any(rep.cochain.values)
 
 
 def test_window_stability(lg_action, lg_data):
@@ -124,7 +124,7 @@ def test_onsite_xx_restriction_constant_one(chain12):
     from anomalion.circuits import onsite_xx_action_1d
 
     rep = nayak_else_1d(onsite_xx_action_1d(chain12))
-    assert rep.cochain.is_identically_one() and rep.trivial
+    assert not any(rep.cochain.values) and rep.trivial
 
 
 def _chain_conjugators(chain):

@@ -258,7 +258,7 @@ def test_builtin_actions(window12, chain12):
     layers = lg.circuit(1).instantiate()
     assert len(layers) == 2
     assert all(not g.poly for g in layers[0])              # X layer
-    assert all(g.is_diagonal() for g in layers[1])         # CZ layer
+    assert all(not g.flips for g in layers[1])         # CZ layer
 
 
 def test_u1_u2_commute_and_square(window12):
@@ -323,11 +323,11 @@ def test_action_from_config(window12):
 def test_builtin_ccz_layer_content(window12):
     action = builtin_action("ccz_x_2d", window12)
     (ccz_layer,) = action.circuit(0b10).instantiate()   # g = (1,0): triangles only
-    assert all(g.is_diagonal() and g.degree() == 3 for g in ccz_layer)
+    assert all(not g.flips and g.degree() == 3 for g in ccz_layer)
     x_layer, = action.circuit(0b01).instantiate()       # g = (0,1): X product only
     assert all(not g.poly for g in x_layer)
     both = action.circuit(0b11).instantiate()           # X applied first, then CCZ
-    assert len(both) == 2 and not both[0][0].poly and both[1][0].is_diagonal()
+    assert len(both) == 2 and not both[0][0].poly and not both[1][0].flips
 
 
 def conj_order(g):

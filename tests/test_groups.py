@@ -67,14 +67,14 @@ def test_phase_value_reduction():
 
 def test_coboundary_of_constant_0cochain_is_trivial():
     v = Cochain.constant(Z2, 0, 2, value=1)
-    assert coboundary(v).is_identically_one()
+    assert not any(coboundary(v).values)
 
 
 def test_coboundary_squared_is_one_on_examples():
     rng = random.Random(0)
     for g in (Z2, K4):
         c = random_cochain(rng, g, 2, 2)
-        assert coboundary(coboundary(c)).is_identically_one()
+        assert not any(coboundary(coboundary(c)).values)
 
 
 def test_coboundary_on_z2_sign_cochain():
@@ -86,7 +86,7 @@ def test_coboundary_on_z2_sign_cochain():
             # (delta c)(g,h) = c(h) - c(gh) + c(g); equals (-1)^(g+h+(g xor h))
             expect = (g + h + (g ^ h)) % 2
             assert dc(g, h) == expect
-    assert dc.is_identically_one()  # c is a homomorphism
+    assert not any(dc.values)  # c is a homomorphism
 
 
 @given(
@@ -100,7 +100,7 @@ def test_delta_squared_zero(group, degree, modulus, seed):
     while group.order**(degree + 2) > 40000:
         degree -= 1
     c = random_cochain(random.Random(seed), group, degree, modulus)
-    assert coboundary(coboundary(c)).is_identically_one()
+    assert not any(coboundary(coboundary(c)).values)
 
 
 @given(st.sampled_from([Z2, K4]), st.integers(1, 3), st.integers(0, 2**30))
@@ -154,7 +154,7 @@ def test_cup_products():
     assert is_cocycle(cup)
 
     trivial = Cochain.constant(K4, 1, 2)
-    assert cup_1cocycles([b, trivial, b, a]).is_identically_one()
+    assert not any(cup_1cocycles([b, trivial, b, a]).values)
 
     az2 = Cochain.from_function(Z2, 1, 2, lambda g: g)
     aa = cup_1cocycles([az2, az2])
@@ -351,7 +351,7 @@ def homomorphisms(group, modulus):
 def random_cocycle(rng, group, degree, modulus):
     """A random coboundary plus a nonzero multiple of a cup product of nonzero
     homomorphisms (zero when the group has none)."""
-    homs = [h for h in homomorphisms(group, modulus) if not h.is_identically_one()]
+    homs = [h for h in homomorphisms(group, modulus) if any(h.values)]
     factors = [rng.choice(homs) for _ in range(degree)] if homs else []
     k = rng.randrange(1, modulus) if homs else 0
 

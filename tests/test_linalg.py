@@ -95,7 +95,8 @@ def test_solve_mod_columns_match_single_solves(A, m, data):
 
 def reference_solve_mod_prime(A, B, p):
     """Gauss-Jordan elimination of [A | B] on int64 rows for every prime
-    alike: the reference for solve_mod_prime's packed GF(2) rows."""
+    alike: the reference for solve_mod_prime's XOR basis (p = 2) and its
+    Smith form at k = 1 (odd p)."""
     A = np.asarray(A, dtype=np.int64) % p
     rows, cols = A.shape
     aug = np.concatenate([A, np.asarray(B, dtype=np.int64) % p], axis=1)
@@ -146,7 +147,7 @@ def wide_system(draw):
     return A, B
 
 
-@given(wide_system(), st.sampled_from([2, 2, 2, 3]))
+@given(wide_system(), st.sampled_from([2, 2, 2, 3, 5, 7]))
 @settings(max_examples=200, deadline=None)
 def test_solve_mod_prime_matches_reference(system, p):
     A, B = system

@@ -117,14 +117,14 @@ def test_relative_class_cluster_vs_product(chain12):
     a, b = 0b10, 0b01
     assert (rep.cochain(a, b) - rep.cochain(b, a)) % 2 == 1
     # the undressed product state contributes the trivial cocycle
-    assert rep.c2.is_identically_one()
+    assert not any(rep.c2.values)
 
 
 def test_relative_class_same_dressing_trivial(chain12):
     axx = onsite_xx_action_1d(chain12)
     cluster = cluster_entangler_1d(chain12)
     rep = spt_relative_1d(axx, cluster, cluster, state=ALL_PLUS)
-    assert rep.cochain.is_identically_one()
+    assert not any(rep.cochain.values)
     assert rep.trivial
 
 
@@ -135,7 +135,7 @@ def test_relative_class_plus_equivalent_dressings_trivial(chain12):
         (GateRule("explicit", gates=(SymOp.z((0, 0)), SymOp.z((2, 0)))),), chain12
     )
     rep = spt_relative_1d(ax, shift, None, state=ALL_PLUS)
-    assert rep.cochain.is_identically_one()
+    assert not any(rep.cochain.values)
     assert rep.trivial
 
 
@@ -197,7 +197,7 @@ def test_spt_2d_onsite(window12):
     data = build_truncation_2d(action)
     rep = spt_trivialize_2d(data, None, state=ALL_PLUS)
     assert rep.status == "ok"
-    assert rep.cochain.is_identically_one()
+    assert not any(rep.cochain.values)
     assert rep.delta_equals_tau
 
 
