@@ -339,12 +339,10 @@ class Cochain:
             raise ValueError("cochains have different degrees")
 
     def to_json(self) -> dict:
-        names = self.group.names
-        keyed = {}
-        for args in self.group.tuples(self.degree):
-            key = ",".join(names[a] for a in args) if args else ""
-            keyed[key] = self.values[self._idx(args)]
-        return {"degree": self.degree, "modulus": self.modulus, "values": keyed}
+        # group.tuples and values are both in row-major order
+        name = self.group.names.__getitem__
+        keys = (",".join(map(name, args)) for args in self.group.tuples(self.degree))
+        return {"degree": self.degree, "modulus": self.modulus, "values": dict(zip(keys, self.values))}
 
 
 def _faces(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], ...]:
@@ -449,15 +447,81 @@ def cohomologous(c1: Cochain, c2: Cochain) -> bool:
     return coboundary_solve(diff) is not None
 
 
+def _is_normalized(c: Cochain) -> bool:
+    """c is 0 on every tuple that contains the identity; only those tuples are read."""
+    v, order, e = c.values, c.group.order, c.group.id
+    for p in range(c.degree):
+        # tuples with e in slot p: (prefix q, e, suffix s) at q*step + e*suf + s
+        pre, suf = order**p, order ** (c.degree - 1 - p)
+        step = order * suf
+        if pre <= suf:
+            blocks = (v[q * step + e * suf : q * step + (e + 1) * suf] for q in range(pre))
+        else:
+            blocks = (v[e * suf + s :: step] for s in range(suf))
+        if any(map(any, blocks)):
+            return False
+    return True
+
+
+def _shuffle_cycles(group: FiniteGroup, n: int) -> list[list[int]] | None:
+    """The words of the shuffle products of the cycles [g_i|...|g_i] in G^n.
+
+    None unless every element squares to the identity, that is unless
+    G = Z2^k.  The basis g_1..g_k is read greedily from the table.  There is
+    one cycle per exponent vector e with |e| = n, given as the indices in
+    G^n of the distinct words in which each g_i occurs e_i times.
+    """
+    mul, e = group.mul_table, group.id
+    if any(row[a] != e for a, row in enumerate(mul)):
+        return None
+    basis, span = [], {e}
+    for g in group.elements():
+        if g not in span:
+            basis.append(g)
+            span |= {mul[s][g] for s in span}
+    cycles: dict[tuple[int, ...], list[int]] = {}
+    for word in product(range(len(basis)), repeat=n):
+        i = 0
+        for letter in word:
+            i = i * group.order + basis[letter]
+        cycles.setdefault(tuple(sorted(word)), []).append(i)
+    return list(cycles.values())
+
+
 def classify(c: Cochain, candidates: dict[str, Cochain] | None = None) -> tuple[bool, bool, tuple[str, ...]]:
     """(is_cocycle, trivial, names of the candidates c is cohomologous to).
 
-    Names keep the order of `candidates`.  c is checked once, delta is built
-    once as sparse columns, and c and every c * rep^-1 are solved together,
-    one right-hand side per column, in one elimination per prime power of
-    the modulus.  Candidates must share c's group, degree and
-    modulus; one that is not closed matches nothing, since c * rep^-1 is
-    then not closed either.  A non-closed c gives (False, False, ()).
+    Names keep the order of `candidates`.  Candidates must share c's group,
+    degree and modulus; one that is not closed matches nothing.  c is
+    checked in full, once, and a non-closed c gives (False, False, ()).
+
+    When the modulus is 2, G = Z2^k, and c and every candidate are
+    normalized (0 on every tuple that contains the identity), no delta is
+    built.  In a basis g_1..g_k of G, c's coordinate on an exponent vector e
+    is the sum of c over the words in which each g_i occurs e_i times.  c is
+    trivial iff every coordinate is 0, and a candidate matches iff it is
+    closed and its coordinates equal c's.  The proof works over F2:
+
+    1. [g|...|g] is a cycle of the normalized bar complex, because g g = e:
+       its inner faces contain the identity and vanish, and its two outer
+       faces are the same word and cancel.
+    2. G is abelian, so shuffle products of cycles are cycles.  The shuffle
+       product s_e of the cycles [g_i|...|g_i] of length e_i is the sum of
+       the words above.  With x_1..x_k the dual basis of Hom(G, F2), the cup
+       monomial x^f = x_1^f_1 ... x_k^f_k is 1 on a word exactly when the
+       word is (g_1 f_1 times, ..., g_k f_k times).  That word occurs in
+       s_e iff f = e, so <x^f, s_e> is the identity matrix.
+    3. Over a field the pairing H^n x H_n -> F2 is perfect.  Normalized
+       cochains compute the same H^n as all cochains, and the monomials of
+       degree n are a basis of H^n(Z2^k; F2) = F2[x_1..x_k] (Kuenneth).  So
+       the s_e form the dual basis of H_n, and a normalized cocycle is a
+       coboundary iff it pairs to 0 with every s_e.
+
+    See Adem-Milgram, Cohomology of Finite Groups, ch. II, and Chen-Gu-Liu-
+    Wen, arXiv:1106.4772.  Every other input is solved: delta is built once
+    as sparse columns, and c and every c * rep^-1 are solved together, one
+    right-hand side per column, in one elimination per prime power of the
+    modulus.
     """
     candidates = candidates or {}
     for rep in candidates.values():
@@ -468,6 +532,17 @@ def classify(c: Cochain, candidates: dict[str, Cochain] | None = None) -> tuple[
         return False, False, ()
     if c.degree == 0:
         raise ValueError("degree-0 cochains have no coboundary predecessors")
+    cycles = _shuffle_cycles(c.group, c.degree) if c.modulus == 2 else None
+    if cycles is not None and all(map(_is_normalized, (c, *candidates.values()))):
+
+        def coordinates(x: Cochain) -> list[int]:
+            return [sum(map(x.values.__getitem__, cycle)) & 1 for cycle in cycles]
+
+        mine = coordinates(c)
+        names = tuple(
+            name for name, rep in candidates.items() if coordinates(rep) == mine and is_cocycle(rep)
+        )
+        return True, not any(mine), names
     rhs = [c.values] + [c.mul(rep.inverse()).values for rep in candidates.values()]
     solved = solve_mod(coboundary_matrix(c.group, c.degree), list(zip(*rhs)), c.modulus)
     names = tuple(name for name, x in zip(candidates, solved[1:]) if x is not None)

@@ -412,43 +412,161 @@ def test_classify_rejects_mismatched_candidates():
         classify(tau, {"other group": Cochain.constant(FiniteGroup.cyclic(4), 4, 2)})
 
 
-def test_classify_runs_one_elimination(monkeypatch):
+def count_solves(monkeypatch, calls):
+    """Record every solve_mod and coboundary_matrix call classify makes."""
     import anomalion.groups as groups
 
-    calls = []
-    solve = groups.solve_mod
+    solve, delta = groups.solve_mod, groups.coboundary_matrix
 
-    def counting(A, B, m):
-        calls.append((len(B), len(B[0])))
+    def counting_solve(A, B, m):
+        calls.append(("solve_mod", len(B), len(B[0])))
         return solve(A, B, m)
 
-    monkeypatch.setattr(groups, "solve_mod", counting)
+    def counting_delta(group, n):
+        calls.append(("coboundary_matrix", group.order, n))
+        return delta(group, n)
+
+    monkeypatch.setattr(groups, "solve_mod", counting_solve)
+    monkeypatch.setattr(groups, "coboundary_matrix", counting_delta)
+
+
+def test_classify_runs_one_elimination(monkeypatch):
+    """A mod-8 index takes the solve path: one elimination for c and every
+    candidate."""
+    calls = []
+    count_solves(monkeypatch, calls)
     b = projection_sign_cocycle(K4, 1)
     a = projection_sign_cocycle(K4, 0)
-    tau = cup_1cocycles([b, b, b, a])
+    tau = cup_1cocycles([b, b, b, a]).with_modulus(8)
     candidates = {
-        "trivial": Cochain.constant(K4, 4, 2),
+        "trivial": Cochain.constant(K4, 4, 8),
         "b^3 . a": tau,
-        "a^3 . b": cup_1cocycles([a, a, a, b]),
+        "a^3 . b": cup_1cocycles([a, a, a, b]).with_modulus(8),
     }
     assert classify(tau, candidates) == (True, False, ("b^3 . a",))
-    assert calls == [(4**4, 4)]
+    assert calls == [("coboundary_matrix", 4, 4), ("solve_mod", 4**4, 4)]
 
 
-def test_classify_full_size_delta_on_z2_cubed():
-    """Degree 4 on Z2xZ2xZ2, the |G| = 8 shape: one 4096 x 512 delta."""
+def klein_tau_on_z2_cubed():
+    """b^3 . a on Z2xZ2xZ2, pulled back from its Klein factor."""
     G = FiniteGroup.direct_product(K4, Z2)
     to_klein = GroupHom(G, K4, tuple(e >> 1 for e in G.elements()))
     to_klein.validate()
     b = projection_sign_cocycle(K4, 1)
     a = projection_sign_cocycle(K4, 0)
-    tau = pullback(cup_1cocycles([b, b, b, a]), to_klein)
-    candidates = {"trivial": Cochain.constant(G, 4, 2), "b^3 . a": tau}
+    return G, pullback(cup_1cocycles([b, b, b, a]), to_klein)
+
+
+def test_classify_on_z2_cubed_builds_no_delta(monkeypatch):
+    """Degree 4 mod 2 on Z2xZ2xZ2, the |G| = 8 shape, is classified by its
+    shuffle coordinates alone."""
+    calls = []
+    count_solves(monkeypatch, calls)
+    G, tau = klein_tau_on_z2_cubed()
+    # 1 on (3, 3, 3, 3) alone is normalized and not closed, and 3 is not in
+    # the basis 1, 2, 4, so tau times it has tau's coordinates and must not match
+    spike = Cochain.from_function(G, 4, 2, lambda *args: set(args) == {3})
+    candidates = {"trivial": Cochain.constant(G, 4, 2), "b^3 . a": tau, "open": tau.mul(spike)}
     assert classify(tau, candidates) == (True, False, ("b^3 . a",))
+    assert calls == []
+
+
+def test_classify_full_size_delta_on_z2_cubed():
+    """Degree 4 on Z2xZ2xZ2: the solves over one 4096 x 512 delta."""
+    G, tau = klein_tau_on_z2_cubed()
+    assert coboundary_solve(tau) is None
     db = coboundary(random_cochain(random.Random(8), G, 3, 2))
     x = coboundary_solve(db)
     assert x is not None
     assert coboundary(x) == db
+
+
+def relabelled_z2_power(rng, k):
+    """Z2^k with its elements shuffled, so the identity and the basis sit
+    anywhere in the table, and the map (element, i) -> bit i of its
+    coordinates."""
+    order = 2**k
+    label = list(range(order))
+    rng.shuffle(label)
+    table = [[0] * order for _ in range(order)]
+    for x, y in product(range(order), repeat=2):
+        table[label[x]][label[y]] = label[x ^ y]
+    coords = {g: x for x, g in enumerate(label)}
+    return FiniteGroup(tuple(map(tuple, table))), lambda g, i: coords[g] >> i & 1
+
+
+def random_normalized_cochain(rng, group, degree):
+    return Cochain.from_function(
+        group, degree, 2, lambda *args: 0 if group.id in args else rng.randrange(2)
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_shuffle_coordinates_agree_with_the_solve_path(monkeypatch, k, degree):
+    """Normalized mod-2 cocycles on Z2^k, each a coboundary times cup
+    monomials of the coordinate projections: classify's coordinates give
+    the known class and agree with its solve path, which a non-normalized
+    candidate selects."""
+    calls = []
+    count_solves(monkeypatch, calls)
+    rng = random.Random(10 * k + degree)
+    for _ in range(14):
+        G, bit = relabelled_z2_power(rng, k)
+
+        def monomial():
+            letters = [rng.randrange(k) for _ in range(degree)]
+            rep = Cochain.from_function(
+                G, degree, 2, lambda *args: all(bit(g, i) for g, i in zip(args, letters))
+            )
+            return rep, tuple(sorted(letters))
+
+        def boundary():
+            return coboundary(random_normalized_cochain(rng, G, degree - 1))
+
+        c, terms = boundary(), set()
+        for _ in range(rng.randrange(4)):
+            rep, term = monomial()
+            c, terms = c.mul(rep), terms ^ {term}
+        mono, term = monomial()
+        candidates = {"monomial": mono, "boundary": boundary(), "shifted": c.mul(boundary())}
+        want = (True, not terms, tuple(
+            name for name, hit in zip(candidates, (terms == {term}, not terms, True)) if hit
+        ))
+        calls.clear()
+        assert classify(c, candidates) == want
+        assert calls == []
+        # 1 on (e, ..., e) alone: not normalized, and not closed, so it matches nothing
+        at_identity = Cochain.from_function(G, degree, 2, lambda *args: set(args) == {G.id})
+        assert classify(c, {**candidates, "open": at_identity}) == want
+        assert [name for name, *_ in calls] == ["coboundary_matrix", "solve_mod"]
+
+
+def test_classify_falls_back_on_non_normalized_cochains(monkeypatch):
+    calls = []
+    count_solves(monkeypatch, calls)
+    # closed, not normalized, and the coboundary of the constant 1 in degree 1;
+    # its shuffle coordinate on [a|a] would read 1
+    one = Cochain.constant(Z2, 2, 2, 1)
+    assert classify(one) == (True, True, ())
+    assert len(calls) == 2
+    a = Cochain.from_function(Z2, 1, 2, lambda x: x)
+    a3 = cup_1cocycles([a, a, a])
+    calls.clear()
+    assert classify(a3, {"a^3": a3, "open": Cochain.constant(Z2, 3, 2, 1)}) == (True, False, ("a^3",))
+    assert [name for name, *_ in calls] == ["coboundary_matrix", "solve_mod"]
+    # one nonzero value at a tuple with the identity in any slot is seen
+    rng = random.Random(5)
+    G, _ = relabelled_z2_power(rng, 2)
+    zero = Cochain.constant(G, 4, 2)
+    for slot in range(4):
+        for _ in range(6):
+            at = [rng.randrange(G.order) for _ in range(4)]
+            at[slot] = G.id
+            spike = Cochain.from_function(G, 4, 2, lambda *args: list(args) == at)
+            calls.clear()
+            assert classify(zero, {"spike": spike}) == (True, True, ())
+            assert [name for name, *_ in calls] == ["coboundary_matrix", "solve_mod"]
 
 
 def test_klein_class_survives_the_z8_lift():
