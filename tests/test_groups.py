@@ -412,10 +412,12 @@ def test_classify_rejects_mismatched_candidates():
         classify(tau, {"other group": Cochain.constant(FiniteGroup.cyclic(4), 4, 2)})
 
 
-def count_solves(monkeypatch, calls):
-    """Record every solve_mod and coboundary_matrix call classify makes."""
+def count_solves(monkeypatch):
+    """The list that records every solve_mod and coboundary_matrix call
+    classify makes from now on."""
     import anomalion.groups as groups
 
+    calls = []
     solve, delta = groups.solve_mod, groups.coboundary_matrix
 
     def counting_solve(A, B, m):
@@ -428,13 +430,13 @@ def count_solves(monkeypatch, calls):
 
     monkeypatch.setattr(groups, "solve_mod", counting_solve)
     monkeypatch.setattr(groups, "coboundary_matrix", counting_delta)
+    return calls
 
 
 def test_classify_runs_one_elimination(monkeypatch):
     """A mod-8 index takes the solve path: one elimination for c and every
     candidate."""
-    calls = []
-    count_solves(monkeypatch, calls)
+    calls = count_solves(monkeypatch)
     b = projection_sign_cocycle(K4, 1)
     a = projection_sign_cocycle(K4, 0)
     tau = cup_1cocycles([b, b, b, a]).with_modulus(8)
@@ -460,8 +462,7 @@ def klein_tau_on_z2_cubed():
 def test_classify_on_z2_cubed_builds_no_delta(monkeypatch):
     """Degree 4 mod 2 on Z2xZ2xZ2, the |G| = 8 shape, is classified by its
     shuffle coordinates alone."""
-    calls = []
-    count_solves(monkeypatch, calls)
+    calls = count_solves(monkeypatch)
     G, tau = klein_tau_on_z2_cubed()
     # 1 on (3, 3, 3, 3) alone is normalized and not closed, and 3 is not in
     # the basis 1, 2, 4, so tau times it has tau's coordinates and must not match
@@ -508,8 +509,7 @@ def test_shuffle_coordinates_agree_with_the_solve_path(monkeypatch, k, degree):
     monomials of the coordinate projections: classify's coordinates give
     the known class and agree with its solve path, which a non-normalized
     candidate selects."""
-    calls = []
-    count_solves(monkeypatch, calls)
+    calls = count_solves(monkeypatch)
     rng = random.Random(10 * k + degree)
     for _ in range(14):
         G, bit = relabelled_z2_power(rng, k)
@@ -543,13 +543,13 @@ def test_shuffle_coordinates_agree_with_the_solve_path(monkeypatch, k, degree):
 
 
 def test_classify_falls_back_on_non_normalized_cochains(monkeypatch):
-    calls = []
-    count_solves(monkeypatch, calls)
+    """A non-normalized cochain or candidate sends classify to the solve path."""
+    calls = count_solves(monkeypatch)
     # closed, not normalized, and the coboundary of the constant 1 in degree 1;
     # its shuffle coordinate on [a|a] would read 1
     one = Cochain.constant(Z2, 2, 2, 1)
     assert classify(one) == (True, True, ())
-    assert len(calls) == 2
+    assert [name for name, *_ in calls] == ["coboundary_matrix", "solve_mod"]
     a = Cochain.from_function(Z2, 1, 2, lambda x: x)
     a3 = cup_1cocycles([a, a, a])
     calls.clear()
