@@ -74,6 +74,26 @@ def _parse_window(text: str, margin: int, chain: bool) -> Window:
     return Window.centered(n, n, margin)
 
 
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in path; a missing, unreadable or malformed file is a config error."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} is not a JSON object")
+    return obj
+
+
+def _from_json(build, obj: dict):
+    """build(obj), with a missing or mistyped entry of obj reported as a config error."""
+    try:
+        return build(obj)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed input: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_action(name_or_path: str, window: Window) -> CircuitAction:
     builtin = {
         "ccz_x_2d": lambda: builtin_action("ccz_x_2d", window),
@@ -84,11 +104,7 @@ def _load_action(name_or_path: str, window: Window) -> CircuitAction:
     }
     if name_or_path in builtin:
         return builtin[name_or_path]()
-    try:
-        with open(name_or_path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read action config: {exc}") from exc
+    obj = _read_json(name_or_path, "action config")
     try:
         action = action_from_config(obj, window)
     except (KeyError, ValueError) as exc:
@@ -268,19 +284,17 @@ def cmd_crossed(args) -> int:
         print(f"lattice square: ok={rep.ok} counts={rep.counts}")
         _emit({"schema": SCHEMA, "command": "crossed lattice", **rep.to_json()}, args.report)
         return EXIT_OK if rep.ok else EXIT_ASSERTION
-    try:
-        with open(args.input) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
+    if args.input is None:
+        raise ConfigError(f"crossed {args.subcommand} needs --input")
+    obj = _read_json(args.input, "crossed input")
     if args.subcommand == "validate":
         kind = obj.get("kind", "crossed_module")
         if kind == "crossed_module":
-            rep = validate_crossed_module(_cm_from_json(obj))
+            rep = validate_crossed_module(_from_json(_cm_from_json, obj))
         elif kind == "crossed_square":
-            rep = validate_crossed_square(_square_from_json(obj))
+            rep = validate_crossed_square(_from_json(_square_from_json, obj))
         elif kind == "two_crossed_module":
-            rep = validate_two_crossed_module(_t2cm_from_json(obj))
+            rep = validate_two_crossed_module(_from_json(_t2cm_from_json, obj))
         else:
             raise ConfigError(f"unknown structure kind {kind!r}")
         print(f"validate {kind}: ok={rep.ok}; {len(rep.violations)} violations")
@@ -288,15 +302,18 @@ def cmd_crossed(args) -> int:
                "ok": rep.ok, "violations": list(rep.violations)}, args.report)
         return EXIT_OK if rep.ok else EXIT_ASSERTION
     if args.subcommand == "convert":
-        t = to_two_crossed_module(_square_from_json(obj))
+        t = to_two_crossed_module(_from_json(_square_from_json, obj))
         rep = validate_two_crossed_module(t)
         print(f"convert: two-crossed module of order ({t.L.order},{t.K.order},{t.P.order}); valid={rep.ok}")
         _emit({"schema": SCHEMA, "command": "crossed convert", "valid": rep.ok,
                "two_crossed_module": _t2cm_to_json(t)}, args.report)
         return EXIT_OK if rep.ok else EXIT_ASSERTION
     if args.subcommand == "postnikov":
-        cm = _cm_from_json(obj)
-        sections = list(all_sections(cm)) if args.all_sections else [tuple(obj["section"])]
+        cm = _from_json(_cm_from_json, obj)
+        if args.all_sections:
+            sections = list(all_sections(cm))
+        else:
+            sections = [_from_json(lambda o: tuple(o["section"]), obj)]
         classes = postnikov3(cm, sections)
         _, _, matches = classify(classes[0], {str(i): c for i, c in enumerate(classes[1:], 1)})
         agree = len(matches) == len(classes) - 1
@@ -306,7 +323,7 @@ def cmd_crossed(args) -> int:
                "classes_agree": agree}, args.report)
         return EXIT_OK if agree else EXIT_ASSERTION
     if args.subcommand == "homotopy":
-        t = _t2cm_from_json(obj)
+        t = _from_json(_t2cm_from_json, obj)
         hg = homotopy_groups(t)
         print(f"homotopy groups: |pi1|={hg.pi1.order} |pi2|={hg.pi2.order} |pi3|={hg.pi3.order}")
         _emit({"schema": SCHEMA, "command": "crossed homotopy",

@@ -8,10 +8,13 @@ the resulting normal complex.  The degree-3 class of a crossed module is
 extracted from a section of N -> coker(bd) and a lift of its failure, and
 weak-morphism data (rho~, mu) is validated against its two defining
 equations, with the failure of the second reported as a kernel-valued
-obstruction cocycle.  That failure (weak_morphism_failure) and the change
-of mu under a regauging (weak_morphism_regauge) are written once, over any
-group law: on operators, the 1d Nayak-Else index and the 2d lift u are
-weak_morphism_failure.
+obstruction cocycle.  The change of mu under a regauging
+(weak_morphism_regauge) is written once, over any group law.  The failure
+has two forms: weak_morphism_failure takes any group law and serves the
+operators (the 1d Nayak-Else index and the 2d lift u), and
+weak_morphism_failure_table evaluates it over every triple of a finite table
+in one pass (postnikov3, check_weak_morphism).
+test_failure_table_matches_the_group_law_form pins the two equal.
 """
 
 from __future__ import annotations
@@ -401,18 +404,19 @@ class KernelPhaseIso:
     residues: tuple[int, ...]
     modulus: int
 
-    def residue(self, element: int) -> int:
-        return self.residues[self.elements.index(element)]
+    def residue_map(self) -> dict[int, int]:
+        """element -> residue."""
+        return dict(zip(self.elements, self.residues))
 
     def validate(self, grp: FiniteGroup, kernel: list[int]):
         if sorted(self.elements) != sorted(kernel):
             raise ValueError("iso element list is not the kernel")
         if sorted(r % self.modulus for r in self.residues) != list(range(self.modulus)):
             raise ValueError("iso residues are not Z_m")
+        residue = self.residue_map()
         for a, ra in zip(self.elements, self.residues):
             for b, rb in zip(self.elements, self.residues):
-                ab = grp.mul(a, b)
-                if self.residue(ab) != (ra + rb) % self.modulus:
+                if residue.get(grp.mul(a, b)) != (ra + rb) % self.modulus:
                     raise ValueError("iso is not a homomorphism")
 
 
@@ -471,22 +475,39 @@ def weak_morphism_failure(G: FiniteGroup, mu, rho_mu, mul, inv):
     )
 
 
+def weak_morphism_failure_table(G: FiniteGroup, M: FiniteGroup, mu, acts) -> list[int]:
+    """weak_morphism_failure on every triple of G^3, row-major, read off tables
+    in one pass: mu[g][h] in M, and acts[g] the row of rho~(g) in the action
+    table on M, so rho_mu(g,h,k) = acts[g][mu[h][k]]."""
+    mul, inv = M.mul_table, M.inv_table
+    out = []
+    for mu_g, g_row, act in zip(mu, G.mul_table, acts):
+        inv_mu_g = [inv[x] for x in mu_g]
+        inv_act = [inv[x] for x in act]
+        for mu_gh, gh, h_row, mu_h in zip(mu_g, g_row, G.mul_table, mu):
+            left = mul[mu_gh]
+            # k runs along mu(gh,k), hk and mu(h,k)
+            out += [mul[mul[left[a]][inv_mu_g[hk]]][inv_act[b]] for a, hk, b in zip(mu[gh], h_row, mu_h)]
+    return out
+
+
 def weak_morphism_regauge(G: FiniteGroup, mu, w, act, mul, inv):
     """(g,h) -> w(g) act(g, w(h)) mu(g,h) w(gh)^-1, with act(g, x) = rho~(g).x:
     mu for rho~ regauged to w rho~."""
     return lambda g, h: mul(mul(w(g), act(g, w(h))), mul(mu(g, h), inv(w(G.mul(g, h)))))
 
 
-def _kernel_cochain(cm: CrossedModule, G: FiniteGroup, fail, iso: KernelPhaseIso, what: str) -> Cochain:
-    """The closed Z_m 3-cochain of a ker(bd)-valued failure, through iso."""
-
-    def val(g: int, h: int, k: int) -> int:
-        t = fail(g, h, k)
-        if cm.bd(t) != cm.N.id:
-            raise AssertionError(f"{what} leaves the kernel at ({g},{h},{k})")
-        return iso.residue(t)
-
-    c = Cochain.from_function(G, 3, iso.modulus, val)
+def _kernel_cochain(
+    G: FiniteGroup, fail: list[int], residue: dict[int, int], modulus: int, what: str
+) -> Cochain:
+    """The closed Z_m 3-cochain of a ker(bd)-valued failure table (row-major
+    over G^3), through the residue map of a kernel iso."""
+    vals = list(map(residue.get, fail))
+    if None in vals:  # the iso's elements are exactly ker(bd)
+        g, hk = divmod(vals.index(None), G.order**2)
+        h, k = divmod(hk, G.order)
+        raise AssertionError(f"{what} leaves the kernel at ({g},{h},{k})")
+    c = Cochain(G, 3, modulus, tuple(vals))
     if not is_cocycle(c):
         raise AssertionError(f"{what} is not closed")
     return c
@@ -508,6 +529,7 @@ def postnikov3(
         raise ValueError(f"invalid crossed module: {rep.violations[:3]}")
     pi1, proj = cm_pi1(cm)
     iso = _kernel_iso(cm, iso)
+    residue = iso.residue_map()
     M, N = cm.M, cm.N
     preimage = {}
     for m in M.elements():
@@ -529,10 +551,8 @@ def postnikov3(
                 row.append(preimage[n])
             lift.append(row)
 
-        fail = weak_morphism_failure(
-            pi1, lambda x, y: lift[x][y], lambda x, y, z: cm.act(sigma[x], lift[y][z]), M.mul, M.inv
-        )
-        return _kernel_cochain(cm, pi1, fail, iso, "postnikov cochain")
+        fail = weak_morphism_failure_table(pi1, M, lift, [cm.act.table[s] for s in sigma])
+        return _kernel_cochain(pi1, fail, residue, iso.modulus, "postnikov cochain")
 
     return [cocycle(sigma) for sigma in sections]
 
@@ -577,17 +597,14 @@ def check_weak_morphism(d: WeakMorphismData, iso: KernelPhaseIso | None = None) 
         if lhs != cm.bd(d.mu[g][h]):
             eq1 = False
             out.append(f"eq1 fails at ({g},{h})")
-    fail = weak_morphism_failure(
-        G, lambda g, h: d.mu[g][h], lambda g, h, k: cm.act(d.rho_t[g], d.mu[h][k]), M.mul, M.inv
-    )
-    eq2 = True
-    for g, h, k in product(G.elements(), repeat=3):
-        if fail(g, h, k) != M.id:
-            eq2 = False
-            out.append(f"eq2 fails at ({g},{h},{k})")
+    fail = weak_morphism_failure_table(G, M, d.mu, [cm.act.table[r] for r in d.rho_t])
+    eq2_out = [f"eq2 fails at ({g},{h},{k})" for (g, h, k), t in zip(G.tuples(3), fail) if t != M.id]
+    out += eq2_out
+    eq2 = not eq2_out
     obstruction = None
     if eq1 and not eq2:
-        obstruction = _kernel_cochain(cm, G, fail, _kernel_iso(cm, iso), "eq2 obstruction")
+        iso = _kernel_iso(cm, iso)
+        obstruction = _kernel_cochain(G, fail, iso.residue_map(), iso.modulus, "eq2 obstruction")
     return WeakMorphismReport(eq1, eq2, tuple(out[:64]), obstruction)
 
 

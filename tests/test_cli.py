@@ -242,6 +242,56 @@ def test_action_config_lists_each_element_once(tmp_path, capsys):
         assert run(["anomaly2d", "--action", str(cfg)]) == 2
         assert message in capsys.readouterr().err
 
+SIGN_ACTION_CM = {
+    "kind": "crossed_module",
+    "M": {"order": 4, "mul": [(i + j) % 4 for i in range(4) for j in range(4)]},
+    "N": {"order": 4, "mul": [(i + j) % 4 for i in range(4) for j in range(4)]},
+    "bd": [0, 2, 0, 2],
+    "act": [[0, 1, 2, 3], [0, 3, 2, 1], [0, 1, 2, 3], [0, 3, 2, 1]],
+}
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_crossed_without_input_is_a_config_error(capsys):
+    assert run(["crossed", "postnikov"]) == 2
+    assert capsys.readouterr().err == "config error: crossed postnikov needs --input\n"
+
+
+def test_postnikov_without_a_section_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, "cm.json", json.dumps(SIGN_ACTION_CM))
+    assert run(["crossed", "postnikov", "--input", path]) == 2
+    assert capsys.readouterr().err == "config error: malformed input: KeyError: 'section'\n"
+    with_section = _write(tmp_path, "cm1.json", json.dumps({**SIGN_ACTION_CM, "section": [0, 1]}))
+    assert run(["crossed", "postnikov", "--input", with_section]) == 0
+
+
+def test_crossed_table_missing_a_group_is_a_config_error(tmp_path, capsys):
+    no_n = {k: v for k, v in SIGN_ACTION_CM.items() if k != "N"}
+    for sub in ("validate", "postnikov"):
+        assert run(["crossed", sub, "--all-sections", "--input", _write(tmp_path, "cm.json", json.dumps(no_n))]) == 2
+        assert capsys.readouterr().err == "config error: malformed input: KeyError: 'N'\n"
+    # a well-formed table that fails validation stays a finding
+    bad_bd = _write(tmp_path, "bad.json", json.dumps({**SIGN_ACTION_CM, "bd": [0, 1, 0, 2], "section": [0, 1]}))
+    assert run(["crossed", "postnikov", "--input", bad_bd]) == 1
+    assert capsys.readouterr().err.startswith("assertion failure: invalid crossed module")
+
+
+def test_malformed_json_is_a_config_error(tmp_path, capsys):
+    broken = _write(tmp_path, "broken.json", '{"M": {"order": 2,')
+    assert run(["crossed", "postnikov", "--all-sections", "--input", broken]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read crossed input: Expecting")
+    assert run(["anomaly2d", "--action", broken]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read action config: Expecting")
+    not_an_object = _write(tmp_path, "list.json", "[1, 2]")
+    assert run(["anomaly1d", "--action", not_an_object]) == 2
+    assert capsys.readouterr().err == "config error: action config is not a JSON object\n"
+
+
 def test_perfbench_tracer_installs():
     """Every function the benchmark's tracer wraps still exists by name."""
     code = (

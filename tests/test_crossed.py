@@ -23,6 +23,8 @@ from anomalion.crossed import (
     validate_crossed_square,
     validate_two_crossed_module,
     verify_lattice_square,
+    weak_morphism_failure,
+    weak_morphism_failure_table,
     weak_morphism_regauge,
 )
 from anomalion.groups import (
@@ -279,6 +281,122 @@ def test_postnikov_section_independence(name, make, expect_trivial):
         assert cohomologous(base, c)
     if expect_trivial is not None:
         assert (coboundary_solve(base) is not None) == expect_trivial
+
+
+def _assert_failure_forms_agree(G, cm, mu, rho_t):
+    M = cm.M
+    law = weak_morphism_failure(
+        G, lambda g, h: mu[g][h], lambda g, h, k: cm.act(rho_t[g], mu[h][k]), M.mul, M.inv
+    )
+    table = weak_morphism_failure_table(G, M, mu, [cm.act.table[r] for r in rho_t])
+    assert table == [law(g, h, k) for g, h, k in G.tuples(3)]
+
+
+@pytest.mark.parametrize("name,make,expect_trivial", SECTION_FIXTURES)
+def test_failure_table_matches_the_group_law_form(name, make, expect_trivial):
+    """The table form of the failure equals weak_morphism_failure on
+    M.mul / M.inv on every triple, for the lift of every section."""
+    cm = make()
+    M, N = cm.M, cm.N
+    G, _ = cm_pi1(cm)
+    preimage = {}
+    for m in reversed(M.elements()):  # not the preimage postnikov3 picks
+        preimage[cm.bd(m)] = m
+    for sigma in all_sections(cm):
+        lift = [
+            [preimage[N.mul(N.mul(sigma[x], sigma[y]), N.inv(sigma[G.mul(x, y)]))] for y in G.elements()]
+            for x in G.elements()
+        ]
+        _assert_failure_forms_agree(G, cm, lift, sigma)
+
+
+def test_failure_table_on_a_non_abelian_module():
+    """S3 acting on itself by conjugation: the two forms agree on random
+    (rho~, mu), and check_weak_morphism reports the triples where the
+    group-law form is not 1.  A weak morphism has failure 1: ker(bd) = 1."""
+    cm = conj_cm(S3)
+    rng = random.Random(7)
+    for _ in range(10):
+        rho_t = tuple(rng.randrange(6) for _ in S3.elements())
+        mu = tuple(tuple(rng.randrange(6) for _ in S3.elements()) for _ in S3.elements())
+        _assert_failure_forms_agree(S3, cm, mu, rho_t)
+        # bd is the identity, so eq1 forces mu = nu
+        nu = tuple(
+            tuple(S3.mul(S3.mul(rho_t[g], rho_t[h]), S3.inv(rho_t[S3.mul(g, h)])) for h in S3.elements())
+            for g in S3.elements()
+        )
+        law = weak_morphism_failure(
+            S3, lambda g, h: mu[g][h], lambda g, h, k: cm.act(rho_t[g], mu[h][k]), S3.mul, S3.inv
+        )
+        eq1 = [f"eq1 fails at ({g},{h})" for g, h in S3.tuples(2) if mu[g][h] != nu[g][h]]
+        eq2 = [f"eq2 fails at ({g},{h},{k})" for g, h, k in S3.tuples(3) if law(g, h, k) != S3.id]
+        rep = check_weak_morphism(WeakMorphismData(S3, cm, rho_t, mu))
+        assert eq2 and not rep.eq2_ok and rep.obstruction is None
+        assert rep.violations == tuple((eq1 + eq2)[:64])
+
+        _assert_failure_forms_agree(S3, cm, nu, rho_t)
+        assert check_weak_morphism(WeakMorphismData(S3, cm, rho_t, nu)).ok
+
+
+def test_failure_leaving_the_kernel_names_its_first_triple():
+    """check_weak_morphism does not validate its target.  With a permutation
+    of Z4 that moves 2 to 3 in place of an action, eq1 holds but the failure
+    leaves ker(bd); the error names the first such triple in row-major order."""
+    Z2, Z4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+    cm = CrossedModule(Z4, Z2, GroupHom(Z4, Z2, (0, 1, 0, 1)), ActionTable(Z2, Z4, ((0, 1, 2, 3), (0, 1, 3, 2))))
+    rho_t, mu = (0, 1), ((0, 2), (0, 0))
+    law = weak_morphism_failure(
+        Z2, lambda g, h: mu[g][h], lambda g, h, k: cm.act(rho_t[g], mu[h][k]), Z4.mul, Z4.inv
+    )
+    first = next(t for t in Z2.tuples(3) if cm.bd(law(*t)) != Z2.id)
+    assert first == (1, 0, 1)
+    with pytest.raises(AssertionError, match=r"^eq2 obstruction leaves the kernel at \(1,0,1\)$"):
+        check_weak_morphism(WeakMorphismData(Z2, cm, rho_t, mu))
+
+
+def test_postnikov_makes_no_group_call_per_triple(monkeypatch):
+    """Over all 256 sections of the Z16 carry module, postnikov3 calls
+    FiniteGroup.mul / inv only for validation and for the lift table
+    (four calls per pair of pi1), none per triple."""
+    cm = z16_carry_cm()
+    pi1, _ = cm_pi1(cm)
+    sections = list(all_sections(cm))
+    assert len(sections) == 256
+    calls = []
+
+    def counted(method):
+        def wrapper(self, *args):
+            calls.append(method.__name__)
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(FiniteGroup, "mul", counted(FiniteGroup.mul))
+    monkeypatch.setattr(FiniteGroup, "inv", counted(FiniteGroup.inv))
+    postnikov3(cm, [])
+    validation = len(calls)
+    calls.clear()
+    postnikov3(cm, sections)
+    assert len(calls) - validation == len(sections) * 4 * pi1.order**2
+
+
+def test_kernel_iso_accepts_any_listing_of_the_kernel():
+    """validate reads residues through a map, so the element order is free;
+    a residue list that is not a homomorphism is still rejected."""
+    Z16 = FiniteGroup.cyclic(16)  # x4: Z16 -> Z16, the sections workload's shape
+    cm = CrossedModule(Z16, Z16, GroupHom(Z16, Z16, tuple(4 * m % 16 for m in range(16))), ActionTable.trivial(Z16, Z16))
+    iso = default_kernel_iso(cm)
+    assert iso.modulus == 4
+    listed = sorted(iso.residue_map().items(), reverse=True)
+    reversed_iso = KernelPhaseIso(tuple(e for e, _ in listed), tuple(r for _, r in listed), 4)
+    reversed_iso.validate(cm.M, cm_kernel(cm))
+    assert reversed_iso.residue_map() == iso.residue_map()
+    sections = list(all_sections(cm))[:5]
+    assert postnikov3(cm, sections, reversed_iso) == postnikov3(cm, sections)
+    swapped = iso.residue_map()
+    a, b = [e for e, r in swapped.items() if r in (1, 2)]
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        KernelPhaseIso(tuple(swapped), tuple(swapped.values()), 4).validate(cm.M, cm_kernel(cm))
 
 
 def test_postnikov_split_section_constant_one():

@@ -212,3 +212,43 @@ def test_one_pairing_and_one_layer_conjugation_per_layer(window12, monkeypatch):
     beta = LocalizedAutomorphism(Region.half_line_R(2), circuit=left_circuit(window12, b_layers))
     assert run(eta_R, alpha, beta.circuit) == {"conj_by_circuit": 3, "layer_conj": 3}
     assert run(eta_L, alpha.circuit, beta) == {"conj_by_circuit": 2, "layer_conj": 2}
+
+
+def test_suite_formats_an_operator_only_when_its_identity_fails(window12, monkeypatch):
+    """A passing suite formats no operator.  A failing identity carries its
+    operator, formatted, in the suite's failures and in the violations of
+    crossed lattice."""
+    from anomalion import sampling
+    from anomalion.crossed import verify_lattice_square
+    from anomalion.symop import format_op
+
+    formatted = []
+    monkeypatch.setattr(pairing, "format_op", lambda a: formatted.append(a) or format_op(a))
+    assert run_identity_suite(window12, n_pairs=3, seed=5).ok
+    assert formatted == []
+
+    # a Z string over the sampled observable sites bends every eta, so Ad_eta
+    # and both inner closed forms fail
+    z_string = op_product([SymOp.z((x, 0)) for x in range(-2, 3)])
+    real_eta, real_inner = pairing.eta, sampling.random_inner
+    bent, inners = [], []
+    monkeypatch.setattr(pairing, "eta", lambda a, b: bent.append(op_mul(real_eta(a, b), z_string)) or bent[-1])
+    monkeypatch.setattr(sampling, "random_inner", lambda rng, sites: inners.append(real_inner(rng, sites)) or inners[-1])
+    rep = run_identity_suite(window12, n_pairs=2, seed=5)
+    details = {}
+    for f in rep.failures:
+        details.setdefault(f["identity"], []).append(f["detail"])
+    assert details["inner_left_closed_form"] == details["inner_right_closed_form"] == [format_op(u) for u in inners]
+    assert len(details["ad_eta_equals_commutator"]) == 2
+    assert set(details["ad_eta_equals_commutator"]) <= {format_op(e) for e in bent}
+    assert [format_op(a) for a in formatted] == [f["detail"] for f in rep.failures if f["detail"]]
+    assert len(formatted) == 6
+
+    inners.clear()
+    square = verify_lattice_square(window12, samples=2, seed=5)
+    assert not square.ok
+    for u in inners:
+        assert f"eta_f(l)_n: {format_op(u)}" in square.violations
+        assert f"eta_m_g(l): {format_op(u)}" in square.violations
+    ad_eta = [v.split(": ", 1)[1] for v in square.violations if v.startswith("f_g_of_eta_is_commutator: ")]
+    assert len(ad_eta) == 2 and set(ad_eta) <= {format_op(e) for e in bent}
