@@ -242,6 +242,7 @@ def test_action_config_lists_each_element_once(tmp_path, capsys):
         assert run(["anomaly2d", "--action", str(cfg)]) == 2
         assert message in capsys.readouterr().err
 
+
 SIGN_ACTION_CM = {
     "kind": "crossed_module",
     "M": {"order": 4, "mul": [(i + j) % 4 for i in range(4) for j in range(4)]},

@@ -300,8 +300,8 @@ def test_failure_table_matches_the_group_law_form(name, make, expect_trivial):
     M, N = cm.M, cm.N
     G, _ = cm_pi1(cm)
     preimage = {}
-    for m in reversed(M.elements()):  # not the preimage postnikov3 picks
-        preimage[cm.bd(m)] = m
+    for m in reversed(M.elements()):  # the last preimage, not postnikov3's first
+        preimage.setdefault(cm.bd(m), m)
     for sigma in all_sections(cm):
         lift = [
             [preimage[N.mul(N.mul(sigma[x], sigma[y]), N.inv(sigma[G.mul(x, y)]))] for y in G.elements()]

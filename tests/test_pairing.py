@@ -246,7 +246,7 @@ def test_suite_formats_an_operator_only_when_its_identity_fails(window12, monkey
 
     inners.clear()
     square = verify_lattice_square(window12, samples=2, seed=5)
-    assert not square.ok
+    assert not square.ok and len(inners) == 2
     for u in inners:
         assert f"eta_f(l)_n: {format_op(u)}" in square.violations
         assert f"eta_m_g(l): {format_op(u)}" in square.violations
