@@ -42,6 +42,7 @@ from .symop import (
     op_conj,
     op_inv,
     op_mul,
+    op_product,
     scalar_phase,
     sites_outside,
     support,
@@ -310,8 +311,7 @@ def _tau_phases(data: TruncationData2d, tuples) -> list[PhaseValue]:
         )
         phase = memo.get(key)
         if phase is None:
-            f1, f2, f3, f4, f5, f6 = (vals[i] for i in key[1:])
-            total = op_mul(op_mul(op_mul(f1, f2), op_mul(f3, f4)), op_mul(f5, f6))
+            total = op_product(vals[i] for i in key[1:])
             phase = memo[key] = _assert_scalar(total, f"tau({g},{h},{k},{l})")
         out.append(phase)
     return out
@@ -458,7 +458,7 @@ def regauge_beta(data: TruncationData2d, v: dict) -> TruncationData2d:
                 t3 = data.u[g, h, k]
                 t4 = out.conj(out.inv(vv(g, hk)), data.beta_conj_rho(g, (h, k)))
                 t5 = out.rho_apply(g, out.inv(vv(h, k)))
-                out.u[g, h, k] = op_mul(op_mul(t1, t2), op_mul(t3, op_mul(t4, t5)))
+                out.u[g, h, k] = op_product((t1, t2, t3, t4, t5))
     disk2 = Region.origin_disk(new_radius)
     for key, op in out.u.items():
         _assert_region(op, disk2, f"u'{key}")

@@ -39,6 +39,7 @@ from .crossed import (
     CrossedSquare,
     TwoCrossedModule,
     all_sections,
+    cm_pi1,
     homotopy_groups,
     postnikov3,
     to_two_crossed_module,
@@ -238,6 +239,17 @@ def _cm_from_json(obj) -> CrossedModule:
     )
 
 
+def _checked_section(cm: CrossedModule, section: tuple):
+    """Yield section if it has one element of N for each element of pi1."""
+    pi1, _ = cm_pi1(cm)
+    if len(section) != pi1.order:
+        raise ConfigError(f"section has {len(section)} entries, pi1 has {pi1.order} elements")
+    for n in section:
+        if type(n) is not int or not 0 <= n < cm.N.order:
+            raise ConfigError(f"section entry {n!r} is not an element of N (order {cm.N.order})")
+    yield section
+
+
 def _square_from_json(obj) -> CrossedSquare:
     L, M, N, P = (FiniteGroup.from_json(obj[k]) for k in "LMNP")
     return CrossedSquare(
@@ -310,10 +322,12 @@ def cmd_crossed(args) -> int:
         return EXIT_OK if rep.ok else EXIT_ASSERTION
     if args.subcommand == "postnikov":
         cm = _from_json(_cm_from_json, obj)
+        # both are generators: pi1 is defined only for a valid module, and
+        # postnikov3 validates it before it draws the first section
         if args.all_sections:
-            sections = list(all_sections(cm))
+            sections = all_sections(cm)
         else:
-            sections = [_from_json(lambda o: tuple(o["section"]), obj)]
+            sections = _checked_section(cm, _from_json(lambda o: tuple(o["section"]), obj))
         classes = postnikov3(cm, sections)
         _, _, matches = classify(classes[0], {str(i): c for i, c in enumerate(classes[1:], 1)})
         agree = len(matches) == len(classes) - 1

@@ -31,6 +31,7 @@ from .symop import (
     SymOp,
     commutator,
     format_op,
+    op_conj,
     op_inv,
     op_mul,
     op_product,
@@ -82,12 +83,12 @@ class LocalizedAutomorphism:
     def apply(self, a: SymOp) -> SymOp:
         # margin faithfulness is certified by stabilization + route agreement
         if self.is_inner:
-            return op_mul(op_mul(self.inner, a), op_inv(self.inner))
+            return op_conj(a, self.inner)
         return conj_by_circuit(a, self.circuit, check_margin=False)
 
     def apply_inverse(self, a: SymOp) -> SymOp:
         if self.is_inner:
-            return op_mul(op_mul(op_inv(self.inner), a), self.inner)
+            return op_conj(a, op_inv(self.inner))
         return conj_by_circuit(a, self.circuit.inverse(), check_margin=False)
 
 
@@ -255,7 +256,7 @@ def run_identity_suite(
         for _ in range(10):
             s = (rng.randrange(-2, 3), 0)
             obs = SymOp.z(s) if rng.random() < 0.5 else SymOp.x(s)
-            lhs = op_mul(op_mul(e, obs), op_inv(e))
+            lhs = op_conj(obs, e)
             rhs = alpha.apply(beta.apply(alpha.apply_inverse(beta.apply_inverse(obs))))
             if lhs != rhs:
                 ok = False

@@ -12,6 +12,21 @@ where sigma_S substitutes a_i -> a_i + 1 for i in S.  Substitution never
 raises the degree of a monomial, so a degree cap on generators is a cap
 on everything they generate.
 
+Conjugation and commutators have closed forms that build no intermediate
+operator.  Write a = D_g X_T, b = D_f X_S and Delta_T f = f + f o sigma_T,
+to which only the monomials of f meeting T contribute.  Then
+
+    b a b^-1      = D_{g o sigma_S + Delta_T f} X_T
+    a b a^-1 b^-1 = D_{Delta_S g + Delta_T f} = b a b^-1 a^-1
+    a, b commute  <=>  Delta_S g = Delta_T f
+
+The first is D_f X_S D_g X_T D_{f o sigma_S} X_S with each X moved right
+(X_S D_g = D_{g o sigma_S} X_S and sigma_S sigma_T = sigma_{S xor T}), which
+gives D_{f + g o sigma_S + f o sigma_T} X_T.  Times a^-1 = D_{g o sigma_T} X_T
+it gives b a b^-1 a^-1 = D_{g o sigma_S + Delta_T f + g}, the second, which
+is symmetric in a and b; so conjugation is b a b^-1 = [b, a] a.  The third
+is the second equal to 1.
+
 Operators are bit-packed.  An append-only interner gives every site one
 bit on first use, so a site set is an int mask: a monomial is the mask of
 its sites, f a frozenset of masks and S one mask, and sigma_S expands a
@@ -79,25 +94,29 @@ def _sites(mask: int) -> list[Site]:
     return out
 
 
-def _poly_subst(poly: frozenset, flips: int) -> frozenset:
-    """f o sigma_S: each monomial m expands to m ^ c over the submasks c of m & S.
+def _toggle_delta(out: set, poly, flips: int) -> set:
+    """XOR Delta_S f = f + f o sigma_S into out, for f = poly and S = flips.
 
-    Only the monomials meeting S change; the terms with c != 0 are
-    collected as toggles and XORed into poly.
+    Only the monomials m meeting S contribute: m ^ c for every nonzero
+    submask c of m & S.
     """
-    if not flips:
-        return poly
-    toggles = set()
-    for m in poly:
-        hit = m & flips
-        sub = hit
-        while sub:
-            t = m ^ sub
-            if t in toggles:
-                toggles.remove(t)
-            else:
-                toggles.add(t)
-            sub = (sub - 1) & hit
+    if flips:
+        for m in poly:
+            hit = m & flips
+            sub = hit
+            while sub:
+                t = m ^ sub
+                if t in out:
+                    out.remove(t)
+                else:
+                    out.add(t)
+                sub = (sub - 1) & hit
+    return out
+
+
+def _poly_subst(poly: frozenset, flips: int) -> frozenset:
+    """f o sigma_S = f + Delta_S f."""
+    toggles = _toggle_delta(set(), poly, flips)
     return poly ^ toggles if toggles else poly
 
 
@@ -200,10 +219,15 @@ def op_mul(a: SymOp, b: SymOp) -> SymOp:
 
 
 def op_product(ops) -> SymOp:
-    acc = SymOp.identity()
+    """The product of ops in order, folded into one mutable monomial set:
+    acc (D_g X_T) = D_{acc + g + Delta_F g} X_{F xor T}, F the flips so far."""
+    poly: set = set()
+    flips = 0
     for o in ops:
-        acc = op_mul(acc, o)
-    return acc
+        poly ^= o._poly
+        _toggle_delta(poly, o._poly, flips)
+        flips ^= o._flips
+    return _packed(frozenset(poly), flips)
 
 
 def op_inv(a: SymOp) -> SymOp:
@@ -211,18 +235,24 @@ def op_inv(a: SymOp) -> SymOp:
     return _packed(_poly_subst(a._poly, a._flips), a._flips)
 
 
+def _commutator_poly(a: SymOp, b: SymOp) -> set:
+    """Delta_S g + Delta_T f for a = D_g X_T and b = D_f X_S (module docstring)."""
+    return _toggle_delta(_toggle_delta(set(), a._poly, b._flips), b._poly, a._flips)
+
+
 def op_conj(a: SymOp, by: SymOp) -> SymOp:
-    """by * a * by^-1."""
-    return op_mul(op_mul(by, a), op_inv(by))
+    """by * a * by^-1 = [by, a] a."""
+    toggles = _commutator_poly(a, by)
+    return _packed(a._poly ^ toggles if toggles else a._poly, a._flips)
 
 
 def commutator(a: SymOp, b: SymOp) -> SymOp:
-    """a b a^-1 b^-1."""
-    return op_mul(op_mul(a, b), op_mul(op_inv(a), op_inv(b)))
+    """a b a^-1 b^-1, diagonal."""
+    return _packed(frozenset(_commutator_poly(a, b)), 0)
 
 
 def ops_commute(a: SymOp, b: SymOp) -> bool:
-    return commutator(a, b).is_identity()
+    return not _commutator_poly(a, b)
 
 
 def support_mask(a: SymOp) -> int:

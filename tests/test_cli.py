@@ -271,6 +271,29 @@ def test_postnikov_without_a_section_is_a_config_error(tmp_path, capsys):
     assert run(["crossed", "postnikov", "--input", with_section]) == 0
 
 
+def test_postnikov_section_of_wrong_length_or_range_is_a_config_error(tmp_path, capsys):
+    """pi1 of the sign-action module has two elements and N has four."""
+    for section, err in (
+        ([0], "section has 1 entries, pi1 has 2 elements"),
+        ([0, 1, 2], "section has 3 entries, pi1 has 2 elements"),
+        ([0, 9], "section entry 9 is not an element of N (order 4)"),
+        ([0, -1], "section entry -1 is not an element of N (order 4)"),
+        ([0, 1.0], "section entry 1.0 is not an element of N (order 4)"),
+    ):
+        path = _write(tmp_path, "cm.json", json.dumps({**SIGN_ACTION_CM, "section": section}))
+        assert run(["crossed", "postnikov", "--input", path]) == 2
+        assert capsys.readouterr().err == f"config error: {err}\n"
+
+
+def test_all_sections_reports_an_invalid_module_first(tmp_path, capsys):
+    """pi1 is not built from a bd that is not a homomorphism."""
+    bad_bd = _write(tmp_path, "bad.json", json.dumps({**SIGN_ACTION_CM, "bd": [0, 1, 0, 2]}))
+    assert run(["crossed", "postnikov", "--all-sections", "--input", bad_bd]) == 1
+    assert capsys.readouterr().err.startswith(
+        "assertion failure: invalid crossed module: ('bd is not a homomorphism',"
+    )
+
+
 def test_crossed_table_missing_a_group_is_a_config_error(tmp_path, capsys):
     no_n = {k: v for k, v in SIGN_ACTION_CM.items() if k != "N"}
     for sub in ("validate", "postnikov"):

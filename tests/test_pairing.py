@@ -7,6 +7,7 @@ from anomalion.circuits import GateRule, Layer, ProceduralCircuit, concat, conj_
 from anomalion.lattice import Region, Window
 from anomalion.pairing import (
     LocalizedAutomorphism,
+    RouteDisagreement,
     StabilizationError,
     _eta_single_layer,
     eta,
@@ -62,6 +63,21 @@ def test_inner_closed_forms(window12):
 
     # both inner: commutator
     assert eta(adu, adv) == commutator(u, v)
+
+
+@pytest.mark.parametrize("kernel", ["commutator", "op_conj"])
+def test_inner_routes_check_each_other(monkeypatch, kernel):
+    """eta of two inner automorphisms has a commutator route and two closed
+    forms through op_conj; a bent monomial in either kernel is caught."""
+    u = op_mul(SymOp.z((0, 0)), SymOp.x((-1, 0)))
+    v = op_mul(SymOp.cz((0, 0), (1, 0)), SymOp.x((1, 0)))
+    adu = LocalizedAutomorphism(Region.origin_disk(2), inner=u)
+    adv = LocalizedAutomorphism(Region.origin_disk(2), inner=v)
+    assert eta(adu, adv) == commutator(u, v)
+    real = getattr(pairing, kernel)
+    monkeypatch.setattr(pairing, kernel, lambda a, b: op_mul(SymOp.z((0, 0)), real(a, b)))
+    with pytest.raises(RouteDisagreement):
+        eta(adu, adv)
 
 
 def test_diagonal_pairs_give_identity(window12):

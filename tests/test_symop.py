@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -27,6 +28,7 @@ from anomalion.symop import (
     op_inv,
     op_mul,
     op_product,
+    ops_commute,
     parse_op,
     region_mask,
     scalar_phase,
@@ -132,6 +134,18 @@ def test_mul_matches_dense(a, b):
     )
 
 
+@given(ops_strategy, ops_strategy)
+@settings(max_examples=100, deadline=None)
+def test_conj_and_commutator_match_dense(a, b):
+    """The closed forms against matrices; D_f X_S is real orthogonal, so its
+    inverse is its transpose."""
+    sp = DenseSpace(SITES)
+    A, B = sp.symop_matrix(a), sp.symop_matrix(b)
+    assert np.array_equal(sp.symop_matrix(op_conj(a, b)), B @ A @ B.T)
+    assert np.array_equal(sp.symop_matrix(commutator(a, b)), A @ B @ A.T @ B.T)
+    assert ops_commute(a, b) == np.array_equal(A @ B, B @ A)
+
+
 def test_expectation_all_zeros():
     assert expectation_value(SymOp.z(I_)) == 1
     assert expectation_value(SymOp.x(I_)) == 0
@@ -211,20 +225,25 @@ CUBIC = (frozenset([frozenset(), frozenset(SITES[:3]), frozenset(SITES[2:5]), fr
 FLIPS_ONLY = (frozenset(), frozenset(SITES))
 
 
-@given(ref_ops, ref_ops)
-@example(MINUS_ONE, CUBIC)
-@example(CUBIC, CUBIC)
-@example(CUBIC, FLIPS_ONLY)
-@example(FLIPS_ONLY, CUBIC)
+@given(ref_ops, ref_ops, st.lists(ref_ops, max_size=5))
+@example(MINUS_ONE, CUBIC, [])
+@example(CUBIC, CUBIC, [CUBIC, FLIPS_ONLY, MINUS_ONE, CUBIC, CUBIC])
+@example(CUBIC, FLIPS_ONLY, [FLIPS_ONLY, CUBIC])
+@example(FLIPS_ONLY, CUBIC, [CUBIC])
 @settings(max_examples=300, deadline=None)
-def test_packed_kernel_matches_site_set_reference(ra, rb):
+def test_packed_kernel_matches_site_set_reference(ra, rb, rlist):
     a, b = SymOp(*ra), SymOp(*rb)
     assert unpacked(a) == ra
     assert pickle.loads(pickle.dumps(a)) == a
     assert unpacked(op_mul(a, b)) == ref_mul(ra, rb)
     assert unpacked(op_inv(a)) == ref_inv(ra)
     assert unpacked(op_conj(a, b)) == ref_mul(ref_mul(rb, ra), ref_inv(rb))
-    assert unpacked(commutator(a, b)) == ref_mul(ref_mul(ra, rb), ref_mul(ref_inv(ra), ref_inv(rb)))
+    ref_commutator = ref_mul(ref_mul(ra, rb), ref_mul(ref_inv(ra), ref_inv(rb)))
+    assert unpacked(commutator(a, b)) == ref_commutator
+    assert ops_commute(a, b) == (ref_commutator == (frozenset(), frozenset()))
+    assert ops_commute(a, b) == (ref_mul(ra, rb) == ref_mul(rb, ra))
+    want = reduce(ref_mul, rlist, (frozenset(), frozenset()))
+    assert unpacked(op_product(SymOp(*r) for r in rlist)) == want
     supp = ra[1].union(*ra[0])
     assert support(a) == supp
     assert a.degree() == max(map(len, ra[0]), default=0)
