@@ -4,7 +4,6 @@ from .groups import (
     Cochain,
     FiniteGroup,
     GroupHom,
-    PhaseValue,
     classify,
     coboundary,
     coboundary_solve,
@@ -65,7 +64,7 @@ from .crossed import (
 )
 
 __all__ = [
-    "Cochain", "FiniteGroup", "GroupHom", "PhaseValue",
+    "Cochain", "FiniteGroup", "GroupHom",
     "classify", "coboundary", "coboundary_solve", "cohomologous", "cup_1cocycles",
     "is_cocycle", "pullback",
     "Region", "Site", "Window",

@@ -30,7 +30,7 @@ from .circuits import (
     truncate,
 )
 from .crossed import weak_morphism_failure, weak_morphism_regauge
-from .groups import Cochain, FiniteGroup, PhaseValue, builtin_class_candidates, classify, coboundary
+from .groups import Cochain, FiniteGroup, builtin_class_candidates, classify, coboundary
 from .lattice import Region, Window
 from .pairing import LocalizedAutomorphism, eta
 from .symop import (
@@ -57,12 +57,8 @@ class NonScalarError(AssertionError):
     pass
 
 
-def _phase_bit(p: PhaseValue) -> int:
-    """+1 -> 0, -1 -> 1 (cochain value mod 2)."""
-    return 1 if p.as_sign() == -1 else 0
-
-
-def _assert_scalar(a: SymOp, what: str) -> PhaseValue:
+def _assert_scalar(a: SymOp, what: str) -> int:
+    """The phase of a as a Z2 residue (see scalar_phase); a must be scalar."""
     p = scalar_phase(a)
     if p is None:
         raise NonScalarError(f"{what} is not scalar; support {sorted(support(a))[:8]}")
@@ -276,8 +272,8 @@ def _lift_u(data: TruncationData2d, label: str) -> list[str]:
     return cropped
 
 
-def _tau_phases(data: TruncationData2d, tuples) -> list[PhaseValue]:
-    """The degree-4 phase of each (g, h, k, l) in tuples, in order.
+def _tau_phases(data: TruncationData2d, tuples) -> list[int]:
+    """The degree-4 phase, as a Z2 residue, of each (g, h, k, l) in tuples, in order.
 
     The six factors, each a value number: u(g,h,k); the rho~(g)-conjugated
     beta(h,k) applied to u(g,hk,l); rho~(g) applied to u(h,k,l); the
@@ -317,9 +313,9 @@ def _tau_phases(data: TruncationData2d, tuples) -> list[PhaseValue]:
     return out
 
 
-def tau4(data: TruncationData2d, g: int, h: int, k: int, l: int) -> PhaseValue:
-    """The degree-4 phase tau(g,h,k,l): the six-factor product of
-    _tau_phases on one tuple, asserted scalar."""
+def tau4(data: TruncationData2d, g: int, h: int, k: int, l: int) -> int:
+    """The degree-4 phase tau(g,h,k,l) as a Z2 residue: the six-factor
+    product of _tau_phases on one tuple, asserted scalar."""
     return _tau_phases(data, [(g, h, k, l)])[0]
 
 
@@ -327,7 +323,7 @@ def tau_cochain(data: TruncationData2d) -> Cochain:
     """tau on every tuple of G^4 as a Z2 cochain, in one pass of _tau_phases
     (see it and TruncationData2d for the memo)."""
     G = data.group
-    return Cochain(G, 4, 2, tuple(_phase_bit(p) for p in _tau_phases(data, G.tuples(4))))
+    return Cochain(G, 4, 2, tuple(_tau_phases(data, G.tuples(4))))
 
 
 @dataclass
@@ -405,9 +401,7 @@ def nayak_else_1d(action: CircuitAction, data: TruncationData1d | None = None) -
     ell = weak_morphism_failure(
         G, lambda g, h: nu[g, h], lambda g, h, k: data.rho_apply(g, nu[h, k]), op_mul, op_inv
     )
-    c = Cochain.from_function(
-        G, 3, 2, lambda g, h, k: _phase_bit(_assert_scalar(ell(g, h, k), f"ell({g},{h},{k})"))
-    )
+    c = Cochain.from_function(G, 3, 2, lambda g, h, k: _assert_scalar(ell(g, h, k), f"ell({g},{h},{k})"))
     closed, trivial, matches = classify(c, builtin_class_candidates(G, 3))
     return AnomalyReport(
         cochain=c,
@@ -636,12 +630,14 @@ class SptRelative1dReport:
     c2: Cochain
 
 
-def _omega_phase(op: SymOp, dressing, state: ReferenceState) -> PhaseValue:
+def _omega_phase(op: SymOp, dressing, state: ReferenceState) -> int:
+    """The expectation of op in the dressed state as a Z2 residue; it must
+    be +1 or -1."""
     val = expectation_product_state(op, dressing, state)
-    if val == Fraction(1):
-        return PhaseValue.one()
-    if val == Fraction(-1):
-        return PhaseValue.minus_one()
+    if val == 1:
+        return 0
+    if val == -1:
+        return 1
     raise StateNotInvariant(f"omega value {val} of {format_op(op)} is not a phase")
 
 
@@ -671,9 +667,7 @@ def spt_relative_1d(
         nu_w = weak_morphism_regauge(
             G, lambda g, h: data.nu_lift[g, h], w.__getitem__, data.rho_apply, op_mul, op_inv
         )
-        cochains.append(Cochain.from_function(
-            G, 2, 2, lambda g, h: _phase_bit(_omega_phase(nu_w(g, h), dress, state))
-        ))
+        cochains.append(Cochain.from_function(G, 2, 2, lambda g, h: _omega_phase(nu_w(g, h), dress, state)))
     c1, c2 = cochains
     rel = c1.mul(c2.inverse())
     closed, trivial, _ = classify(rel)
@@ -703,9 +697,6 @@ def spt_trivialize_2d(
         if not state_preserved_by(lambda o, g=g: data.rho_apply(g, o), data.window, state, dress):
             return SptTrivialize2dReport("truncation_not_preserving", None, None)
 
-    def cval(g, h, k):
-        return _phase_bit(_omega_phase(data.u[g, h, k], dress, state))
-
-    c = Cochain.from_function(G, 3, 2, cval)
+    c = Cochain.from_function(G, 3, 2, lambda g, h, k: _omega_phase(data.u[g, h, k], dress, state))
     tau = tau_cochain(data)
     return SptTrivialize2dReport("ok", c, coboundary(c) == tau)

@@ -469,6 +469,8 @@ def builtin_action(name: str, window: Window) -> CircuitAction:
     levin_gu_1d  Z2 on the chain: an X layer followed by a CZ layer on the
                chain edges.
     """
+    if name in ("ccz_x_2d", "onsite_x_2d") and window.is_chain:
+        raise ValueError(f"{name} needs a 2d window")
     full = Region.full()
     if name == "ccz_x_2d":
         group = klein_four()
@@ -507,7 +509,7 @@ def builtin_action(name: str, window: Window) -> CircuitAction:
 def onsite_x_action_1d(window: Window) -> CircuitAction:
     """Z2 acting by X on every chain site (fixture for the 1d pipelines)."""
     if not window.is_chain:
-        raise ValueError("needs a chain window")
+        raise ValueError("onsite_x_1d needs a chain window")
     group = FiniteGroup.cyclic(2)
     circuits = [
         ProceduralCircuit((), window),
@@ -519,7 +521,7 @@ def onsite_x_action_1d(window: Window) -> CircuitAction:
 def onsite_xx_action_1d(window: Window) -> CircuitAction:
     """Z2xZ2 on the chain: X on even sites / X on odd sites (SPT fixture)."""
     if not window.is_chain:
-        raise ValueError("needs a chain window")
+        raise ValueError("onsite_xx_1d needs a chain window")
     group = klein_four()
     even = [s for s in window.sites() if s[0] % 2 == 0]
     odd = [s for s in window.sites() if s[0] % 2 != 0]

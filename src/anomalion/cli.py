@@ -66,13 +66,23 @@ class ConfigError(ValueError):
 
 
 def _parse_window(text: str, margin: int, chain: bool) -> Window:
-    if chain:
-        return Window.chain(int(text.split("x")[0]), margin)
-    if "x" in text:
-        w, h = text.split("x")
-        return Window.centered(int(w), int(h), margin)
-    n = int(text)
-    return Window.centered(n, n, margin)
+    """The window of --window N or WxH (a chain takes the first size) and
+    --margin; a malformed size or margin is a config error."""
+    try:
+        sizes = [int(n) for n in text.split("x")]
+        if len(sizes) > 2:
+            raise ValueError("expected N or WxH")
+        if chain:
+            return Window.chain(sizes[0], margin)
+        return Window.centered(sizes[0], sizes[-1], margin)
+    except ValueError as exc:
+        raise ConfigError(f"bad window {text!r} with margin {margin}: {exc}") from exc
+
+
+def _at_least_one(n: int, flag: str) -> int:
+    if n < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {n}")
+    return n
 
 
 def _read_json(path: str, what: str) -> dict:
@@ -104,7 +114,10 @@ def _load_action(name_or_path: str, window: Window) -> CircuitAction:
         "onsite_xx_1d": lambda: onsite_xx_action_1d(window),
     }
     if name_or_path in builtin:
-        return builtin[name_or_path]()
+        try:
+            return builtin[name_or_path]()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     obj = _read_json(name_or_path, "action config")
     try:
         action = action_from_config(obj, window)
@@ -222,11 +235,26 @@ def cmd_anomaly1d(args) -> int:
 
 def cmd_eta_check(args) -> int:
     window = _parse_window(args.window, args.margin, chain=False)
-    rep = run_identity_suite(window, n_pairs=args.pairs, seed=args.seed)
+    rep = run_identity_suite(window, n_pairs=_at_least_one(args.pairs, "--pairs"), seed=args.seed)
     print(f"eta-check: {len(rep.checks)} identity suites on {rep.pairs} pairs; "
           f"{'all passed' if rep.ok else f'{len(rep.failures)} failures'}")
     _emit({"schema": SCHEMA, "command": "eta-check", "seed": args.seed, **rep.to_json()}, args.report)
     return EXIT_OK if rep.ok else EXIT_ASSERTION
+
+
+def _table(obj: dict, key: str, shape: tuple[FiniteGroup, ...], values: FiniteGroup):
+    """obj[key] as nested tuples, one level per group of shape, each level
+    as long as that group's order, and ints in range(values.order) inside;
+    any other shape is a config error."""
+    def check(t, dims, at):
+        if not dims:
+            if type(t) is not int or not 0 <= t < values.order:
+                raise ConfigError(f"{key}{at} = {t!r} is not in range({values.order})")
+            return t
+        if not isinstance(t, list) or len(t) != dims[0].order:
+            raise ConfigError(f"{key}{at} is not a list of {dims[0].order} entries")
+        return tuple(check(r, dims[1:], f"{at}[{i}]") for i, r in enumerate(t))
+    return check(obj[key], shape, "")
 
 
 def _cm_from_json(obj) -> CrossedModule:
@@ -234,8 +262,8 @@ def _cm_from_json(obj) -> CrossedModule:
     N = FiniteGroup.from_json(obj["N"])
     return CrossedModule(
         M, N,
-        GroupHom(M, N, tuple(obj["bd"])),
-        ActionTable(N, M, tuple(tuple(r) for r in obj["act"])),
+        GroupHom(M, N, _table(obj, "bd", (M,), N)),
+        ActionTable(N, M, _table(obj, "act", (N, M), M)),
     )
 
 
@@ -254,14 +282,14 @@ def _square_from_json(obj) -> CrossedSquare:
     L, M, N, P = (FiniteGroup.from_json(obj[k]) for k in "LMNP")
     return CrossedSquare(
         L, M, N, P,
-        f=GroupHom(L, M, tuple(obj["f"])),
-        g=GroupHom(L, N, tuple(obj["g"])),
-        v=GroupHom(M, P, tuple(obj["v"])),
-        u=GroupHom(N, P, tuple(obj["u"])),
-        act_L=ActionTable(P, L, tuple(tuple(r) for r in obj["act_L"])),
-        act_M=ActionTable(P, M, tuple(tuple(r) for r in obj["act_M"])),
-        act_N=ActionTable(P, N, tuple(tuple(r) for r in obj["act_N"])),
-        eta=tuple(tuple(r) for r in obj["eta"]),
+        f=GroupHom(L, M, _table(obj, "f", (L,), M)),
+        g=GroupHom(L, N, _table(obj, "g", (L,), N)),
+        v=GroupHom(M, P, _table(obj, "v", (M,), P)),
+        u=GroupHom(N, P, _table(obj, "u", (N,), P)),
+        act_L=ActionTable(P, L, _table(obj, "act_L", (P, L), L)),
+        act_M=ActionTable(P, M, _table(obj, "act_M", (P, M), M)),
+        act_N=ActionTable(P, N, _table(obj, "act_N", (P, N), N)),
+        eta=_table(obj, "eta", (M, N), L),
     )
 
 
@@ -271,11 +299,11 @@ def _t2cm_from_json(obj) -> TwoCrossedModule:
     P = FiniteGroup.from_json(obj["P"])
     return TwoCrossedModule(
         L, K, P,
-        delta=GroupHom(L, K, tuple(obj["delta"])),
-        bd=GroupHom(K, P, tuple(obj["bd"])),
-        act_L=ActionTable(P, L, tuple(tuple(r) for r in obj["act_L"])),
-        act_K=ActionTable(P, K, tuple(tuple(r) for r in obj["act_K"])),
-        braid=tuple(tuple(r) for r in obj["braid"]),
+        delta=GroupHom(L, K, _table(obj, "delta", (L,), K)),
+        bd=GroupHom(K, P, _table(obj, "bd", (K,), P)),
+        act_L=ActionTable(P, L, _table(obj, "act_L", (P, L), L)),
+        act_K=ActionTable(P, K, _table(obj, "act_K", (P, K), K)),
+        braid=_table(obj, "braid", (K, K), L),
     )
 
 
@@ -292,7 +320,7 @@ def _t2cm_to_json(t: TwoCrossedModule) -> dict:
 def cmd_crossed(args) -> int:
     if args.subcommand == "lattice":
         window = _parse_window(args.window, args.margin, chain=False)
-        rep = verify_lattice_square(window, samples=args.samples, seed=args.seed)
+        rep = verify_lattice_square(window, samples=_at_least_one(args.samples, "--samples"), seed=args.seed)
         print(f"lattice square: ok={rep.ok} counts={rep.counts}")
         _emit({"schema": SCHEMA, "command": "crossed lattice", **rep.to_json()}, args.report)
         return EXIT_OK if rep.ok else EXIT_ASSERTION

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product, repeat
-from math import gcd, lcm
+from math import lcm
 from operator import mod
 
 from .linalg import Matrix, solve_mod
@@ -219,56 +219,6 @@ def quotient_group(g: FiniteGroup, normal_sub: list[int], name: str = "Q") -> tu
     table = tuple(tuple(coset_of[g.mul(reps[i], reps[j])] for j in range(len(reps))) for i in range(len(reps)))
     names = tuple(f"[{g.names[r]}]" for r in reps)
     return FiniteGroup(table, names, name), tuple(coset_of)
-
-
-# -- phases ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhaseValue:
-    """exp(2*pi*i*numerator/modulus), stored in lowest terms."""
-
-    numerator: int
-    modulus: int
-
-    def __post_init__(self):
-        m = self.modulus
-        if m <= 0:
-            raise ValueError("modulus must be positive")
-        n = self.numerator % m
-        g = gcd(n, m) if n else m
-        object.__setattr__(self, "numerator", n // g if n else 0)
-        object.__setattr__(self, "modulus", m // g if n else 1)
-
-    @staticmethod
-    def one() -> "PhaseValue":
-        return PhaseValue(0, 1)
-
-    @staticmethod
-    def minus_one() -> "PhaseValue":
-        return PhaseValue(1, 2)
-
-    def as_sign(self) -> int:
-        # in lowest terms, +1 is 0/1 and -1 is 1/2
-        if self.modulus == 1:
-            return 1
-        if self.modulus == 2:
-            return -1
-        raise ValueError(f"{self} is not a sign")
-
-    def __mul__(self, other: "PhaseValue") -> "PhaseValue":
-        m = lcm(self.modulus, other.modulus)
-        return PhaseValue(self.numerator * (m // self.modulus) + other.numerator * (m // other.modulus), m)
-
-    def inverse(self) -> "PhaseValue":
-        return PhaseValue(-self.numerator, self.modulus)
-
-    def __repr__(self):
-        if self.modulus == 1:
-            return "+1"
-        if self.modulus == 2:
-            return "-1"
-        return f"exp(2pi*i*{self.numerator}/{self.modulus})"
 
 
 # -- cochains -----------------------------------------------------------

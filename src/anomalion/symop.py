@@ -55,7 +55,6 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from .groups import PhaseValue
 from .lattice import Site
 
 # -- the site interner -----------------------------------------------------
@@ -297,11 +296,12 @@ def sites_outside(ops, region) -> list[Site]:
     return sorted(_sites(reduce(or_, map(support_mask, ops), 0) & ~region_mask(region)))
 
 
-def scalar_phase(a: SymOp) -> PhaseValue | None:
-    """The phase of a if it is scalar (empty support), else None."""
+def scalar_phase(a: SymOp) -> int | None:
+    """The phase of a as a Z2 residue if a is scalar (empty support): 0 for
+    +1, 1 for -1; None otherwise."""
     if support_mask(a):
         return None
-    return PhaseValue.minus_one() if a._poly else PhaseValue.one()
+    return 1 if a._poly else 0
 
 
 # -- reference states and expectations ----------------------------------

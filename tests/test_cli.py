@@ -60,6 +60,37 @@ def test_config_errors(tmp_path):
     assert run(["anomaly2d", "--margin", "0"]) == 2
 
 
+def _config_error(args, capsys) -> str:
+    """Run args: it must exit 2 with one line on stderr, a config error."""
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_malformed_window_is_a_config_error(capsys):
+    for args in (["--window", "abc"], ["--window", "12x"], ["--window", "12x12x3"], ["--window", "0"]):
+        assert "bad window" in _config_error(["anomaly2d", *args], capsys)
+    assert "margin must be >= 0" in _config_error(["anomaly2d", "--margin", "-1"], capsys)
+    assert "margin too large" in _config_error(["anomaly2d", "--window", "6x6", "--margin", "3"], capsys)
+    assert "margin too large" in _config_error(["anomaly1d", "--window", "6", "--margin", "3"], capsys)
+    for action in ("levin_gu_1d", "onsite_x_1d", "onsite_xx_1d"):
+        err = _config_error(["anomaly2d", "--action", action], capsys)
+        assert err == f"config error: {action} needs a chain window\n"
+    # the CCZ layer is empty on a chain, so a 2d builtin there would read trivial
+    for action in ("ccz_x_2d", "onsite_x_2d"):
+        err = _config_error(["anomaly1d", "--action", action], capsys)
+        assert err == f"config error: {action} needs a 2d window\n"
+
+
+def test_checks_over_no_samples_are_config_errors(capsys):
+    for n in ("0", "-1"):
+        err = _config_error(["eta-check", "--pairs", n], capsys)
+        assert err == f"config error: --pairs must be at least 1, got {n}\n"
+        err = _config_error(["crossed", "lattice", "--samples", n], capsys)
+        assert err == f"config error: --samples must be at least 1, got {n}\n"
+
+
 def test_custom_action_config(tmp_path):
     cfg = tmp_path / "action.json"
     cfg.write_text(json.dumps({
@@ -303,6 +334,34 @@ def test_crossed_table_missing_a_group_is_a_config_error(tmp_path, capsys):
     bad_bd = _write(tmp_path, "bad.json", json.dumps({**SIGN_ACTION_CM, "bd": [0, 1, 0, 2], "section": [0, 1]}))
     assert run(["crossed", "postnikov", "--input", bad_bd]) == 1
     assert capsys.readouterr().err.startswith("assertion failure: invalid crossed module")
+
+
+def test_crossed_table_of_wrong_shape_is_a_config_error(tmp_path, capsys):
+    """Row counts, row lengths and entry ranges of every table are checked
+    where the input is parsed, for all three structure kinds."""
+    for bad, err in (
+        ({"act": [[0, 1, 2, 3]]}, "act is not a list of 4 entries"),
+        ({"act": [[0, 1, 2, 3], [0, 3, 2], [0, 1, 2, 3], [0, 3, 2, 1]]}, "act[1] is not a list of 4 entries"),
+        ({"act": [[0, 1, 2, 3], [0, 3, 2, 1], [0, 1, 2, "3"], [0, 3, 2, 1]]}, "act[2][3] = '3' is not in range(4)"),
+        ({"bd": [0, 2, 0, 7]}, "bd[3] = 7 is not in range(4)"),
+        ({"bd": [0, 2]}, "bd is not a list of 4 entries"),
+    ):
+        path = _write(tmp_path, "cm.json", json.dumps({**SIGN_ACTION_CM, **bad, "section": [0, 1]}))
+        for sub in ("validate", "postnikov"):
+            assert _config_error(["crossed", sub, "--input", path], capsys) == f"config error: {err}\n"
+    z1 = {"order": 1, "mul": [0]}
+    square = {"kind": "crossed_square", "L": z1, "M": z1, "N": z1, "P": z1, "f": [0], "g": [0], "v": [0],
+              "u": [0], "act_L": [[0]], "act_M": [[0]], "act_N": [[0]], "eta": [[0]]}
+    t2cm = {"kind": "two_crossed_module", "L": z1, "K": z1, "P": z1, "delta": [0], "bd": [0],
+            "act_L": [[0]], "act_K": [[0]], "braid": [[0]]}
+    for obj, subs, bad, err in (
+        (square, ("validate", "convert"), {"eta": [[0, 0]]}, "eta[0] is not a list of 1 entries"),
+        (t2cm, ("validate", "homotopy"), {"braid": [[1]]}, "braid[0][0] = 1 is not in range(1)"),
+    ):
+        for sub in subs:
+            assert run(["crossed", sub, "--input", _write(tmp_path, "ok.json", json.dumps(obj))]) == 0
+            path = _write(tmp_path, "bad.json", json.dumps({**obj, **bad}))
+            assert _config_error(["crossed", sub, "--input", path], capsys) == f"config error: {err}\n"
 
 
 def test_malformed_json_is_a_config_error(tmp_path, capsys):

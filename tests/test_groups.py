@@ -10,7 +10,6 @@ from anomalion.groups import (
     Cochain,
     FiniteGroup,
     GroupHom,
-    PhaseValue,
     _faces,
     classify,
     coboundary,
@@ -54,15 +53,6 @@ def test_group_table_validation():
         FiniteGroup(((0, 1), (0, 1)))  # no identity column consistency
     with pytest.raises(ValueError):
         FiniteGroup(((0, 1), (1, 1)))  # 1 has no inverse
-
-
-def test_phase_value_reduction():
-    assert PhaseValue(2, 4) == PhaseValue(1, 2) == PhaseValue.minus_one()
-    assert PhaseValue(4, 4) == PhaseValue.one()
-    assert PhaseValue(1, 2) * PhaseValue(1, 2) == PhaseValue.one()
-    assert PhaseValue(1, 4) * PhaseValue(1, 4) == PhaseValue.minus_one()
-    assert PhaseValue(3, 4).inverse() == PhaseValue(1, 4)
-    assert PhaseValue.minus_one().as_sign() == -1
 
 
 def test_coboundary_of_constant_0cochain_is_trivial():
