@@ -121,6 +121,9 @@ RUNS = (
     ["crossed", "validate", "--input", "square.json"],
     ["crossed", "convert", "--input", "square.json"],
     ["anomaly1d", "--action", "levin_gu_z2_action.json", "--seed", "10"],
+    ["anomaly2d", "--action", "onsite_x_2d", "--seed", "11"],
+    ["anomaly1d", "--action", "onsite_x_1d", "--seed", "12"],
+    ["anomaly1d", "--action", "onsite_xx_1d", "--seed", "13"],
 )
 
 

@@ -15,7 +15,7 @@ valid layer are valid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 
 from .groups import FiniteGroup, klein_bits, klein_four
@@ -459,83 +459,54 @@ def validate_action(action: CircuitAction) -> list[str]:
     return violations
 
 
+def _ccz_x_layers(e: int, window: Window) -> tuple[GateRule, ...]:
+    g1, g2 = klein_bits(e)
+    # unitary U1^g1 U2^g2: the X layer is applied first to states
+    return (GateRule("x_sites"),) * g2 + (GateRule("ccz_triangles"),) * g1
+
+
+def _x_even_odd_layers(e: int, window: Window) -> tuple[GateRule, ...]:
+    g1, g2 = klein_bits(e)
+    even = [SymOp.x(s) for s in window.sites() if s[0] % 2 == 0]
+    odd = [SymOp.x(s) for s in window.sites() if s[0] % 2 != 0]
+    gates = tuple(even * g1 + odd * g2)
+    return (GateRule("explicit", gates=gates),) if gates else ()
+
+
+_z2 = partial(FiniteGroup.cyclic, 2)
+
+# The builtin actions, name -> (window kind, group, the layers of element e
+# on a window); a new builtin is one more entry here.
+#   ccz_x_2d      Z2xZ2 on the plane: g=(g1,g2) acts by U1^g1 U2^g2 with U1
+#                 the CCZ product over all lattice triangles and U2 the X
+#                 product over all sites.
+#   onsite_x_2d   Z2 acting by X on every site.
+#   onsite_x_1d   Z2 acting by X on every chain site.
+#   onsite_xx_1d  Z2xZ2 on the chain: g1 acts by X on the even sites and g2
+#                 by X on the odd sites.
+#   levin_gu_1d   Z2 on the chain: an X layer followed by a CZ layer on the
+#                 chain edges.
+BUILTIN_ACTIONS = {
+    "ccz_x_2d": ("2d", klein_four, _ccz_x_layers),
+    "onsite_x_2d": ("2d", _z2, lambda e, window: (GateRule("x_sites"),) * e),
+    "onsite_x_1d": ("chain", _z2, lambda e, window: (GateRule("x_sites"),) * e),
+    "onsite_xx_1d": ("chain", klein_four, _x_even_odd_layers),
+    "levin_gu_1d": ("chain", _z2, lambda e, window: (GateRule("x_sites"), GateRule("cz_chain_edges")) * e),
+}
+
+
 def builtin_action(name: str, window: Window) -> CircuitAction:
-    """The built-in symmetry actions.
-
-    ccz_x_2d   Z2xZ2 on the plane: g=(g1,g2) acts by U1^g1 U2^g2 with U1 the
-               CCZ product over all lattice triangles and U2 the X product
-               over all sites.
-    onsite_x_2d  Z2 acting by X on every site.
-    levin_gu_1d  Z2 on the chain: an X layer followed by a CZ layer on the
-               chain edges.
-    """
-    if name in ("ccz_x_2d", "onsite_x_2d") and window.is_chain:
-        raise ValueError(f"{name} needs a 2d window")
-    full = Region.full()
-    if name == "ccz_x_2d":
-        group = klein_four()
-        circuits = []
-        for e in group.elements():
-            g1, g2 = klein_bits(e)
-            layers: list[GateRule] = []
-            # unitary U1^g1 U2^g2: the X layer is applied first to states
-            if g2:
-                layers.append(GateRule("x_sites", full))
-            if g1:
-                layers.append(GateRule("ccz_triangles", full))
-            circuits.append(ProceduralCircuit(tuple(layers), window))
-        return CircuitAction(group, tuple(circuits), window, name)
-    if name == "onsite_x_2d":
-        group = FiniteGroup.cyclic(2)
-        circuits = [
-            ProceduralCircuit((), window),
-            ProceduralCircuit((GateRule("x_sites", full),), window),
-        ]
-        return CircuitAction(group, tuple(circuits), window, name)
-    if name == "levin_gu_1d":
-        if not window.is_chain:
-            raise ValueError("levin_gu_1d needs a chain window")
-        group = FiniteGroup.cyclic(2)
-        circuits = [
-            ProceduralCircuit((), window),
-            ProceduralCircuit(
-                (GateRule("x_sites", full), GateRule("cz_chain_edges", full)), window
-            ),
-        ]
-        return CircuitAction(group, tuple(circuits), window, name)
-    raise ValueError(f"unknown builtin action {name!r}")
-
-
-def onsite_x_action_1d(window: Window) -> CircuitAction:
-    """Z2 acting by X on every chain site (fixture for the 1d pipelines)."""
-    if not window.is_chain:
-        raise ValueError("onsite_x_1d needs a chain window")
-    group = FiniteGroup.cyclic(2)
-    circuits = [
-        ProceduralCircuit((), window),
-        ProceduralCircuit((GateRule("x_sites", Region.full()),), window),
-    ]
-    return CircuitAction(group, tuple(circuits), window, "onsite_x_1d")
-
-
-def onsite_xx_action_1d(window: Window) -> CircuitAction:
-    """Z2xZ2 on the chain: X on even sites / X on odd sites (SPT fixture)."""
-    if not window.is_chain:
-        raise ValueError("onsite_xx_1d needs a chain window")
-    group = klein_four()
-    even = [s for s in window.sites() if s[0] % 2 == 0]
-    odd = [s for s in window.sites() if s[0] % 2 != 0]
-    circuits = []
-    for e in group.elements():
-        g1, g2 = klein_bits(e)
-        gates: list[SymOp] = []
-        if g1:
-            gates += [SymOp.x(s) for s in even]
-        if g2:
-            gates += [SymOp.x(s) for s in odd]
-        layers = (GateRule("explicit", gates=tuple(gates)),) if gates else ()
-        circuits.append(ProceduralCircuit(layers, window))
-    return CircuitAction(group, tuple(circuits), window, "onsite_xx_1d")
+    """The builtin action called name (see BUILTIN_ACTIONS) on window; an
+    unknown name or a window of the other kind is a ValueError."""
+    if name not in BUILTIN_ACTIONS:
+        raise ValueError(f"unknown builtin action {name!r}")
+    kind, make_group, layers = BUILTIN_ACTIONS[name]
+    # the CCZ layer is empty on a chain, so a 2d builtin there would read trivial
+    if window.is_chain != (kind == "chain"):
+        raise ValueError(f"{name} needs a {kind} window")
+    group = make_group()
+    circuits = tuple(ProceduralCircuit(layers(e, window), window) for e in group.elements())
+    return CircuitAction(group, circuits, window, name)
 
 
 def cluster_entangler_1d(window: Window) -> ProceduralCircuit:

@@ -25,12 +25,11 @@ from .anomaly import (
     tau_cochain,
 )
 from .circuits import (
+    BUILTIN_ACTIONS,
     CircuitAction,
     action_from_config,
     builtin_action,
     cluster_entangler_1d,
-    onsite_x_action_1d,
-    onsite_xx_action_1d,
     validate_action,
 )
 from .crossed import (
@@ -79,9 +78,9 @@ def _parse_window(text: str, margin: int, chain: bool) -> Window:
         raise ConfigError(f"bad window {text!r} with margin {margin}: {exc}") from exc
 
 
-def _at_least_one(n: int, flag: str) -> int:
-    if n < 1:
-        raise ConfigError(f"{flag} must be at least 1, got {n}")
+def _at_least(low: int, n: int, flag: str) -> int:
+    if n < low:
+        raise ConfigError(f"{flag} must be at least {low}, got {n}")
     return n
 
 
@@ -98,34 +97,34 @@ def _read_json(path: str, what: str) -> dict:
 
 
 def _from_json(build, obj: dict):
-    """build(obj), with a missing or mistyped entry of obj reported as a config error."""
+    """build(obj), with a missing, mistyped or invalid entry of obj (a group
+    table that is not a group, say) reported as a config error."""
     try:
         return build(obj)
-    except (KeyError, TypeError) as exc:
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed input: {type(exc).__name__}: {exc}") from exc
 
 
 def _load_action(name_or_path: str, window: Window) -> CircuitAction:
-    builtin = {
-        "ccz_x_2d": lambda: builtin_action("ccz_x_2d", window),
-        "levin_gu_1d": lambda: builtin_action("levin_gu_1d", window),
-        "onsite_x_2d": lambda: builtin_action("onsite_x_2d", window),
-        "onsite_x_1d": lambda: onsite_x_action_1d(window),
-        "onsite_xx_1d": lambda: onsite_xx_action_1d(window),
-    }
-    if name_or_path in builtin:
+    """The builtin action of that name, or the action config at that path,
+    on window.  A builtin on the other window kind, a config that does not
+    define a group action and a margin below three times the action's range
+    are config errors."""
+    if name_or_path in BUILTIN_ACTIONS:
         try:
-            return builtin[name_or_path]()
+            action = builtin_action(name_or_path, window)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    obj = _read_json(name_or_path, "action config")
-    try:
-        action = action_from_config(obj, window)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad action config: {exc}") from exc
-    violations = validate_action(action)
-    if violations:
-        raise ConfigError(f"config does not define a group action: {violations[:3]}")
+    else:
+        obj = _read_json(name_or_path, "action config")
+        action = _from_json(lambda o: action_from_config(o, window), obj)
+        violations = validate_action(action)
+        if violations:
+            raise ConfigError(f"config does not define a group action: {violations[:3]}")
+    if window.margin < 3 * action.total_range():
+        raise ConfigError("margin must be at least three times the action range")
     return action
 
 
@@ -182,14 +181,13 @@ def _gauge_checks(data, tau0, count: int, seed: int) -> dict:
 def cmd_anomaly2d(args) -> int:
     window = _parse_window(args.window, args.margin, chain=False)
     action = _load_action(args.action, window)
-    _check_margin(window, action)
     data = build_truncation_2d(action)
     rep = anomaly_2d(action, data)
     extra = {"command": "anomaly2d", "action": args.action, "seed": args.seed,
              "window": [window.x_min, window.x_max, window.y_min, window.y_max],
              "margin": window.margin}
     ok = rep.is_cocycle
-    if args.check_gauge:
+    if _at_least(0, args.check_gauge, "--check-gauge"):
         gauge = _gauge_checks(data, rep.cochain, args.check_gauge, args.seed)
         extra["gauge_checks"] = gauge
         ok = ok and gauge["ok"]
@@ -208,15 +206,9 @@ def cmd_anomaly2d(args) -> int:
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
-def _check_margin(window: Window, action: CircuitAction):
-    if window.margin < 3 * action.total_range():
-        raise ConfigError("margin must be at least three times the action range")
-
-
 def cmd_anomaly1d(args) -> int:
     window = _parse_window(args.window, args.margin, chain=True)
     action = _load_action(args.action, window)
-    _check_margin(window, action)
     data = build_truncation_1d(action)
     rep = nayak_else_1d(action, data)
     extra = {"command": "anomaly1d", "action": args.action, "seed": args.seed,
@@ -235,7 +227,7 @@ def cmd_anomaly1d(args) -> int:
 
 def cmd_eta_check(args) -> int:
     window = _parse_window(args.window, args.margin, chain=False)
-    rep = run_identity_suite(window, n_pairs=_at_least_one(args.pairs, "--pairs"), seed=args.seed)
+    rep = run_identity_suite(window, n_pairs=_at_least(1, args.pairs, "--pairs"), seed=args.seed)
     print(f"eta-check: {len(rep.checks)} identity suites on {rep.pairs} pairs; "
           f"{'all passed' if rep.ok else f'{len(rep.failures)} failures'}")
     _emit({"schema": SCHEMA, "command": "eta-check", "seed": args.seed, **rep.to_json()}, args.report)
@@ -320,7 +312,7 @@ def _t2cm_to_json(t: TwoCrossedModule) -> dict:
 def cmd_crossed(args) -> int:
     if args.subcommand == "lattice":
         window = _parse_window(args.window, args.margin, chain=False)
-        rep = verify_lattice_square(window, samples=_at_least_one(args.samples, "--samples"), seed=args.seed)
+        rep = verify_lattice_square(window, samples=_at_least(1, args.samples, "--samples"), seed=args.seed)
         print(f"lattice square: ok={rep.ok} counts={rep.counts}")
         _emit({"schema": SCHEMA, "command": "crossed lattice", **rep.to_json()}, args.report)
         return EXIT_OK if rep.ok else EXIT_ASSERTION
@@ -375,10 +367,10 @@ def cmd_crossed(args) -> int:
 
 
 def cmd_spt(args) -> int:
+    window = _parse_window(args.window, args.margin, chain=args.mode == "relative1d")
+    action = _load_action(args.action, window)
+    state = ALL_PLUS if args.basis == "x" else ALL_ZEROS
     if args.mode == "relative1d":
-        window = _parse_window(args.window, args.margin, chain=True)
-        action = _load_action(args.action, window)
-        state = ALL_PLUS if args.basis == "x" else ALL_ZEROS
         dress = {"cluster": cluster_entangler_1d(window), "none": None}
         rep = spt_relative_1d(action, dress[args.dress1], dress[args.dress2], state=state)
         print(f"spt relative1d: cocycle={rep.is_cocycle} trivial={rep.trivial}")
@@ -386,9 +378,6 @@ def cmd_spt(args) -> int:
                "cochain": rep.cochain.to_json(), "is_cocycle": rep.is_cocycle,
                "trivial": rep.trivial}, args.report)
         return EXIT_OK if rep.is_cocycle else EXIT_ASSERTION
-    window = _parse_window(args.window, args.margin, chain=False)
-    action = _load_action(args.action, window)
-    state = ALL_PLUS if args.basis == "x" else ALL_ZEROS
     data = build_truncation_2d(action)
     rep = spt_trivialize_2d(data, None, state=state)
     print(f"spt trivialize2d: status={rep.status} delta_c_equals_tau={rep.delta_equals_tau}")
@@ -403,8 +392,7 @@ def cmd_spt(args) -> int:
 
 def cmd_reproduce_ccz(args) -> int:
     window = _parse_window(args.window, args.margin, chain=False)
-    action = builtin_action("ccz_x_2d", window)
-    _check_margin(window, action)
+    action = _load_action("ccz_x_2d", window)
     data = build_truncation_2d(action)
     rep = anomaly_2d(action, data)
     mu_example = data.mu[0b01, 0b10]
@@ -417,7 +405,7 @@ def cmd_reproduce_ccz(args) -> int:
     extra = {"command": "reproduce-ccz", "seed": args.seed,
              "mu_example": format_op(mu_example), "u_example": format_op(u_example)}
     expected = rep.is_cocycle and not rep.trivial and rep.matched_class == "b^3 . a"
-    if args.check_gauge:
+    if _at_least(0, args.check_gauge, "--check-gauge"):
         gauge = _gauge_checks(data, rep.cochain, args.check_gauge, args.seed)
         extra["gauge_checks"] = gauge
         expected = expected and gauge["ok"]

@@ -26,7 +26,6 @@ from anomalion.circuits import (
     ProceduralCircuit,
     builtin_action,
     cluster_entangler_1d,
-    onsite_xx_action_1d,
     truncate,
 )
 from anomalion.groups import (
@@ -317,7 +316,7 @@ def test_criterion_11_spt():
             ok = False
 
     chain = Window.chain(12, margin=3)
-    axx = onsite_xx_action_1d(chain)
+    axx = builtin_action("onsite_xx_1d", chain)
     rel = spt_relative_1d(axx, cluster_entangler_1d(chain), None, state=ALL_PLUS)
     ok = ok and rel.is_cocycle and not rel.trivial
     # dense-oracle confirmation lives in the spt tests; re-assert the

@@ -9,7 +9,6 @@ from anomalion.circuits import (
     ProceduralCircuit,
     action_from_config,
     builtin_action,
-    onsite_x_action_1d,
     truncate,
 )
 from anomalion.groups import coboundary_solve
@@ -70,7 +69,7 @@ def test_levin_gu_dense_oracle(lg_action, lg_data):
 
 
 def test_onsite_restriction_is_constant_one(chain12):
-    action = onsite_x_action_1d(chain12)
+    action = builtin_action("onsite_x_1d", chain12)
     data = build_truncation_1d(action)
     assert all(nu.is_identity() for nu in data.nu_lift.values())
     rep = nayak_else_1d(action, data)
@@ -121,9 +120,7 @@ def test_nu_defining_relation_on_observables(lg_action, lg_data):
 
 
 def test_onsite_xx_restriction_constant_one(chain12):
-    from anomalion.circuits import onsite_xx_action_1d
-
-    rep = nayak_else_1d(onsite_xx_action_1d(chain12))
+    rep = nayak_else_1d(builtin_action("onsite_xx_1d", chain12))
     assert not any(rep.cochain.values) and rep.trivial
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomalion.circuits import (
+    BUILTIN_ACTIONS,
     CircuitAction,
     CollapseError,
     GateRule,
@@ -248,10 +249,21 @@ def test_product_collapse_non_collapsing_error(window12):
 
 
 def test_builtin_actions(window12, chain12):
-    for name, window in (("ccz_x_2d", window12), ("onsite_x_2d", window12), ("levin_gu_1d", chain12)):
+    builtins = {
+        "ccz_x_2d": (window12, chain12, "2d"),
+        "onsite_x_2d": (window12, chain12, "2d"),
+        "onsite_x_1d": (chain12, window12, "chain"),
+        "onsite_xx_1d": (chain12, window12, "chain"),
+        "levin_gu_1d": (chain12, window12, "chain"),
+    }
+    assert set(BUILTIN_ACTIONS) == set(builtins)
+    for name, (window, other, kind) in builtins.items():
         action = builtin_action(name, window)
+        assert action.name == name
         assert action.circuit(action.group.id).is_identity()
         assert validate_action(action) == []
+        with pytest.raises(ValueError, match=f"^{name} needs a {kind} window$"):
+            builtin_action(name, other)
     with pytest.raises(ValueError):
         builtin_action("no_such_action", window12)
     lg = builtin_action("levin_gu_1d", chain12)

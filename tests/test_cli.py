@@ -81,6 +81,14 @@ def test_malformed_window_is_a_config_error(capsys):
     for action in ("ccz_x_2d", "onsite_x_2d"):
         err = _config_error(["anomaly1d", "--action", action], capsys)
         assert err == f"config error: {action} needs a 2d window\n"
+    # every command that loads an action needs a margin of 3x its range, 1 here
+    for args in (
+        ["anomaly2d"], ["reproduce-ccz"], ["anomaly1d"],
+        ["spt", "--mode", "trivialize2d", "--action", "ccz_x_2d"],
+        ["spt", "--mode", "relative1d", "--action", "levin_gu_1d"],
+    ):
+        err = _config_error([*args, "--margin", "2"], capsys)
+        assert err == "config error: margin must be at least three times the action range\n"
 
 
 def test_checks_over_no_samples_are_config_errors(capsys):
@@ -89,6 +97,20 @@ def test_checks_over_no_samples_are_config_errors(capsys):
         assert err == f"config error: --pairs must be at least 1, got {n}\n"
         err = _config_error(["crossed", "lattice", "--samples", n], capsys)
         assert err == f"config error: --samples must be at least 1, got {n}\n"
+    for command in ("anomaly2d", "reproduce-ccz"):
+        err = _config_error([command, "--check-gauge", "-1"], capsys)
+        assert err == "config error: --check-gauge must be at least 0, got -1\n"
+
+
+def test_mistyped_action_config_is_a_config_error(tmp_path, capsys):
+    group = {"order": 2, "mul": [0, 1, 1, 0]}
+    layer = {"pattern": "x_sites", "region": {"kind": "half_plane_H", "thickening": "2"}}
+    for config, err in (
+        ({"group": group, "generators": 5}, "TypeError: 'int' object is not iterable"),
+        ({"group": group, "generators": [{"element": 1, "layers": [layer]}]}, "TypeError: '<' not supported"),
+    ):
+        path = _write(tmp_path, "action.json", json.dumps(config))
+        assert err in _config_error(["anomaly2d", "--action", path], capsys)
 
 
 def test_custom_action_config(tmp_path):
@@ -337,14 +359,17 @@ def test_crossed_table_missing_a_group_is_a_config_error(tmp_path, capsys):
 
 
 def test_crossed_table_of_wrong_shape_is_a_config_error(tmp_path, capsys):
-    """Row counts, row lengths and entry ranges of every table are checked
-    where the input is parsed, for all three structure kinds."""
+    """Group tables, and the row counts, row lengths and entry ranges of
+    every other table, are checked where the input is parsed, for all three
+    structure kinds."""
     for bad, err in (
         ({"act": [[0, 1, 2, 3]]}, "act is not a list of 4 entries"),
         ({"act": [[0, 1, 2, 3], [0, 3, 2], [0, 1, 2, 3], [0, 3, 2, 1]]}, "act[1] is not a list of 4 entries"),
         ({"act": [[0, 1, 2, 3], [0, 3, 2, 1], [0, 1, 2, "3"], [0, 3, 2, 1]]}, "act[2][3] = '3' is not in range(4)"),
         ({"bd": [0, 2, 0, 7]}, "bd[3] = 7 is not in range(4)"),
         ({"bd": [0, 2]}, "bd is not a list of 4 entries"),
+        ({"M": {"order": 2, "mul": [0, 1, 1, 1]}}, "malformed input: GroupTableError: element 1 has no inverse"),
+        ({"N": {"order": 2, "mul": [0, 1, 1]}}, "malformed input: GroupTableError: mul table length != order^2"),
     ):
         path = _write(tmp_path, "cm.json", json.dumps({**SIGN_ACTION_CM, **bad, "section": [0, 1]}))
         for sub in ("validate", "postnikov"):

@@ -17,8 +17,6 @@ from anomalion.circuits import (
     ProceduralCircuit,
     builtin_action,
     cluster_entangler_1d,
-    onsite_x_action_1d,
-    onsite_xx_action_1d,
     truncate,
 )
 from anomalion.groups import coboundary_solve
@@ -28,7 +26,7 @@ from oracle import ColumnOracle
 
 
 def test_invariance_checks(chain12, window12):
-    ax = onsite_x_action_1d(chain12)
+    ax = builtin_action("onsite_x_1d", chain12)
     assert action_preserves_state(ax, ALL_PLUS)
     assert not action_preserves_state(ax, ALL_ZEROS)
     lg = builtin_action("levin_gu_1d", chain12)
@@ -42,7 +40,7 @@ def test_invariance_checks(chain12, window12):
 
 
 def test_cluster_state_invariance(chain12):
-    axx = onsite_xx_action_1d(chain12)
+    axx = builtin_action("onsite_xx_1d", chain12)
     cluster = cluster_entangler_1d(chain12)
     assert action_preserves_state(axx, ALL_PLUS, cluster)
     assert action_preserves_state(axx, ALL_PLUS, None)
@@ -96,7 +94,7 @@ def test_pauli_candidates_start_without_enumerating(chain12):
 
 
 def test_corrections_for_cluster(chain12):
-    axx = onsite_xx_action_1d(chain12)
+    axx = builtin_action("onsite_xx_1d", chain12)
     cluster = cluster_entangler_1d(chain12)
     rho = {g: truncate(axx.circuit(g), Region.half_line_R()) for g in range(4)}
     w_even = find_state_correction(rho[0b10], chain12, ALL_PLUS, cluster)
@@ -107,7 +105,7 @@ def test_corrections_for_cluster(chain12):
 
 
 def test_relative_class_cluster_vs_product(chain12):
-    axx = onsite_xx_action_1d(chain12)
+    axx = builtin_action("onsite_xx_1d", chain12)
     cluster = cluster_entangler_1d(chain12)
     rep = spt_relative_1d(axx, cluster, None, state=ALL_PLUS)
     assert rep.is_cocycle
@@ -121,7 +119,7 @@ def test_relative_class_cluster_vs_product(chain12):
 
 
 def test_relative_class_same_dressing_trivial(chain12):
-    axx = onsite_xx_action_1d(chain12)
+    axx = builtin_action("onsite_xx_1d", chain12)
     cluster = cluster_entangler_1d(chain12)
     rep = spt_relative_1d(axx, cluster, cluster, state=ALL_PLUS)
     assert not any(rep.cochain.values)
@@ -130,7 +128,7 @@ def test_relative_class_same_dressing_trivial(chain12):
 
 def test_relative_class_plus_equivalent_dressings_trivial(chain12):
     # dressings by X / Z strings leave the all-plus state in its orbit
-    ax = onsite_x_action_1d(chain12)
+    ax = builtin_action("onsite_x_1d", chain12)
     shift = ProceduralCircuit(
         (GateRule("explicit", gates=(SymOp.z((0, 0)), SymOp.z((2, 0)))),), chain12
     )
@@ -147,7 +145,7 @@ def test_relative_errors(chain12):
 
 def test_cluster_cocycle_dense_oracle(chain12):
     """omega(V(g,h)) for the cluster dressing, recomputed densely."""
-    axx = onsite_xx_action_1d(chain12)
+    axx = builtin_action("onsite_xx_1d", chain12)
     cluster = cluster_entangler_1d(chain12)
     rep = spt_relative_1d(axx, cluster, None, state=ALL_PLUS)
     orc = ColumnOracle(list(chain12.sites()))
