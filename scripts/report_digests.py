@@ -124,6 +124,8 @@ RUNS = (
     ["anomaly2d", "--action", "onsite_x_2d", "--seed", "11"],
     ["anomaly1d", "--action", "onsite_x_1d", "--seed", "12"],
     ["anomaly1d", "--action", "onsite_xx_1d", "--seed", "13"],
+    ["spt", "--mode", "trivialize2d", "--action", "onsite_x_2d", "--seed", "14"],
+    ["spt", "--mode", "trivialize2d", "--action", "onsite_x_2d", "--basis", "z", "--seed", "15"],
 )
 
 

@@ -2,8 +2,9 @@
 """Reproduce the built-in 2d worked example end to end.
 
 Runs the CCZ/X action pipeline on a 12x12 window, prints mu, u and the
-tau class, optionally re-checks gauge and window stability, and writes a
-JSON report.
+tau class, optionally re-checks gauge invariance, and writes a JSON
+report.  Window stability is checked by `anomalion anomaly2d
+--check-window`.
 
     python scripts/reproduce_ccz.py [--window 12x12] [--margin 3]
         [--check-gauge 20] [--report ccz_report.json]

@@ -16,12 +16,10 @@ from .lattice import Region, Site, Window
 from .symop import (
     SymOp,
     commutator,
-    expectation_product_state,
     format_op,
     op_conj,
     op_inv,
     op_mul,
-    parse_op,
     scalar_phase,
     support,
 )
@@ -39,6 +37,7 @@ from .anomaly import (
     anomaly_2d,
     build_truncation_1d,
     build_truncation_2d,
+    expectation_product_state,
     nayak_else_1d,
     regauge_beta,
     regauge_rho,
@@ -68,13 +67,13 @@ __all__ = [
     "classify", "coboundary", "coboundary_solve", "cohomologous", "cup_1cocycles",
     "is_cocycle", "pullback",
     "Region", "Site", "Window",
-    "SymOp", "commutator", "expectation_product_state", "format_op",
-    "op_conj", "op_inv", "op_mul", "parse_op", "scalar_phase", "support",
+    "SymOp", "commutator", "format_op", "op_conj", "op_inv", "op_mul",
+    "scalar_phase", "support",
     "CircuitAction", "GateRule", "ProceduralCircuit", "builtin_action",
     "conj_by_circuit", "product_collapse", "truncate",
     "LocalizedAutomorphism", "eta", "eta_L", "eta_R", "run_identity_suite",
     "anomaly_2d", "build_truncation_1d", "build_truncation_2d",
-    "nayak_else_1d", "regauge_beta", "regauge_rho",
+    "expectation_product_state", "nayak_else_1d", "regauge_beta", "regauge_rho",
     "spt_relative_1d", "spt_trivialize_2d", "tau4", "tau_cochain",
     "CrossedModule", "CrossedSquare", "TwoCrossedModule", "WeakMorphismData",
     "check_weak_morphism", "homotopy_groups", "postnikov3",

@@ -37,7 +37,7 @@ from .symop import (
     ALL_ZEROS,
     ReferenceState,
     SymOp,
-    expectation_product_state,
+    expectation_value,
     format_op,
     op_conj,
     op_inv,
@@ -180,10 +180,6 @@ class TruncationData2d:
     def rho_apply(self, g: int, a: SymOp) -> SymOp:
         return self._vals[self._rho(g, self._id(a))]
 
-    def beta_conj_rho(self, g: int, pair: tuple[int, int]) -> SymOp:
-        """rho~(g)(beta(pair))."""
-        return self.rho_apply(g, self.beta[pair])
-
     def conj(self, a: SymOp, w: SymOp) -> SymOp:
         return self._vals[self._conj(self._id(a), self._id(w))]
 
@@ -255,7 +251,7 @@ def _lift_u(data: TruncationData2d, label: str) -> list[str]:
     value is cropped and checked once."""
     G = data.group
     fail = weak_morphism_failure(
-        G, lambda g, h: data.beta[g, h], lambda g, h, k: data.beta_conj_rho(g, (h, k)),
+        G, lambda g, h: data.beta[g, h], lambda g, h, k: data.rho_apply(g, data.beta[h, k]),
         op_mul, data.inv,
     )
     disk = Region.origin_disk(data.origin_radius)
@@ -450,7 +446,7 @@ def regauge_beta(data: TruncationData2d, v: dict) -> TruncationData2d:
                 t1 = vv(g, h)
                 t2 = out.conj(vv(gh, k), data.beta[g, h])
                 t3 = data.u[g, h, k]
-                t4 = out.conj(out.inv(vv(g, hk)), data.beta_conj_rho(g, (h, k)))
+                t4 = out.conj(out.inv(vv(g, hk)), data.rho_apply(g, data.beta[h, k]))
                 t5 = out.rho_apply(g, out.inv(vv(h, k)))
                 out.u[g, h, k] = op_product((t1, t2, t3, t4, t5))
     disk2 = Region.origin_disk(new_radius)
@@ -516,6 +512,7 @@ def regauge_rho(data: TruncationData2d, gamma: dict) -> TruncationData2d:
         return conj_by_circuit(a, data.rho_tilde[g])
 
     rho2 = tuple(concat(data.rho_tilde[g], gam(g)) for g in G.elements())
+    # beta' is beta regauged by w_r: a fresh split_right(mu') would move tau by a coboundary
     beta_of = weak_morphism_regauge(
         G, lambda g, h: data.beta[g, h], w_r.__getitem__, rho_apply, op_mul, op_inv
     )
@@ -558,9 +555,16 @@ def state_stabilizer_generators(window: Window, state: ReferenceState, dressing=
     for s in window.sites():
         if window.edge_distance(s) < window.margin:
             continue
-        base = SymOp.z(s) if state.basis_at(s) == "z" else SymOp.x(s)
+        base = SymOp.z(s) if state.basis == "z" else SymOp.x(s)
         gens.append(apply_inverse_circuit(base, dressing) if dressing is not None else base)
     return gens
+
+
+def expectation_product_state(a: SymOp, dressing=None, state: ReferenceState = ALL_ZEROS) -> Fraction:
+    """omega(a) for omega = omega_0 o alpha, alpha the dressing circuit."""
+    if dressing is not None:
+        a = conj_by_circuit(a, dressing)
+    return expectation_value(a, state)
 
 
 def state_preserved_by(apply_fn, window: Window, state: ReferenceState, dressing=None) -> bool:

@@ -295,8 +295,10 @@ class Cochain:
         return {"degree": self.degree, "modulus": self.modulus, "values": dict(zip(keys, self.values))}
 
 
-def _faces(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], ...]:
-    """Index in G^n of face i of every tuple of G^(n+1), one tuple per i.
+@lru_cache(maxsize=16)
+def _face_table(mul: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """Index in G^n of face i of every tuple of G^(n+1), one tuple per i,
+    for G the group with multiplication table mul.
 
     The inhomogeneous differential is (delta c)(g_0..g_n) = sum_i (-1)^i
     c(face_i): face 0 drops g_0, face i merges g_(i-1) g_i, face n+1 drops
@@ -304,11 +306,6 @@ def _faces(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], ...]:
     face is assembled from slices of range(order^n), and the faces are
     cached per (multiplication table, n).
     """
-    return _face_table(group.mul_table, n)
-
-
-@lru_cache(maxsize=16)
-def _face_table(mul: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
     order = len(mul)
     base = list(range(order**n))
     size = order * len(base)
@@ -341,7 +338,7 @@ def _face_table(mul: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ..
 def _face_sums(c: Cochain) -> list[int]:
     """sum_i (-1)^i c(face_i) on every tuple of G^(n+1), not reduced mod m."""
     v = c.values
-    faces = _faces(c.group, c.degree)
+    faces = _face_table(c.group.mul_table, c.degree)
     # faces come in (+, -) pairs; n + 2 faces leave a last + face when n is odd
     total = [v[i] - v[j] for i, j in zip(faces[0], faces[1])]
     for plus, minus in zip(faces[2::2], faces[3::2]):
@@ -365,7 +362,7 @@ def coboundary_matrix(group: FiniteGroup, n: int) -> Matrix:
 
     Entry (r, j) is the signed count of the faces of tuple r that are j.
     """
-    faces = _faces(group, n - 1)
+    faces = _face_table(group.mul_table, n - 1)
     columns: list[dict[int, int]] = [{} for _ in range(group.order ** (n - 1))]
     for i, face in enumerate(faces):
         sign = -1 if i % 2 else 1

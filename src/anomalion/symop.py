@@ -35,8 +35,8 @@ from end to end.  A region or window is tested as a mask too: region_mask
 gives the mask of the interned sites it contains, so a support lies in it
 when support_mask & ~region_mask is zero.  Sites are decoded only at the
 boundary: the SymOp(poly, flips) constructor and the .poly / .flips
-properties take and return site sets, as do support, format_op and
-parse_op, and sites_outside decodes the offending sites for an error.
+properties take and return site sets, support returns one, format_op
+prints sites, and sites_outside decodes the offending sites for an error.
 
 Bits are handed out in first-use order, which differs between runs that
 build operators in a different order.  No result may depend on it: every
@@ -48,7 +48,6 @@ with the number of sites it covers and extended as the interner grows.
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -309,24 +308,16 @@ def scalar_phase(a: SymOp) -> int | None:
 
 @dataclass(frozen=True)
 class ReferenceState:
-    """Product state: each site holds |0> (basis 'z') or |+> (basis 'x').
+    """The uniform product state |0...0> (basis 'z') or |+...+> (basis 'x').
 
-    The default, all-'z', is the all-zeros state.  Shifted or sign-flipped
-    product states are reached by dressing with X / Z circuits.
+    Other product states are reached by dressing with X / Z circuits.
     """
 
-    default_basis: str = "z"
-    overrides: frozenset = frozenset()  # frozenset[(Site, basis)]
+    basis: str
 
     def __post_init__(self):
-        if self.default_basis not in ("z", "x"):
+        if self.basis not in ("z", "x"):
             raise ValueError("basis must be 'z' or 'x'")
-
-    def basis_at(self, site: Site) -> str:
-        for s, b in self.overrides:
-            if s == site:
-                return b
-        return self.default_basis
 
 
 ALL_ZEROS = ReferenceState("z")
@@ -336,48 +327,26 @@ ALL_PLUS = ReferenceState("x")
 def expectation_value(a: SymOp, state: ReferenceState = ALL_ZEROS) -> Fraction:
     """<state| a |state>, exact.
 
-    For the all-zeros state this is 0 when a flips anything and
-    (-1)^f(0) otherwise.  x-basis sites average the diagonal over their
-    assignments, which can produce non-unit dyadic values for generic
-    operators; pipeline checks assert unit modulus where required.
+    On all zeros this is 0 when a flips anything and (-1)^f(0) otherwise.
+    On all plus the flips fix the state, and the value is the average of
+    (-1)^f over the assignments of f's variables, which can produce
+    non-unit dyadic values for generic operators; pipeline checks assert
+    unit modulus where required.
     """
-    zflips = [s for s in a.flips if state.basis_at(s) == "z"]
-    if zflips:
-        return Fraction(0)
-    # variables on x-sites survive; z-site variables are pinned to 0
-    reduced = set()
-    for mono in a.poly:
-        if any(state.basis_at(s) == "z" for s in mono):
-            continue  # a factor a_j with a_j = 0
-        if mono in reduced:
-            reduced.discard(mono)
-        else:
-            reduced.add(mono)
-    var_sites = sorted({s for m in reduced for s in m})
-    if not var_sites:
-        return Fraction(-1 if frozenset() in reduced else 1)
-    if len(var_sites) > 22:
+    sign = -1 if 0 in a._poly else 1
+    if state.basis == "z":
+        return Fraction(0 if a._flips else sign)
+    monos = [m for m in a._poly if m]
+    free = reduce(or_, monos, 0)
+    if free.bit_count() > 22:
         raise ValueError("expectation over too many free x-basis sites")
-    const = 1 if frozenset() in reduced else 0
-    monos = [m for m in reduced if m]
-    index = {s: i for i, s in enumerate(var_sites)}
-    total = 0
-    for bits in range(1 << len(var_sites)):
-        val = const
-        for m in monos:
-            if all(bits >> index[s] & 1 for s in m):
-                val ^= 1
-        total += -1 if val else 1
-    return Fraction(total, 1 << len(var_sites))
-
-
-def expectation_product_state(a: SymOp, dressing=None, state: ReferenceState = ALL_ZEROS) -> Fraction:
-    """omega(a) for omega = omega_0 o alpha, alpha the dressing circuit."""
-    if dressing is not None:
-        from .circuits import conj_by_circuit
-
-        a = conj_by_circuit(a, dressing)
-    return expectation_value(a, state)
+    total, ones = 0, free  # ones, the variables set to 1, runs over every submask of free
+    while True:
+        total += -1 if sum(m & ones == m for m in monos) & 1 else 1
+        if not ones:
+            break
+        ones = (ones - 1) & free
+    return Fraction(sign * total, 1 << free.bit_count())
 
 
 # -- textual form --------------------------------------------------------
@@ -388,7 +357,7 @@ def _site_str(s: Site) -> str:
 
 
 def format_op(a: SymOp) -> str:
-    """Round-trip textual form, e.g. '-1 * Z(0,0) * CZ((1,0),(2,0)) * X(3,0)'."""
+    """Textual form, e.g. '-1 * Z(0,0) * CZ((1,0),(2,0)) * X(3,0)'."""
     parts = []
     poly = a.poly
     if frozenset() in poly:
@@ -405,36 +374,3 @@ def format_op(a: SymOp) -> str:
     for s in sorted(a.flips):
         parts.append(f"X{_site_str(s)}")
     return " * ".join(parts) if parts else "1"
-
-
-_SITE_RE = re.compile(r"\((-?\d+),(-?\d+)\)")
-
-
-def parse_op(text: str) -> SymOp:
-    """Inverse of format_op."""
-    poly = set()
-    flips = set()
-    for raw in text.split("*"):
-        token = raw.strip()
-        if token == "1":
-            continue
-        if token == "-1":
-            poly.add(frozenset())
-            continue
-        m = re.match(r"^([A-Z]+\d*)\s*(\(.*\))$", token)
-        if not m:
-            raise ValueError(f"cannot parse factor {token!r}")
-        name, rest = m.group(1), m.group(2)
-        sites = [(int(x), int(y)) for x, y in _SITE_RE.findall(rest)]
-        if not sites:
-            raise ValueError(f"no sites in factor {token!r}")
-        if name == "X":
-            if len(sites) != 1:
-                raise ValueError("X takes one site")
-            flips ^= {sites[0]}
-        elif name in ("Z", "CZ", "CCZ") or name.startswith("D"):
-            mono = frozenset(sites)
-            poly ^= {mono}
-        else:
-            raise ValueError(f"unknown factor {name!r}")
-    return SymOp(frozenset(poly), frozenset(flips))

@@ -268,6 +268,7 @@ def test_regauge_rho_tau_invariance(ccz_data, window12):
     fixtures = [
         {0b10: circ([SymOp.cz(a, b) for a, b in interior_edges])},
         {0b01: circ([SymOp.x((1, 0))])},
+        {0b01: circ([SymOp.x((2, 0))])},
         {0b11: circ([SymOp.z((0, 0)), SymOp.z((2, 0))])},
         {},
     ]
@@ -358,13 +359,13 @@ def test_replace_starts_an_empty_memo(ccz_data):
 
     for g in ccz_data.group.elements():
         for pair in ccz_data.beta:
-            ccz_data.beta_conj_rho(g, pair)
+            ccz_data.rho_apply(g, ccz_data.beta[pair])
     new_beta = {p: op_mul(SymOp.z((0, 0)), b) for p, b in ccz_data.beta.items()}
     data = dataclasses.replace(ccz_data, beta=new_beta)
     assert not data._memo
     for g in data.group.elements():
         for p, b in new_beta.items():
-            assert data.beta_conj_rho(g, p) == conj_by_circuit(b, data.rho_tilde[g])
+            assert data.rho_apply(g, b) == conj_by_circuit(b, data.rho_tilde[g])
 
 
 def test_nonscalar_tau_detection(ccz_data):
@@ -390,7 +391,7 @@ def test_u_defining_relation_on_observables(ccz_data):
         g, h, k = (rng.randrange(4) for _ in range(3))
         gh, hk = G.mul(g, h), G.mul(h, k)
         b1, b2, b3 = ccz_data.beta[g, h], ccz_data.beta[gh, k], ccz_data.beta[g, hk]
-        w = ccz_data.beta_conj_rho(g, (h, k))
+        w = ccz_data.rho_apply(g, ccz_data.beta[h, k])
         u = ccz_data.u[g, h, k]
         s = (rng.randrange(-1, 2), 0)
         for obs in (SymOp.z(s), SymOp.x(s)):
