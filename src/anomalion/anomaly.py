@@ -16,6 +16,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .circuits import (
@@ -170,12 +171,19 @@ class TruncationData2d:
         key = ("eta", i, j)
         k = self._memo.get(key)
         if k is None:
-            thick = self.origin_radius + self.action.total_range() + 1
+            left, right = self._halves
             k = self._store(key, eta(
-                LocalizedAutomorphism(Region.half_line_L(thick), inner=self._vals[i]),
-                LocalizedAutomorphism(Region.half_line_R(thick), inner=self._vals[j]),
+                LocalizedAutomorphism(left, inner=self._vals[i]),
+                LocalizedAutomorphism(right, inner=self._vals[j]),
             ))
         return k
+
+    @cached_property
+    def _halves(self) -> tuple[Region, Region]:
+        """The declared regions of _eta's arguments: the left and right
+        half-lines, thickened by the origin radius and the action's range."""
+        thick = self.origin_radius + self.action.total_range() + 1
+        return Region.half_line_L(thick), Region.half_line_R(thick)
 
     def rho_apply(self, g: int, a: SymOp) -> SymOp:
         return self._vals[self._rho(g, self._id(a))]

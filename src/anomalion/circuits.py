@@ -15,8 +15,7 @@ valid layer are valid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from operator import or_
+from functools import partial
 
 from .groups import FiniteGroup, klein_bits, klein_four
 from .lattice import Region, Window
@@ -101,22 +100,21 @@ class GateRule:
                 gates.append(SymOp.ccz(corners["bl"], corners["br"], corners["tr"]))
         else:
             raise AssertionError
-        bad = sites_outside(gates, window)
-        if bad:
-            raise InstantiationError(f"gate leaves window at {bad[0]}")
         # x_sites has range 0 and the other patterns 1; an explicit layer
         # takes its largest gate diameter when first asked
         bound = None if self.pattern == "explicit" else 0 if self.pattern == "x_sites" else 1
         layer = Layer(gates, bound)
+        if layer.mask() & ~region_mask(window):
+            raise InstantiationError(f"gate leaves window at {sites_outside(gates, window)[0]}")
         _check_layer(layer)
         return layer
 
 
 def _diameter(mask: int) -> int:
     """The larger of the x and y extents of the sites of a mask."""
-    sites = _sites(mask)
-    if not sites:
+    if not mask & (mask - 1):  # at most one site
         return 0
+    sites = _sites(mask)
     x_lo, y_lo = x_hi, y_hi = sites[0]
     for x, y in sites:
         if x < x_lo:
@@ -131,7 +129,13 @@ def _diameter(mask: int) -> int:
 
 
 def _check_layer(layer: Layer):
-    """Gates within a layer must commute; only those the index says can fail are tested."""
+    """Gates within a layer must commute.  A layer whose diagonal mask
+    misses its flip mask passes in one test: no gate's diagonal depends on
+    a site any gate flips, so every pair commutes.  Otherwise each gate is
+    tested against the gates the index says can fail to commute with it."""
+    diag, flips = layer.masks()
+    if not diag & flips:
+        return
     for g in layer:
         for h in layer.acting(g):
             if not ops_commute(g, h):
@@ -139,14 +143,16 @@ def _check_layer(layer: Layer):
 
 
 class Layer(tuple):
-    """A materialized layer: its gates, its range bound and a gate index.
+    """A materialized layer: its gates, its range bound, two masks and a gate index.
 
     A circuit takes Layers as they are, without validation, so build one
     only from a validated layer of the same window (a sub-layer, inverse or
     conjugate).  The bound defaults to the largest gate diameter.  The
-    product, the site mask and the index are built on first use; the index
-    maps each site bit to the positions of the gates whose diagonal depends
-    on it, and of those that flip it, as masks.
+    product, the masks and the index are built on first use.  The masks
+    are the sites the gates' diagonals depend on and the sites they flip.
+    The index maps each site bit to the positions of the gates whose
+    diagonal depends on it, and of those that flip it, as masks; it is
+    built only when an operator meets the masks.
     """
 
     def __new__(cls, gates=(), bound: int | None = None):
@@ -154,7 +160,7 @@ class Layer(tuple):
         layer._bound = bound
         layer._index = None
         layer._product = None
-        layer._mask = None
+        layer._masks = None
         return layer
 
     def range_bound(self) -> int:
@@ -168,11 +174,21 @@ class Layer(tuple):
             self._product = op_product(self)
         return self._product
 
+    def masks(self) -> tuple[int, int]:
+        """The sites the gates' diagonals depend on and the sites they flip, as masks."""
+        if self._masks is None:
+            diag = flips = 0
+            for g in self:
+                d, f = support_masks(g)
+                diag |= d
+                flips |= f
+            self._masks = diag, flips
+        return self._masks
+
     def mask(self) -> int:
         """The sites the layer's gates touch, as a mask."""
-        if self._mask is None:
-            self._mask = reduce(or_, map(support_mask, self), 0)
-        return self._mask
+        diag, flips = self.masks()
+        return diag | flips
 
     def conj(self, a: SymOp) -> SymOp:
         """phi(layer)(a): conjugation by the gates that can fail to commute with a."""
@@ -182,9 +198,14 @@ class Layer(tuple):
     def acting(self, a: SymOp) -> list[SymOp]:
         """The gates that can fail to commute with a, in layer order: those
         whose diagonal meets a's flips or whose flips meet a's diagonal.
-        An a that misses the layer's mask meets none, and builds no index."""
+        Only a's flips on the diagonal mask and a's diagonal on the flip
+        mask can meet a gate; an a with neither meets none and builds no
+        index."""
         diag, flips = support_masks(a)
-        if not (diag | flips) & self.mask():
+        layer_diag, layer_flips = self._masks or self.masks()
+        flips &= layer_diag
+        diag &= layer_flips
+        if not flips | diag:
             return []
         if self._index is None:
             index = ({}, {})
@@ -199,7 +220,7 @@ class Layer(tuple):
         for by_bit, m in zip(self._index, (flips, diag)):
             while m:
                 bit = m & -m
-                hit |= by_bit.get(bit, 0)
+                hit |= by_bit[bit]
                 m ^= bit
         gates = []
         while hit:

@@ -148,6 +148,15 @@ def _emit(report: dict, path: str | None):
             json.dump(report, fh, indent=2, sort_keys=True)
 
 
+def _window_fields(window: Window) -> dict:
+    """The window as a report records it: its x range, then its y range
+    unless it is a chain, and its margin."""
+    bounds = [window.x_min, window.x_max]
+    if not window.is_chain:
+        bounds += [window.y_min, window.y_max]
+    return {"window": bounds, "margin": window.margin}
+
+
 def _gauge_checks(data, tau0, count: int, seed: int) -> dict:
     """Random beta and rho~ regaugings; the tau table must not move."""
     import random
@@ -183,9 +192,7 @@ def cmd_anomaly2d(args) -> int:
     action = _load_action(args.action, window)
     data = build_truncation_2d(action)
     rep = anomaly_2d(action, data)
-    extra = {"command": "anomaly2d", "action": args.action, "seed": args.seed,
-             "window": [window.x_min, window.x_max, window.y_min, window.y_max],
-             "margin": window.margin}
+    extra = {"command": "anomaly2d", "action": args.action, "seed": args.seed, **_window_fields(window)}
     ok = rep.is_cocycle
     if _at_least(0, args.check_gauge, "--check-gauge"):
         gauge = _gauge_checks(data, rep.cochain, args.check_gauge, args.seed)
@@ -211,8 +218,7 @@ def cmd_anomaly1d(args) -> int:
     action = _load_action(args.action, window)
     data = build_truncation_1d(action)
     rep = nayak_else_1d(action, data)
-    extra = {"command": "anomaly1d", "action": args.action, "seed": args.seed,
-             "window": [window.x_min, window.x_max], "margin": window.margin}
+    extra = {"command": "anomaly1d", "action": args.action, "seed": args.seed, **_window_fields(window)}
     ok = rep.is_cocycle
     if args.check_window:
         grown = Window.chain(window.x_max - window.x_min + 1 + 4, window.margin + 2)
@@ -370,18 +376,19 @@ def cmd_spt(args) -> int:
     window = _parse_window(args.window, args.margin, chain=args.mode == "relative1d")
     action = _load_action(args.action, window)
     state = ALL_PLUS if args.basis == "x" else ALL_ZEROS
+    inputs = {"schema": SCHEMA, "action": args.action, "basis": args.basis, **_window_fields(window)}
     if args.mode == "relative1d":
         dress = {"cluster": cluster_entangler_1d(window), "none": None}
         rep = spt_relative_1d(action, dress[args.dress1], dress[args.dress2], state=state)
         print(f"spt relative1d: cocycle={rep.is_cocycle} trivial={rep.trivial}")
-        _emit({"schema": SCHEMA, "command": "spt relative1d",
+        _emit({**inputs, "command": "spt relative1d", "dress1": args.dress1, "dress2": args.dress2,
                "cochain": rep.cochain.to_json(), "is_cocycle": rep.is_cocycle,
                "trivial": rep.trivial}, args.report)
         return EXIT_OK if rep.is_cocycle else EXIT_ASSERTION
     data = build_truncation_2d(action)
     rep = spt_trivialize_2d(data, None, state=state)
     print(f"spt trivialize2d: status={rep.status} delta_c_equals_tau={rep.delta_equals_tau}")
-    _emit({"schema": SCHEMA, "command": "spt trivialize2d", "status": rep.status,
+    _emit({**inputs, "command": "spt trivialize2d", "status": rep.status,
            "cochain": rep.cochain.to_json() if rep.cochain else None,
            "delta_equals_tau": rep.delta_equals_tau}, args.report)
     # no_invariant_state and truncation_not_preserving are findings, not failures

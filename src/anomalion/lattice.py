@@ -9,6 +9,7 @@ thickening r means L-infinity distance <= r from the region's core set.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable
 
 Site = tuple[int, int]
@@ -186,7 +187,10 @@ class Region:
         return Region("half_line_L", thickening)
 
     @staticmethod
+    @lru_cache(maxsize=256)
     def origin_disk(radius: int, thickening: int = 0) -> "Region":
+        # one object per disk: a Region is immutable, and eta asks for its
+        # disks on every call
         return Region("origin_disk", thickening, radius)
 
     @staticmethod

@@ -29,6 +29,7 @@ from .circuits import GateRule, Layer, ProceduralCircuit, concat, conj_by_circui
 from .lattice import Region, Window
 from .symop import (
     SymOp,
+    _sites,
     commutator,
     format_op,
     op_conj,
@@ -37,7 +38,6 @@ from .symop import (
     op_product,
     region_mask,
     sites_outside,
-    support,
     support_mask,
 )
 
@@ -61,14 +61,18 @@ class LocalizedAutomorphism:
     def __post_init__(self):
         if (self.circuit is None) == (self.inner is None):
             raise ValueError("exactly one of circuit/inner must be given")
+        # mask tests; sites are decoded only for the error message
         if self.inner is not None:
-            bad = sites_outside([self.inner], self.declared_region)
-            if bad:
+            if support_mask(self.inner) & ~region_mask(self.declared_region):
+                bad = sites_outside([self.inner], self.declared_region)
                 raise ValueError(f"inner unitary leaves its declared region at {bad[:4]}")
         else:
-            gates = (g for layer in self.circuit.instantiate() for g in layer)
-            bad = sites_outside(gates, self.declared_region)
-            if bad:
+            layers = self.circuit.instantiate()
+            mask = 0
+            for layer in layers:
+                mask |= layer.mask()
+            if mask & ~region_mask(self.declared_region):
+                bad = sites_outside((g for layer in layers for g in layer), self.declared_region)
                 raise ValueError(f"circuit gate leaves declared region at {bad[:4]}")
 
     @property
@@ -93,7 +97,7 @@ class LocalizedAutomorphism:
 
 
 def _op_radius(a: SymOp) -> int:
-    return max((max(abs(s[0]), abs(s[1])) for s in support(a)), default=0)
+    return max((max(abs(x), abs(y)) for x, y in _sites(support_mask(a))), default=0)
 
 
 def _truncate_layer_to_disk(layer: Layer, r: int) -> SymOp:
@@ -101,20 +105,29 @@ def _truncate_layer_to_disk(layer: Layer, r: int) -> SymOp:
     return op_product(g for g in layer if not support_mask(g) & outside)
 
 
-def _eta_single_layer(layer: Layer, window: Window, pair) -> SymOp:
-    """pair(T_r) for the layer truncated to the disks of radii r and r+2.
+def _stabilization_radius(window: Window) -> tuple[int, int]:
+    """The smaller truncation radius r and the mask of the sites outside
+    disk r; take it after the layers it is tested against exist.
 
-    Constancy between the two radii is the actual stabilization
-    certificate; the largest window-feasible pair is used, and degenerate
-    windows are refused.  A layer inside disk r has T_r = T_{r+2}.
+    The largest window-feasible pair of radii r, r+2 is used, and
+    degenerate windows are refused.
     """
-    r2 = window.edge_distance((0, 0))
-    r = r2 - 2
+    r = window.edge_distance((0, 0)) - 2
     if r < 2:
         raise StabilizationError("window too small to stabilize the pairing")
-    if not layer.mask() & ~region_mask(Region.origin_disk(r)):
+    return r, ~region_mask(Region.origin_disk(r))
+
+
+def _eta_single_layer(layer: Layer, r: int, outside: int, pair) -> SymOp:
+    """pair(T_r) for the layer truncated to the disks of radii r and r+2,
+    outside the mask of the sites outside disk r (_stabilization_radius).
+
+    Constancy between the two radii is the actual stabilization
+    certificate.  A layer inside disk r has T_r = T_{r+2}.
+    """
+    if not layer.mask() & outside:
         return pair(layer.product())
-    vals = [pair(_truncate_layer_to_disk(layer, radius)) for radius in (r, r2)]
+    vals = [pair(_truncate_layer_to_disk(layer, radius)) for radius in (r, r + 2)]
     if vals[0] != vals[1]:
         raise StabilizationError("eta did not stabilize between radii; margin too small")
     return vals[0]
@@ -128,20 +141,28 @@ def eta_R(alpha: LocalizedAutomorphism, b_circuit: ProceduralCircuit) -> SymOp:
     layer; it multiplies out to the suffix recursion because phi(layer_k)
     is an automorphism.
     """
+    layers = b_circuit.instantiate()
+    if not layers:  # pairs to 1 on any window
+        return SymOp.identity()
+    r, outside = _stabilization_radius(b_circuit.window)
     z = SymOp.identity()
-    for layer in b_circuit.instantiate():
+    for layer in layers:
         # eta for a single right layer: alpha(B_r) B_r^-1
-        piece = _eta_single_layer(layer, b_circuit.window, lambda b: op_mul(alpha.apply(b), op_inv(b)))
+        piece = _eta_single_layer(layer, r, outside, lambda b: op_mul(alpha.apply(b), op_inv(b)))
         z = op_mul(piece, layer.conj(z))
     return z
 
 
 def eta_L(a_circuit: ProceduralCircuit, beta: LocalizedAutomorphism) -> SymOp:
     """Mirror Horner form: eta(F(..k), B) = phi(layer_k)(eta(F(..k-1), B)) * eta(layer_k, B)."""
+    layers = a_circuit.instantiate()
+    if not layers:  # pairs to 1 on any window
+        return SymOp.identity()
+    r, outside = _stabilization_radius(a_circuit.window)
     z = SymOp.identity()
-    for layer in a_circuit.instantiate():
+    for layer in layers:
         # eta for a single left layer: A_r beta(A_r^-1)
-        piece = _eta_single_layer(layer, a_circuit.window, lambda a: op_mul(a, beta.apply(op_inv(a))))
+        piece = _eta_single_layer(layer, r, outside, lambda a: op_mul(a, beta.apply(op_inv(a))))
         z = op_mul(layer.conj(z), piece)
     return z
 
@@ -173,8 +194,8 @@ def eta(alpha: LocalizedAutomorphism, beta: LocalizedAutomorphism) -> SymOp:
     reach = 2 * (alpha.range_bound() + beta.range_bound()
                  + alpha.declared_region.thickening + beta.declared_region.thickening) + 2
     disk = Region.origin_disk(reach)
-    bad = sites_outside([result], disk)
-    if bad:
+    if support_mask(result) & ~region_mask(disk):
+        bad = sites_outside([result], disk)
         raise RouteDisagreement(f"eta output leaves the origin disk at {bad[:4]}")
     return result
 

@@ -11,6 +11,7 @@ from anomalion.circuits import (
     CollapseError,
     GateRule,
     InstantiationError,
+    Layer,
     MarginError,
     ProceduralCircuit,
     action_from_config,
@@ -34,6 +35,7 @@ from anomalion.symop import (
     ops_commute,
     support,
     support_mask,
+    support_masks,
 )
 from oracle import DenseSpace
 from reference import suffix_circuit, truncate_rest, validate_per_pair
@@ -88,6 +90,59 @@ def test_layer_validity_checks():
     ):
         with pytest.raises(InstantiationError):
             derive(ProceduralCircuit((bad,), w)).instantiate()
+
+
+def spy_acting(monkeypatch) -> list:
+    """Record the operators Layer.acting is called with."""
+    calls = []
+    real = Layer.acting
+
+    def acting(layer, a):
+        calls.append(a)
+        return real(layer, a)
+
+    monkeypatch.setattr(Layer, "acting", acting)
+    return calls
+
+
+def test_layers_whose_masks_miss_pass_without_an_index(monkeypatch):
+    """An all-diagonal or all-X layer passes validation in one mask test, with
+    no pairwise test and no index, and an operator that commutes with a layer
+    by its masks builds no index."""
+    w = Window(-3, 3, -3, 3)
+    diag = GateRule("explicit", gates=(SymOp.cz((0, 0), (1, 0)), SymOp.z((0, 0)), SymOp.ccz((0, 0), (1, 0), (1, 1))))
+    xs = GateRule("x_sites", Region.origin_disk(1))
+    calls = spy_acting(monkeypatch)
+    for rule in (diag, xs):
+        layer = rule.generate(w)
+        assert len(layer) > 1 and layer._index is None
+    assert calls == []
+    # Z on a diagonal layer's sites, X on an X layer's sites: the operator
+    # meets the layer's support but neither its flips nor its diagonal
+    for rule, a in ((diag, SymOp.cz((0, 0), (1, 1))), (xs, SymOp.x((0, 0)))):
+        layer = rule.generate(w)
+        assert support_mask(a) & layer.mask()
+        assert layer.acting(a) == [] and layer.conj(a) is a
+        assert layer._index is None
+    # an operator that meets both masks builds the index and finds its gates
+    layer = diag.generate(w)
+    assert layer.acting(SymOp.x((1, 0))) == [layer[0], layer[2]]
+    assert layer._index is not None
+
+
+def test_layer_masks_meeting_falls_back_to_pairwise_check(monkeypatch):
+    """A layer whose diagonal meets its flips runs the pairwise test: X(a)X(b)
+    and Z(a)Z(b) commute and pass, X(a) and Z(a) do not."""
+    w = Window(-3, 3, -3, 3)
+    a, b = (0, 0), (1, 0)
+    xx = SymOp(frozenset(), frozenset({a, b}))
+    zz = op_mul(SymOp.z(a), SymOp.z(b))
+    calls = spy_acting(monkeypatch)
+    layer = GateRule("explicit", gates=(xx, zz)).generate(w)
+    assert support_masks(zz)[0] & support_masks(xx)[1] and list(layer) == [xx, zz]
+    assert calls == [xx, zz]
+    with pytest.raises(InstantiationError, match="overlap and do not commute"):
+        GateRule("explicit", gates=(SymOp.x(a), SymOp.z(a))).generate(w)
 
 
 def test_truncate_keeps_fully_contained_gates():

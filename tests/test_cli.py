@@ -226,6 +226,30 @@ def test_spt_cli(tmp_path):
     assert json.loads(rep3.read_text())["status"] == "no_invariant_state"
 
 
+def test_spt_reports_name_their_input(tmp_path):
+    """Two runs that end in the same finding on different inputs write
+    different reports: each names its action, basis and window."""
+    reports = []
+    for i, argv in enumerate((["--action", "ccz_x_2d", "--seed", "8"],
+                              ["--action", "onsite_x_2d", "--basis", "z", "--seed", "15"])):
+        rep = tmp_path / f"s{i}.json"
+        assert run(["spt", "--mode", "trivialize2d", *argv, "--report", str(rep)]) == 0
+        reports.append(json.loads(rep.read_text()))
+    a, b = reports
+    assert a["status"] == b["status"] == "no_invariant_state" and a != b
+    assert (a["action"], a["basis"]) == ("ccz_x_2d", "x")
+    assert (b["action"], b["basis"]) == ("onsite_x_2d", "z")
+    assert a["window"] == [-6, 5, -6, 5] and a["margin"] == 3
+
+    rep = tmp_path / "r.json"
+    assert run(["spt", "--mode", "relative1d", "--window", "12", "--dress1", "none",
+                "--dress2", "cluster", "--report", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert (data["action"], data["basis"], data["dress1"], data["dress2"]) == (
+        "onsite_xx_1d", "x", "none", "cluster")
+    assert data["window"] == [-6, 5] and data["margin"] == 3
+
+
 def test_spt_trivialize2d_failed_check_exits_nonzero(tmp_path, monkeypatch):
     """An ok run whose delta c is not tau is a failed check, not a finding."""
     import anomalion.cli as cli

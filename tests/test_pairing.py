@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from anomalion.pairing import (
     RouteDisagreement,
     StabilizationError,
     _eta_single_layer,
+    _stabilization_radius,
     eta,
     eta_L,
     eta_R,
@@ -78,6 +80,29 @@ def test_inner_routes_check_each_other(monkeypatch, kernel):
     monkeypatch.setattr(pairing, kernel, lambda a, b: op_mul(SymOp.z((0, 0)), real(a, b)))
     with pytest.raises(RouteDisagreement):
         eta(adu, adv)
+
+
+def test_declared_region_errors_name_the_sorted_sites(window12):
+    """Gates and inner unitaries outside their declared region are refused;
+    the message lists the offending sites sorted, not in gate order."""
+    c = left_circuit(window12, [[SymOp.x((3, 0))], [SymOp.z((1, 1)), SymOp.z((-1, 0))]])
+    with pytest.raises(ValueError, match=re.escape("circuit gate leaves declared region at [(1, 1), (3, 0)]")):
+        LocalizedAutomorphism(Region.half_line_L(0), circuit=c)
+    u = op_mul(SymOp.x((0, -1)), SymOp.z((-2, 0)))
+    with pytest.raises(ValueError, match=re.escape("inner unitary leaves its declared region at [(-2, 0), (0, -1)]")):
+        LocalizedAutomorphism(Region.half_line_R(0), inner=u)
+
+
+def test_eta_output_outside_the_reach_disk_is_refused(window12, monkeypatch):
+    """Routes that agree on an operator beyond the reach disk still fail."""
+    alpha = LocalizedAutomorphism(Region.half_line_L(0), circuit=left_circuit(window12, [[SymOp.x((-1, 0))]]))
+    beta = LocalizedAutomorphism(Region.half_line_R(0), circuit=left_circuit(window12, [[SymOp.z((1, 0))]]))
+    assert eta(alpha, beta).is_identity()
+    far = op_mul(SymOp.z((4, 0)), SymOp.z((0, 3)))  # reach is 2 for range-0 circuits
+    monkeypatch.setattr(pairing, "eta_R", lambda a, c: far)
+    monkeypatch.setattr(pairing, "eta_L", lambda c, b: far)
+    with pytest.raises(RouteDisagreement, match=re.escape("eta output leaves the origin disk at [(0, 3), (4, 0)]")):
+        eta(alpha, beta)
 
 
 def test_diagonal_pairs_give_identity(window12):
@@ -174,19 +199,23 @@ def test_horner_routes_match_suffix_recursion(which, request):
 
 
 def test_single_layer_compares_radii_when_a_gate_is_in_the_annulus(window12):
-    r = window12.edge_distance((0, 0)) - 2
-    annulus = SymOp.z((r + 1, 0))  # in disk r+2, not in disk r
+    annulus_r = window12.edge_distance((0, 0)) - 2
+    annulus = SymOp.z((annulus_r + 1, 0))  # in disk r+2, not in disk r
     layer = Layer([SymOp.z((0, 0)), annulus])
+    inner = Layer([SymOp.z((0, 0)), SymOp.z((annulus_r, 0))])
+    r, outside = _stabilization_radius(window12)  # after the gates exist
+    assert r == annulus_r
     with pytest.raises(StabilizationError, match="did not stabilize"):
-        _eta_single_layer(layer, window12, lambda t: t)
+        _eta_single_layer(layer, r, outside, lambda t: t)
     # X at the origin commutes with the annulus Z, so both radii agree
     blind = lambda t: commutator(SymOp.x((0, 0)), t)
-    assert _eta_single_layer(layer, window12, blind) == SymOp.scalar(-1)
+    assert _eta_single_layer(layer, r, outside, blind) == SymOp.scalar(-1)
     # a layer wholly inside disk r is paired once, on its product
-    inner = Layer([SymOp.z((0, 0)), SymOp.z((r, 0))])
     seen = []
-    assert _eta_single_layer(inner, window12, lambda t: seen.append(t) or t) == inner.product()
+    assert _eta_single_layer(inner, r, outside, lambda t: seen.append(t) or t) == inner.product()
     assert seen == [inner.product()]
+    with pytest.raises(StabilizationError, match="window too small"):
+        _stabilization_radius(Window.centered(7, 7))
 
 
 def test_one_pairing_and_one_layer_conjugation_per_layer(window12, monkeypatch):
