@@ -14,9 +14,9 @@ window-rim debris is cropped and logged.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, product
 
 from .circuits import (
@@ -86,18 +86,60 @@ def split_right(op: SymOp) -> SymOp:
 _NUMBERING_LOCK = threading.Lock()
 
 
+def _numbering():
+    """An empty value numbering: the list of values by number, and the
+    function that numbers a value, giving each distinct value the next
+    number on first sight, so equal values share one number."""
+    vals, ids = [], {}
+
+    def num(a: SymOp) -> int:
+        i = ids.get(a)
+        if i is None:
+            with _NUMBERING_LOCK:
+                i = ids.get(a)
+                if i is None:
+                    # published last: a visible number is decodable
+                    vals.append(a)
+                    i = ids[a] = len(vals) - 1
+        return i
+
+    return vals, num
+
+
+class _StepTable(dict):
+    """One lattice step as a table: a missing key is computed by fn, stored
+    and returned, so a hit is one subscript.  A call of fn that raises
+    stores nothing."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        v = self[key] = self.fn(key)
+        return v
+
+
 @dataclass
 class TruncationData2d:
     """The truncated 2d action and its boundary data mu, alpha/beta and u.
 
     The lattice steps that tau, the u lift and the beta regauging repeat are
-    memoized on value numbers.  _id(a) numbers each distinct operator value
-    once, in first-seen order (_vals[i] is the value numbered i, _ids maps it
-    back), so equal values share one number.  _memo maps ("rho", g, i) to
-    the number of rho~(g)(_vals[i]), ("conj", i, j) to that of
-    op_conj(_vals[i], _vals[j]), ("inv", i) to that of op_inv(_vals[i]),
-    ("eta", i, j) to that of tau's eta factor of _vals[i] against _vals[j],
-    and ("tau", f1, ..., f6) to tau's phase for those six factor numbers.
+    kept in step tables on value numbers.  _id(a) numbers each distinct
+    operator value once, in first-seen order, and _vals[i] is the value
+    numbered i.  Each table maps operand numbers to the number of the
+    result and fills itself on a miss (_StepTable):
+    - _rho[g][i] is rho~(g) applied to _vals[i], one table per distinct
+      rho~ circuit object, so elements that share a circuit share a table;
+    - _conj[j][i] is op_conj(_vals[i], _vals[j]), one table per
+      conjugating value;
+    - _inv[i] is op_inv(_vals[i]);
+    - _eta[i][j] is tau's eta factor of _vals[i] against _vals[j], one
+      table per left value;
+    - _phase maps tau's six factor numbers to its phase (filled by
+      _tau_phases, which labels its scalar assertion by tuple).
     Each step is a pure function of its operands and of action, rho_tilde
     and origin_radius, which are never reassigned, so a hit returns exactly
     the value and the verdict (margin check, route agreement, disk checks,
@@ -105,9 +147,9 @@ class TruncationData2d:
     so every tuple that reaches it raises again.
 
     rho_apply, conj and inv take and return operators; each converts into
-    the numbered step.  dataclasses.replace starts an empty table and
-    memo, and mu/alpha/beta/u may be edited in place: tau numbers the values
-    it reads on every call, not the group elements.
+    the numbered step.  dataclasses.replace starts an empty numbering and
+    empty tables, and mu/alpha/beta/u may be edited in place: tau numbers
+    the values it reads on every call, not the group elements.
     """
 
     action: CircuitAction
@@ -119,9 +161,32 @@ class TruncationData2d:
     origin_radius: int
     cropped: tuple[str, ...] = ()
     assertions: tuple[str, ...] = ()
-    _vals: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _vals: list = field(init=False, repr=False, compare=False)
+    _id: Callable[[SymOp], int] = field(init=False, repr=False, compare=False)
+    _rho: tuple = field(init=False, repr=False, compare=False)
+    _conj: dict = field(init=False, repr=False, compare=False)
+    _inv: dict = field(init=False, repr=False, compare=False)
+    _eta: dict = field(init=False, repr=False, compare=False)
+    _phase: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the steps close over the numbering, not over self, and look up
+        # conj_by_circuit and eta as module globals, on a miss only
+        vals, num = self._vals, self._id = _numbering()
+        tables = {}
+        for c in self.rho_tilde:
+            if id(c) not in tables:
+                tables[id(c)] = _StepTable(lambda i, c=c: num(conj_by_circuit(vals[i], c)))
+        self._rho = tuple(tables[id(c)] for c in self.rho_tilde)
+        self._conj = _StepTable(lambda j: _StepTable(lambda i: num(op_conj(vals[i], vals[j]))))
+        self._inv = _StepTable(lambda i: num(op_inv(vals[i])))
+        # eta's declared regions: the half-lines thickened by the origin
+        # radius and the action's range
+        thick = self.origin_radius + self.action.total_range() + 1
+        left, right = Region.half_line_L(thick), Region.half_line_R(thick)
+        self._eta = _StepTable(lambda i: _StepTable(lambda j: num(eta(
+            LocalizedAutomorphism(left, inner=vals[i]), LocalizedAutomorphism(right, inner=vals[j])
+        ))))
 
     @property
     def group(self) -> FiniteGroup:
@@ -131,68 +196,14 @@ class TruncationData2d:
     def window(self) -> Window:
         return self.action.window
 
-    def _id(self, a: SymOp) -> int:
-        """The number of a's value, assigned on first sight."""
-        i = self._ids.get(a)
-        if i is None:
-            with _NUMBERING_LOCK:
-                i = self._ids.get(a)
-                if i is None:
-                    # published last: a visible number is decodable
-                    self._vals.append(a)
-                    i = self._ids[a] = len(self._vals) - 1
-        return i
-
-    def _store(self, key: tuple, a: SymOp) -> int:
-        i = self._memo[key] = self._id(a)
-        return i
-
-    # each step computes, and looks up conj_by_circuit and eta as module
-    # globals, only on a memo miss
-
-    def _rho(self, g: int, i: int) -> int:
-        key = ("rho", g, i)
-        j = self._memo.get(key)
-        return self._store(key, conj_by_circuit(self._vals[i], self.rho_tilde[g])) if j is None else j
-
-    def _conj(self, i: int, j: int) -> int:
-        key = ("conj", i, j)
-        k = self._memo.get(key)
-        return self._store(key, op_conj(self._vals[i], self._vals[j])) if k is None else k
-
-    def _inv(self, i: int) -> int:
-        key = ("inv", i)
-        j = self._memo.get(key)
-        return self._store(key, op_inv(self._vals[i])) if j is None else j
-
-    def _eta(self, i: int, j: int) -> int:
-        """eta of Ad _vals[i] on the left half-line against Ad _vals[j] on
-        the right one."""
-        key = ("eta", i, j)
-        k = self._memo.get(key)
-        if k is None:
-            left, right = self._halves
-            k = self._store(key, eta(
-                LocalizedAutomorphism(left, inner=self._vals[i]),
-                LocalizedAutomorphism(right, inner=self._vals[j]),
-            ))
-        return k
-
-    @cached_property
-    def _halves(self) -> tuple[Region, Region]:
-        """The declared regions of _eta's arguments: the left and right
-        half-lines, thickened by the origin radius and the action's range."""
-        thick = self.origin_radius + self.action.total_range() + 1
-        return Region.half_line_L(thick), Region.half_line_R(thick)
-
     def rho_apply(self, g: int, a: SymOp) -> SymOp:
-        return self._vals[self._rho(g, self._id(a))]
+        return self._vals[self._rho[g][self._id(a)]]
 
     def conj(self, a: SymOp, w: SymOp) -> SymOp:
-        return self._vals[self._conj(self._id(a), self._id(w))]
+        return self._vals[self._conj[self._id(w)][self._id(a)]]
 
     def inv(self, a: SymOp) -> SymOp:
-        return self._vals[self._inv(self._id(a))]
+        return self._vals[self._inv[self._id(a)]]
 
 
 def _truncate_and_collapse(action: CircuitAction, reach: int, half: Region, region: Region, label: str):
@@ -255,29 +266,34 @@ def _lift_u(data: TruncationData2d, label: str) -> list[str]:
     """Fill data.u with the failure of the second weak-morphism equation for
     (rho~, beta), window-rim debris cropped and each value asserted in the
     origin disk; returns the log of cropped debris, one entry per triple.
-    Cropping is a pure function of the operator, so each distinct failure
-    value is cropped and checked once."""
+    The failure is a function of its four operands beta(g,h), beta(gh,k),
+    beta(g,hk) and rho~(g).beta(h,k), so it is computed, cropped and
+    checked once per distinct tuple of their value numbers."""
     G = data.group
+    mul, els = G.mul_table, G.elements()
+    vals, rho = data._vals, data._rho
+    beta = [[data._id(data.beta[g, h]) for h in els] for g in els]
     fail = weak_morphism_failure(
-        G, lambda g, h: data.beta[g, h], lambda g, h, k: data.rho_apply(g, data.beta[h, k]),
-        op_mul, data.inv,
+        G, lambda g, h: vals[beta[g][h]], lambda g, h, k: vals[rho[g][beta[h][k]]], op_mul, data.inv,
     )
     disk = Region.origin_disk(data.origin_radius)
     crops, cropped = {}, []
-    for g, h, k in product(G.elements(), repeat=3):
-        f = fail(g, h, k)
-        res = crops.get(f)
+    for g, h, k in product(els, repeat=3):
+        gh, hk = mul[g][h], mul[h][k]
+        key = (beta[g][h], beta[gh][k], beta[g][hk], rho[g][beta[h][k]])
+        res = crops.get(key)
         if res is None:
-            res = crop_window_debris(f, data.window)
+            res = crop_window_debris(fail(g, h, k), data.window)
             _assert_region(res.op, disk, f"{label}({g},{h},{k})")
-            crops[f] = res
+            crops[key] = res
         cropped += [f"{label}({g},{h},{k}): {c}" for c in res.cropped]
         data.u[g, h, k] = res.op
     return cropped
 
 
-def _tau_phases(data: TruncationData2d, tuples) -> list[int]:
-    """The degree-4 phase, as a Z2 residue, of each (g, h, k, l) in tuples, in order.
+def _tau_phases(data: TruncationData2d, gs, hs, ks, ls) -> list[int]:
+    """The degree-4 phase, as a Z2 residue, of each (g, h, k, l) in the
+    product gs x hs x ks x ls, in row-major order.
 
     The six factors, each a value number: u(g,h,k); the rho~(g)-conjugated
     beta(h,k) applied to u(g,hk,l); rho~(g) applied to u(h,k,l); the
@@ -286,48 +302,63 @@ def _tau_phases(data: TruncationData2d, tuples) -> list[int]:
     beta(g,h) applied to u(gh,k,l)^-1.  Their product is asserted scalar.
 
     u, alpha and beta are numbered as read on this call, and every step
-    goes through data's memo: they take a handful of values, so the lattice
-    is touched once per distinct value, not once per tuple.
+    goes through data's step tables: they take a handful of values, so the
+    lattice is touched once per distinct value, not once per tuple, and a
+    step already taken is one subscript.
     """
     G = data.group
+    mul, els = G.mul_table, G.elements()
     num = data._id
-    u = {t: num(a) for t, a in data.u.items()}
-    alpha = {p: num(a) for p, a in data.alpha.items()}
-    beta = {p: num(b) for p, b in data.beta.items()}
+    # numbers of u, alpha and beta as nested lists: u[g][h][k] is u(g,h,k)
+    u = [[[num(data.u[g, h, k]) for k in els] for h in els] for g in els]
+    alpha = [[num(data.alpha[g, h]) for h in els] for g in els]
+    beta = [[num(data.beta[g, h]) for h in els] for g in els]
     rho, conj, inv, eta_of = data._rho, data._conj, data._inv, data._eta
-    memo, vals = data._memo, data._vals
+    phases, vals = data._phase, data._vals
     out = []
-    for g, h, k, l in tuples:
-        gh, hk, kl = G.mul(g, h), G.mul(h, k), G.mul(k, l)
-        b_gh, b_kl = beta[g, h], beta[k, l]
-        key = (
-            "tau",
-            u[g, h, k],
-            conj(u[g, hk, l], rho(g, beta[h, k])),
-            rho(g, u[h, k, l]),
-            conj(inv(u[g, h, kl]), rho(g, rho(h, b_kl))),
-            eta_of(alpha[g, h], conj(rho(gh, b_kl), b_gh)),
-            conj(inv(u[gh, k, l]), b_gh),
-        )
-        phase = memo.get(key)
-        if phase is None:
-            total = op_product(vals[i] for i in key[1:])
-            phase = memo[key] = _assert_scalar(total, f"tau({g},{h},{k},{l})")
-        out.append(phase)
+    for g in gs:
+        rho_g, u_g = rho[g], u[g]
+        for h in hs:
+            # each lookup is hoisted to the loop of the last index it reads:
+            # u_a_b is the row u(a,b,.), conj_gh the table of conjugation by
+            # beta(g,h) and eta_gh that of eta against alpha(g,h)
+            gh, rho_h, u_g_h = mul[g][h], rho[h], u_g[h]
+            conj_gh, eta_gh = conj[beta[g][h]], eta_of[alpha[g][h]]
+            for k in ks:
+                hk = mul[h][k]
+                f1, conj_2 = u_g_h[k], conj[rho_g[beta[h][k]]]
+                u_g_hk, u_h_k, u_gh_k = u_g[hk], u[h][k], u[gh][k]
+                for l in ls:
+                    kl, b_kl = mul[k][l], beta[k][l]
+                    key = (
+                        f1,
+                        conj_2[u_g_hk[l]],
+                        rho_g[u_h_k[l]],
+                        conj[rho_g[rho_h[b_kl]]][inv[u_g_h[kl]]],
+                        eta_gh[conj_gh[rho[gh][b_kl]]],
+                        conj_gh[inv[u_gh_k[l]]],
+                    )
+                    try:
+                        out.append(phases[key])
+                    except KeyError:
+                        total = op_product(vals[i] for i in key)
+                        phase = phases[key] = _assert_scalar(total, f"tau({g},{h},{k},{l})")
+                        out.append(phase)
     return out
 
 
 def tau4(data: TruncationData2d, g: int, h: int, k: int, l: int) -> int:
     """The degree-4 phase tau(g,h,k,l) as a Z2 residue: the six-factor
     product of _tau_phases on one tuple, asserted scalar."""
-    return _tau_phases(data, [(g, h, k, l)])[0]
+    return _tau_phases(data, [g], [h], [k], [l])[0]
 
 
 def tau_cochain(data: TruncationData2d) -> Cochain:
     """tau on every tuple of G^4 as a Z2 cochain, in one pass of _tau_phases
-    (see it and TruncationData2d for the memo)."""
+    (see it and TruncationData2d for the step tables)."""
     G = data.group
-    return Cochain(G, 4, 2, tuple(_tau_phases(data, G.tuples(4))))
+    els = G.elements()
+    return Cochain(G, 4, 2, tuple(_tau_phases(data, els, els, els, els)))
 
 
 @dataclass
@@ -445,7 +476,7 @@ def regauge_beta(data: TruncationData2d, v: dict) -> TruncationData2d:
         data.action, data.rho_tilde, dict(data.mu), alpha2, beta2, {},
         new_radius, data.cropped, data.assertions + ("beta regauged by Ad_v",),
     )
-    # steps on v go through out's memo (same rho~), so data's memo does not
+    # steps on v go through out's tables (same rho~), so data's tables do not
     # grow with every regauging
     for g in G.elements():
         for h in G.elements():
@@ -515,7 +546,7 @@ def regauge_rho(data: TruncationData2d, gamma: dict) -> TruncationData2d:
     w_r = {g: splits[g][1].unitary() for g in G.elements()}
 
     def rho_apply(g: int, a: SymOp) -> SymOp:
-        # operands built from gamma stay out of data's memo, which would
+        # operands built from gamma stay out of data's tables, which would
         # otherwise grow with every regauging
         return conj_by_circuit(a, data.rho_tilde[g])
 

@@ -49,7 +49,7 @@ from .crossed import (
 )
 from .groups import FiniteGroup, GroupHom, classify
 from .lattice import Region, Window
-from .pairing import run_identity_suite
+from .pairing import StabilizationError, _stabilization_radius, run_identity_suite
 from .symop import ALL_PLUS, ALL_ZEROS, format_op
 from .sampling import random_boundary_gamma, random_inner, region_sites
 
@@ -233,6 +233,10 @@ def cmd_anomaly1d(args) -> int:
 
 def cmd_eta_check(args) -> int:
     window = _parse_window(args.window, args.margin, chain=False)
+    try:
+        _stabilization_radius(window)
+    except StabilizationError as exc:
+        raise ConfigError(f"window {args.window!r} with margin {args.margin}: {exc}") from exc
     rep = run_identity_suite(window, n_pairs=_at_least(1, args.pairs, "--pairs"), seed=args.seed)
     print(f"eta-check: {len(rep.checks)} identity suites on {rep.pairs} pairs; "
           f"{'all passed' if rep.ok else f'{len(rep.failures)} failures'}")

@@ -264,12 +264,15 @@ def run_identity_suite(
     r_sites = region_sites(window, Region.intersection_of(Region.half_line_R(1), box))
     box_sites = region_sites(window, box)
     disk_sites = region_sites(window, Region.origin_disk(2))
+    # the declared regions of the automorphisms, built once here too
+    left3, right3 = Region.half_line_L(3), Region.half_line_R(3)
+    left5, right5 = Region.half_line_L(5), Region.half_line_R(5)
 
     for _ in range(n_pairs):
         ca = random_circuit(rng, window, l_sites)
         cb = random_circuit(rng, window, r_sites)
-        alpha = LocalizedAutomorphism(Region.half_line_L(3), circuit=ca)
-        beta = LocalizedAutomorphism(Region.half_line_R(3), circuit=cb)
+        alpha = LocalizedAutomorphism(left3, circuit=ca)
+        beta = LocalizedAutomorphism(right3, circuit=cb)
         e = eta(alpha, beta)
 
         # Ad_eta = [alpha, beta] on 10 sampled local observables
@@ -286,34 +289,34 @@ def run_identity_suite(
 
         # right multiplicativity: eta(a, b b') = eta(a,b) * b(eta(a,b'))
         cb2 = random_circuit(rng, window, r_sites)
-        beta2 = LocalizedAutomorphism(Region.half_line_R(3), circuit=cb2)
-        both = LocalizedAutomorphism(Region.half_line_R(3), circuit=concat(cb2, cb))
+        beta2 = LocalizedAutomorphism(right3, circuit=cb2)
+        both = LocalizedAutomorphism(right3, circuit=concat(cb2, cb))
         lhs = eta(alpha, both)
         rhs = op_mul(e, conj_by_circuit(eta(alpha, beta2), cb, check_margin=False))
         rep.record("right_multiplicativity", lhs == rhs)
 
         # left multiplicativity: eta(a a', b) = a(eta(a',b)) * eta(a,b)
         ca2 = random_circuit(rng, window, l_sites)
-        alpha2 = LocalizedAutomorphism(Region.half_line_L(3), circuit=ca2)
-        both_a = LocalizedAutomorphism(Region.half_line_L(3), circuit=concat(ca2, ca))
+        alpha2 = LocalizedAutomorphism(left3, circuit=ca2)
+        both_a = LocalizedAutomorphism(left3, circuit=concat(ca2, ca))
         lhs = eta(both_a, beta)
         rhs = op_mul(conj_by_circuit(eta(alpha2, beta), ca, check_margin=False), e)
         rep.record("left_multiplicativity", lhs == rhs)
 
         # inner closed forms, with the inner side realized as a circuit too
         u = random_inner(rng, disk_sites)
-        adu_left = LocalizedAutomorphism(Region.half_line_L(3), circuit=_single_layer_circuit(u, window))
+        adu_left = LocalizedAutomorphism(left3, circuit=_single_layer_circuit(u, window))
         ok = eta(adu_left, beta) == op_mul(u, beta.apply(op_inv(u)))
         rep.record("inner_left_closed_form", ok, "" if ok else format_op(u))
 
-        adu_right = LocalizedAutomorphism(Region.half_line_R(3), circuit=_single_layer_circuit(u, window))
+        adu_right = LocalizedAutomorphism(right3, circuit=_single_layer_circuit(u, window))
         ok = eta(alpha, adu_right) == op_mul(alpha.apply(u), op_inv(u))
         rep.record("inner_right_closed_form", ok, "" if ok else format_op(u))
 
         # conjugation equivariance by a representable gamma
         cg = random_circuit(rng, window, box_sites)
-        alpha_c = LocalizedAutomorphism(Region.half_line_L(5), circuit=_conjugated_circuit(ca, cg))
-        beta_c = LocalizedAutomorphism(Region.half_line_R(5), circuit=_conjugated_circuit(cb, cg))
+        alpha_c = LocalizedAutomorphism(left5, circuit=_conjugated_circuit(ca, cg))
+        beta_c = LocalizedAutomorphism(right5, circuit=_conjugated_circuit(cb, cg))
         lhs = eta(alpha_c, beta_c)
         rhs = conj_by_circuit(e, cg, check_margin=False)
         rep.record("conjugation_equivariance", lhs == rhs)

@@ -353,19 +353,69 @@ def test_tau_touches_the_lattice_once_per_value(ccz_data, monkeypatch):
     assert tau == tau_cochain(ccz_data)
 
 
-def test_replace_starts_an_empty_memo(ccz_data):
-    """Replacing beta must not serve conjugates of the old beta."""
+def test_steps_are_taken_once_per_circuit_and_operand_tuple(window12, monkeypatch):
+    """Z2^3 with bit 1 acting by the X layer, bit 2 by the CCZ layer and
+    bit 4 trivially: elements that share a truncated circuit share its
+    conjugations, so tau after the build conjugates by circuits 8 times
+    (16 when each element kept its own), and the u lift multiplies 3 times
+    per distinct tuple of failure operands, not 3 times per triple."""
+    import dataclasses
+    from itertools import product
+
+    config = {
+        "name": "ccz_x_2d_times_trivial_z2",
+        "group": {"order": 8, "mul": [i ^ j for i in range(8) for j in range(8)]},
+        "generators": [
+            {"element": i, "layers": ([{"pattern": "x_sites"}] if i & 1 else [])
+             + ([{"pattern": "ccz_triangles"}] if i & 2 else [])}
+            for i in range(8)
+        ],
+    }
+    calls = {"conj_by_circuit": 0, "op_mul": 0}
+    for name in calls:
+        fn = getattr(anomaly_module, name)
+        monkeypatch.setattr(
+            anomaly_module, name,
+            lambda *args, name=name, fn=fn: calls.__setitem__(name, calls[name] + 1) or fn(*args),
+        )
+    data = build_truncation_2d(action_from_config(config, window12))
+    calls["conj_by_circuit"] = 0
+    tau_cochain(data)
+    assert calls["conj_by_circuit"] <= 8
+
+    G, beta = data.group, data.beta
+    operands = {
+        (beta[g, h], beta[G.mul(g, h), k], beta[g, G.mul(h, k)], conj_by_circuit(beta[h, k], data.rho_tilde[g]))
+        for g, h, k in product(G.elements(), repeat=3)
+    }
+    fresh = dataclasses.replace(data, u={})
+    calls["op_mul"] = 0
+    assert anomaly_module._lift_u(fresh, "u") == [c for c in data.cropped if c.startswith("u(")]
+    assert calls["op_mul"] == 3 * len(operands)
+    assert fresh.u == data.u
+
+
+def test_replace_starts_an_empty_memo(ccz_data, monkeypatch):
+    """Replacing beta must not serve conjugates of the old beta: the copy
+    starts with no numbered value and every step table empty, and
+    rho_apply conjugates the new beta afresh."""
     import dataclasses
 
+    tau_cochain(ccz_data)
     for g in ccz_data.group.elements():
         for pair in ccz_data.beta:
             ccz_data.rho_apply(g, ccz_data.beta[pair])
     new_beta = {p: op_mul(SymOp.z((0, 0)), b) for p, b in ccz_data.beta.items()}
     data = dataclasses.replace(ccz_data, beta=new_beta)
-    assert not data._memo
+    tables = (*data._rho, data._conj, data._inv, data._eta, data._phase)
+    assert not data._vals and not any(tables)
+    conjugated = []
+    real = anomaly_module.conj_by_circuit
+    monkeypatch.setattr(anomaly_module, "conj_by_circuit", lambda a, c: conjugated.append(a) or real(a, c))
     for g in data.group.elements():
         for p, b in new_beta.items():
             assert data.rho_apply(g, b) == conj_by_circuit(b, data.rho_tilde[g])
+    assert set(conjugated) == set(new_beta.values())
 
 
 def test_nonscalar_tau_detection(ccz_data):

@@ -55,6 +55,14 @@ def test_eta_check_deterministic(tmp_path):
     assert data["ok"] is True and len(data["checks"]) == 6
 
 
+def test_eta_check_window_too_small_to_pair_is_a_config_error(capsys):
+    """The origin lies 3 sites from the edge of a 7x7 or 8x8 window, which
+    leaves truncation radius 1 < 2: refused before any identity is checked."""
+    for size in ("7x7", "8x8"):
+        err = _config_error(["eta-check", "--pairs", "1", "--window", size, "--margin", "1"], capsys)
+        assert "window too small to stabilize the pairing" in err
+
+
 def test_config_errors(tmp_path):
     assert run(["anomaly2d", "--action", "no_such_file.json"]) == 2
     assert run(["anomaly2d", "--margin", "0"]) == 2
