@@ -170,8 +170,9 @@ class TruncationData2d:
     _phase: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the steps close over the numbering, not over self, and look up
-        # conj_by_circuit and eta as module globals, on a miss only
+        # the steps close over the numbering, not over self, so a truncation
+        # is no reference cycle; they look up conj_by_circuit and eta as
+        # module globals, on a miss only
         vals, num = self._vals, self._id = _numbering()
         tables = {}
         for c in self.rho_tilde:

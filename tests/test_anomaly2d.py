@@ -372,12 +372,18 @@ def test_steps_are_taken_once_per_circuit_and_operand_tuple(window12, monkeypatc
         ],
     }
     calls = {"conj_by_circuit": 0, "op_mul": 0}
-    for name in calls:
+
+    def counting(name):
         fn = getattr(anomaly_module, name)
-        monkeypatch.setattr(
-            anomaly_module, name,
-            lambda *args, name=name, fn=fn: calls.__setitem__(name, calls[name] + 1) or fn(*args),
-        )
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(anomaly_module, name, counting(name))
     data = build_truncation_2d(action_from_config(config, window12))
     calls["conj_by_circuit"] = 0
     tau_cochain(data)
@@ -566,8 +572,11 @@ def _u_crop_log(data, label):
 
 
 def test_u_crop_log_matches_per_triple_crops(ccz_data):
-    """Each distinct failure value is cropped once; the log still has its
-    lines for every triple, in triple order."""
+    """Each distinct tuple of failure operands is cropped once; u and the
+    log, with its lines for every triple in triple order, equal a crop per
+    triple."""
+    import dataclasses
+
     w = ccz_data.window
     reach = ccz_data.action.total_range()
     alternating = ProceduralCircuit((GateRule("explicit", gates=tuple(
@@ -578,6 +587,12 @@ def test_u_crop_log_matches_per_triple_crops(ccz_data):
         want = _u_crop_log(data, label)
         assert want
         assert [c for c in data.cropped if c.startswith(label + "(")] == want
+    # beta = Z at the origin on random pairs: operand tuples that differ in
+    # any one operand occur, so u must be keyed by all four
+    rng = random.Random(43)
+    beta = {p: SymOp.z((0, 0)) if rng.random() < 0.5 else SymOp.identity() for p in ccz_data.beta}
+    data = dataclasses.replace(ccz_data, beta=beta, u={})
+    assert anomaly_module._lift_u(data, "u") == _u_crop_log(data, "u") == []
 
 
 def test_truncation_collapses_once_per_circuit_triple(digest_script, window12, monkeypatch):
