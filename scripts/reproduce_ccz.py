@@ -8,11 +8,17 @@ report.  Window stability is checked by `anomalion anomaly2d
 
     python scripts/reproduce_ccz.py [--window 12x12] [--margin 3]
         [--check-gauge 20] [--report ccz_report.json]
+
+The program is imported from the `src` directory next to this script, so
+it runs from a checkout without installing the package.
 """
 
+import os
 import sys
 
-from anomalion.cli import main
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from anomalion.cli import main  # noqa: E402
 
 if __name__ == "__main__":
     args = sys.argv[1:]

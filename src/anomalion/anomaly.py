@@ -14,8 +14,6 @@ window-rim debris is cropped and logged.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -48,6 +46,7 @@ from .symop import (
     sites_outside,
     support,
 )
+from .values import Record
 
 
 class SupportAssertion(AssertionError):
@@ -122,8 +121,9 @@ class _StepTable(dict):
         return v
 
 
-@dataclass
-class TruncationData2d:
+class TruncationData2d(Record, compare=(
+    "action", "rho_tilde", "mu", "alpha", "beta", "u", "origin_radius", "cropped", "assertions",
+)):
     """The truncated 2d action and its boundary data mu, alpha/beta and u.
 
     The lattice steps that tau, the u lift and the beta regauging repeat are
@@ -147,47 +147,48 @@ class TruncationData2d:
     so every tuple that reaches it raises again.
 
     rho_apply, conj and inv take and return operators; each converts into
-    the numbered step.  dataclasses.replace starts an empty numbering and
-    empty tables, and mu/alpha/beta/u may be edited in place: tau numbers
-    the values it reads on every call, not the group elements.
+    the numbered step.  A new TruncationData2d starts with an empty
+    numbering and empty tables, and mu/alpha/beta/u may be edited in place:
+    tau numbers the values it reads on every call, not the group elements.
+    The numbering and the tables are left out of ==.
     """
 
-    action: CircuitAction
-    rho_tilde: tuple[ProceduralCircuit, ...]
-    mu: dict
-    alpha: dict
-    beta: dict
-    u: dict
-    origin_radius: int
-    cropped: tuple[str, ...] = ()
-    assertions: tuple[str, ...] = ()
-    _vals: list = field(init=False, repr=False, compare=False)
-    _id: Callable[[SymOp], int] = field(init=False, repr=False, compare=False)
-    _rho: tuple = field(init=False, repr=False, compare=False)
-    _conj: dict = field(init=False, repr=False, compare=False)
-    _inv: dict = field(init=False, repr=False, compare=False)
-    _eta: dict = field(init=False, repr=False, compare=False)
-    _phase: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = (
+        "action", "rho_tilde", "mu", "alpha", "beta", "u", "origin_radius", "cropped", "assertions",
+        "_vals", "_id", "_rho", "_conj", "_inv", "_eta", "_phase",
+    )
 
-    def __post_init__(self):
+    def __init__(self, action: CircuitAction, rho_tilde: tuple[ProceduralCircuit, ...], mu: dict,
+                 alpha: dict, beta: dict, u: dict, origin_radius: int,
+                 cropped: tuple[str, ...] = (), assertions: tuple[str, ...] = ()):
+        self.action = action
+        self.rho_tilde = rho_tilde
+        self.mu = mu
+        self.alpha = alpha
+        self.beta = beta
+        self.u = u
+        self.origin_radius = origin_radius
+        self.cropped = cropped
+        self.assertions = assertions
         # the steps close over the numbering, not over self, so a truncation
         # is no reference cycle; they look up conj_by_circuit and eta as
         # module globals, on a miss only
         vals, num = self._vals, self._id = _numbering()
         tables = {}
-        for c in self.rho_tilde:
+        for c in rho_tilde:
             if id(c) not in tables:
                 tables[id(c)] = _StepTable(lambda i, c=c: num(conj_by_circuit(vals[i], c)))
-        self._rho = tuple(tables[id(c)] for c in self.rho_tilde)
+        self._rho = tuple(tables[id(c)] for c in rho_tilde)
         self._conj = _StepTable(lambda j: _StepTable(lambda i: num(op_conj(vals[i], vals[j]))))
         self._inv = _StepTable(lambda i: num(op_inv(vals[i])))
         # eta's declared regions: the half-lines thickened by the origin
         # radius and the action's range
-        thick = self.origin_radius + self.action.total_range() + 1
+        thick = origin_radius + action.total_range() + 1
         left, right = Region.half_line_L(thick), Region.half_line_R(thick)
         self._eta = _StepTable(lambda i: _StepTable(lambda j: num(eta(
             LocalizedAutomorphism(left, inner=vals[i]), LocalizedAutomorphism(right, inner=vals[j])
         ))))
+        self._phase = {}
 
     @property
     def group(self) -> FiniteGroup:
@@ -362,15 +363,18 @@ def tau_cochain(data: TruncationData2d) -> Cochain:
     return Cochain(G, 4, 2, tuple(_tau_phases(data, els, els, els, els)))
 
 
-@dataclass
-class AnomalyReport:
-    cochain: Cochain
-    is_cocycle: bool
-    trivial: bool
-    matched_class: str | None
-    assertions: tuple[str, ...]
-    cropped: tuple[str, ...]
-    notes: dict
+class AnomalyReport(Record):
+    __slots__ = ("cochain", "is_cocycle", "trivial", "matched_class", "assertions", "cropped", "notes")
+
+    def __init__(self, cochain: Cochain, is_cocycle: bool, trivial: bool, matched_class: str | None,
+                 assertions: tuple[str, ...], cropped: tuple[str, ...], notes: dict):
+        self.cochain = cochain
+        self.is_cocycle = is_cocycle
+        self.trivial = trivial
+        self.matched_class = matched_class
+        self.assertions = assertions
+        self.cropped = cropped
+        self.notes = notes
 
 
 GNVW_NOTE = (
@@ -398,13 +402,16 @@ def anomaly_2d(action: CircuitAction, data: TruncationData2d | None = None) -> A
 # -- 1d pipeline ---------------------------------------------------------
 
 
-@dataclass
-class TruncationData1d:
-    action: CircuitAction
-    rho_tilde: tuple[ProceduralCircuit, ...]
-    nu_lift: dict
-    origin_radius: int
-    cropped: tuple[str, ...] = ()
+class TruncationData1d(Record):
+    __slots__ = ("action", "rho_tilde", "nu_lift", "origin_radius", "cropped")
+
+    def __init__(self, action: CircuitAction, rho_tilde: tuple[ProceduralCircuit, ...], nu_lift: dict,
+                 origin_radius: int, cropped: tuple[str, ...] = ()):
+        self.action = action
+        self.rho_tilde = rho_tilde
+        self.nu_lift = nu_lift
+        self.origin_radius = origin_radius
+        self.cropped = cropped
 
     @property
     def group(self) -> FiniteGroup:
@@ -665,13 +672,15 @@ def find_state_correction(
     raise StateNotInvariant("no state-preserving origin correction in the Pauli family")
 
 
-@dataclass
-class SptRelative1dReport:
-    cochain: Cochain
-    is_cocycle: bool
-    trivial: bool
-    c1: Cochain
-    c2: Cochain
+class SptRelative1dReport(Record):
+    __slots__ = ("cochain", "is_cocycle", "trivial", "c1", "c2")
+
+    def __init__(self, cochain: Cochain, is_cocycle: bool, trivial: bool, c1: Cochain, c2: Cochain):
+        self.cochain = cochain
+        self.is_cocycle = is_cocycle
+        self.trivial = trivial
+        self.c1 = c1
+        self.c2 = c2
 
 
 def _omega_phase(op: SymOp, dressing, state: ReferenceState) -> int:
@@ -718,11 +727,13 @@ def spt_relative_1d(
     return SptRelative1dReport(rel, closed, trivial, c1, c2)
 
 
-@dataclass
-class SptTrivialize2dReport:
-    status: str
-    cochain: Cochain | None
-    delta_equals_tau: bool | None
+class SptTrivialize2dReport(Record):
+    __slots__ = ("status", "cochain", "delta_equals_tau")
+
+    def __init__(self, status: str, cochain: Cochain | None, delta_equals_tau: bool | None):
+        self.status = status
+        self.cochain = cochain
+        self.delta_equals_tau = delta_equals_tau
 
 
 def spt_trivialize_2d(

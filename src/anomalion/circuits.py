@@ -14,7 +14,6 @@ valid layer are valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from .groups import FiniteGroup, klein_bits, klein_four
@@ -33,6 +32,7 @@ from .symop import (
     support_mask,
     support_masks,
 )
+from .values import Frozen, init_field
 
 
 class InstantiationError(ValueError):
@@ -50,17 +50,17 @@ class CollapseError(ValueError):
 PATTERNS = ("x_sites", "ccz_triangles", "cz_horizontal_edges", "cz_chain_edges", "explicit")
 
 
-@dataclass(frozen=True)
-class GateRule:
+class GateRule(Frozen):
     """One layer: a placement pattern over a region, or an explicit gate list."""
 
-    pattern: str
-    region: Region = Region.full()
-    gates: tuple[SymOp, ...] = ()
+    __slots__ = ("pattern", "region", "gates")
 
-    def __post_init__(self):
-        if self.pattern not in PATTERNS:
-            raise InstantiationError(f"unknown pattern {self.pattern!r}")
+    def __init__(self, pattern: str, region: Region = Region.full(), gates: tuple[SymOp, ...] = ()):
+        if pattern not in PATTERNS:
+            raise InstantiationError(f"unknown pattern {pattern!r}")
+        init_field(self, "pattern", pattern)
+        init_field(self, "region", region)
+        init_field(self, "gates", gates)
 
     def generate(self, window: Window) -> Layer:
         r = self.region
@@ -230,12 +230,16 @@ class Layer(tuple):
         return gates
 
 
-@dataclass(frozen=True)
-class ProceduralCircuit:
-    layers: tuple[GateRule | Layer, ...]
-    window: Window
+class ProceduralCircuit(Frozen, compare=("layers", "window")):
+    """Layers on a window; _cache, which is not compared, keeps what the
+    methods below compute on first use."""
 
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("layers", "window", "_cache")
+
+    def __init__(self, layers: tuple[GateRule | Layer, ...], window: Window):
+        init_field(self, "layers", layers)
+        init_field(self, "window", window)
+        init_field(self, "_cache", {})
 
     def instantiate(self) -> list[Layer]:
         """The layers, each rule materialized on first use.  Rules go through
@@ -334,10 +338,12 @@ def apply_inverse_circuit(a: SymOp, c: ProceduralCircuit) -> SymOp:
     return conj_by_circuit(a, c.inverse(), check_margin=False)
 
 
-@dataclass(frozen=True)
-class CollapseResult:
-    op: SymOp
-    cropped: tuple[str, ...]
+class CollapseResult(Frozen):
+    __slots__ = ("op", "cropped")
+
+    def __init__(self, op: SymOp, cropped: tuple[str, ...]):
+        init_field(self, "op", op)
+        init_field(self, "cropped", cropped)
 
 
 def crop_window_debris(a: SymOp, window: Window) -> CollapseResult:
@@ -399,8 +405,7 @@ def product_collapse(
 # -- group actions by circuits -------------------------------------------
 
 
-@dataclass(frozen=True)
-class CircuitAction:
+class CircuitAction(Frozen, compare=("group", "assign", "window", "name")):
     """rho(g) = the circuit assign[g].
 
     The automorphisms do not depend on how elements are labelled, so every
@@ -411,24 +416,24 @@ class CircuitAction:
     so equal rules are materialized once, still on first use.
     """
 
-    group: FiniteGroup
-    assign: tuple[ProceduralCircuit, ...]  # indexed by group element
-    window: Window
-    name: str = "action"
-    distinct: tuple[ProceduralCircuit, ...] = field(init=False, repr=False, compare=False)
-    slot: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("group", "assign", "window", "name", "distinct", "slot")
 
-    def __post_init__(self):
+    def __init__(self, group: FiniteGroup, assign: tuple[ProceduralCircuit, ...], window: Window,
+                 name: str = "action"):
+        # assign is indexed by group element
         first: dict[ProceduralCircuit, int] = {}
-        slot = tuple(first.setdefault(c, len(first)) for c in self.assign)
+        slot = tuple(first.setdefault(c, len(first)) for c in assign)
         distinct = tuple(first)  # the first-seen object of each value
         made: dict = {}
         for c in distinct:
-            if c.window == self.window:
+            if c.window == window:
                 c._cache.setdefault("made", made)
-        object.__setattr__(self, "assign", tuple(distinct[i] for i in slot))
-        object.__setattr__(self, "distinct", distinct)
-        object.__setattr__(self, "slot", slot)
+        init_field(self, "group", group)
+        init_field(self, "assign", tuple(distinct[i] for i in slot))
+        init_field(self, "window", window)
+        init_field(self, "name", name)
+        init_field(self, "distinct", distinct)
+        init_field(self, "slot", slot)
 
     def circuit(self, g: int) -> ProceduralCircuit:
         return self.assign[g]

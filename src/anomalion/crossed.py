@@ -20,7 +20,6 @@ test_failure_table_matches_the_group_law_form pins the two equal.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import product
 
 from .groups import (
@@ -33,15 +32,18 @@ from .groups import (
     subgroup_as_group,
 )
 from .pairing import run_identity_suite
+from .values import Frozen, init_field
 
 
-@dataclass(frozen=True)
-class ActionTable:
+class ActionTable(Frozen):
     """Action of group A on the set of elements of group B: act[a][b] -> b'."""
 
-    acting: FiniteGroup
-    on: FiniteGroup
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = ("acting", "on", "table")
+
+    def __init__(self, acting: FiniteGroup, on: FiniteGroup, table: tuple[tuple[int, ...], ...]):
+        init_field(self, "acting", acting)
+        init_field(self, "on", on)
+        init_field(self, "table", table)
 
     def __call__(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -86,10 +88,12 @@ class ActionTable:
         return ActionTable(g, g, tuple(tuple(g.conj(a, b) for b in g.elements()) for a in g.elements()))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
+class ValidationReport(Frozen):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...]):
+        init_field(self, "ok", ok)
+        init_field(self, "violations", violations)
 
     @staticmethod
     def from_list(v: list[str]) -> "ValidationReport":
@@ -97,20 +101,21 @@ class ValidationReport:
         return ValidationReport(not v, tuple(v[:64]))
 
 
-@dataclass(frozen=True)
-class CrossedModule:
+class CrossedModule(Frozen):
     """bd: M -> N with an N-action on M, equivariance and Peiffer identity."""
 
-    M: FiniteGroup
-    N: FiniteGroup
-    bd: GroupHom
-    act: ActionTable  # N acting on M
+    __slots__ = ("M", "N", "bd", "act")
 
-    def __post_init__(self):
-        if self.bd.source != self.M or self.bd.target != self.N:
+    def __init__(self, M: FiniteGroup, N: FiniteGroup, bd: GroupHom, act: ActionTable):
+        # act is N acting on M
+        if bd.source != M or bd.target != N:
             raise ValueError("bd must map M -> N")
-        if self.act.acting != self.N or self.act.on != self.M:
+        if act.acting != N or act.on != M:
             raise ValueError("act must be an N-action on M")
+        init_field(self, "M", M)
+        init_field(self, "N", N)
+        init_field(self, "bd", bd)
+        init_field(self, "act", act)
 
 
 def _crossed_module_axioms(hom: GroupHom, act: ActionTable, label: str) -> list[str]:
@@ -138,23 +143,28 @@ def validate_crossed_module(cm: CrossedModule) -> ValidationReport:
     return ValidationReport.from_list(out)
 
 
-@dataclass(frozen=True)
-class CrossedSquare:
+class CrossedSquare(Frozen):
     """Commuting square (f: L->M, g: L->N, v: M->P, u: N->P) with P-actions
     on L, M, N and a pairing eta: M x N -> L."""
 
-    L: FiniteGroup
-    M: FiniteGroup
-    N: FiniteGroup
-    P: FiniteGroup
-    f: GroupHom
-    g: GroupHom
-    v: GroupHom
-    u: GroupHom
-    act_L: ActionTable
-    act_M: ActionTable
-    act_N: ActionTable
-    eta: tuple[tuple[int, ...], ...]  # eta[m][n] in L
+    __slots__ = ("L", "M", "N", "P", "f", "g", "v", "u", "act_L", "act_M", "act_N", "eta")
+
+    def __init__(self, L: FiniteGroup, M: FiniteGroup, N: FiniteGroup, P: FiniteGroup,
+                 f: GroupHom, g: GroupHom, v: GroupHom, u: GroupHom,
+                 act_L: ActionTable, act_M: ActionTable, act_N: ActionTable,
+                 eta: tuple[tuple[int, ...], ...]):
+        init_field(self, "L", L)
+        init_field(self, "M", M)
+        init_field(self, "N", N)
+        init_field(self, "P", P)
+        init_field(self, "f", f)
+        init_field(self, "g", g)
+        init_field(self, "v", v)
+        init_field(self, "u", u)
+        init_field(self, "act_L", act_L)
+        init_field(self, "act_M", act_M)
+        init_field(self, "act_N", act_N)
+        init_field(self, "eta", eta)  # eta[m][n] in L
 
     def eta_at(self, m: int, n: int) -> int:
         return self.eta[m][n]
@@ -233,18 +243,21 @@ def validate_crossed_square(cs: CrossedSquare) -> ValidationReport:
     return ValidationReport.from_list(out)
 
 
-@dataclass(frozen=True)
-class TwoCrossedModule:
+class TwoCrossedModule(Frozen):
     """Normal complex L -> K -> P with P-actions and a braiding K x K -> L."""
 
-    L: FiniteGroup
-    K: FiniteGroup
-    P: FiniteGroup
-    delta: GroupHom
-    bd: GroupHom
-    act_L: ActionTable
-    act_K: ActionTable
-    braid: tuple[tuple[int, ...], ...]  # braid[k0][k1] in L
+    __slots__ = ("L", "K", "P", "delta", "bd", "act_L", "act_K", "braid")
+
+    def __init__(self, L: FiniteGroup, K: FiniteGroup, P: FiniteGroup, delta: GroupHom, bd: GroupHom,
+                 act_L: ActionTable, act_K: ActionTable, braid: tuple[tuple[int, ...], ...]):
+        init_field(self, "L", L)
+        init_field(self, "K", K)
+        init_field(self, "P", P)
+        init_field(self, "delta", delta)
+        init_field(self, "bd", bd)
+        init_field(self, "act_L", act_L)
+        init_field(self, "act_K", act_K)
+        init_field(self, "braid", braid)  # braid[k0][k1] in L
 
     def braid_at(self, k0: int, k1: int) -> int:
         return self.braid[k0][k1]
@@ -370,14 +383,17 @@ def to_two_crossed_module(cs: CrossedSquare) -> TwoCrossedModule:
     return TwoCrossedModule(L, K, P, delta, bd, cs.act_L, act_K, tuple(braid))
 
 
-@dataclass(frozen=True)
-class HomotopyGroups:
-    pi1: FiniteGroup
-    pi2: FiniteGroup
-    pi3: FiniteGroup
-    pi1_projection: tuple[int, ...]  # P -> pi1
-    pi2_members: tuple[int, ...]     # ker(bd) elements of K
-    pi3_members: tuple[int, ...]     # ker(delta) elements of L
+class HomotopyGroups(Frozen):
+    __slots__ = ("pi1", "pi2", "pi3", "pi1_projection", "pi2_members", "pi3_members")
+
+    def __init__(self, pi1: FiniteGroup, pi2: FiniteGroup, pi3: FiniteGroup,
+                 pi1_projection: tuple[int, ...], pi2_members: tuple[int, ...], pi3_members: tuple[int, ...]):
+        init_field(self, "pi1", pi1)
+        init_field(self, "pi2", pi2)
+        init_field(self, "pi3", pi3)
+        init_field(self, "pi1_projection", pi1_projection)  # P -> pi1
+        init_field(self, "pi2_members", pi2_members)  # ker(bd) elements of K
+        init_field(self, "pi3_members", pi3_members)  # ker(delta) elements of L
 
 
 def homotopy_groups(t: TwoCrossedModule) -> HomotopyGroups:
@@ -396,13 +412,15 @@ def homotopy_groups(t: TwoCrossedModule) -> HomotopyGroups:
 # -- degree-3 class of a crossed module ------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelPhaseIso:
+class KernelPhaseIso(Frozen):
     """Explicit isomorphism ker(bd) -> Z_m (element list and residue list)."""
 
-    elements: tuple[int, ...]
-    residues: tuple[int, ...]
-    modulus: int
+    __slots__ = ("elements", "residues", "modulus")
+
+    def __init__(self, elements: tuple[int, ...], residues: tuple[int, ...], modulus: int):
+        init_field(self, "elements", elements)
+        init_field(self, "residues", residues)
+        init_field(self, "modulus", modulus)
 
     def residue_map(self) -> dict[int, int]:
         """element -> residue."""
@@ -560,22 +578,27 @@ def postnikov3(
 # -- weak morphism data -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeakMorphismData:
+class WeakMorphismData(Frozen):
     """(rho~, mu) for a group G mapping into a crossed module."""
 
-    G: FiniteGroup
-    target: CrossedModule
-    rho_t: tuple[int, ...]        # G -> N
-    mu: tuple[tuple[int, ...], ...]  # G x G -> M
+    __slots__ = ("G", "target", "rho_t", "mu")
+
+    def __init__(self, G: FiniteGroup, target: CrossedModule, rho_t: tuple[int, ...],
+                 mu: tuple[tuple[int, ...], ...]):
+        init_field(self, "G", G)
+        init_field(self, "target", target)
+        init_field(self, "rho_t", rho_t)  # G -> N
+        init_field(self, "mu", mu)  # G x G -> M
 
 
-@dataclass(frozen=True)
-class WeakMorphismReport:
-    eq1_ok: bool
-    eq2_ok: bool
-    violations: tuple[str, ...]
-    obstruction: Cochain | None
+class WeakMorphismReport(Frozen):
+    __slots__ = ("eq1_ok", "eq2_ok", "violations", "obstruction")
+
+    def __init__(self, eq1_ok: bool, eq2_ok: bool, violations: tuple[str, ...], obstruction: Cochain | None):
+        init_field(self, "eq1_ok", eq1_ok)
+        init_field(self, "eq2_ok", eq2_ok)
+        init_field(self, "violations", violations)
+        init_field(self, "obstruction", obstruction)
 
     @property
     def ok(self) -> bool:
@@ -627,11 +650,13 @@ def twist(d: WeakMorphismData, b: Cochain, iso: KernelPhaseIso | None = None) ->
 # -- pointwise verification of the lattice crossed square --------------------
 
 
-@dataclass(frozen=True)
-class LatticeSquareReport:
-    ok: bool
-    violations: tuple[str, ...]
-    counts: dict
+class LatticeSquareReport(Frozen):
+    __slots__ = ("ok", "violations", "counts")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...], counts: dict):
+        init_field(self, "ok", ok)
+        init_field(self, "violations", violations)
+        init_field(self, "counts", counts)
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "violations": list(self.violations), "counts": dict(self.counts)}

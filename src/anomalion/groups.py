@@ -8,40 +8,35 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product, repeat
 from math import lcm
 from operator import mod
 
 from .linalg import Matrix, solve_mod
+from .values import Frozen, init_field
 
 
 class GroupTableError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """Finite group on indices 0..order-1 given by its multiplication table."""
 
-    mul_table: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...] = ()
-    name: str = "G"
-    inv_table: tuple[int, ...] = field(init=False, repr=False)
-    id: int = field(init=False, repr=False)
+    __slots__ = ("mul_table", "names", "name", "inv_table", "id")
 
-    def __post_init__(self):
-        n = len(self.mul_table)
-        if any(len(row) != n for row in self.mul_table):
+    def __init__(self, mul_table: tuple[tuple[int, ...], ...], names: tuple[str, ...] = (), name: str = "G"):
+        n = len(mul_table)
+        if any(len(row) != n for row in mul_table):
             raise GroupTableError("mul table must be square")
-        if not self.names:
-            object.__setattr__(self, "names", tuple(f"e{i}" for i in range(n)))
-        if len(self.names) != n:
+        if not names:
+            names = tuple(f"e{i}" for i in range(n))
+        if len(names) != n:
             raise GroupTableError("names length mismatch")
         ident = None
         for e in range(n):
-            if all(self.mul_table[e][a] == a == self.mul_table[a][e] for a in range(n)):
+            if all(mul_table[e][a] == a == mul_table[a][e] for a in range(n)):
                 ident = e
                 break
         if ident is None:
@@ -49,16 +44,19 @@ class FiniteGroup:
         inv = [None] * n
         for a in range(n):
             for b in range(n):
-                if self.mul_table[a][b] == ident and self.mul_table[b][a] == ident:
+                if mul_table[a][b] == ident and mul_table[b][a] == ident:
                     inv[a] = b
                     break
             if inv[a] is None:
                 raise GroupTableError(f"element {a} has no inverse")
         for a, b, c in product(range(n), repeat=3):
-            if self.mul_table[self.mul_table[a][b]][c] != self.mul_table[a][self.mul_table[b][c]]:
+            if mul_table[mul_table[a][b]][c] != mul_table[a][mul_table[b][c]]:
                 raise GroupTableError(f"associativity fails at ({a},{b},{c})")
-        object.__setattr__(self, "inv_table", tuple(inv))
-        object.__setattr__(self, "id", ident)
+        init_field(self, "mul_table", mul_table)
+        init_field(self, "names", names)
+        init_field(self, "name", name)
+        init_field(self, "inv_table", tuple(inv))
+        init_field(self, "id", ident)
 
     @property
     def order(self) -> int:
@@ -150,15 +148,15 @@ def klein_bits(e: int) -> tuple[int, int]:
     return e >> 1, e & 1
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    source: FiniteGroup
-    target: FiniteGroup
-    map: tuple[int, ...]
+class GroupHom(Frozen):
+    __slots__ = ("source", "target", "map")
 
-    def __post_init__(self):
-        if len(self.map) != self.source.order:
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, map: tuple[int, ...]):
+        if len(map) != source.order:
             raise GroupTableError("hom table length mismatch")
+        init_field(self, "source", source)
+        init_field(self, "target", target)
+        init_field(self, "map", map)
 
     def __call__(self, a: int) -> int:
         return self.map[a]
@@ -224,24 +222,22 @@ def quotient_group(g: FiniteGroup, normal_sub: list[int], name: str = "Q") -> tu
 # -- cochains -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Frozen):
     """Total table G^n -> Z_m (value k means exp(2*pi*i*k/m))."""
 
-    group: FiniteGroup
-    degree: int
-    modulus: int
-    values: tuple[int, ...]
+    __slots__ = ("group", "degree", "modulus", "values")
 
-    def __post_init__(self):
-        if self.degree < 0:
+    def __init__(self, group: FiniteGroup, degree: int, modulus: int, values: tuple[int, ...]):
+        if degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.modulus <= 0:
+        if modulus <= 0:
             raise ValueError("modulus must be positive")
-        if len(self.values) != self.group.order**self.degree:
+        if len(values) != group.order**degree:
             raise ValueError("value table has wrong size")
-        m = self.modulus
-        object.__setattr__(self, "values", tuple([v % m for v in self.values]))
+        init_field(self, "group", group)
+        init_field(self, "degree", degree)
+        init_field(self, "modulus", modulus)
+        init_field(self, "values", tuple([v % modulus for v in values]))
 
     # indexing
     def _idx(self, args: tuple[int, ...]) -> int:

@@ -8,34 +8,35 @@ thickening r means L-infinity distance <= r from the region's core set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
+
+from .values import Frozen, init_field
 
 Site = tuple[int, int]
 
 _INF = 10**9
 
 
-@dataclass(frozen=True)
-class Window:
-    x_min: int
-    x_max: int
-    y_min: int
-    y_max: int
-    margin: int = 0
+class Window(Frozen):
+    __slots__ = ("x_min", "x_max", "y_min", "y_max", "margin")
 
-    def __post_init__(self):
-        if self.x_min > self.x_max or self.y_min > self.y_max:
+    def __init__(self, x_min: int, x_max: int, y_min: int, y_max: int, margin: int = 0):
+        if x_min > x_max or y_min > y_max:
             raise ValueError("empty window")
-        if self.margin < 0:
+        if margin < 0:
             raise ValueError("margin must be >= 0")
-        if self.y_min == self.y_max == 0:
-            extent = self.x_max - self.x_min + 1
+        if y_min == y_max == 0:
+            extent = x_max - x_min + 1
         else:
-            extent = min(self.x_max - self.x_min + 1, self.y_max - self.y_min + 1)
-        if self.margin and self.margin >= (extent + 1) // 2:
+            extent = min(x_max - x_min + 1, y_max - y_min + 1)
+        if margin and margin >= (extent + 1) // 2:
             raise ValueError("margin too large for window")
+        init_field(self, "x_min", x_min)
+        init_field(self, "x_max", x_max)
+        init_field(self, "y_min", y_min)
+        init_field(self, "y_max", y_max)
+        init_field(self, "margin", margin)
 
     @staticmethod
     def centered(width: int, height: int, margin: int = 0) -> "Window":
@@ -81,8 +82,7 @@ class Window:
         return self.contains(s) and self.edge_distance(s) < self.margin
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Frozen):
     """A core point set plus a thickening radius.
 
     kinds: full, half_plane_H (y >= 0), boundary_line (y = 0),
@@ -91,28 +91,30 @@ class Region:
     intersection (of .inner and .inner2).
     """
 
-    kind: str
-    thickening: int = 0
-    radius: int = 0
-    inner: "Region | None" = None
-    inner2: "Region | None" = None
+    __slots__ = ("kind", "thickening", "radius", "inner", "inner2")
 
     KINDS = (
         "full", "half_plane_H", "boundary_line", "half_line_R", "half_line_L",
         "origin_disk", "complement", "intersection",
     )
 
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.thickening < 0:
+    def __init__(self, kind: str, thickening: int = 0, radius: int = 0,
+                 inner: Region | None = None, inner2: Region | None = None):
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown region kind {kind!r}")
+        if thickening < 0:
             raise ValueError("thickening must be >= 0")
-        if self.kind == "origin_disk" and self.radius < 0:
+        if kind == "origin_disk" and radius < 0:
             raise ValueError("radius must be >= 0")
-        if self.kind == "complement" and self.inner is None:
+        if kind == "complement" and inner is None:
             raise ValueError("complement needs an inner region")
-        if self.kind == "intersection" and (self.inner is None or self.inner2 is None):
+        if kind == "intersection" and (inner is None or inner2 is None):
             raise ValueError("intersection needs two regions")
+        init_field(self, "kind", kind)
+        init_field(self, "thickening", thickening)
+        init_field(self, "radius", radius)
+        init_field(self, "inner", inner)
+        init_field(self, "inner2", inner2)
 
     # distance from a site to the region core (L-infinity, lattice points)
     def core_distance(self, s: Site) -> int:
@@ -164,7 +166,7 @@ class Region:
         return self.core_distance(s) <= self.thickening
 
     def thickened(self, extra: int) -> "Region":
-        return replace(self, thickening=self.thickening + extra)
+        return Region(self.kind, self.thickening + extra, self.radius, self.inner, self.inner2)
 
     @staticmethod
     def full() -> "Region":

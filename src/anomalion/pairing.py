@@ -23,7 +23,6 @@ is computed and must agree bit-exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .circuits import GateRule, Layer, ProceduralCircuit, concat, conj_by_circuit
 from .lattice import Region, Window
@@ -40,6 +39,7 @@ from .symop import (
     sites_outside,
     support_mask,
 )
+from .values import Frozen, Record, init_field
 
 
 class StabilizationError(ValueError):
@@ -50,30 +50,31 @@ class RouteDisagreement(AssertionError):
     pass
 
 
-@dataclass(frozen=True)
-class LocalizedAutomorphism:
+class LocalizedAutomorphism(Frozen):
     """An automorphism given by a circuit or an inner unitary, with a home region."""
 
-    declared_region: Region
-    circuit: ProceduralCircuit | None = None
-    inner: SymOp | None = None
+    __slots__ = ("declared_region", "circuit", "inner")
 
-    def __post_init__(self):
-        if (self.circuit is None) == (self.inner is None):
+    def __init__(self, declared_region: Region, circuit: ProceduralCircuit | None = None,
+                 inner: SymOp | None = None):
+        if (circuit is None) == (inner is None):
             raise ValueError("exactly one of circuit/inner must be given")
         # mask tests; sites are decoded only for the error message
-        if self.inner is not None:
-            if support_mask(self.inner) & ~region_mask(self.declared_region):
-                bad = sites_outside([self.inner], self.declared_region)
+        if inner is not None:
+            if support_mask(inner) & ~region_mask(declared_region):
+                bad = sites_outside([inner], declared_region)
                 raise ValueError(f"inner unitary leaves its declared region at {bad[:4]}")
         else:
-            layers = self.circuit.instantiate()
+            layers = circuit.instantiate()
             mask = 0
             for layer in layers:
                 mask |= layer.mask()
-            if mask & ~region_mask(self.declared_region):
-                bad = sites_outside((g for layer in layers for g in layer), self.declared_region)
+            if mask & ~region_mask(declared_region):
+                bad = sites_outside((g for layer in layers for g in layer), declared_region)
                 raise ValueError(f"circuit gate leaves declared region at {bad[:4]}")
+        init_field(self, "declared_region", declared_region)
+        init_field(self, "circuit", circuit)
+        init_field(self, "inner", inner)
 
     @property
     def is_inner(self) -> bool:
@@ -203,11 +204,13 @@ def eta(alpha: LocalizedAutomorphism, beta: LocalizedAutomorphism) -> SymOp:
 # -- identity property suite -------------------------------------------------
 
 
-@dataclass
-class EtaSuiteReport:
-    pairs: int
-    checks: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+class EtaSuiteReport(Record):
+    __slots__ = ("pairs", "checks", "failures")
+
+    def __init__(self, pairs: int, checks: dict | None = None, failures: list | None = None):
+        self.pairs = pairs
+        self.checks = {} if checks is None else checks
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -257,8 +260,11 @@ def run_identity_suite(
 
     rng = random.Random(seed)
     rep = EtaSuiteReport(pairs=n_pairs)
+    # the circuits are drawn in a box inside the pairing's truncation disk,
+    # so every layer they pair is whole in both truncations
+    r, _ = _stabilization_radius(window)
     inner_reach = window.edge_distance((0, 0)) - window.margin
-    box = Region.origin_disk(max(2, inner_reach))
+    box = Region.origin_disk(max(2, min(inner_reach, r)))
     # each generator draws from one fixed site list, built once here
     l_sites = region_sites(window, Region.intersection_of(Region.half_line_L(1), box))
     r_sites = region_sites(window, Region.intersection_of(Region.half_line_R(1), box))

@@ -49,12 +49,12 @@ with the number of sites it covers and extended as the interner grows.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 
 from .lattice import Site
+from .values import Frozen, init_field
 
 # -- the site interner -----------------------------------------------------
 
@@ -306,18 +306,18 @@ def scalar_phase(a: SymOp) -> int | None:
 # -- reference states and expectations ----------------------------------
 
 
-@dataclass(frozen=True)
-class ReferenceState:
+class ReferenceState(Frozen):
     """The uniform product state |0...0> (basis 'z') or |+...+> (basis 'x').
 
     Other product states are reached by dressing with X / Z circuits.
     """
 
-    basis: str
+    __slots__ = ("basis",)
 
-    def __post_init__(self):
-        if self.basis not in ("z", "x"):
+    def __init__(self, basis: str):
+        if basis not in ("z", "x"):
             raise ValueError("basis must be 'z' or 'x'")
+        init_field(self, "basis", basis)
 
 
 ALL_ZEROS = ReferenceState("z")

@@ -1,0 +1,73 @@
+"""The base classes of anomalion's records and immutable values.
+
+Every record is a plain class with __slots__ and a hand-written __init__,
+so importing anomalion generates no code.  A subclass lists its fields in
+__slots__ and may name the fields that == reads in the class keyword
+compare (all of them by default): two records are equal when they have
+the same class and equal compared fields, and an instance of any other
+class is never equal.
+
+A Record is mutable and unhashable.  A Frozen value hashes its compared
+fields and refuses assignment and deletion of any field; its __init__ sets
+each field once with init_field, and copy and pickle restore the fields
+without calling it.  A field may still hold a mutable object
+(ProceduralCircuit's cache) that is left out of the comparison.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+init_field = object.__setattr__
+
+
+def _restore(cls, fields: tuple):
+    """The value of cls with the given fields, set without __init__."""
+    value = object.__new__(cls)
+    for name, field in zip(cls.__slots__, fields):
+        init_field(value, name, field)
+    return value
+
+
+class Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare: tuple[str, ...] | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__ if compare is None else compare
+        if names:  # Frozen passes none: its _hash slot is not a field
+            cls._key = attrgetter(*names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+class Frozen(Record, compare=()):
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        # values are hashed again and again as cache keys (Region, Window,
+        # GateRule), so the hash is kept after the first call
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._key(self))
+            init_field(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle restore the fields as they are, since
+        # __init__ may derive some of them (FiniteGroup's inverses); the
+        # hash is recomputed, as str hashes differ between processes
+        cls = type(self)
+        return _restore, (cls, tuple(getattr(self, name) for name in cls.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: {type(self).__name__} is immutable")

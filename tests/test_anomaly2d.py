@@ -5,6 +5,7 @@ import pytest
 
 from anomalion.anomaly import (
     NonScalarError,
+    TruncationData2d,
     anomaly_2d,
     build_truncation_2d,
     regauge_beta,
@@ -32,6 +33,13 @@ from reference import classify_support, collapse_per_pair
 
 def bits(e):
     return klein_bits(e)
+
+
+def _replaced(data, **changes):
+    """A new truncation with data's fields and the given changes; like any
+    new one it starts with an empty numbering and empty step tables."""
+    fields = ("action", "rho_tilde", "mu", "alpha", "beta", "u", "origin_radius", "cropped", "assertions")
+    return TruncationData2d(**{**{name: getattr(data, name) for name in fields}, **changes})
 
 
 def _oracle_tau(data, g, h, k, l):
@@ -200,11 +208,9 @@ def test_u_scalar_shift_moves_tau_by_coboundary(ccz_action, ccz_data):
         (g, h, k): rng.randrange(2)
         for g in G.elements() for h in G.elements() for k in G.elements()
     }
-    import dataclasses
-
     from anomalion.symop import op_mul
 
-    shifted = dataclasses.replace(
+    shifted = _replaced(
         ccz_data,
         u={
             key: op_mul(SymOp.scalar(-1 if psi_bits[key] else 1), u)
@@ -299,13 +305,11 @@ def test_regauge_rho_mu_matches_product_collapse(ccz_data, window12):
 def test_tau_rejects_alpha_off_the_left_half_line(ccz_data):
     # regauge_rho rebuilds alpha from mu' and beta' and never reads the
     # input alpha; tau reads it through eta, whose region check rejects it
-    import dataclasses
-
     w = ccz_data.window
     far = (w.x_max, w.y_max)
     thick = ccz_data.origin_radius + ccz_data.action.total_range() + 1
     assert not Region.half_line_L(thick).contains(far)
-    broken = dataclasses.replace(
+    broken = _replaced(
         ccz_data,
         alpha={**ccz_data.alpha, (0b01, 0b10): SymOp.z(far)},
     )
@@ -330,8 +334,6 @@ def test_memoized_tau_matches_oracle(ccz_data, window12):
 def test_tau_touches_the_lattice_once_per_value(ccz_data, monkeypatch):
     """A fresh memo computes tau with O(|G|) conjugations and eta calls,
     not one per tuple (512 and 256 without the memo)."""
-    import dataclasses
-
     calls = {"conj_by_circuit": 0, "eta": 0}
 
     def counting(name):
@@ -345,7 +347,7 @@ def test_tau_touches_the_lattice_once_per_value(ccz_data, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(anomaly_module, name, counting(name))
-    data = dataclasses.replace(ccz_data)
+    data = _replaced(ccz_data)
     tau = tau_cochain(data)
     order = data.group.order
     assert calls["conj_by_circuit"] <= 4 * order
@@ -359,7 +361,6 @@ def test_steps_are_taken_once_per_circuit_and_operand_tuple(window12, monkeypatc
     conjugations, so tau after the build conjugates by circuits 8 times
     (16 when each element kept its own), and the u lift multiplies 3 times
     per distinct tuple of failure operands, not 3 times per triple."""
-    import dataclasses
     from itertools import product
 
     config = {
@@ -394,7 +395,7 @@ def test_steps_are_taken_once_per_circuit_and_operand_tuple(window12, monkeypatc
         (beta[g, h], beta[G.mul(g, h), k], beta[g, G.mul(h, k)], conj_by_circuit(beta[h, k], data.rho_tilde[g]))
         for g, h, k in product(G.elements(), repeat=3)
     }
-    fresh = dataclasses.replace(data, u={})
+    fresh = _replaced(data, u={})
     calls["op_mul"] = 0
     assert anomaly_module._lift_u(fresh, "u") == [c for c in data.cropped if c.startswith("u(")]
     assert calls["op_mul"] == 3 * len(operands)
@@ -405,14 +406,12 @@ def test_replace_starts_an_empty_memo(ccz_data, monkeypatch):
     """Replacing beta must not serve conjugates of the old beta: the copy
     starts with no numbered value and every step table empty, and
     rho_apply conjugates the new beta afresh."""
-    import dataclasses
-
     tau_cochain(ccz_data)
     for g in ccz_data.group.elements():
         for pair in ccz_data.beta:
             ccz_data.rho_apply(g, ccz_data.beta[pair])
     new_beta = {p: op_mul(SymOp.z((0, 0)), b) for p, b in ccz_data.beta.items()}
-    data = dataclasses.replace(ccz_data, beta=new_beta)
+    data = _replaced(ccz_data, beta=new_beta)
     tables = (*data._rho, data._conj, data._inv, data._eta, data._phase)
     assert not data._vals and not any(tables)
     conjugated = []
@@ -425,9 +424,7 @@ def test_replace_starts_an_empty_memo(ccz_data, monkeypatch):
 
 
 def test_nonscalar_tau_detection(ccz_data):
-    import dataclasses
-
-    broken = dataclasses.replace(
+    broken = _replaced(
         ccz_data,
         u={**ccz_data.u, (0b01, 0b01, 0b10): SymOp.z((1, 0))},
     )
@@ -490,8 +487,6 @@ def order8_data(digest_script, window12):
 def test_tau_hashes_each_value_once_per_call(order8_data, monkeypatch):
     """tau runs on value numbers: operators are hashed when first numbered
     and on memo misses, not once per step of each of the |G|^4 tuples."""
-    import dataclasses
-
     calls = [0]
     hash_op = SymOp.__hash__
 
@@ -499,7 +494,7 @@ def test_tau_hashes_each_value_once_per_call(order8_data, monkeypatch):
         calls[0] += 1
         return hash_op(self)
 
-    data = dataclasses.replace(order8_data)
+    data = _replaced(order8_data)
     monkeypatch.setattr(SymOp, "__hash__", counting)
     tau_cochain(data)
     assert 0 < calls[0] < data.group.order ** 4
@@ -525,9 +520,7 @@ def test_order8_tau_is_pulled_back_from_ccz(order8_data):
 
 
 def test_second_tau_touches_no_lattice(order8_data, monkeypatch):
-    import dataclasses
-
-    data = dataclasses.replace(order8_data)
+    data = _replaced(order8_data)
     tau = tau_cochain(data)
     calls = []
     for name in ("conj_by_circuit", "eta"):
@@ -539,9 +532,7 @@ def test_second_tau_touches_no_lattice(order8_data, monkeypatch):
 def test_tau_reads_u_edited_in_place(ccz_data):
     """The memo is keyed by the values read, so an in-place edit of u
     between two calls is honoured."""
-    import dataclasses
-
-    data = dataclasses.replace(ccz_data, u=dict(ccz_data.u))
+    data = _replaced(ccz_data, u=dict(ccz_data.u))
     tau0 = tau_cochain(data)
     key = (0b01, 0b11, 0b10)
     data.u[key] = op_mul(SymOp.scalar(-1), data.u[key])
@@ -575,8 +566,6 @@ def test_u_crop_log_matches_per_triple_crops(ccz_data):
     """Each distinct tuple of failure operands is cropped once; u and the
     log, with its lines for every triple in triple order, equal a crop per
     triple."""
-    import dataclasses
-
     w = ccz_data.window
     reach = ccz_data.action.total_range()
     alternating = ProceduralCircuit((GateRule("explicit", gates=tuple(
@@ -591,7 +580,7 @@ def test_u_crop_log_matches_per_triple_crops(ccz_data):
     # any one operand occur, so u must be keyed by all four
     rng = random.Random(43)
     beta = {p: SymOp.z((0, 0)) if rng.random() < 0.5 else SymOp.identity() for p in ccz_data.beta}
-    data = dataclasses.replace(ccz_data, beta=beta, u={})
+    data = _replaced(ccz_data, beta=beta, u={})
     assert anomaly_module._lift_u(data, "u") == _u_crop_log(data, "u") == []
 
 

@@ -63,6 +63,17 @@ def test_eta_check_window_too_small_to_pair_is_a_config_error(capsys):
         assert "window too small to stabilize the pairing" in err
 
 
+def test_eta_check_exit_code_does_not_depend_on_the_seed():
+    """On 9x9 and 10x10 windows with margin 1 the truncation radius is 2;
+    the circuits are drawn inside it, so no seed fails to stabilize."""
+    for size in ("9x9", "10x10"):
+        codes = {
+            run(["eta-check", "--pairs", "3", "--window", size, "--margin", "1", "--seed", str(seed)])
+            for seed in range(4)
+        }
+        assert codes == {0}, size
+
+
 def test_config_errors(tmp_path):
     assert run(["anomaly2d", "--action", "no_such_file.json"]) == 2
     assert run(["anomaly2d", "--margin", "0"]) == 2
@@ -475,3 +486,34 @@ def test_cli_and_cohomology_load_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_generates_no_code():
+    """Importing the CLI loads every anomalion module and neither
+    dataclasses nor inspect, so no code is generated at start-up; this runs
+    in a subprocess because the test helpers import dataclasses here."""
+    code = "import json, sys; import anomalion.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    package = {f"anomalion.{path.stem}" for path in (ROOT / "src" / "anomalion").glob("*.py")}
+    assert package - {"anomalion.__init__"} <= loaded
+
+
+def test_reproduce_ccz_script_runs_from_a_checkout(tmp_path):
+    """scripts/reproduce_ccz.py imports the package from the src directory
+    next to it, so its documented command needs no installed package."""
+    report = tmp_path / "r.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_ccz.py"), "--check-gauge", "1", "--report", str(report)],
+        capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(report.read_text())
+    assert data["matched_class"] == "b^3 . a"
