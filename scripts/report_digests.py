@@ -73,6 +73,18 @@ POSTNIKOV_CM = {
 }
 
 
+# L = K = P = Z2 with trivial maps, actions and braiding: a valid
+# two-crossed module whose three homotopy groups are all Z2.
+_Z2 = {"order": 2, "mul": [0, 1, 1, 0], "name": "Z2"}
+TRIVIAL_Z2_T2CM = {
+    "kind": "two_crossed_module",
+    "L": _Z2, "K": _Z2, "P": _Z2,
+    "delta": [0, 0], "bd": [0, 0],
+    "act_L": [[0, 1], [0, 1]], "act_K": [[0, 1], [0, 1]],
+    "braid": [[0, 0], [0, 0]],
+}
+
+
 def _normal_subgroup_square() -> dict:
     """The crossed square of the normal subgroups M = S3 and N = A3 of
     P = S3: L = A3 is their intersection, the maps are inclusions, the
@@ -126,6 +138,9 @@ RUNS = (
     ["anomaly1d", "--action", "onsite_xx_1d", "--seed", "13"],
     ["spt", "--mode", "trivialize2d", "--action", "onsite_x_2d", "--seed", "14"],
     ["spt", "--mode", "trivialize2d", "--action", "onsite_x_2d", "--basis", "z", "--seed", "15"],
+    ["crossed", "homotopy", "--input", "z2_t2cm.json"],
+    ["crossed", "validate", "--input", "postnikov_cm.json"],
+    ["crossed", "validate", "--input", "z2_t2cm.json"],
 )
 
 
@@ -142,6 +157,8 @@ def main() -> int:
             json.dump(POSTNIKOV_CM, fh)
         with open(os.path.join(tmp, "square.json"), "w") as fh:
             json.dump(_normal_subgroup_square(), fh)
+        with open(os.path.join(tmp, "z2_t2cm.json"), "w") as fh:
+            json.dump(TRIVIAL_Z2_T2CM, fh)
         for i, run in enumerate(RUNS):
             report = os.path.join(tmp, f"report{i}.json")
             proc = subprocess.run(
