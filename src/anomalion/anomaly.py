@@ -363,40 +363,31 @@ def tau_cochain(data: TruncationData2d) -> Cochain:
     return Cochain(G, 4, 2, tuple(_tau_phases(data, els, els, els, els)))
 
 
-class AnomalyReport(Record):
-    __slots__ = ("cochain", "is_cocycle", "trivial", "matched_class", "assertions", "cropped", "notes")
-
-    def __init__(self, cochain: Cochain, is_cocycle: bool, trivial: bool, matched_class: str | None,
-                 assertions: tuple[str, ...], cropped: tuple[str, ...], notes: dict):
-        self.cochain = cochain
-        self.is_cocycle = is_cocycle
-        self.trivial = trivial
-        self.matched_class = matched_class
-        self.assertions = assertions
-        self.cropped = cropped
-        self.notes = notes
-
-
 GNVW_NOTE = (
     "degree-2 positive-rational obstruction skipped: identically trivial "
     "for circuit-generated actions in the representable class"
 )
 
 
-def anomaly_2d(action: CircuitAction, data: TruncationData2d | None = None) -> AnomalyReport:
+def _anomaly_report(c: Cochain, assertions: tuple[str, ...], cropped: tuple[str, ...]) -> dict:
+    """The report of an anomaly pipeline: the index cochain c, its verdicts
+    against the builtin classes of its degree, and the pipeline's logs."""
+    closed, trivial, matches = classify(c, builtin_class_candidates(c.group, c.degree))
+    return {
+        "cochain": c,
+        "is_cocycle": closed,
+        "trivial": trivial,
+        "matched_class": matches[0] if matches else None,
+        "assertions": assertions,
+        "cropped_debris": cropped,
+        "notes": {"h2_qplus": GNVW_NOTE},
+    }
+
+
+def anomaly_2d(action: CircuitAction, data: TruncationData2d | None = None) -> dict:
     if data is None:
         data = build_truncation_2d(action)
-    c = tau_cochain(data)
-    closed, trivial, matches = classify(c, builtin_class_candidates(action.group, 4))
-    return AnomalyReport(
-        cochain=c,
-        is_cocycle=closed,
-        trivial=trivial,
-        matched_class=matches[0] if matches else None,
-        assertions=data.assertions + ("tau scalar on all tuples",),
-        cropped=data.cropped,
-        notes={"h2_qplus": GNVW_NOTE},
-    )
+    return _anomaly_report(tau_cochain(data), data.assertions + ("tau scalar on all tuples",), data.cropped)
 
 
 # -- 1d pipeline ---------------------------------------------------------
@@ -434,7 +425,7 @@ def build_truncation_1d(action: CircuitAction) -> TruncationData1d:
     return TruncationData1d(action, rho, nu, origin_radius, tuple(cropped))
 
 
-def nayak_else_1d(action: CircuitAction, data: TruncationData1d | None = None) -> AnomalyReport:
+def nayak_else_1d(action: CircuitAction, data: TruncationData1d | None = None) -> dict:
     """The degree-3 index: the failure of the second weak-morphism equation
     for (rho~, nu), asserted scalar on every triple."""
     if data is None:
@@ -445,16 +436,7 @@ def nayak_else_1d(action: CircuitAction, data: TruncationData1d | None = None) -
         G, lambda g, h: nu[g, h], lambda g, h, k: data.rho_apply(g, nu[h, k]), op_mul, op_inv
     )
     c = Cochain.from_function(G, 3, 2, lambda g, h, k: _assert_scalar(ell(g, h, k), f"ell({g},{h},{k})"))
-    closed, trivial, matches = classify(c, builtin_class_candidates(G, 3))
-    return AnomalyReport(
-        cochain=c,
-        is_cocycle=closed,
-        trivial=trivial,
-        matched_class=matches[0] if matches else None,
-        assertions=("nu lifts origin-local", "ell scalar on all triples"),
-        cropped=data.cropped,
-        notes={"h2_qplus": GNVW_NOTE},
-    )
+    return _anomaly_report(c, ("nu lifts origin-local", "ell scalar on all triples"), data.cropped)
 
 
 # -- regauging (lift and truncation ambiguities) ---------------------------
@@ -672,17 +654,6 @@ def find_state_correction(
     raise StateNotInvariant("no state-preserving origin correction in the Pauli family")
 
 
-class SptRelative1dReport(Record):
-    __slots__ = ("cochain", "is_cocycle", "trivial", "c1", "c2")
-
-    def __init__(self, cochain: Cochain, is_cocycle: bool, trivial: bool, c1: Cochain, c2: Cochain):
-        self.cochain = cochain
-        self.is_cocycle = is_cocycle
-        self.trivial = trivial
-        self.c1 = c1
-        self.c2 = c2
-
-
 def _omega_phase(op: SymOp, dressing, state: ReferenceState) -> int:
     """The expectation of op in the dressed state as a Z2 residue; it must
     be +1 or -1."""
@@ -694,64 +665,49 @@ def _omega_phase(op: SymOp, dressing, state: ReferenceState) -> int:
     raise StateNotInvariant(f"omega value {val} of {format_op(op)} is not a phase")
 
 
+def _dressed_cochain(data: TruncationData1d, dress: ProceduralCircuit | None, state: ReferenceState) -> Cochain:
+    """The degree-2 cochain of one invariant dressed state: omega of nu
+    regauged by the state-preserving origin corrections of rho~."""
+    G = data.group
+    w = {g: find_state_correction(data.rho_tilde[g], data.action.window, state, dress) for g in G.elements()}
+    nu_w = weak_morphism_regauge(G, lambda g, h: data.nu_lift[g, h], w.__getitem__, data.rho_apply, op_mul, op_inv)
+    return Cochain.from_function(G, 2, 2, lambda g, h: _omega_phase(nu_w(g, h), dress, state))
+
+
 def spt_relative_1d(
     action: CircuitAction,
     dress1: ProceduralCircuit | None,
     dress2: ProceduralCircuit | None,
     state: ReferenceState = ALL_ZEROS,
-) -> SptRelative1dReport:
+) -> dict:
     """Relative degree-2 class of two invariant dressed product states."""
-    G = action.group
-    window = action.window
     for dress in (dress1, dress2):
         if not action_preserves_state(action, state, dress):
             raise StateNotInvariant("dressed state is not invariant under the action")
     data = build_truncation_1d(action)
-    if not nayak_else_1d(action, data).trivial:
+    if not nayak_else_1d(action, data)["trivial"]:
         raise StateNotInvariant("1d anomaly class is nontrivial; no invariant lifts exist")
-
-    cochains = []
-    for dress in (dress1, dress2):
-        w = {
-            g: find_state_correction(data.rho_tilde[g], window, state, dress)
-            for g in G.elements()
-        }
-
-        nu_w = weak_morphism_regauge(
-            G, lambda g, h: data.nu_lift[g, h], w.__getitem__, data.rho_apply, op_mul, op_inv
-        )
-        cochains.append(Cochain.from_function(G, 2, 2, lambda g, h: _omega_phase(nu_w(g, h), dress, state)))
-    c1, c2 = cochains
-    rel = c1.mul(c2.inverse())
+    rel = _dressed_cochain(data, dress1, state).mul(_dressed_cochain(data, dress2, state).inverse())
     closed, trivial, _ = classify(rel)
-    return SptRelative1dReport(rel, closed, trivial, c1, c2)
-
-
-class SptTrivialize2dReport(Record):
-    __slots__ = ("status", "cochain", "delta_equals_tau")
-
-    def __init__(self, status: str, cochain: Cochain | None, delta_equals_tau: bool | None):
-        self.status = status
-        self.cochain = cochain
-        self.delta_equals_tau = delta_equals_tau
+    return {"cochain": rel, "is_cocycle": closed, "trivial": trivial}
 
 
 def spt_trivialize_2d(
     data: TruncationData2d,
     dress: ProceduralCircuit | None = None,
     state: ReferenceState = ALL_ZEROS,
-) -> SptTrivialize2dReport:
+) -> dict:
     """omega(u(g,h,k)) as a trivializing 3-cochain of tau, when a dressed
     invariant product state exists; otherwise reports the obstruction.
     """
     action = data.action
     G = data.group
     if not action_preserves_state(action, state, dress):
-        return SptTrivialize2dReport("no_invariant_state", None, None)
+        return {"status": "no_invariant_state", "cochain": None, "delta_equals_tau": None}
     for g in G.elements():
         if not state_preserved_by(lambda o, g=g: data.rho_apply(g, o), data.window, state, dress):
-            return SptTrivialize2dReport("truncation_not_preserving", None, None)
+            return {"status": "truncation_not_preserving", "cochain": None, "delta_equals_tau": None}
 
     c = Cochain.from_function(G, 3, 2, lambda g, h, k: _omega_phase(data.u[g, h, k], dress, state))
     tau = tau_cochain(data)
-    return SptTrivialize2dReport("ok", c, coboundary(c) == tau)
+    return {"status": "ok", "cochain": c, "delta_equals_tau": coboundary(c) == tau}

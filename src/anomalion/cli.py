@@ -13,7 +13,6 @@ import json
 import sys
 
 from .anomaly import (
-    AnomalyReport,
     anomaly_2d,
     build_truncation_1d,
     build_truncation_2d,
@@ -128,24 +127,17 @@ def _load_action(name_or_path: str, window: Window) -> CircuitAction:
     return action
 
 
-def _anomaly_json(rep: AnomalyReport, extra: dict) -> dict:
-    return {
-        "schema": SCHEMA,
-        "cochain": rep.cochain.to_json(),
-        "is_cocycle": rep.is_cocycle,
-        "trivial": rep.trivial,
-        "matched_class": rep.matched_class,
-        "assertions": list(rep.assertions),
-        "cropped_debris": list(rep.cropped),
-        "notes": dict(rep.notes),
-        **extra,
-    }
-
-
 def _emit(report: dict, path: str | None):
+    """Write report, with the schema added, to path as JSON; values such as
+    a Cochain or a FiniteGroup are written as their to_json().  A path that
+    cannot be written is a config error."""
     if path:
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+        try:
+            with open(path, "w") as fh:
+                json.dump({"schema": SCHEMA, **report}, fh, indent=2, sort_keys=True,
+                          default=lambda o: o.to_json())
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from exc
 
 
 def _window_fields(window: Window) -> dict:
@@ -187,16 +179,18 @@ def _gauge_checks(data, tau0, count: int, seed: int) -> dict:
     }
 
 
+def _verdicts(rep: dict) -> str:
+    return f"cocycle={rep['is_cocycle']} trivial={rep['trivial']} class={rep['matched_class']}"
+
+
 def cmd_anomaly2d(args) -> int:
     window = _parse_window(args.window, args.margin, chain=False)
     action = _load_action(args.action, window)
     data = build_truncation_2d(action)
     rep = anomaly_2d(action, data)
-    extra = {"command": "anomaly2d", "action": args.action, "seed": args.seed, **_window_fields(window)}
-    ok = rep.is_cocycle
+    ok = rep["is_cocycle"]
     if _at_least(0, args.check_gauge, "--check-gauge"):
-        gauge = _gauge_checks(data, rep.cochain, args.check_gauge, args.seed)
-        extra["gauge_checks"] = gauge
+        gauge = rep["gauge_checks"] = _gauge_checks(data, rep["cochain"], args.check_gauge, args.seed)
         ok = ok and gauge["ok"]
     if args.check_window:
         grown = Window.centered(
@@ -204,12 +198,12 @@ def cmd_anomaly2d(args) -> int:
             window.y_max - window.y_min + 1 + 4,
             window.margin + 2,
         )
-        rep2 = anomaly_2d(_load_action(args.action, grown))
-        stable = rep2.cochain == rep.cochain
-        extra["window_stability"] = {"stable": stable, "margin_grown_to": window.margin + 2}
+        stable = anomaly_2d(_load_action(args.action, grown))["cochain"] == rep["cochain"]
+        rep["window_stability"] = {"stable": stable, "margin_grown_to": window.margin + 2}
         ok = ok and stable
-    print(f"anomaly2d {args.action}: cocycle={rep.is_cocycle} trivial={rep.trivial} class={rep.matched_class}")
-    _emit(_anomaly_json(rep, extra), args.report)
+    print(f"anomaly2d {args.action}: {_verdicts(rep)}")
+    _emit({**rep, "command": "anomaly2d", "action": args.action, "seed": args.seed, **_window_fields(window)},
+          args.report)
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
@@ -218,30 +212,36 @@ def cmd_anomaly1d(args) -> int:
     action = _load_action(args.action, window)
     data = build_truncation_1d(action)
     rep = nayak_else_1d(action, data)
-    extra = {"command": "anomaly1d", "action": args.action, "seed": args.seed, **_window_fields(window)}
-    ok = rep.is_cocycle
+    ok = rep["is_cocycle"]
     if args.check_window:
         grown = Window.chain(window.x_max - window.x_min + 1 + 4, window.margin + 2)
-        rep2 = nayak_else_1d(_load_action(args.action, grown))
-        stable = rep2.cochain == rep.cochain
-        extra["window_stability"] = {"stable": stable}
+        stable = nayak_else_1d(_load_action(args.action, grown))["cochain"] == rep["cochain"]
+        rep["window_stability"] = {"stable": stable}
         ok = ok and stable
-    print(f"anomaly1d {args.action}: cocycle={rep.is_cocycle} trivial={rep.trivial} class={rep.matched_class}")
-    _emit(_anomaly_json(rep, extra), args.report)
+    print(f"anomaly1d {args.action}: {_verdicts(rep)}")
+    _emit({**rep, "command": "anomaly1d", "action": args.action, "seed": args.seed, **_window_fields(window)},
+          args.report)
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
-def cmd_eta_check(args) -> int:
+def _pairing_window(args) -> Window:
+    """The window of --window and --margin; one too small for the pairing
+    to stabilize on is a config error."""
     window = _parse_window(args.window, args.margin, chain=False)
     try:
         _stabilization_radius(window)
     except StabilizationError as exc:
         raise ConfigError(f"window {args.window!r} with margin {args.margin}: {exc}") from exc
+    return window
+
+
+def cmd_eta_check(args) -> int:
+    window = _pairing_window(args)
     rep = run_identity_suite(window, n_pairs=_at_least(1, args.pairs, "--pairs"), seed=args.seed)
-    print(f"eta-check: {len(rep.checks)} identity suites on {rep.pairs} pairs; "
-          f"{'all passed' if rep.ok else f'{len(rep.failures)} failures'}")
-    _emit({"schema": SCHEMA, "command": "eta-check", "seed": args.seed, **rep.to_json()}, args.report)
-    return EXIT_OK if rep.ok else EXIT_ASSERTION
+    verdict = "all passed" if rep["ok"] else f"{len(rep['failures'])} failures"
+    print(f"eta-check: {len(rep['checks'])} identity suites on {rep['pairs']} pairs; {verdict}")
+    _emit({**rep, "command": "eta-check", "seed": args.seed}, args.report)
+    return EXIT_OK if rep["ok"] else EXIT_ASSERTION
 
 
 def _table(obj: dict, key: str, shape: tuple[FiniteGroup, ...], values: FiniteGroup):
@@ -321,35 +321,34 @@ def _t2cm_to_json(t: TwoCrossedModule) -> dict:
 
 def cmd_crossed(args) -> int:
     if args.subcommand == "lattice":
-        window = _parse_window(args.window, args.margin, chain=False)
+        window = _pairing_window(args)
         rep = verify_lattice_square(window, samples=_at_least(1, args.samples, "--samples"), seed=args.seed)
-        print(f"lattice square: ok={rep.ok} counts={rep.counts}")
-        _emit({"schema": SCHEMA, "command": "crossed lattice", **rep.to_json()}, args.report)
-        return EXIT_OK if rep.ok else EXIT_ASSERTION
+        print(f"lattice square: ok={rep['ok']} counts={rep['counts']}")
+        _emit({**rep, "command": "crossed lattice"}, args.report)
+        return EXIT_OK if rep["ok"] else EXIT_ASSERTION
     if args.input is None:
         raise ConfigError(f"crossed {args.subcommand} needs --input")
     obj = _read_json(args.input, "crossed input")
     if args.subcommand == "validate":
         kind = obj.get("kind", "crossed_module")
         if kind == "crossed_module":
-            rep = validate_crossed_module(_from_json(_cm_from_json, obj))
+            violations = validate_crossed_module(_from_json(_cm_from_json, obj))
         elif kind == "crossed_square":
-            rep = validate_crossed_square(_from_json(_square_from_json, obj))
+            violations = validate_crossed_square(_from_json(_square_from_json, obj))
         elif kind == "two_crossed_module":
-            rep = validate_two_crossed_module(_from_json(_t2cm_from_json, obj))
+            violations = validate_two_crossed_module(_from_json(_t2cm_from_json, obj))
         else:
             raise ConfigError(f"unknown structure kind {kind!r}")
-        print(f"validate {kind}: ok={rep.ok}; {len(rep.violations)} violations")
-        _emit({"schema": SCHEMA, "command": "crossed validate", "kind": kind,
-               "ok": rep.ok, "violations": list(rep.violations)}, args.report)
-        return EXIT_OK if rep.ok else EXIT_ASSERTION
+        ok = not violations
+        print(f"validate {kind}: ok={ok}; {len(violations)} violations")
+        _emit({"command": "crossed validate", "kind": kind, "ok": ok, "violations": violations}, args.report)
+        return EXIT_OK if ok else EXIT_ASSERTION
     if args.subcommand == "convert":
         t = to_two_crossed_module(_from_json(_square_from_json, obj))
-        rep = validate_two_crossed_module(t)
-        print(f"convert: two-crossed module of order ({t.L.order},{t.K.order},{t.P.order}); valid={rep.ok}")
-        _emit({"schema": SCHEMA, "command": "crossed convert", "valid": rep.ok,
-               "two_crossed_module": _t2cm_to_json(t)}, args.report)
-        return EXIT_OK if rep.ok else EXIT_ASSERTION
+        valid = not validate_two_crossed_module(t)
+        print(f"convert: two-crossed module of order ({t.L.order},{t.K.order},{t.P.order}); valid={valid}")
+        _emit({"command": "crossed convert", "valid": valid, "two_crossed_module": _t2cm_to_json(t)}, args.report)
+        return EXIT_OK if valid else EXIT_ASSERTION
     if args.subcommand == "postnikov":
         cm = _from_json(_cm_from_json, obj)
         # both are generators: pi1 is defined only for a valid module, and
@@ -362,16 +361,14 @@ def cmd_crossed(args) -> int:
         _, _, matches = classify(classes[0], {str(i): c for i, c in enumerate(classes[1:], 1)})
         agree = len(matches) == len(classes) - 1
         print(f"postnikov: {len(classes)} section(s); classes agree={agree}")
-        _emit({"schema": SCHEMA, "command": "crossed postnikov",
-               "cochain": classes[0].to_json(), "sections": len(classes),
+        _emit({"command": "crossed postnikov", "cochain": classes[0], "sections": len(classes),
                "classes_agree": agree}, args.report)
         return EXIT_OK if agree else EXIT_ASSERTION
     if args.subcommand == "homotopy":
         t = _from_json(_t2cm_from_json, obj)
         hg = homotopy_groups(t)
-        print(f"homotopy groups: |pi1|={hg.pi1.order} |pi2|={hg.pi2.order} |pi3|={hg.pi3.order}")
-        _emit({"schema": SCHEMA, "command": "crossed homotopy",
-               "pi1": hg.pi1.to_json(), "pi2": hg.pi2.to_json(), "pi3": hg.pi3.to_json()}, args.report)
+        print(f"homotopy groups: |pi1|={hg['pi1'].order} |pi2|={hg['pi2'].order} |pi3|={hg['pi3'].order}")
+        _emit({**hg, "command": "crossed homotopy"}, args.report)
         return EXIT_OK
     raise ConfigError(f"unknown crossed subcommand {args.subcommand!r}")
 
@@ -380,23 +377,20 @@ def cmd_spt(args) -> int:
     window = _parse_window(args.window, args.margin, chain=args.mode == "relative1d")
     action = _load_action(args.action, window)
     state = ALL_PLUS if args.basis == "x" else ALL_ZEROS
-    inputs = {"schema": SCHEMA, "action": args.action, "basis": args.basis, **_window_fields(window)}
+    inputs = {"action": args.action, "basis": args.basis, **_window_fields(window)}
     if args.mode == "relative1d":
         dress = {"cluster": cluster_entangler_1d(window), "none": None}
         rep = spt_relative_1d(action, dress[args.dress1], dress[args.dress2], state=state)
-        print(f"spt relative1d: cocycle={rep.is_cocycle} trivial={rep.trivial}")
-        _emit({**inputs, "command": "spt relative1d", "dress1": args.dress1, "dress2": args.dress2,
-               "cochain": rep.cochain.to_json(), "is_cocycle": rep.is_cocycle,
-               "trivial": rep.trivial}, args.report)
-        return EXIT_OK if rep.is_cocycle else EXIT_ASSERTION
+        print(f"spt relative1d: cocycle={rep['is_cocycle']} trivial={rep['trivial']}")
+        _emit({**rep, **inputs, "command": "spt relative1d", "dress1": args.dress1, "dress2": args.dress2},
+              args.report)
+        return EXIT_OK if rep["is_cocycle"] else EXIT_ASSERTION
     data = build_truncation_2d(action)
     rep = spt_trivialize_2d(data, None, state=state)
-    print(f"spt trivialize2d: status={rep.status} delta_c_equals_tau={rep.delta_equals_tau}")
-    _emit({**inputs, "command": "spt trivialize2d", "status": rep.status,
-           "cochain": rep.cochain.to_json() if rep.cochain else None,
-           "delta_equals_tau": rep.delta_equals_tau}, args.report)
+    print(f"spt trivialize2d: status={rep['status']} delta_c_equals_tau={rep['delta_equals_tau']}")
+    _emit({**rep, **inputs, "command": "spt trivialize2d"}, args.report)
     # no_invariant_state and truncation_not_preserving are findings, not failures
-    if rep.status == "ok" and rep.delta_equals_tau is not True:
+    if rep["status"] == "ok" and rep["delta_equals_tau"] is not True:
         return EXIT_ASSERTION
     return EXIT_OK
 
@@ -412,15 +406,13 @@ def cmd_reproduce_ccz(args) -> int:
           "margin", window.margin)
     print("  mu((0,1),(1,0)) =", format_op(mu_example))
     print("  u((0,1),(0,1),(1,0)) =", format_op(u_example))
-    print("  tau cocycle:", rep.is_cocycle, "| trivial:", rep.trivial, "| class:", rep.matched_class)
-    extra = {"command": "reproduce-ccz", "seed": args.seed,
-             "mu_example": format_op(mu_example), "u_example": format_op(u_example)}
-    expected = rep.is_cocycle and not rep.trivial and rep.matched_class == "b^3 . a"
+    print("  tau cocycle:", rep["is_cocycle"], "| trivial:", rep["trivial"], "| class:", rep["matched_class"])
+    expected = rep["is_cocycle"] and not rep["trivial"] and rep["matched_class"] == "b^3 . a"
     if _at_least(0, args.check_gauge, "--check-gauge"):
-        gauge = _gauge_checks(data, rep.cochain, args.check_gauge, args.seed)
-        extra["gauge_checks"] = gauge
+        gauge = rep["gauge_checks"] = _gauge_checks(data, rep["cochain"], args.check_gauge, args.seed)
         expected = expected and gauge["ok"]
-    _emit(_anomaly_json(rep, extra), args.report)
+    _emit({**rep, "command": "reproduce-ccz", "seed": args.seed,
+           "mu_example": format_op(mu_example), "u_example": format_op(u_example)}, args.report)
     return EXIT_OK if expected else EXIT_ASSERTION
 
 

@@ -1,10 +1,11 @@
 """Finite crossed modules, crossed squares and 2-crossed modules as tables.
 
-Validators check every axiom on every tuple and report violations rather
-than raising.  A crossed square yields a 2-crossed module on the
-semidirect product K = M x| N (N acting through its image in P), with the
-braiding built from the square's eta-pairing; homotopy groups come out of
-the resulting normal complex.  The degree-3 class of a crossed module is
+Validators check every axiom on every tuple and return the first 64
+violations rather than raising, so an empty list means valid.  A crossed
+square yields a 2-crossed module on the semidirect product K = M x| N
+(N acting through its image in P), with the braiding built from the
+square's eta-pairing; homotopy groups come out of the resulting normal
+complex.  The degree-3 class of a crossed module is
 extracted from a section of N -> coker(bd) and a lift of its failure, and
 weak-morphism data (rho~, mu) is validated against its two defining
 equations, with the failure of the second reported as a kernel-valued
@@ -33,6 +34,8 @@ from .groups import (
 )
 from .pairing import run_identity_suite
 from .values import Frozen, init_field
+
+_MAX_VIOLATIONS = 64  # the violations a check returns at most
 
 
 class ActionTable(Frozen):
@@ -88,19 +91,6 @@ class ActionTable(Frozen):
         return ActionTable(g, g, tuple(tuple(g.conj(a, b) for b in g.elements()) for a in g.elements()))
 
 
-class ValidationReport(Frozen):
-    __slots__ = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: tuple[str, ...]):
-        init_field(self, "ok", ok)
-        init_field(self, "violations", violations)
-
-    @staticmethod
-    def from_list(v: list[str]) -> "ValidationReport":
-        """ok iff v is empty; keeps the first 64 violations."""
-        return ValidationReport(not v, tuple(v[:64]))
-
-
 class CrossedModule(Frozen):
     """bd: M -> N with an N-action on M, equivariance and Peiffer identity."""
 
@@ -134,13 +124,13 @@ def _crossed_module_axioms(hom: GroupHom, act: ActionTable, label: str) -> list[
     return out
 
 
-def validate_crossed_module(cm: CrossedModule) -> ValidationReport:
+def validate_crossed_module(cm: CrossedModule) -> list[str]:
     out = []
     if not cm.bd.is_valid():
         out.append("bd is not a homomorphism")
     out += cm.act.violations("act")
     out += _crossed_module_axioms(cm.bd, cm.act, "M->N")
-    return ValidationReport.from_list(out)
+    return out[:_MAX_VIOLATIONS]
 
 
 class CrossedSquare(Frozen):
@@ -170,7 +160,7 @@ class CrossedSquare(Frozen):
         return self.eta[m][n]
 
 
-def validate_crossed_square(cs: CrossedSquare) -> ValidationReport:
+def validate_crossed_square(cs: CrossedSquare) -> list[str]:
     out = []
     L, M, N, P = cs.L, cs.M, cs.N, cs.P
     f, g, v, u = cs.f, cs.g, cs.v, cs.u
@@ -240,7 +230,7 @@ def validate_crossed_square(cs: CrossedSquare) -> ValidationReport:
                 rhs = cs.act_L(p, eta(m, n))
                 if lhs != rhs:
                     out.append(f"eta eq p-equivariance fails at ({p},{m},{n})")
-    return ValidationReport.from_list(out)
+    return out[:_MAX_VIOLATIONS]
 
 
 class TwoCrossedModule(Frozen):
@@ -263,7 +253,7 @@ class TwoCrossedModule(Frozen):
         return self.braid[k0][k1]
 
 
-def validate_two_crossed_module(t: TwoCrossedModule) -> ValidationReport:
+def validate_two_crossed_module(t: TwoCrossedModule) -> list[str]:
     out = []
     L, K, P = t.L, t.K, t.P
     delta, bd = t.delta, t.bd
@@ -321,7 +311,7 @@ def validate_two_crossed_module(t: TwoCrossedModule) -> ValidationReport:
             for k1 in K.elements():
                 if t.act_L(p, br(k0, k1)) != br(t.act_K(p, k0), t.act_K(p, k1)):
                     out.append(f"braid eq p-equivariance fails at ({p},{k0},{k1})")
-    return ValidationReport.from_list(out)
+    return out[:_MAX_VIOLATIONS]
 
 
 def semidirect_product(m_grp: FiniteGroup, n_grp: FiniteGroup, act):
@@ -353,9 +343,9 @@ def semidirect_product(m_grp: FiniteGroup, n_grp: FiniteGroup, act):
 def to_two_crossed_module(cs: CrossedSquare) -> TwoCrossedModule:
     """K = M x| N, delta(l) = (f(l)^-1, g(l)), bd(m,n) = v(m)u(n), and the
     braiding {(m0,n0),(m1,n1)} = eta(m0, n0 n1 n0^-1)^-1."""
-    rep = validate_crossed_square(cs)
-    if not rep.ok:
-        raise ValueError(f"invalid crossed square: {rep.violations[:3]}")
+    bad = validate_crossed_square(cs)
+    if bad:
+        raise ValueError(f"invalid crossed square: {tuple(bad[:3])}")
     M, N, L, P = cs.M, cs.N, cs.L, cs.P
     K, enc, dec = semidirect_product(M, N, lambda n, m: cs.act_M(cs.u(n), m))
     delta = GroupHom(L, K, tuple(enc(M.inv(cs.f(l)), cs.g(l)) for l in L.elements()))
@@ -383,30 +373,17 @@ def to_two_crossed_module(cs: CrossedSquare) -> TwoCrossedModule:
     return TwoCrossedModule(L, K, P, delta, bd, cs.act_L, act_K, tuple(braid))
 
 
-class HomotopyGroups(Frozen):
-    __slots__ = ("pi1", "pi2", "pi3", "pi1_projection", "pi2_members", "pi3_members")
-
-    def __init__(self, pi1: FiniteGroup, pi2: FiniteGroup, pi3: FiniteGroup,
-                 pi1_projection: tuple[int, ...], pi2_members: tuple[int, ...], pi3_members: tuple[int, ...]):
-        init_field(self, "pi1", pi1)
-        init_field(self, "pi2", pi2)
-        init_field(self, "pi3", pi3)
-        init_field(self, "pi1_projection", pi1_projection)  # P -> pi1
-        init_field(self, "pi2_members", pi2_members)  # ker(bd) elements of K
-        init_field(self, "pi3_members", pi3_members)  # ker(delta) elements of L
-
-
-def homotopy_groups(t: TwoCrossedModule) -> HomotopyGroups:
-    """coker(bd), ker(bd)/im(delta), ker(delta)."""
+def homotopy_groups(t: TwoCrossedModule) -> dict:
+    """pi1 = coker(bd), pi2 = ker(bd)/im(delta) and pi3 = ker(delta)."""
     im_bd = sorted(set(t.bd(k) for k in t.K.elements()))
-    pi1, proj = quotient_group(t.P, im_bd, name="pi1")
+    pi1, _ = quotient_group(t.P, im_bd, name="pi1")
     ker_bd = [k for k in t.K.elements() if t.bd(k) == t.P.id]
     ker_grp, ker_index = subgroup_as_group(t.K, ker_bd, name="ker_bd")
     im_delta = sorted(set(ker_index[t.delta(l)] for l in t.L.elements()))
     pi2, _ = quotient_group(ker_grp, im_delta, name="pi2")
     ker_delta = [l for l in t.L.elements() if t.delta(l) == t.K.id]
     pi3, _ = subgroup_as_group(t.L, ker_delta, name="pi3")
-    return HomotopyGroups(pi1, pi2, pi3, proj, tuple(ker_bd), tuple(ker_delta))
+    return {"pi1": pi1, "pi2": pi2, "pi3": pi3}
 
 
 # -- degree-3 class of a crossed module ------------------------------------
@@ -542,9 +519,9 @@ def postnikov3(
     is verified to be closed.  The module and the iso are checked once per
     call, however many sections are given.
     """
-    rep = validate_crossed_module(cm)
-    if not rep.ok:
-        raise ValueError(f"invalid crossed module: {rep.violations[:3]}")
+    bad = validate_crossed_module(cm)
+    if bad:
+        raise ValueError(f"invalid crossed module: {tuple(bad[:3])}")
     pi1, proj = cm_pi1(cm)
     iso = _kernel_iso(cm, iso)
     residue = iso.residue_map()
@@ -591,21 +568,7 @@ class WeakMorphismData(Frozen):
         init_field(self, "mu", mu)  # G x G -> M
 
 
-class WeakMorphismReport(Frozen):
-    __slots__ = ("eq1_ok", "eq2_ok", "violations", "obstruction")
-
-    def __init__(self, eq1_ok: bool, eq2_ok: bool, violations: tuple[str, ...], obstruction: Cochain | None):
-        init_field(self, "eq1_ok", eq1_ok)
-        init_field(self, "eq2_ok", eq2_ok)
-        init_field(self, "violations", violations)
-        init_field(self, "obstruction", obstruction)
-
-    @property
-    def ok(self) -> bool:
-        return self.eq1_ok and self.eq2_ok
-
-
-def check_weak_morphism(d: WeakMorphismData, iso: KernelPhaseIso | None = None) -> WeakMorphismReport:
+def check_weak_morphism(d: WeakMorphismData, iso: KernelPhaseIso | None = None) -> dict:
     """Exhaustively check both defining equations.
 
     The failure of the second equation is itself a kernel-valued 3-cocycle;
@@ -628,7 +591,7 @@ def check_weak_morphism(d: WeakMorphismData, iso: KernelPhaseIso | None = None) 
     if eq1 and not eq2:
         iso = _kernel_iso(cm, iso)
         obstruction = _kernel_cochain(G, fail, iso.residue_map(), iso.modulus, "eq2 obstruction")
-    return WeakMorphismReport(eq1, eq2, tuple(out[:64]), obstruction)
+    return {"eq1_ok": eq1, "eq2_ok": eq2, "violations": out[:_MAX_VIOLATIONS], "obstruction": obstruction}
 
 
 def twist(d: WeakMorphismData, b: Cochain, iso: KernelPhaseIso | None = None) -> WeakMorphismData:
@@ -650,18 +613,6 @@ def twist(d: WeakMorphismData, b: Cochain, iso: KernelPhaseIso | None = None) ->
 # -- pointwise verification of the lattice crossed square --------------------
 
 
-class LatticeSquareReport(Frozen):
-    __slots__ = ("ok", "violations", "counts")
-
-    def __init__(self, ok: bool, violations: tuple[str, ...], counts: dict):
-        init_field(self, "ok", ok)
-        init_field(self, "violations", violations)
-        init_field(self, "counts", counts)
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "violations": list(self.violations), "counts": dict(self.counts)}
-
-
 # The crossed-square equation each identity of the pairing suite checks.
 _SQUARE_EQUATIONS = {
     "ad_eta_equals_commutator": "f_g_of_eta_is_commutator",
@@ -673,7 +624,7 @@ _SQUARE_EQUATIONS = {
 }
 
 
-def verify_lattice_square(window, samples: int = 50, seed: int = 0) -> LatticeSquareReport:
+def verify_lattice_square(window, samples: int = 50, seed: int = 0) -> dict:
     """Check the crossed-square equations on sampled lattice elements.
 
     The square has scalars-and-local-unitaries for L, left / right / strip
@@ -682,6 +633,6 @@ def verify_lattice_square(window, samples: int = 50, seed: int = 0) -> LatticeSq
     checked by the pairing suite and reported under the square's names.
     """
     rep = run_identity_suite(window, n_pairs=samples, seed=seed)
-    counts = {_SQUARE_EQUATIONS[name]: n for name, n in rep.checks.items()}
-    out = [f"{_SQUARE_EQUATIONS[f['identity']]}: {f['detail']}" for f in rep.failures]
-    return LatticeSquareReport(not out, tuple(out[:64]), counts)
+    counts = {_SQUARE_EQUATIONS[name]: n for name, n in rep["checks"].items()}
+    out = [f"{_SQUARE_EQUATIONS[f['identity']]}: {f['detail']}" for f in rep["failures"]]
+    return {"ok": not out, "violations": out[:_MAX_VIOLATIONS], "counts": counts}

@@ -165,9 +165,6 @@ class Region(Frozen):
     def contains(self, s: Site) -> bool:
         return self.core_distance(s) <= self.thickening
 
-    def thickened(self, extra: int) -> "Region":
-        return Region(self.kind, self.thickening + extra, self.radius, self.inner, self.inner2)
-
     @staticmethod
     def full() -> "Region":
         return Region("full")

@@ -39,7 +39,7 @@ from .symop import (
     sites_outside,
     support_mask,
 )
-from .values import Frozen, Record, init_field
+from .values import Frozen, init_field
 
 
 class StabilizationError(ValueError):
@@ -204,32 +204,6 @@ def eta(alpha: LocalizedAutomorphism, beta: LocalizedAutomorphism) -> SymOp:
 # -- identity property suite -------------------------------------------------
 
 
-class EtaSuiteReport(Record):
-    __slots__ = ("pairs", "checks", "failures")
-
-    def __init__(self, pairs: int, checks: dict | None = None, failures: list | None = None):
-        self.pairs = pairs
-        self.checks = {} if checks is None else checks
-        self.failures = [] if failures is None else failures
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def record(self, name: str, passed: bool, detail: str = ""):
-        self.checks[name] = self.checks.get(name, 0) + 1
-        if not passed:
-            self.failures.append({"identity": name, "detail": detail})
-
-    def to_json(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "checks": dict(self.checks),
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
-
-
 def _conjugated_circuit(c: ProceduralCircuit, by: ProceduralCircuit) -> ProceduralCircuit:
     """The circuit whose gates are phi(by)(gate); realizes by o phi(c) o by^-1."""
     return ProceduralCircuit(
@@ -246,7 +220,7 @@ def run_identity_suite(
     window: Window,
     n_pairs: int = 100,
     seed: int = 0,
-) -> EtaSuiteReport:
+) -> dict:
     """Check the pairing identities on seeded random representable pairs.
 
     Per pair: Ad_eta = [alpha, beta] on sampled local observables, the two
@@ -254,12 +228,19 @@ def run_identity_suite(
     forms (with the inner automorphism also realized as a circuit, so the
     truncation route is genuinely exercised), conjugation equivariance,
     and bit-exact agreement of the left and right recursions (asserted
-    inside eta on every call).
+    inside eta on every call).  The report counts the checks of each
+    identity and lists the failures, each with its identity and detail.
     """
     from .sampling import random_circuit, random_inner, region_sites
 
     rng = random.Random(seed)
-    rep = EtaSuiteReport(pairs=n_pairs)
+    checks, failures = {}, []
+
+    def record(name: str, passed: bool, detail: str = ""):
+        checks[name] = checks.get(name, 0) + 1
+        if not passed:
+            failures.append({"identity": name, "detail": detail})
+
     # the circuits are drawn in a box inside the pairing's truncation disk,
     # so every layer they pair is whole in both truncations
     r, _ = _stabilization_radius(window)
@@ -291,7 +272,7 @@ def run_identity_suite(
             if lhs != rhs:
                 ok = False
                 break
-        rep.record("ad_eta_equals_commutator", ok, "" if ok else format_op(e))
+        record("ad_eta_equals_commutator", ok, "" if ok else format_op(e))
 
         # right multiplicativity: eta(a, b b') = eta(a,b) * b(eta(a,b'))
         cb2 = random_circuit(rng, window, r_sites)
@@ -299,7 +280,7 @@ def run_identity_suite(
         both = LocalizedAutomorphism(right3, circuit=concat(cb2, cb))
         lhs = eta(alpha, both)
         rhs = op_mul(e, conj_by_circuit(eta(alpha, beta2), cb, check_margin=False))
-        rep.record("right_multiplicativity", lhs == rhs)
+        record("right_multiplicativity", lhs == rhs)
 
         # left multiplicativity: eta(a a', b) = a(eta(a',b)) * eta(a,b)
         ca2 = random_circuit(rng, window, l_sites)
@@ -307,17 +288,17 @@ def run_identity_suite(
         both_a = LocalizedAutomorphism(left3, circuit=concat(ca2, ca))
         lhs = eta(both_a, beta)
         rhs = op_mul(conj_by_circuit(eta(alpha2, beta), ca, check_margin=False), e)
-        rep.record("left_multiplicativity", lhs == rhs)
+        record("left_multiplicativity", lhs == rhs)
 
         # inner closed forms, with the inner side realized as a circuit too
         u = random_inner(rng, disk_sites)
         adu_left = LocalizedAutomorphism(left3, circuit=_single_layer_circuit(u, window))
         ok = eta(adu_left, beta) == op_mul(u, beta.apply(op_inv(u)))
-        rep.record("inner_left_closed_form", ok, "" if ok else format_op(u))
+        record("inner_left_closed_form", ok, "" if ok else format_op(u))
 
         adu_right = LocalizedAutomorphism(right3, circuit=_single_layer_circuit(u, window))
         ok = eta(alpha, adu_right) == op_mul(alpha.apply(u), op_inv(u))
-        rep.record("inner_right_closed_form", ok, "" if ok else format_op(u))
+        record("inner_right_closed_form", ok, "" if ok else format_op(u))
 
         # conjugation equivariance by a representable gamma
         cg = random_circuit(rng, window, box_sites)
@@ -325,5 +306,5 @@ def run_identity_suite(
         beta_c = LocalizedAutomorphism(right5, circuit=_conjugated_circuit(cb, cg))
         lhs = eta(alpha_c, beta_c)
         rhs = conj_by_circuit(e, cg, check_margin=False)
-        rep.record("conjugation_equivariance", lhs == rhs)
-    return rep
+        record("conjugation_equivariance", lhs == rhs)
+    return {"pairs": n_pairs, "checks": checks, "failures": failures, "ok": not failures}

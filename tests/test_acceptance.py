@@ -151,8 +151,8 @@ def test_criterion_3_class_identification(timed_ccz):
 def test_criterion_4_eta_identity_suite():
     window = Window.centered(12, 12, margin=3)
     rep = run_identity_suite(window, n_pairs=100, seed=2024)
-    ok = rep.ok and all(v == 100 for v in rep.checks.values()) and len(rep.checks) == 6
-    ok = _line("4", ok, f"eta identity suite: {sum(rep.checks.values())} checks, {len(rep.failures)} failures")
+    ok = rep["ok"] and all(v == 100 for v in rep["checks"].values()) and len(rep["checks"]) == 6
+    ok = _line("4", ok, f"eta identity suite: {sum(rep['checks'].values())} checks, {len(rep['failures'])} failures")
     assert ok
 
 
@@ -188,7 +188,7 @@ def test_criterion_6_window_stability(timed_ccz):
     )
     lg1 = nayak_else_1d(builtin_action("levin_gu_1d", Window.chain(12, margin=3)))
     lg2 = nayak_else_1d(builtin_action("levin_gu_1d", Window.chain(16, margin=5)))
-    ok = ok and lg1.cochain == lg2.cochain
+    ok = ok and lg1["cochain"] == lg2["cochain"]
     ok = _line("6", ok, "tau, mu, u and the 1d cochain bit-identical for margins 3 and 5")
     assert ok
 
@@ -198,10 +198,10 @@ def test_criterion_7_levin_gu():
     action = builtin_action("levin_gu_1d", chain)
     data = build_truncation_1d(action)
     rep = nayak_else_1d(action, data)
-    ok = rep.cochain(1, 1, 1) == 1
+    ok = rep["cochain"](1, 1, 1) == 1
     for g, h, k in [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0)]:
-        ok = ok and rep.cochain(g, h, k) == 0
-    ok = ok and rep.is_cocycle and coboundary_solve(rep.cochain) is None
+        ok = ok and rep["cochain"](g, h, k) == 0
+    ok = ok and rep["is_cocycle"] and coboundary_solve(rep["cochain"]) is None
 
     # dense cross-check on the same 12-site chain
     orc = ColumnOracle(list(chain.sites()))
@@ -236,9 +236,9 @@ def test_criterion_8_validators_and_mutations():
     )
 
     g = s3()
-    ok = validate_crossed_module(conj_cm(g)).ok
-    ok = ok and validate_crossed_square(conj_square(g)).ok
-    ok = ok and validate_two_crossed_module(to_two_crossed_module(conj_square(g))).ok
+    ok = not validate_crossed_module(conj_cm(g))
+    ok = ok and not validate_crossed_square(conj_square(g))
+    ok = ok and not validate_two_crossed_module(to_two_crossed_module(conj_square(g)))
     try:
         test_mutation_harness_detects_every_single_entry_change()
     except AssertionError:
@@ -305,22 +305,22 @@ def test_criterion_11_spt():
     data = build_truncation_2d(onsite)
     tau = tau_cochain(data)
     rep2d = spt_trivialize_2d(data, None, state=ALL_PLUS)
-    ok = not any(tau.values) and rep2d.status == "ok" and rep2d.delta_equals_tau
+    ok = not any(tau.values) and rep2d["status"] == "ok" and rep2d["delta_equals_tau"]
 
     ccz = builtin_action("ccz_x_2d", window)
     ccz_data = build_truncation_2d(ccz)
     from anomalion.symop import ALL_ZEROS
 
     for state in (ALL_PLUS, ALL_ZEROS):
-        if spt_trivialize_2d(ccz_data, None, state=state).status != "no_invariant_state":
+        if spt_trivialize_2d(ccz_data, None, state=state)["status"] != "no_invariant_state":
             ok = False
 
     chain = Window.chain(12, margin=3)
     axx = builtin_action("onsite_xx_1d", chain)
     rel = spt_relative_1d(axx, cluster_entangler_1d(chain), None, state=ALL_PLUS)
-    ok = ok and rel.is_cocycle and not rel.trivial
+    ok = ok and rel["is_cocycle"] and not rel["trivial"]
     # dense-oracle confirmation lives in the spt tests; re-assert the
     # gauge-invariant antisymmetry signature here
-    ok = ok and (rel.cochain(0b10, 0b01) - rel.cochain(0b01, 0b10)) % 2 == 1
+    ok = ok and (rel["cochain"](0b10, 0b01) - rel["cochain"](0b01, 0b10)) % 2 == 1
     ok = _line("11", ok, "onsite 2d trivialization, ccz obstruction, nontrivial 1d cluster class")
     assert ok

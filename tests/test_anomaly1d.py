@@ -30,13 +30,13 @@ def test_levin_gu_lifts(lg_data):
 
 def test_levin_gu_ell(lg_action, lg_data):
     rep = nayak_else_1d(lg_action, lg_data)
-    assert rep.cochain(1, 1, 1) == 1
+    assert rep["cochain"](1, 1, 1) == 1
     for g, h, k in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0), (1, 0, 0)]:
-        assert rep.cochain(g, h, k) == 0
-    assert rep.is_cocycle
-    assert not rep.trivial
-    assert rep.matched_class == "a^3"
-    assert coboundary_solve(rep.cochain) is None
+        assert rep["cochain"](g, h, k) == 0
+    assert rep["is_cocycle"]
+    assert not rep["trivial"]
+    assert rep["matched_class"] == "a^3"
+    assert coboundary_solve(rep["cochain"]) is None
 
 
 def test_levin_gu_dense_oracle(lg_action, lg_data):
@@ -73,8 +73,8 @@ def test_onsite_restriction_is_constant_one(chain12):
     data = build_truncation_1d(action)
     assert all(nu.is_identity() for nu in data.nu_lift.values())
     rep = nayak_else_1d(action, data)
-    assert not any(rep.cochain.values)
-    assert rep.trivial
+    assert not any(rep["cochain"].values)
+    assert rep["trivial"]
 
 
 def test_trivial_action(chain12):
@@ -84,14 +84,14 @@ def test_trivial_action(chain12):
     G = FiniteGroup.cyclic(2)
     triv = CircuitAction(G, (ProceduralCircuit((), chain12), ProceduralCircuit((), chain12)), chain12)
     rep = nayak_else_1d(triv)
-    assert not any(rep.cochain.values)
+    assert not any(rep["cochain"].values)
 
 
 def test_window_stability(lg_action, lg_data):
     big = Window.chain(16, margin=5)
     rep1 = nayak_else_1d(lg_action, lg_data)
     rep2 = nayak_else_1d(builtin_action("levin_gu_1d", big))
-    assert rep1.cochain == rep2.cochain
+    assert rep1["cochain"] == rep2["cochain"]
 
 
 def test_chain_required(window12):
@@ -121,7 +121,7 @@ def test_nu_defining_relation_on_observables(lg_action, lg_data):
 
 def test_onsite_xx_restriction_constant_one(chain12):
     rep = nayak_else_1d(builtin_action("onsite_xx_1d", chain12))
-    assert not any(rep.cochain.values) and rep.trivial
+    assert not any(rep["cochain"].values) and rep["trivial"]
 
 
 def _chain_conjugators(chain):
@@ -138,11 +138,11 @@ def test_conjugation_by_circuit_keeps_cochain(conjugate):
     chain = Window.chain(40, margin=9)
     action = builtin_action("levin_gu_1d", chain)
     base = nayak_else_1d(action)
-    assert base.matched_class == "a^3"
+    assert base["matched_class"] == "a^3"
     for w in _chain_conjugators(chain):
         conj = nayak_else_1d(conjugate(action, w))
-        assert conj.matched_class == "a^3"
-        assert conj.cochain == base.cochain
+        assert conj["matched_class"] == "a^3"
+        assert conj["cochain"] == base["cochain"]
 
 
 def test_shared_1d_truncation_matches_per_pair_collapse(digest_script, chain12):

@@ -175,10 +175,10 @@ def test_tau_trivial_tuples(ccz_data):
 
 def test_anomaly_report(ccz_action, ccz_data):
     rep = anomaly_2d(ccz_action, ccz_data)
-    assert rep.is_cocycle
-    assert not rep.trivial
-    assert rep.matched_class == "b^3 . a"
-    assert "h2_qplus" in rep.notes
+    assert rep["is_cocycle"]
+    assert not rep["trivial"]
+    assert rep["matched_class"] == "b^3 . a"
+    assert "h2_qplus" in rep["notes"]
 
 
 def test_onsite_action_trivial(window12):
@@ -188,7 +188,7 @@ def test_onsite_action_trivial(window12):
     assert all(b.is_identity() for b in data.beta.values())
     assert all(u.is_identity() for u in data.u.values())
     rep = anomaly_2d(action, data)
-    assert rep.is_cocycle and rep.trivial and rep.matched_class == "trivial"
+    assert rep["is_cocycle"] and rep["trivial"] and rep["matched_class"] == "trivial"
 
 
 def test_window_stability(ccz_action, ccz_data):
@@ -473,8 +473,8 @@ def test_conjugation_by_circuit_keeps_cochain(conjugate):
     w = ProceduralCircuit((GateRule("cz_horizontal_edges", Region.full()),), window)
     base = anomaly_2d(action)
     conj = anomaly_2d(conjugate(action, w))
-    assert conj.matched_class == base.matched_class == "b^3 . a"
-    assert conj.cochain == base.cochain
+    assert conj["matched_class"] == base["matched_class"] == "b^3 . a"
+    assert conj["cochain"] == base["cochain"]
 
 
 @pytest.fixture(scope="module")

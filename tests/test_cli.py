@@ -63,6 +63,26 @@ def test_eta_check_window_too_small_to_pair_is_a_config_error(capsys):
         assert "window too small to stabilize the pairing" in err
 
 
+def test_crossed_lattice_window_too_small_to_pair_is_a_config_error(capsys):
+    """crossed lattice runs the pairing suite, so it refuses the windows
+    that eta-check refuses, as a config error."""
+    for window in (["--window", "8"], ["--window", "7", "--margin", "1"]):
+        err = _config_error(["crossed", "lattice", "--samples", "1", *window], capsys)
+        assert "window too small to stabilize the pairing" in err
+
+
+def test_unwritable_report_path_is_a_config_error(tmp_path, capsys):
+    """A report path under a missing directory, or a directory, is refused
+    with one config error line, not a traceback."""
+    z1 = {"order": 1, "mul": [0]}
+    path = _write(tmp_path, "t.json", json.dumps({
+        "kind": "two_crossed_module", "L": z1, "K": z1, "P": z1, "delta": [0], "bd": [0],
+        "act_L": [[0]], "act_K": [[0]], "braid": [[0]]}))
+    for report in (tmp_path / "missing" / "r.json", tmp_path):
+        err = _config_error(["crossed", "homotopy", "--input", path, "--report", str(report)], capsys)
+        assert err.startswith("config error: cannot write report: ")
+
+
 def test_eta_check_exit_code_does_not_depend_on_the_seed():
     """On 9x9 and 10x10 windows with margin 1 the truncation radius is 2;
     the circuits are drawn inside it, so no seed fails to stabilize."""
@@ -272,11 +292,10 @@ def test_spt_reports_name_their_input(tmp_path):
 def test_spt_trivialize2d_failed_check_exits_nonzero(tmp_path, monkeypatch):
     """An ok run whose delta c is not tau is a failed check, not a finding."""
     import anomalion.cli as cli
-    from anomalion.anomaly import SptTrivialize2dReport
 
     for verdict in (False, None):
         monkeypatch.setattr(cli, "spt_trivialize_2d",
-                            lambda data, dress, state: SptTrivialize2dReport("ok", None, verdict))
+                            lambda data, dress, state: {"status": "ok", "cochain": None, "delta_equals_tau": verdict})
         rep = tmp_path / "s.json"
         assert run(["spt", "--mode", "trivialize2d", "--action", "onsite_x_2d",
                     "--basis", "x", "--report", str(rep)]) == 1

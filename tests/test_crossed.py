@@ -55,6 +55,11 @@ Z2 = FiniteGroup.cyclic(2)
 Z4 = FiniteGroup.cyclic(4)
 
 
+def _wm_ok(rep: dict) -> bool:
+    """Both weak-morphism equations hold."""
+    return rep["eq1_ok"] and rep["eq2_ok"]
+
+
 def conj_cm(g):
     return CrossedModule(g, g, GroupHom.identity(g), ActionTable.conjugation(g))
 
@@ -115,13 +120,13 @@ def bilinear_square():
 
 
 def test_validate_crossed_module_examples():
-    assert validate_crossed_module(conj_cm(S3)).ok
+    assert not validate_crossed_module(conj_cm(S3))
     T = FiniteGroup.trivial()
     triv = CrossedModule(T, S3, GroupHom.trivial(T, S3), ActionTable.trivial(S3, T))
-    assert validate_crossed_module(triv).ok
-    assert validate_crossed_module(sign_action_cm()).ok
-    assert validate_crossed_module(doubling_cm_trivial_action()).ok
-    assert validate_crossed_module(inclusion_cm()).ok
+    assert not validate_crossed_module(triv)
+    assert not validate_crossed_module(sign_action_cm())
+    assert not validate_crossed_module(doubling_cm_trivial_action())
+    assert not validate_crossed_module(inclusion_cm())
 
 
 def test_validate_crossed_square_examples():
@@ -134,9 +139,9 @@ def test_validate_crossed_square_examples():
         act_N=ActionTable.trivial(T, T),
         eta=((0,),),
     )
-    assert validate_crossed_square(all_trivial).ok
-    assert validate_crossed_square(conj_square(S3)).ok
-    assert validate_crossed_square(bilinear_square()).ok
+    assert not validate_crossed_square(all_trivial)
+    assert not validate_crossed_square(conj_square(S3))
+    assert not validate_crossed_square(bilinear_square())
 
 
 def test_validators_report_peiffer_failure():
@@ -144,10 +149,8 @@ def test_validators_report_peiffer_failure():
     bd(m0) acts on m1 by inversion while conjugation in Z4 is trivial."""
     bd = GroupHom(Z4, Z2, (0, 1, 0, 1))
     inversion = ActionTable(Z2, Z4, ((0, 1, 2, 3), (0, 3, 2, 1)))
-    rep = validate_crossed_module(CrossedModule(Z4, Z2, bd, inversion))
-    assert rep.violations == tuple(
-        f"crossed module M->N: Peiffer fails at ({m0},{m1})" for m0 in (1, 3) for m1 in (1, 3)
-    )
+    violations = validate_crossed_module(CrossedModule(Z4, Z2, bd, inversion))
+    assert violations == [f"crossed module M->N: Peiffer fails at ({m0},{m1})" for m0 in (1, 3) for m1 in (1, 3)]
     T = FiniteGroup.trivial()
     square = CrossedSquare(
         L=T, M=Z4, N=T, P=Z2,
@@ -156,19 +159,17 @@ def test_validators_report_peiffer_failure():
         act_L=ActionTable.trivial(Z2, T), act_M=inversion, act_N=ActionTable.trivial(Z2, T),
         eta=((0,),) * 4,
     )
-    rep = validate_crossed_square(square)
-    assert rep.violations == tuple(
-        f"crossed module M->P: Peiffer fails at ({m0},{m1})" for m0 in (1, 3) for m1 in (1, 3)
-    )
+    violations = validate_crossed_square(square)
+    assert violations == [f"crossed module M->P: Peiffer fails at ({m0},{m1})" for m0 in (1, 3) for m1 in (1, 3)]
 
 
 def test_to_two_crossed_module():
     t = to_two_crossed_module(conj_square(S3))
-    assert validate_two_crossed_module(t).ok
+    assert not validate_two_crossed_module(t)
     assert t.K.order == 36
 
     tb = to_two_crossed_module(bilinear_square())
-    assert validate_two_crossed_module(tb).ok
+    assert not validate_two_crossed_module(tb)
     # with trivial P and trivial delta the braiding is bilinear and K abelian
     assert tb.K.is_abelian() and tb.L.is_abelian()
     for k0 in tb.K.elements():
@@ -195,13 +196,13 @@ def test_to_two_crossed_module():
             eta=((0,),),
         )
     )
-    assert trivial.K.order == 1 and validate_two_crossed_module(trivial).ok
+    assert trivial.K.order == 1 and not validate_two_crossed_module(trivial)
 
 
 def test_homotopy_groups_examples():
     t = to_two_crossed_module(conj_square(S3))
     hg = homotopy_groups(t)
-    assert (hg.pi1.order, hg.pi2.order, hg.pi3.order) == (1, 1, 1)
+    assert (hg["pi1"].order, hg["pi2"].order, hg["pi3"].order) == (1, 1, 1)
 
     # K = P = Z2 with bd = id and trivial L
     T = FiniteGroup.trivial()
@@ -211,9 +212,9 @@ def test_homotopy_groups_examples():
         act_L=ActionTable.trivial(Z2, T), act_K=ActionTable.trivial(Z2, Z2),
         braid=((0,) * 2,) * 2,
     )
-    assert validate_two_crossed_module(t2).ok
+    assert not validate_two_crossed_module(t2)
     hg2 = homotopy_groups(t2)
-    assert (hg2.pi1.order, hg2.pi2.order, hg2.pi3.order) == (1, 1, 1)
+    assert (hg2["pi1"].order, hg2["pi2"].order, hg2["pi3"].order) == (1, 1, 1)
 
 
 def test_homotopy_lattice_shaped_toy():
@@ -254,11 +255,11 @@ def test_homotopy_lattice_shaped_toy():
         act_K=ActionTable.trivial(P, K),
         braid=((0,) * 2,) * 2,
     )
-    assert validate_two_crossed_module(t).ok
+    assert not validate_two_crossed_module(t)
     hg = homotopy_groups(t)
-    assert hg.pi2.order == 1
-    assert hg.pi3.order == 2
-    assert hg.pi1.order == 2
+    assert hg["pi2"].order == 1
+    assert hg["pi3"].order == 2
+    assert hg["pi1"].order == 2
 
 
 SECTION_FIXTURES = [
@@ -331,11 +332,11 @@ def test_failure_table_on_a_non_abelian_module():
         eq1 = [f"eq1 fails at ({g},{h})" for g, h in S3.tuples(2) if mu[g][h] != nu[g][h]]
         eq2 = [f"eq2 fails at ({g},{h},{k})" for g, h, k in S3.tuples(3) if law(g, h, k) != S3.id]
         rep = check_weak_morphism(WeakMorphismData(S3, cm, rho_t, mu))
-        assert eq2 and not rep.eq2_ok and rep.obstruction is None
-        assert rep.violations == tuple((eq1 + eq2)[:64])
+        assert eq2 and not rep["eq2_ok"] and rep["obstruction"] is None
+        assert rep["violations"] == (eq1 + eq2)[:64]
 
         _assert_failure_forms_agree(S3, cm, nu, rho_t)
-        assert check_weak_morphism(WeakMorphismData(S3, cm, rho_t, nu)).ok
+        assert _wm_ok(check_weak_morphism(WeakMorphismData(S3, cm, rho_t, nu)))
 
 
 def test_failure_leaving_the_kernel_names_its_first_triple():
@@ -407,7 +408,7 @@ def test_postnikov_split_section_constant_one():
     bd = GroupHom(M, N, (0, 2))  # (0,0) and (1,0) in the (a,b) -> 2a+b encoding
     bd.validate()
     cm = CrossedModule(M, N, bd, ActionTable.trivial(N, M))
-    assert validate_crossed_module(cm).ok
+    assert not validate_crossed_module(cm)
     pi1, proj = cm_pi1(cm)
     reps = []
     for x in pi1.elements():
@@ -438,17 +439,17 @@ def test_check_weak_morphism_and_obstruction():
     cm = sign_action_cm()
     d = WeakMorphismData(Z2, cm, (0, 1), ((0, 0), (0, 1)))
     rep = check_weak_morphism(d)
-    assert rep.eq1_ok and not rep.eq2_ok
+    assert rep["eq1_ok"] and not rep["eq2_ok"]
     pi1, proj = cm_pi1(cm)
     [ell] = postnikov3(cm, [(0, 1)])
     rho = GroupHom(Z2, pi1, tuple(proj[(0, 1)[g]] for g in Z2.elements()))
     rho.validate()
-    assert cohomologous(rep.obstruction, pullback(ell, rho))
+    assert cohomologous(rep["obstruction"], pullback(ell, rho))
 
     # homomorphic rho~ with mu = 1 is a strict morphism
     T = CrossedModule(Z2, Z2, GroupHom.trivial(Z2, Z2), ActionTable.trivial(Z2, Z2))
     d0 = WeakMorphismData(Z2, T, (0, 1), ((0, 0), (0, 0)))
-    assert check_weak_morphism(d0).ok
+    assert _wm_ok(check_weak_morphism(d0))
 
 
 @pytest.mark.parametrize("make", [sign_action_cm, z16_carry_cm, doubling_cm_trivial_action])
@@ -478,9 +479,9 @@ def test_regauge_keeps_eq1_and_obstruction(make):
         rho_w = tuple(N.mul(cm.bd(w[g]), rho_t[g]) for g in G.elements())
         d_w = WeakMorphismData(G, cm, rho_w, tuple(tuple(mu_w(g, h) for h in G.elements()) for g in G.elements()))
         rep, rep_w = check_weak_morphism(d), check_weak_morphism(d_w)
-        assert rep.eq1_ok and rep_w.eq1_ok
-        assert rep_w.eq2_ok == rep.eq2_ok
-        assert rep_w.obstruction == rep.obstruction
+        assert rep["eq1_ok"] and rep_w["eq1_ok"]
+        assert rep_w["eq2_ok"] == rep["eq2_ok"]
+        assert rep_w["obstruction"] == rep["obstruction"]
 
 
 def test_split_target_random_lift_obstruction_trivial():
@@ -489,7 +490,7 @@ def test_split_target_random_lift_obstruction_trivial():
     N = Z2
     bd = GroupHom(M, N, (0, 1, 0, 1))
     cm = CrossedModule(M, N, bd, ActionTable.trivial(N, M))
-    assert validate_crossed_module(cm).ok
+    assert not validate_crossed_module(cm)
     rng = random.Random(3)
     for _ in range(5):
         rho_t = (0, 1)
@@ -499,9 +500,9 @@ def test_split_target_random_lift_obstruction_trivial():
         )
         d = WeakMorphismData(Z2, cm, rho_t, mu)
         rep = check_weak_morphism(d)
-        assert rep.eq1_ok
-        if not rep.eq2_ok:
-            assert coboundary_solve(rep.obstruction) is not None
+        assert rep["eq1_ok"]
+        if not rep["eq2_ok"]:
+            assert coboundary_solve(rep["obstruction"]) is not None
 
 
 def test_twist_and_extension_isomorphism():
@@ -514,7 +515,7 @@ def test_twist_and_extension_isomorphism():
     assert d_same.mu == d0.mu
     d_cob = twist(d0, b_cob)
     d_non = twist(d0, b_non)
-    assert check_weak_morphism(d_cob).ok and check_weak_morphism(d_non).ok
+    assert _wm_ok(check_weak_morphism(d_cob)) and _wm_ok(check_weak_morphism(d_non))
     assert weak_morphisms_isomorphic(d0, d_cob)
     assert not weak_morphisms_isomorphic(d0, d_non)
     with pytest.raises(ValueError):
@@ -549,13 +550,13 @@ def test_mutation_harness_detects_every_single_entry_change():
                 cmz.M, cmz.N, cmz.bd,
                 ActionTable(cmz.N, cmz.M, _mutate_table(rng, cmz.act.table)),
             )
-            ok = validate_crossed_module(mutated).ok
+            ok = not validate_crossed_module(mutated)
         elif kind == "cm_bd":
             table = list(cmz.bd.map)
             i = rng.randrange(len(table))
             table[i] = rng.choice([v for v in range(cmz.N.order) if v != table[i]])
             mutated = CrossedModule(cmz.M, cmz.N, GroupHom(cmz.M, cmz.N, tuple(table)), cmz.act)
-            ok = validate_crossed_module(mutated).ok
+            ok = not validate_crossed_module(mutated)
         elif kind == "sq_eta":
             mutated = CrossedSquare(
                 square.L, square.M, square.N, square.P,
@@ -563,7 +564,7 @@ def test_mutation_harness_detects_every_single_entry_change():
                 square.act_L, square.act_M, square.act_N,
                 _mutate_table(rng, square.eta),
             )
-            ok = validate_crossed_square(mutated).ok
+            ok = not validate_crossed_square(mutated)
         elif kind == "sq_hom":
             table = list(square.f.map)
             i = rng.randrange(len(table))
@@ -574,13 +575,13 @@ def test_mutation_harness_detects_every_single_entry_change():
                 square.g, square.v, square.u,
                 square.act_L, square.act_M, square.act_N, square.eta,
             )
-            ok = validate_crossed_square(mutated).ok
+            ok = not validate_crossed_square(mutated)
         else:
             mutated = TwoCrossedModule(
                 t2.L, t2.K, t2.P, t2.delta, t2.bd, t2.act_L, t2.act_K,
                 _mutate_table(rng, t2.braid, value_range=t2.L.order),
             )
-            ok = validate_two_crossed_module(mutated).ok
+            ok = not validate_two_crossed_module(mutated)
         trials += 1
         if not ok:
             detected += 1
@@ -589,9 +590,9 @@ def test_mutation_harness_detects_every_single_entry_change():
 
 def test_lattice_square_pointwise(window12):
     rep = verify_lattice_square(window12, samples=15, seed=5)
-    assert rep.ok, rep.violations[:2]
-    assert len(rep.counts) == 6
-    assert all(v == 15 for v in rep.counts.values())
+    assert rep["ok"], rep["violations"][:2]
+    assert len(rep["counts"]) == 6
+    assert all(v == 15 for v in rep["counts"].values())
 
 
 SQUARE_EQUATIONS = [
@@ -612,14 +613,16 @@ def test_lattice_square_reports_suite_failure(window12, monkeypatch, identity, e
 
     def failing_suite(window, n_pairs, seed):
         rep = run_identity_suite(window, n_pairs=n_pairs, seed=seed)
-        rep.record(identity, False, "injected")
+        rep["checks"][identity] += 1
+        rep["failures"].append({"identity": identity, "detail": "injected"})
+        rep["ok"] = False
         return rep
 
     monkeypatch.setattr(crossed, "run_identity_suite", failing_suite)
     rep = verify_lattice_square(window12, samples=2, seed=5)
-    assert not rep.ok
-    assert rep.violations == (f"{equation}: injected",)
-    assert rep.counts == {eq: 3 if eq == equation else 2 for _, eq in SQUARE_EQUATIONS}
+    assert not rep["ok"]
+    assert rep["violations"] == [f"{equation}: injected"]
+    assert rep["counts"] == {eq: 3 if eq == equation else 2 for _, eq in SQUARE_EQUATIONS}
 
 
 def test_explicit_kernel_iso_is_checked():
@@ -627,7 +630,7 @@ def test_explicit_kernel_iso_is_checked():
     iso = default_kernel_iso(cm)
     bad = KernelPhaseIso(iso.elements, tuple(0 for _ in iso.residues), 2)
     d = WeakMorphismData(Z2, cm, (0, 1), ((0, 0), (0, 1)))
-    assert check_weak_morphism(d, iso).obstruction is not None
+    assert check_weak_morphism(d, iso)["obstruction"] is not None
     with pytest.raises(ValueError):
         postnikov3(cm, [(0, 1)], bad)
     with pytest.raises(ValueError):
@@ -646,6 +649,6 @@ def test_abstract_class_matches_1d_pipeline():
     cm = sign_action_cm()
     [abstract] = postnikov3(cm, [(0, 1)])
     pipeline = nayak_else_1d(builtin_action("levin_gu_1d", Window.chain(12, margin=3)))
-    assert abstract.values == pipeline.cochain.values
-    assert abstract.modulus == pipeline.cochain.modulus == 2
-    assert coboundary_solve(abstract) is None and coboundary_solve(pipeline.cochain) is None
+    assert abstract.values == pipeline["cochain"].values
+    assert abstract.modulus == pipeline["cochain"].modulus == 2
+    assert coboundary_solve(abstract) is None and coboundary_solve(pipeline["cochain"]) is None

@@ -152,8 +152,8 @@ def test_stabilization_error_on_tiny_window():
 
 def test_identity_suite_small(window12):
     rep = run_identity_suite(window12, n_pairs=15, seed=11)
-    assert rep.ok, rep.failures[:2]
-    assert set(rep.checks) == {
+    assert rep["ok"], rep["failures"][:2]
+    assert set(rep["checks"]) == {
         "ad_eta_equals_commutator",
         "right_multiplicativity",
         "left_multiplicativity",
@@ -161,13 +161,13 @@ def test_identity_suite_small(window12):
         "inner_right_closed_form",
         "conjugation_equivariance",
     }
-    assert all(v == 15 for v in rep.checks.values())
+    assert all(v == 15 for v in rep["checks"].values())
 
 
 def test_identity_suite_chain_mode(chain12):
     rep = run_identity_suite(chain12, n_pairs=15, seed=23)
-    assert rep.ok, rep.failures[:2]
-    assert all(v == 15 for v in rep.checks.values())
+    assert rep["ok"], rep["failures"][:2]
+    assert all(v == 15 for v in rep["checks"].values())
 
 
 @pytest.mark.parametrize("which", ["window12", "chain12"])
@@ -269,7 +269,7 @@ def test_suite_formats_an_operator_only_when_its_identity_fails(window12, monkey
 
     formatted = []
     monkeypatch.setattr(pairing, "format_op", lambda a: formatted.append(a) or format_op(a))
-    assert run_identity_suite(window12, n_pairs=3, seed=5).ok
+    assert run_identity_suite(window12, n_pairs=3, seed=5)["ok"]
     assert formatted == []
 
     # a Z string over the sampled observable sites bends every eta, so Ad_eta
@@ -281,19 +281,19 @@ def test_suite_formats_an_operator_only_when_its_identity_fails(window12, monkey
     monkeypatch.setattr(sampling, "random_inner", lambda rng, sites: inners.append(real_inner(rng, sites)) or inners[-1])
     rep = run_identity_suite(window12, n_pairs=2, seed=5)
     details = {}
-    for f in rep.failures:
+    for f in rep["failures"]:
         details.setdefault(f["identity"], []).append(f["detail"])
     assert details["inner_left_closed_form"] == details["inner_right_closed_form"] == [format_op(u) for u in inners]
     assert len(details["ad_eta_equals_commutator"]) == 2
     assert set(details["ad_eta_equals_commutator"]) <= {format_op(e) for e in bent}
-    assert [format_op(a) for a in formatted] == [f["detail"] for f in rep.failures if f["detail"]]
+    assert [format_op(a) for a in formatted] == [f["detail"] for f in rep["failures"] if f["detail"]]
     assert len(formatted) == 6
 
     inners.clear()
     square = verify_lattice_square(window12, samples=2, seed=5)
-    assert not square.ok and len(inners) == 2
+    assert not square["ok"] and len(inners) == 2
     for u in inners:
-        assert f"eta_f(l)_n: {format_op(u)}" in square.violations
-        assert f"eta_m_g(l): {format_op(u)}" in square.violations
-    ad_eta = [v.split(": ", 1)[1] for v in square.violations if v.startswith("f_g_of_eta_is_commutator: ")]
+        assert f"eta_f(l)_n: {format_op(u)}" in square["violations"]
+        assert f"eta_m_g(l): {format_op(u)}" in square["violations"]
+    ad_eta = [v.split(": ", 1)[1] for v in square["violations"] if v.startswith("f_g_of_eta_is_commutator: ")]
     assert len(ad_eta) == 2 and set(ad_eta) <= {format_op(e) for e in bent}
