@@ -13,13 +13,12 @@ window-rim debris is cropped and logged.
 
 from __future__ import annotations
 
-import threading
-from fractions import Fraction
 from itertools import combinations, product
 
 from .circuits import (
     CircuitAction,
     Layer,
+    MarginError,
     ProceduralCircuit,
     apply_inverse_circuit,
     concat,
@@ -36,7 +35,7 @@ from .symop import (
     ALL_ZEROS,
     ReferenceState,
     SymOp,
-    expectation_value,
+    expectation_phase,
     format_op,
     op_conj,
     op_inv,
@@ -82,9 +81,6 @@ def split_right(op: SymOp) -> SymOp:
     return SymOp(poly, flips)
 
 
-_NUMBERING_LOCK = threading.Lock()
-
-
 def _numbering():
     """An empty value numbering: the list of values by number, and the
     function that numbers a value, giving each distinct value the next
@@ -94,12 +90,8 @@ def _numbering():
     def num(a: SymOp) -> int:
         i = ids.get(a)
         if i is None:
-            with _NUMBERING_LOCK:
-                i = ids.get(a)
-                if i is None:
-                    # published last: a visible number is decodable
-                    vals.append(a)
-                    i = ids[a] = len(vals) - 1
+            i = ids[a] = len(vals)
+            vals.append(a)
         return i
 
     return vals, num
@@ -573,42 +565,44 @@ class StateNotInvariant(ValueError):
 CORRECTION_RADIUS = 2  # of the origin disk that find_state_correction searches
 
 
-def state_stabilizer_generators(window: Window, state: ReferenceState, dressing=None):
-    """Conjugates of the single-site Z and X that generate the dressed state.
+def state_stabilizer_generators(window: Window, state: ReferenceState, dressing=None, reach: int = 0) -> dict:
+    """Conjugates of the single-site Z and X that generate the dressed state,
+    by site, at every site whose generator, of the dressing's range d, and
+    its image under a circuit of range reach pass the margin checks of
+    both conjugations: the sites at edge distance >= 2d + reach.
 
     For omega = omega_0 o alpha these are alpha^-1 of the basis operators
     (Z on z-sites, X on x-sites); omega values +1 on all of them pin the
     state, so checking them is sound for the representable class.
     """
-    gens = []
+    d = 0 if dressing is None else dressing.total_range()
+    gens = {}
     for s in window.sites():
-        if window.edge_distance(s) < window.margin:
-            continue
-        base = SymOp.z(s) if state.basis == "z" else SymOp.x(s)
-        gens.append(apply_inverse_circuit(base, dressing) if dressing is not None else base)
+        if window.edge_distance(s) >= 2 * d + reach:
+            base = SymOp.z(s) if state.basis == "z" else SymOp.x(s)
+            gens[s] = apply_inverse_circuit(base, dressing) if dressing is not None else base
     return gens
 
 
-def expectation_product_state(a: SymOp, dressing=None, state: ReferenceState = ALL_ZEROS) -> Fraction:
-    """omega(a) for omega = omega_0 o alpha, alpha the dressing circuit."""
+def expectation_product_state(a: SymOp, dressing=None, state: ReferenceState = ALL_ZEROS) -> int | None:
+    """omega(a) as a Z2 residue for omega = omega_0 o alpha, alpha the
+    dressing circuit; None when it is not a phase (see expectation_phase)."""
     if dressing is not None:
         a = conj_by_circuit(a, dressing)
-    return expectation_value(a, state)
+    return expectation_phase(a, state)
 
 
-def state_preserved_by(apply_fn, window: Window, state: ReferenceState, dressing=None) -> bool:
-    """Check omega(theta(T)) = 1 on the stabilizer generators T of the state."""
-    for t in state_stabilizer_generators(window, state, dressing):
-        if expectation_product_state(apply_fn(t), dressing, state) != Fraction(1):
-            return False
-    return True
+def state_preserved_by(apply_fn, action: CircuitAction, state: ReferenceState, dressing=None) -> bool:
+    """Check omega(apply_fn(g, T)) = 1 for every g of the action's group on
+    the stabilizer generators T of the state; apply_fn(g, .) is a circuit
+    no wider than the action's."""
+    gens = state_stabilizer_generators(action.window, state, dressing, action.total_range()).values()
+    return all(expectation_product_state(apply_fn(g, t), dressing, state) == 0
+               for g in action.group.elements() for t in gens)
 
 
 def action_preserves_state(action: CircuitAction, state: ReferenceState, dressing=None) -> bool:
-    return all(
-        state_preserved_by(lambda o, g=g: action.apply(g, o), action.window, state, dressing)
-        for g in action.group.elements()
-    )
+    return state_preserved_by(action.apply, action, state, dressing)
 
 
 def _pauli_candidates(window: Window, radius: int):
@@ -642,14 +636,20 @@ def find_state_correction(
     dressing=None,
 ) -> SymOp:
     """Smallest Pauli-type W supported in the origin disk of radius
-    CORRECTION_RADIUS with omega o Ad_W o rho~ = omega, or raise."""
-    conjugated = [
-        conj_by_circuit(t, rho_circuit)
-        for t in state_stabilizer_generators(window, state, dressing)
-    ]
-    one = Fraction(1)
+    CORRECTION_RADIUS with omega o Ad_W o rho~ = omega, or raise.
+
+    W can move the generators of the sites within CORRECTION_RADIUS plus
+    the ranges of the dressing and of rho~ of the origin.  A window that
+    does not pin all of them could let a wrong W pass: a MarginError.
+    """
+    reach = rho_circuit.total_range()
+    gens = state_stabilizer_generators(window, state, dressing, reach)
+    touched = CORRECTION_RADIUS + reach + (0 if dressing is None else dressing.total_range())
+    if any(s not in gens for s in window.sites() if max(map(abs, s)) <= touched):
+        raise MarginError(f"window too small to pin the state within {touched} of the origin")
+    conjugated = [conj_by_circuit(t, rho_circuit) for t in gens.values()]
     for w in _pauli_candidates(window, CORRECTION_RADIUS):
-        if all(expectation_product_state(op_conj(co, w), dressing, state) == one for co in conjugated):
+        if all(expectation_product_state(op_conj(co, w), dressing, state) == 0 for co in conjugated):
             return w
     raise StateNotInvariant("no state-preserving origin correction in the Pauli family")
 
@@ -657,12 +657,10 @@ def find_state_correction(
 def _omega_phase(op: SymOp, dressing, state: ReferenceState) -> int:
     """The expectation of op in the dressed state as a Z2 residue; it must
     be +1 or -1."""
-    val = expectation_product_state(op, dressing, state)
-    if val == 1:
-        return 0
-    if val == -1:
-        return 1
-    raise StateNotInvariant(f"omega value {val} of {format_op(op)} is not a phase")
+    p = expectation_product_state(op, dressing, state)
+    if p is None:
+        raise StateNotInvariant(f"omega of {format_op(op)} is not a phase")
+    return p
 
 
 def _dressed_cochain(data: TruncationData1d, dress: ProceduralCircuit | None, state: ReferenceState) -> Cochain:
@@ -701,13 +699,10 @@ def spt_trivialize_2d(
     invariant product state exists; otherwise reports the obstruction.
     """
     action = data.action
-    G = data.group
     if not action_preserves_state(action, state, dress):
         return {"status": "no_invariant_state", "cochain": None, "delta_equals_tau": None}
-    for g in G.elements():
-        if not state_preserved_by(lambda o, g=g: data.rho_apply(g, o), data.window, state, dress):
-            return {"status": "truncation_not_preserving", "cochain": None, "delta_equals_tau": None}
-
-    c = Cochain.from_function(G, 3, 2, lambda g, h, k: _omega_phase(data.u[g, h, k], dress, state))
+    if not state_preserved_by(data.rho_apply, action, state, dress):
+        return {"status": "truncation_not_preserving", "cochain": None, "delta_equals_tau": None}
+    c = Cochain.from_function(data.group, 3, 2, lambda g, h, k: _omega_phase(data.u[g, h, k], dress, state))
     tau = tau_cochain(data)
     return {"status": "ok", "cochain": c, "delta_equals_tau": coboundary(c) == tau}

@@ -26,6 +26,7 @@ from .anomaly import (
 from .circuits import (
     BUILTIN_ACTIONS,
     CircuitAction,
+    MarginError,
     action_from_config,
     builtin_action,
     cluster_entangler_1d,
@@ -380,7 +381,10 @@ def cmd_spt(args) -> int:
     inputs = {"action": args.action, "basis": args.basis, **_window_fields(window)}
     if args.mode == "relative1d":
         dress = {"cluster": cluster_entangler_1d(window), "none": None}
-        rep = spt_relative_1d(action, dress[args.dress1], dress[args.dress2], state=state)
+        try:
+            rep = spt_relative_1d(action, dress[args.dress1], dress[args.dress2], state=state)
+        except MarginError as exc:
+            raise ConfigError(f"window {args.window!r} with margin {args.margin}: {exc}") from exc
         print(f"spt relative1d: cocycle={rep['is_cocycle']} trivial={rep['trivial']}")
         _emit({**rep, **inputs, "command": "spt relative1d", "dress1": args.dress1, "dress2": args.dress2},
               args.report)

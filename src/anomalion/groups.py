@@ -30,6 +30,9 @@ class FiniteGroup(Frozen):
         n = len(mul_table)
         if any(len(row) != n for row in mul_table):
             raise GroupTableError("mul table must be square")
+        bad = [x for row in mul_table for x in row if not isinstance(x, int) or not 0 <= x < n]
+        if bad:
+            raise GroupTableError(f"mul table entry {bad[0]!r} is not an element of range({n})")
         if not names:
             names = tuple(f"e{i}" for i in range(n))
         if len(names) != n:

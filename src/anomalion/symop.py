@@ -41,15 +41,12 @@ prints sites, and sites_outside decodes the offending sites for an error.
 Bits are handed out in first-use order, which differs between runs that
 build operators in a different order.  No result may depend on it: every
 listing of sites or monomials sorts by site, never by mask or by the
-iteration order of a packed set.  The interner's miss path takes a lock,
-so operators stay safe to share across threads; a region mask is cached
-with the number of sites it covers and extended as the interner grows.
+iteration order of a packed set.  A region mask is cached with the
+number of sites it covers and extended as the interner grows.
 """
 
 from __future__ import annotations
 
-import threading
-from fractions import Fraction
 from functools import reduce
 from operator import or_
 
@@ -60,18 +57,13 @@ from .values import Frozen, init_field
 
 _SITES: list[Site] = []  # bit position -> site
 _BITS: dict[Site, int] = {}  # site -> its one-bit mask
-_INTERN_LOCK = threading.Lock()
 
 
 def _bit(site: Site) -> int:
     bit = _BITS.get(site)
     if bit is None:
-        with _INTERN_LOCK:
-            bit = _BITS.get(site)
-            if bit is None:
-                bit = 1 << len(_SITES)
-                _SITES.append(site)
-                _BITS[site] = bit  # published last: a visible bit is decodable
+        bit = _BITS[site] = 1 << len(_SITES)
+        _SITES.append(site)
     return bit
 
 
@@ -277,8 +269,8 @@ def region_mask(region) -> int:
     """The mask of the interned sites that region (a Region or Window) contains.
 
     Cached per region and extended as the interner grows; an entry covers
-    the sites interned before it was stored, so a race only costs a
-    recompute.  Take it after the operators it is tested against exist.
+    the sites interned before it was stored.  Take it after the operators
+    it is tested against exist.
     """
     mask, n = _REGION_MASKS.get(region, (0, 0))
     end = len(_SITES)
@@ -324,29 +316,20 @@ ALL_ZEROS = ReferenceState("z")
 ALL_PLUS = ReferenceState("x")
 
 
-def expectation_value(a: SymOp, state: ReferenceState = ALL_ZEROS) -> Fraction:
-    """<state| a |state>, exact.
+def expectation_phase(a: SymOp, state: ReferenceState = ALL_ZEROS) -> int | None:
+    """<state| a |state> as a Z2 residue: 0 for +1, 1 for -1, None when it
+    is not a phase.
 
-    On all zeros this is 0 when a flips anything and (-1)^f(0) otherwise.
-    On all plus the flips fix the state, and the value is the average of
-    (-1)^f over the assignments of f's variables, which can produce
-    non-unit dyadic values for generic operators; pipeline checks assert
-    unit modulus where required.
+    On all zeros it is a phase iff a flips nothing, and then (-1)^f(0),
+    the sign of the constant monomial.  On all plus the flips fix the
+    state, and the value is the average of (-1)^f over the assignments of
+    f's variables, a phase iff f is constant.  A multilinear polynomial
+    over F2 is determined by its monomials, so f is constant iff it has
+    no monomial but the sign.
     """
-    sign = -1 if 0 in a._poly else 1
-    if state.basis == "z":
-        return Fraction(0 if a._flips else sign)
-    monos = [m for m in a._poly if m]
-    free = reduce(or_, monos, 0)
-    if free.bit_count() > 22:
-        raise ValueError("expectation over too many free x-basis sites")
-    total, ones = 0, free  # ones, the variables set to 1, runs over every submask of free
-    while True:
-        total += -1 if sum(m & ones == m for m in monos) & 1 else 1
-        if not ones:
-            break
-        ones = (ones - 1) & free
-    return Fraction(sign * total, 1 << free.bit_count())
+    if a._flips if state.basis == "z" else any(a._poly):
+        return None
+    return 1 if 0 in a._poly else 0
 
 
 # -- textual form --------------------------------------------------------

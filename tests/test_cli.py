@@ -147,6 +147,8 @@ def test_mistyped_action_config_is_a_config_error(tmp_path, capsys):
     for config, err in (
         ({"group": group, "generators": 5}, "TypeError: 'int' object is not iterable"),
         ({"group": group, "generators": [{"element": 1, "layers": [layer]}]}, "TypeError: '<' not supported"),
+        ({"group": {"order": 3, "mul": [0, 1, 2, 1, 2, 0, 2, 0, 7]}, "generators": []},
+         "GroupTableError: mul table entry 7 is not an element of range(3)"),
     ):
         path = _write(tmp_path, "action.json", json.dumps(config))
         assert err in _config_error(["anomaly2d", "--action", path], capsys)
@@ -263,6 +265,25 @@ def test_spt_cli(tmp_path):
     assert run(["spt", "--mode", "trivialize2d", "--action", "ccz_x_2d",
                 "--basis", "x", "--report", str(rep3)]) == 0
     assert json.loads(rep3.read_text())["status"] == "no_invariant_state"
+
+
+def test_spt_relative1d_verdict_does_not_depend_on_the_window(capsys):
+    """The cluster state against the product state is the nontrivial class
+    on every chain that spt relative1d accepts.  A chain that cannot pin
+    the state within 3 sites of the origin (the correction disk thickened
+    by the cluster's range) at edge distance 2 is refused; 11 sites is the
+    shortest that can, at any margin."""
+    accepted = set()
+    for length in range(6, 15):
+        for margin in range(5):
+            code = run(["spt", "--window", str(length), "--margin", str(margin)])
+            out, err = capsys.readouterr()
+            if code == 0:
+                assert out == "spt relative1d: cocycle=True trivial=False\n", (length, margin)
+                accepted.add((length, margin))
+            else:
+                assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1, (length, margin, err)
+    assert accepted == {(n, m) for n in range(11, 15) for m in range(5)}
 
 
 def test_spt_reports_name_their_input(tmp_path):
@@ -432,6 +453,8 @@ def test_crossed_table_of_wrong_shape_is_a_config_error(tmp_path, capsys):
         ({"bd": [0, 2]}, "bd is not a list of 4 entries"),
         ({"M": {"order": 2, "mul": [0, 1, 1, 1]}}, "malformed input: GroupTableError: element 1 has no inverse"),
         ({"N": {"order": 2, "mul": [0, 1, 1]}}, "malformed input: GroupTableError: mul table length != order^2"),
+        ({"M": {"order": 3, "mul": [0, 1, 2, 1, 2, 0, 2, 0, 7]}},
+         "malformed input: GroupTableError: mul table entry 7 is not an element of range(3)"),
     ):
         path = _write(tmp_path, "cm.json", json.dumps({**SIGN_ACTION_CM, **bad, "section": [0, 1]}))
         for sub in ("validate", "postnikov"):
@@ -477,10 +500,11 @@ def test_perfbench_tracer_installs():
 
 
 def test_cli_and_cohomology_load_no_numpy():
-    """The library needs no third-party package.  Importing the CLI, one
-    classify of a Klein-four degree-4 cochain and one postnikov3 of a Z4
-    module leave numpy unloaded; this runs in a subprocess because pytest
-    has already imported numpy here."""
+    """The library needs no third-party package, and no exact fractions.
+    Importing the CLI, one classify of a Klein-four degree-4 cochain and
+    one postnikov3 of a Z4 module leave numpy, fractions and decimal
+    unloaded; this runs in a subprocess because pytest has already imported
+    them here."""
     code = textwrap.dedent("""
         import sys
         import anomalion.cli
@@ -496,7 +520,7 @@ def test_cli_and_cohomology_load_no_numpy():
         Z4 = FiniteGroup.cyclic(4)
         cm = CrossedModule(Z4, Z4, GroupHom(Z4, Z4, (0, 2, 0, 2)), ActionTable.trivial(Z4, Z4))
         assert len(postnikov3(cm, all_sections(cm))) == 4
-        print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+        print(sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "fractions", "decimal")))
     """)
     proc = subprocess.run(
         [sys.executable, "-c", code],

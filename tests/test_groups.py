@@ -10,6 +10,7 @@ from anomalion.groups import (
     Cochain,
     FiniteGroup,
     GroupHom,
+    GroupTableError,
     _face_table,
     classify,
     coboundary,
@@ -53,6 +54,11 @@ def test_group_table_validation():
         FiniteGroup(((0, 1), (0, 1)))  # no identity column consistency
     with pytest.raises(ValueError):
         FiniteGroup(((0, 1), (1, 1)))  # 1 has no inverse
+    # identity and inverses check out, but an entry lies past the order
+    with pytest.raises(GroupTableError, match="entry 7 is not an element of range"):
+        FiniteGroup(((0, 1, 2), (1, 2, 0), (2, 0, 7)))
+    with pytest.raises(GroupTableError, match="entry 1.0 is not an element of range"):
+        FiniteGroup(((0, 1), (1, 1.0)))
 
 
 def test_coboundary_of_constant_0cochain_is_trivial():

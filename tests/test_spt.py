@@ -16,6 +16,7 @@ from anomalion.anomaly import (
 )
 from anomalion.circuits import (
     GateRule,
+    MarginError,
     ProceduralCircuit,
     builtin_action,
     cluster_entangler_1d,
@@ -104,6 +105,12 @@ def test_corrections_for_cluster(chain12):
     assert w_even == SymOp.z((-1, 0))
     w_ident = find_state_correction(rho[0], chain12, ALL_PLUS, cluster)
     assert w_ident.is_identity()
+    # on 10 sites the generator at (3, 0), which Z(2, 0) moves, is too near
+    # the edge to be pinned, so the search is refused
+    short = Window.chain(10, margin=3)
+    rho_short = truncate(builtin_action("onsite_xx_1d", short).circuit(0b10), Region.half_line_R())
+    with pytest.raises(MarginError, match="window too small to pin the state within 3 of the origin"):
+        find_state_correction(rho_short, short, ALL_PLUS, cluster_entangler_1d(short))
 
 
 def test_relative_class_cluster_vs_product(chain12):

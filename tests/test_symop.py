@@ -3,7 +3,6 @@ import pickle
 import random
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -21,7 +20,7 @@ from anomalion.symop import (
     ReferenceState,
     SymOp,
     commutator,
-    expectation_value,
+    expectation_phase,
     format_op,
     op_conj,
     op_inv,
@@ -145,27 +144,36 @@ def test_conj_and_commutator_match_dense(a, b):
 
 
 def test_expectation_all_zeros():
-    assert expectation_value(SymOp.z(I_)) == 1
-    assert expectation_value(SymOp.x(I_)) == 0
-    assert expectation_value(SymOp.scalar(-1)) == -1
-    assert expectation_value(SymOp.cz(I_, J_)) == 1
+    assert expectation_phase(SymOp.z(I_)) == 0
+    assert expectation_phase(SymOp.x(I_)) is None
+    assert expectation_phase(SymOp.scalar(-1)) == 1
+    assert expectation_phase(SymOp.cz(I_, J_)) == 0
 
 
 def test_expectation_all_plus():
-    assert expectation_value(SymOp.x(I_), ALL_PLUS) == 1
-    assert expectation_value(SymOp.z(I_), ALL_PLUS) == 0
-    assert expectation_value(SymOp.cz(I_, J_), ALL_PLUS) == Fraction(1, 2)
-    assert expectation_value(SymOp.scalar(-1), ALL_PLUS) == -1
+    assert expectation_phase(SymOp.x(I_), ALL_PLUS) == 0
+    assert expectation_phase(SymOp.z(I_), ALL_PLUS) is None
+    assert expectation_phase(SymOp.cz(I_, J_), ALL_PLUS) is None  # the value is 1/2
+    assert expectation_phase(SymOp.scalar(-1), ALL_PLUS) == 1
+    # a diagonal on 30 sites: the value is 0, found without 2^30 assignments
+    wide = op_product(SymOp.z((i, 7)) for i in range(30))
+    assert expectation_phase(wide, ALL_PLUS) is None
+    assert expectation_phase(op_mul(SymOp.scalar(-1), wide)) == 1
     with pytest.raises(ValueError):
         ReferenceState("y")
+
+
+def as_phase(value: Fraction) -> int | None:
+    """A dense expectation as a Z2 residue: +1 -> 0, -1 -> 1, else None."""
+    return {1: 0, -1: 1}.get(value)
 
 
 @given(ops_strategy)
 @settings(max_examples=80, deadline=None)
 def test_expectation_matches_dense(a):
     sp = DenseSpace(SITES)
-    assert expectation_value(a) == sp.expectation(sp.symop_matrix(a), "z")
-    assert expectation_value(a, ALL_PLUS) == sp.expectation(sp.symop_matrix(a), "x")
+    assert expectation_phase(a) == as_phase(sp.expectation(sp.symop_matrix(a), "z"))
+    assert expectation_phase(a, ALL_PLUS) == as_phase(sp.expectation(sp.symop_matrix(a), "x"))
 
 
 @given(ops_strategy, ops_strategy)
@@ -282,58 +290,6 @@ def brute_region_mask(region) -> int:
     return sum(1 << i for i, s in enumerate(list(symop._SITES)) if region.contains(s))
 
 
-def test_interner_gives_each_fresh_site_one_bit():
-    """Threads interning the same fresh sites at once agree on one bit each,
-    and region masks taken meanwhile end up equal to the brute-force ones."""
-    n_threads, n_mask_threads = 4, 2
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for round_ in range(8):
-            sites = [(10**6 + i, -(10**6) - round_) for i in range(500)]
-            assert not any(s in symop._BITS for s in sites)
-            regions = [
-                Region.origin_disk(10**6 + 250),
-                Region.complement_of(Region.half_plane_H()),
-                Window(10**6 + 100, 10**6 + 399, -(10**6) - 7, 0),
-            ]
-            before = len(symop._SITES)
-            barrier = threading.Barrier(n_threads + n_mask_threads, timeout=30)
-            interned = threading.Event()
-            got = [None] * n_threads
-            masks = [[] for _ in range(n_mask_threads)]
-
-            def intern(k):
-                barrier.wait()
-                got[k] = [support_mask(SymOp.x(s)) for s in sites]
-
-            def take_masks(k):
-                barrier.wait()
-                while not interned.is_set():
-                    masks[k] += [(r, region_mask(r)) for r in regions]
-
-            threads = [threading.Thread(target=intern, args=(k,)) for k in range(n_threads)]
-            watchers = [threading.Thread(target=take_masks, args=(k,)) for k in range(n_mask_threads)]
-            for t in threads + watchers:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            interned.set()
-            for t in watchers:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads + watchers)
-            assert all(g == got[0] for g in got)
-            assert all(m.bit_count() == 1 for m in got[0]) and len(set(got[0])) == len(sites)
-            assert len(symop._SITES) == before + len(sites)
-            assert all(support(SymOp.x(s)) == {s} for s in sites)
-            final = {r: brute_region_mask(r) for r in regions}
-            assert all(region_mask(r) == final[r] for r in regions)
-            # a mask taken while sites were interned is right for the sites it covers
-            assert all(m & ~final[r] == 0 for k in masks for r, m in k)
-    finally:
-        sys.setswitchinterval(interval)
-
-
 base_regions = st.one_of(
     st.just(Region.full()),
     st.builds(Region.half_plane_H, st.integers(0, 3)),
@@ -365,6 +321,11 @@ def test_region_mask_agrees_with_contains(region, fresh):
     for s in Window.centered(8, 8).sites():
         SymOp.z(s)
     assert region_mask(region) == brute_region_mask(region)
+    before, new = len(symop._SITES), {s for s in fresh if s not in symop._BITS}
     ops = [SymOp.x(s) for s in fresh]
+    # each fresh site gets one bit of its own, which decodes back to it
+    assert len(symop._SITES) == before + len(new)
+    assert len({support_mask(o) for o in ops}) == len(set(fresh))
+    assert all(support_mask(o).bit_count() == 1 and support(o) == {s} for o, s in zip(ops, fresh))
     assert region_mask(region) == brute_region_mask(region)
     assert sites_outside(ops, region) == sorted({s for s in fresh if not region.contains(s)})
