@@ -61,6 +61,25 @@ LEVIN_GU_Z2_CONFIG = {
     ],
 }
 
+# Z2 acting by CZ on the horizontal edges outside the unit origin disk,
+# written with the cz_edges alias and a nested region: a config layer
+# that no builtin has.
+CZ_OUTSIDE_DISK_CONFIG = {
+    "name": "cz_outside_disk",
+    "group": {"order": 2, "mul": [0, 1, 1, 0], "names": ["e", "x"]},
+    "generators": [
+        {
+            "element": "x",
+            "layers": [
+                {
+                    "pattern": "cz_edges",
+                    "region": {"kind": "complement", "inner": {"kind": "origin_disk", "radius": 1}},
+                }
+            ],
+        }
+    ],
+}
+
 # Z8 -> Z8 by x4 with trivial action: the kernel is Z4 and pi1 = Z8/{0,4}
 # is Z4, so the postnikov class is a Z4-valued 3-cochain (the SNF path),
 # and each of the 4 pi1 elements has 2 lifts: 16 sections.
@@ -141,6 +160,7 @@ RUNS = (
     ["crossed", "homotopy", "--input", "z2_t2cm.json"],
     ["crossed", "validate", "--input", "postnikov_cm.json"],
     ["crossed", "validate", "--input", "z2_t2cm.json"],
+    ["anomaly2d", "--action", "cz_outside_disk.json", "--check-window", "--seed", "16"],
 )
 
 
@@ -153,6 +173,8 @@ def main() -> int:
             json.dump(ORDER8_CONFIG, fh)
         with open(os.path.join(tmp, "levin_gu_z2_action.json"), "w") as fh:
             json.dump(LEVIN_GU_Z2_CONFIG, fh)
+        with open(os.path.join(tmp, "cz_outside_disk.json"), "w") as fh:
+            json.dump(CZ_OUTSIDE_DISK_CONFIG, fh)
         with open(os.path.join(tmp, "postnikov_cm.json"), "w") as fh:
             json.dump(POSTNIKOV_CM, fh)
         with open(os.path.join(tmp, "square.json"), "w") as fh:
