@@ -28,6 +28,7 @@ from .circuits import (
     GateRule,
     ProceduralCircuit,
     builtin_action,
+    checked_layer,
     conj_by_circuit,
     product_collapse,
     truncate,
@@ -70,7 +71,7 @@ __all__ = [
     "SymOp", "commutator", "format_op", "op_conj", "op_inv", "op_mul",
     "scalar_phase", "support",
     "CircuitAction", "GateRule", "ProceduralCircuit", "builtin_action",
-    "conj_by_circuit", "product_collapse", "truncate",
+    "checked_layer", "conj_by_circuit", "product_collapse", "truncate",
     "LocalizedAutomorphism", "eta", "eta_L", "eta_R", "run_identity_suite",
     "anomaly_2d", "build_truncation_1d", "build_truncation_2d",
     "expectation_product_state", "nayak_else_1d", "regauge_beta", "regauge_rho",

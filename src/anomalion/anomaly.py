@@ -485,7 +485,7 @@ def split_boundary_circuit(c: ProceduralCircuit) -> tuple[ProceduralCircuit, Pro
     (the fixture circuits here always split).
     """
     left_layers, right_layers = [], []
-    for layer in c.instantiate():
+    for layer in c.layers:
         lg, rg = [], []
         for gate in layer:
             sites = support(gate)
@@ -520,7 +520,7 @@ def regauge_rho(data: TruncationData2d, gamma: dict) -> TruncationData2d:
         return gamma.get(g, ProceduralCircuit.empty(data.window))
 
     for g, c in gamma.items():
-        for layer in c.instantiate():
+        for layer in c.layers:
             for gate in layer:
                 _assert_region(gate, line, f"gamma({g}) gate")
 

@@ -1,20 +1,21 @@
-"""Rule-generated layered circuits on lattice windows.
+"""Layered circuits on lattice windows.
 
-A circuit is an ordered list of gate rules; instantiating it on a window
-materializes each rule into a Layer of SymOp gates.  Layers are applied to
+A circuit is a tuple of Layers of SymOp gates on a window, each checked
+when it is made: GateRule.generate places a pattern's gates over a region,
+and checked_layer takes an explicit gate list.  Layers are applied to
 states first-listed-first, so the circuit unitary is W_N ... W_2 W_1 and
 conjugating an observable applies layers in list order.  Within a layer,
 gates must pairwise commute or have disjoint supports, which keeps the
-layer product and the conjugation action unambiguous.
+layer product and the conjugation action unambiguous, and every gate must
+lie in the window.
 
-Rules are validated once, when first materialized; circuits derived from
-materialized Layers are not, since sub-layers, inverses and conjugates of a
-valid layer are valid.
+Layers derived from checked ones are not checked again, since sub-layers,
+inverses and conjugates of a valid layer are valid.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 
 from .groups import FiniteGroup, klein_bits, klein_four
 from .lattice import Region, Window
@@ -47,67 +48,62 @@ class CollapseError(ValueError):
     pass
 
 
-PATTERNS = ("x_sites", "ccz_triangles", "cz_horizontal_edges", "cz_chain_edges", "explicit")
+PATTERNS = ("x_sites", "ccz_triangles", "cz_horizontal_edges", "cz_chain_edges")
 
 
 class GateRule(Frozen):
-    """One layer: a placement pattern over a region, or an explicit gate list."""
+    """One layer as a placement pattern over a region."""
 
-    __slots__ = ("pattern", "region", "gates")
+    __slots__ = ("pattern", "region")
 
-    def __init__(self, pattern: str, region: Region = Region.full(), gates: tuple[SymOp, ...] = ()):
+    def __init__(self, pattern: str, region: Region = Region.full()):
         if pattern not in PATTERNS:
             raise InstantiationError(f"unknown pattern {pattern!r}")
         init_field(self, "pattern", pattern)
         init_field(self, "region", region)
-        init_field(self, "gates", gates)
 
     def generate(self, window: Window) -> Layer:
+        """The checked Layer of the pattern's gates on window in the region."""
         r = self.region
-        if self.pattern == "explicit":
-            gates = list(self.gates)
-        elif self.pattern == "x_sites":
+        if self.pattern == "x_sites":
             gates = [SymOp.x(s) for s in window.sites() if r.contains(s)]
-        elif self.pattern == "cz_horizontal_edges":
+        elif self.pattern in ("cz_horizontal_edges", "cz_chain_edges"):
+            all_rows = self.pattern == "cz_horizontal_edges"
             gates = []
             for s in window.sites():
                 t = (s[0] + 1, s[1])
-                if window.contains(t) and r.contains(s) and r.contains(t):
+                if (all_rows or s[1] == 0) and window.contains(t) and r.contains(s) and r.contains(t):
                     gates.append(SymOp.cz(s, t))
-        elif self.pattern == "cz_chain_edges":
+        else:  # ccz_triangles: the two triangles of each unit square
             gates = []
-            for s in window.sites():
-                if s[1] != 0:
-                    continue
-                t = (s[0] + 1, 0)
-                if window.contains(t) and r.contains(s) and r.contains(t):
-                    gates.append(SymOp.cz(s, t))
-        elif self.pattern == "ccz_triangles":
-            gates = []
-            for s in window.sites():
-                x, y = s
-                corners = {
-                    "bl": (x, y),
-                    "br": (x + 1, y),
-                    "tl": (x, y + 1),
-                    "tr": (x + 1, y + 1),
-                }
-                if not all(window.contains(c) for c in corners.values()):
-                    continue
-                if not all(r.contains(c) for c in corners.values()):
-                    continue
-                gates.append(SymOp.ccz(corners["bl"], corners["tl"], corners["tr"]))
-                gates.append(SymOp.ccz(corners["bl"], corners["br"], corners["tr"]))
-        else:
-            raise AssertionError
-        # x_sites has range 0 and the other patterns 1; an explicit layer
-        # takes its largest gate diameter when first asked
-        bound = None if self.pattern == "explicit" else 0 if self.pattern == "x_sites" else 1
-        layer = Layer(gates, bound)
-        if layer.mask() & ~region_mask(window):
-            raise InstantiationError(f"gate leaves window at {sites_outside(gates, window)[0]}")
-        _check_layer(layer)
-        return layer
+            for x, y in window.sites():
+                bl, br, tl, tr = (x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)
+                if all(window.contains(c) and r.contains(c) for c in (bl, br, tl, tr)):
+                    gates += (SymOp.ccz(bl, tl, tr), SymOp.ccz(bl, br, tr))
+        # x_sites has range 0 and the other patterns 1
+        return checked_layer(gates, window, 0 if self.pattern == "x_sites" else 1)
+
+
+def checked_layer(gates, window: Window, bound: int | None = None) -> Layer:
+    """The Layer of gates on window, checked: every gate lies in the window,
+    and gates within the layer commute.  The bound defaults to the largest
+    gate diameter, taken when first asked.
+
+    A layer whose diagonal mask misses its flip mask passes the commutation
+    check in one test: no gate's diagonal depends on a site any gate flips,
+    so every pair commutes.  Otherwise each gate is tested against the gates
+    the index says can fail to commute with it.
+    """
+    layer = Layer(gates, bound)
+    diag, flips = layer.masks()
+    if (diag | flips) & ~region_mask(window):
+        raise InstantiationError(f"gate leaves window at {sites_outside(layer, window)[0]}")
+    if diag & flips:
+        for g in layer:
+            for h in layer.acting(g):
+                if not ops_commute(g, h):
+                    raise InstantiationError(f"layer gates {g} and {h} overlap and do not commute")
+    return layer
 
 
 def _diameter(mask: int) -> int:
@@ -128,31 +124,17 @@ def _diameter(mask: int) -> int:
     return max(x_hi - x_lo, y_hi - y_lo)
 
 
-def _check_layer(layer: Layer):
-    """Gates within a layer must commute.  A layer whose diagonal mask
-    misses its flip mask passes in one test: no gate's diagonal depends on
-    a site any gate flips, so every pair commutes.  Otherwise each gate is
-    tested against the gates the index says can fail to commute with it."""
-    diag, flips = layer.masks()
-    if not diag & flips:
-        return
-    for g in layer:
-        for h in layer.acting(g):
-            if not ops_commute(g, h):
-                raise InstantiationError(f"layer gates {g} and {h} overlap and do not commute")
-
-
 class Layer(tuple):
     """A materialized layer: its gates, its range bound, two masks and a gate index.
 
-    A circuit takes Layers as they are, without validation, so build one
-    only from a validated layer of the same window (a sub-layer, inverse or
-    conjugate).  The bound defaults to the largest gate diameter.  The
-    product, the masks and the index are built on first use.  The masks
-    are the sites the gates' diagonals depend on and the sites they flip.
-    The index maps each site bit to the positions of the gates whose
-    diagonal depends on it, and of those that flip it, as masks; it is
-    built only when an operator meets the masks.
+    Layer() checks nothing, so build one directly only from a checked layer
+    of the same window (a sub-layer, inverse or conjugate); checked_layer
+    and GateRule.generate make checked ones.  The bound defaults to the
+    largest gate diameter.  The product, the masks and the index are built
+    on first use.  The masks are the sites the gates' diagonals depend on
+    and the sites they flip.  The index maps each site bit to the positions
+    of the gates whose diagonal depends on it, and of those that flip it,
+    as masks; it is built only when an operator meets the masks.
     """
 
     def __new__(cls, gates=(), bound: int | None = None):
@@ -231,35 +213,19 @@ class Layer(tuple):
 
 
 class ProceduralCircuit(Frozen, compare=("layers", "window")):
-    """Layers on a window; _cache, which is not compared, keeps what the
-    methods below compute on first use."""
+    """Checked Layers on a window, the first applied first; _cache, which is
+    not compared, keeps what the methods below compute on first use."""
 
     __slots__ = ("layers", "window", "_cache")
 
-    def __init__(self, layers: tuple[GateRule | Layer, ...], window: Window):
+    def __init__(self, layers: tuple[Layer, ...], window: Window):
         init_field(self, "layers", layers)
         init_field(self, "window", window)
         init_field(self, "_cache", {})
 
-    def instantiate(self) -> list[Layer]:
-        """The layers, each rule materialized on first use.  Rules go through
-        the "made" map, rule -> Layer on this window, so equal rules give one
-        Layer; a CircuitAction shares one map among its circuits."""
-        if "layers" not in self._cache:
-            made = self._cache.setdefault("made", {})
-            layers = []
-            for rule in self.layers:
-                if not isinstance(rule, Layer):
-                    if rule not in made:
-                        made[rule] = rule.generate(self.window)
-                    rule = made[rule]
-                layers.append(rule)
-            self._cache["layers"] = layers
-        return self._cache["layers"]
-
     def total_range(self) -> int:
         if "range" not in self._cache:
-            self._cache["range"] = sum(layer.range_bound() for layer in self.instantiate())
+            self._cache["range"] = sum(layer.range_bound() for layer in self.layers)
         return self._cache["range"]
 
     def interior(self) -> Window | None:
@@ -272,7 +238,7 @@ class ProceduralCircuit(Frozen, compare=("layers", "window")):
         """W_N ... W_1 (first layer rightmost, i.e. applied first)."""
         if "unitary" not in self._cache:
             acc = SymOp.identity()
-            for layer in self.instantiate():
+            for layer in self.layers:
                 acc = op_mul(layer.product(), acc)
             self._cache["unitary"] = acc
         return self._cache["unitary"]
@@ -280,13 +246,13 @@ class ProceduralCircuit(Frozen, compare=("layers", "window")):
     def inverse(self) -> "ProceduralCircuit":
         if "inverse" not in self._cache:
             self._cache["inverse"] = ProceduralCircuit(
-                tuple(Layer(op_inv(g) for g in layer) for layer in reversed(self.instantiate())),
+                tuple(Layer(op_inv(g) for g in layer) for layer in reversed(self.layers)),
                 self.window,
             )
         return self._cache["inverse"]
 
     def is_identity(self) -> bool:
-        return all(not layer for layer in self.instantiate())
+        return all(not layer for layer in self.layers)
 
     @staticmethod
     def empty(window: Window) -> "ProceduralCircuit":
@@ -297,17 +263,14 @@ def concat(first_applied: ProceduralCircuit, then_applied: ProceduralCircuit) ->
     """Circuit acting as first_applied then then_applied (on states)."""
     if first_applied.window != then_applied.window:
         raise ValueError("window mismatch")
-    return ProceduralCircuit(
-        tuple(first_applied.instantiate() + then_applied.instantiate()), first_applied.window
-    )
+    return ProceduralCircuit(first_applied.layers + then_applied.layers, first_applied.window)
 
 
 def truncate(c: ProceduralCircuit, region: Region) -> ProceduralCircuit:
     """Keep exactly the gates whose entire support lies in the region."""
-    layers = c.instantiate()  # first, so that the mask covers the gates' sites
     outside = ~region_mask(region)
     return ProceduralCircuit(
-        tuple(Layer(g for g in layer if not support_mask(g) & outside) for layer in layers),
+        tuple(Layer(g for g in layer if not support_mask(g) & outside) for layer in c.layers),
         c.window,
     )
 
@@ -316,10 +279,9 @@ def conj_by_circuit(a: SymOp, c: ProceduralCircuit, check_margin: bool = True) -
     """phi(c)(a) = W a W^-1, applying layers in list order.
 
     Gates in a layer commute, so each layer acts once, by the product of
-    the gates that can fail to commute with the running operator; rules
-    over infinite regions are fine inside the window.  With check_margin,
-    a's support must lie in interior(): a mask test, with sites decoded
-    only for the error message.
+    the gates that can fail to commute with the running operator.  With
+    check_margin, a's support must lie in interior(): a mask test, with
+    sites decoded only for the error message.
     """
     if check_margin:
         inner = c.interior()
@@ -328,7 +290,7 @@ def conj_by_circuit(a: SymOp, c: ProceduralCircuit, check_margin: bool = True) -
             raise MarginError(
                 f"support site {bad} is within circuit range {c.total_range()} of the window edge"
             )
-    for layer in c.instantiate():
+    for layer in c.layers:
         a = layer.conj(a)
     return a
 
@@ -412,8 +374,7 @@ class CircuitAction(Frozen, compare=("group", "assign", "window", "name")):
     lattice step is taken once per distinct circuit.  On construction equal
     circuits (same layers and window) become one object: distinct lists
     them in first-seen order and slot[g] is the position of g's circuit in
-    it.  The circuits on the action's window share one rule -> Layer map,
-    so equal rules are materialized once, still on first use.
+    it.
     """
 
     __slots__ = ("group", "assign", "window", "name", "distinct", "slot")
@@ -424,10 +385,6 @@ class CircuitAction(Frozen, compare=("group", "assign", "window", "name")):
         first: dict[ProceduralCircuit, int] = {}
         slot = tuple(first.setdefault(c, len(first)) for c in assign)
         distinct = tuple(first)  # the first-seen object of each value
-        made: dict = {}
-        for c in distinct:
-            if c.window == window:
-                c._cache.setdefault("made", made)
         init_field(self, "group", group)
         init_field(self, "assign", tuple(distinct[i] for i in slot))
         init_field(self, "window", window)
@@ -485,24 +442,32 @@ def validate_action(action: CircuitAction) -> list[str]:
     return violations
 
 
-def _ccz_x_layers(e: int, window: Window) -> tuple[GateRule, ...]:
+def _rule_layers(window: Window):
+    """rule -> its checked Layer on window, each rule generated once, so
+    equal rules of an action's circuits share one Layer (and its masks,
+    index and product)."""
+    return cache(lambda rule: rule.generate(window))
+
+
+def _ccz_x_layers(e: int, window: Window, layer) -> tuple[Layer, ...]:
     g1, g2 = klein_bits(e)
     # unitary U1^g1 U2^g2: the X layer is applied first to states
-    return (GateRule("x_sites"),) * g2 + (GateRule("ccz_triangles"),) * g1
+    return (layer(GateRule("x_sites")),) * g2 + (layer(GateRule("ccz_triangles")),) * g1
 
 
-def _x_even_odd_layers(e: int, window: Window) -> tuple[GateRule, ...]:
+def _x_even_odd_layers(e: int, window: Window, layer) -> tuple[Layer, ...]:
     g1, g2 = klein_bits(e)
     even = [SymOp.x(s) for s in window.sites() if s[0] % 2 == 0]
     odd = [SymOp.x(s) for s in window.sites() if s[0] % 2 != 0]
-    gates = tuple(even * g1 + odd * g2)
-    return (GateRule("explicit", gates=gates),) if gates else ()
+    gates = even * g1 + odd * g2
+    return (checked_layer(gates, window),) if gates else ()
 
 
 _z2 = partial(FiniteGroup.cyclic, 2)
 
 # The builtin actions, name -> (window kind, group, the layers of element e
-# on a window); a new builtin is one more entry here.
+# on a window, made by the action's rule -> Layer map); a new builtin is one
+# more entry here.
 #   ccz_x_2d      Z2xZ2 on the plane: g=(g1,g2) acts by U1^g1 U2^g2 with U1
 #                 the CCZ product over all lattice triangles and U2 the X
 #                 product over all sites.
@@ -514,10 +479,11 @@ _z2 = partial(FiniteGroup.cyclic, 2)
 #                 chain edges.
 BUILTIN_ACTIONS = {
     "ccz_x_2d": ("2d", klein_four, _ccz_x_layers),
-    "onsite_x_2d": ("2d", _z2, lambda e, window: (GateRule("x_sites"),) * e),
-    "onsite_x_1d": ("chain", _z2, lambda e, window: (GateRule("x_sites"),) * e),
+    "onsite_x_2d": ("2d", _z2, lambda e, window, layer: (layer(GateRule("x_sites")),) * e),
+    "onsite_x_1d": ("chain", _z2, lambda e, window, layer: (layer(GateRule("x_sites")),) * e),
     "onsite_xx_1d": ("chain", klein_four, _x_even_odd_layers),
-    "levin_gu_1d": ("chain", _z2, lambda e, window: (GateRule("x_sites"), GateRule("cz_chain_edges")) * e),
+    "levin_gu_1d": ("chain", _z2, lambda e, window, layer: (layer(GateRule("x_sites")),
+                                                            layer(GateRule("cz_chain_edges"))) * e),
 }
 
 
@@ -531,13 +497,14 @@ def builtin_action(name: str, window: Window) -> CircuitAction:
     if window.is_chain != (kind == "chain"):
         raise ValueError(f"{name} needs a {kind} window")
     group = make_group()
-    circuits = tuple(ProceduralCircuit(layers(e, window), window) for e in group.elements())
+    layer = _rule_layers(window)
+    circuits = tuple(ProceduralCircuit(layers(e, window, layer), window) for e in group.elements())
     return CircuitAction(group, circuits, window, name)
 
 
 def cluster_entangler_1d(window: Window) -> ProceduralCircuit:
     """CZ on every chain edge (dressing circuit for the cluster fixture)."""
-    return ProceduralCircuit((GateRule("cz_chain_edges", Region.full()),), window)
+    return ProceduralCircuit((GateRule("cz_chain_edges").generate(window),), window)
 
 
 def action_from_config(obj: dict, window: Window) -> CircuitAction:
@@ -545,6 +512,7 @@ def action_from_config(obj: dict, window: Window) -> CircuitAction:
     group = FiniteGroup.from_json(obj["group"])
     by_element = {}
     names = {n: i for i, n in enumerate(group.names)}
+    layer = _rule_layers(window)
     for gen in obj["generators"]:
         e = gen["element"]
         e = names[e] if isinstance(e, str) else int(e)
@@ -553,10 +521,10 @@ def action_from_config(obj: dict, window: Window) -> CircuitAction:
         if e in by_element:
             raise ValueError(f"element {group.names[e]!r} is listed twice")
         layers = []
-        for layer in gen["layers"]:
-            pattern = _PATTERN_ALIASES.get(layer["pattern"], layer["pattern"])
-            region = Region.from_json(layer.get("region", {"kind": "full"}))
-            layers.append(GateRule(pattern, region))
+        for entry in gen["layers"]:
+            pattern = _PATTERN_ALIASES.get(entry["pattern"], entry["pattern"])
+            region = Region.from_json(entry.get("region", {"kind": "full"}))
+            layers.append(layer(GateRule(pattern, region)))
         by_element[e] = ProceduralCircuit(tuple(layers), window)
     by_element.setdefault(group.id, ProceduralCircuit((), window))
     for g in group.elements():

@@ -110,8 +110,9 @@ def _from_json(build, obj: dict):
 def _load_action(name_or_path: str, window: Window) -> CircuitAction:
     """The builtin action of that name, or the action config at that path,
     on window.  A builtin on the other window kind, a config that does not
-    define a group action and a margin below three times the action's range
-    are config errors."""
+    define a group action or whose action the window is too small to
+    validate, and a margin below three times the action's range are config
+    errors."""
     if name_or_path in BUILTIN_ACTIONS:
         try:
             action = builtin_action(name_or_path, window)
@@ -120,7 +121,10 @@ def _load_action(name_or_path: str, window: Window) -> CircuitAction:
     else:
         obj = _read_json(name_or_path, "action config")
         action = _from_json(lambda o: action_from_config(o, window), obj)
-        violations = validate_action(action)
+        try:
+            violations = validate_action(action)
+        except MarginError as exc:
+            raise ConfigError(f"window {_size(window)} with margin {window.margin}: {exc}") from exc
         if violations:
             raise ConfigError(f"config does not define a group action: {violations[:3]}")
     if window.margin < 3 * action.total_range():
@@ -139,6 +143,12 @@ def _emit(report: dict, path: str | None):
                           default=lambda o: o.to_json())
         except OSError as exc:
             raise ConfigError(f"cannot write report: {exc}") from exc
+
+
+def _size(window: Window) -> str:
+    """The window's size as --window gives it: N for a chain, WxH otherwise."""
+    width = window.x_max - window.x_min + 1
+    return str(width) if window.is_chain else f"{width}x{window.y_max - window.y_min + 1}"
 
 
 def _window_fields(window: Window) -> dict:
@@ -406,8 +416,7 @@ def cmd_reproduce_ccz(args) -> int:
     rep = anomaly_2d(action, data)
     mu_example = data.mu[0b01, 0b10]
     u_example = data.u[0b01, 0b01, 0b10]
-    print("reproduce-ccz on", f"{window.x_max - window.x_min + 1}x{window.y_max - window.y_min + 1}",
-          "margin", window.margin)
+    print("reproduce-ccz on", _size(window), "margin", window.margin)
     print("  mu((0,1),(1,0)) =", format_op(mu_example))
     print("  u((0,1),(0,1),(1,0)) =", format_op(u_example))
     print("  tau cocycle:", rep["is_cocycle"], "| trivial:", rep["trivial"], "| class:", rep["matched_class"])

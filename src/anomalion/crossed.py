@@ -1,15 +1,15 @@
 """Finite crossed modules, crossed squares and 2-crossed modules as tables.
 
-Validators check every axiom on every tuple and return the first 64
-violations rather than raising, so an empty list means valid.  A crossed
-square yields a 2-crossed module on the semidirect product K = M x| N
-(N acting through its image in P), with the braiding built from the
-square's eta-pairing; homotopy groups come out of the resulting normal
-complex.  The degree-3 class of a crossed module is
-extracted from a section of N -> coker(bd) and a lift of its failure, and
-weak-morphism data (rho~, mu) is validated against its two defining
-equations, with the failure of the second reported as a kernel-valued
-obstruction cocycle.  The change of mu under a regauging
+Validators check every axiom on every tuple in a fixed order and return
+the first 64 violations rather than raising, so an empty list means valid;
+they stop checking at the 64th.  A crossed square yields a 2-crossed
+module on the semidirect product K = M x| N (N acting through its image in
+P), with the braiding built from the square's eta-pairing; homotopy groups
+come out of the resulting normal complex.  The degree-3 class of a crossed
+module is extracted from a section of N -> coker(bd) and a lift of its
+failure, and weak-morphism data (rho~, mu) is validated against its two
+defining equations, with the failure of the second reported as a
+kernel-valued obstruction cocycle.  The change of mu under a regauging
 (weak_morphism_regauge) is written once, over any group law.  The failure
 has two forms: weak_morphism_failure takes any group law and serves the
 operators (the 1d Nayak-Else index and the 2d lift u), and
@@ -20,8 +20,9 @@ test_failure_table_matches_the_group_law_form pins the two equal.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from itertools import product
+from collections.abc import Iterable, Iterator
+from functools import wraps
+from itertools import islice, product
 
 from .groups import (
     Cochain,
@@ -38,6 +39,16 @@ from .values import Frozen, init_field
 _MAX_VIOLATIONS = 64  # the violations a check returns at most
 
 
+def _first_violations(check):
+    """check, a generator of violations, as a function that returns the
+    first _MAX_VIOLATIONS of them as a list and stops checking there (the
+    annotations stay the generator's)."""
+    @wraps(check)
+    def first(*args) -> list[str]:
+        return list(islice(check(*args), _MAX_VIOLATIONS))
+    return first
+
+
 class ActionTable(Frozen):
     """Action of group A on the set of elements of group B: act[a][b] -> b'."""
 
@@ -51,36 +62,34 @@ class ActionTable(Frozen):
     def __call__(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def violations(self, label: str = "act") -> list[str]:
-        out = []
+    def violations(self, label: str = "act") -> Iterator[str]:
         A, B = self.acting, self.on
         for a in A.elements():
             row = self.table[a]
             if sorted(row) != list(B.elements()):
-                out.append(f"{label}[{a}] is not a bijection")
+                yield f"{label}[{a}] is not a bijection"
                 continue
             for b1 in B.elements():
                 for b2 in B.elements():
                     if row[B.mul(b1, b2)] != B.mul(row[b1], row[b2]):
-                        out.append(f"{label}[{a}] is not a homomorphism at ({b1},{b2})")
+                        yield f"{label}[{a}] is not a homomorphism at ({b1},{b2})"
                         break
                 else:
                     continue
                 break
         for b in B.elements():
             if self.table[A.id][b] != b:
-                out.append(f"{label}[id] moves {b}")
+                yield f"{label}[id] moves {b}"
         for a1 in A.elements():
             for a2 in A.elements():
                 a12 = A.mul(a1, a2)
                 for b in B.elements():
                     if self.table[a12][b] != self.table[a1][self.table[a2][b]]:
-                        out.append(f"{label} is not an action at ({a1},{a2},{b})")
+                        yield f"{label} is not an action at ({a1},{a2},{b})"
                         break
                 else:
                     continue
                 break
-        return out
 
     @staticmethod
     def trivial(acting: FiniteGroup, on: FiniteGroup) -> "ActionTable":
@@ -108,29 +117,26 @@ class CrossedModule(Frozen):
         init_field(self, "act", act)
 
 
-def _crossed_module_axioms(hom: GroupHom, act: ActionTable, label: str) -> list[str]:
+def _crossed_module_axioms(hom: GroupHom, act: ActionTable, label: str) -> Iterator[str]:
     """Equivariance hom(a.x) = a hom(x) a^-1 and the Peiffer identity
     hom(x0).x1 = x0 x1 x0^-1 of hom: X -> A with A acting on X by act."""
-    out = []
     X, A = hom.source, hom.target
     for a in A.elements():
         for x in X.elements():
             if hom(act(a, x)) != A.conj(a, hom(x)):
-                out.append(f"crossed module {label}: equivariance fails at ({a},{x})")
+                yield f"crossed module {label}: equivariance fails at ({a},{x})"
     for x0 in X.elements():
         for x1 in X.elements():
             if act(hom(x0), x1) != X.conj(x0, x1):
-                out.append(f"crossed module {label}: Peiffer fails at ({x0},{x1})")
-    return out
+                yield f"crossed module {label}: Peiffer fails at ({x0},{x1})"
 
 
-def validate_crossed_module(cm: CrossedModule) -> list[str]:
-    out = []
+@_first_violations
+def validate_crossed_module(cm: CrossedModule) -> Iterator[str]:
     if not cm.bd.is_valid():
-        out.append("bd is not a homomorphism")
-    out += cm.act.violations("act")
-    out += _crossed_module_axioms(cm.bd, cm.act, "M->N")
-    return out[:_MAX_VIOLATIONS]
+        yield "bd is not a homomorphism"
+    yield from cm.act.violations("act")
+    yield from _crossed_module_axioms(cm.bd, cm.act, "M->N")
 
 
 class CrossedSquare(Frozen):
@@ -160,32 +166,32 @@ class CrossedSquare(Frozen):
         return self.eta[m][n]
 
 
-def validate_crossed_square(cs: CrossedSquare) -> list[str]:
-    out = []
+@_first_violations
+def validate_crossed_square(cs: CrossedSquare) -> Iterator[str]:
     L, M, N, P = cs.L, cs.M, cs.N, cs.P
     f, g, v, u = cs.f, cs.g, cs.v, cs.u
     for hom, name in ((f, "f"), (g, "g"), (v, "v"), (u, "u")):
         if not hom.is_valid():
-            out.append(f"{name} is not a homomorphism")
+            yield f"{name} is not a homomorphism"
     for l in L.elements():
         if v(f(l)) != u(g(l)):
-            out.append(f"square does not commute at l={l}")
-    out += cs.act_L.violations("P-action on L")
-    out += cs.act_M.violations("P-action on M")
-    out += cs.act_N.violations("P-action on N")
+            yield f"square does not commute at l={l}"
+    yield from cs.act_L.violations("P-action on L")
+    yield from cs.act_M.violations("P-action on M")
+    yield from cs.act_N.violations("P-action on N")
     for p in P.elements():
         for l in L.elements():
             if f(cs.act_L(p, l)) != cs.act_M(p, f(l)):
-                out.append(f"f not P-equivariant at (p={p}, l={l})")
+                yield f"f not P-equivariant at (p={p}, l={l})"
             if g(cs.act_L(p, l)) != cs.act_N(p, g(l)):
-                out.append(f"g not P-equivariant at (p={p}, l={l})")
+                yield f"g not P-equivariant at (p={p}, l={l})"
     # the four crossed-module structures over P
     vf = GroupHom(L, P, tuple(v(f(l)) for l in L.elements()))
     ug = GroupHom(L, P, tuple(u(g(l)) for l in L.elements()))
-    out += _crossed_module_axioms(v, cs.act_M, "M->P")
-    out += _crossed_module_axioms(u, cs.act_N, "N->P")
-    out += _crossed_module_axioms(vf, cs.act_L, "L->P(vf)")
-    out += _crossed_module_axioms(ug, cs.act_L, "L->P(ug)")
+    yield from _crossed_module_axioms(v, cs.act_M, "M->P")
+    yield from _crossed_module_axioms(u, cs.act_N, "N->P")
+    yield from _crossed_module_axioms(vf, cs.act_L, "L->P(vf)")
+    yield from _crossed_module_axioms(ug, cs.act_L, "L->P(ug)")
     # the seven eta equations
     eta = cs.eta_at
     for m in M.elements():
@@ -193,44 +199,43 @@ def validate_crossed_square(cs: CrossedSquare) -> list[str]:
             lhs = f(eta(m, n))
             rhs = M.mul(m, M.inv(cs.act_M(u(n), m)))
             if lhs != rhs:
-                out.append(f"eta eq f(eta(m,n)) fails at ({m},{n})")
+                yield f"eta eq f(eta(m,n)) fails at ({m},{n})"
             lhs = g(eta(m, n))
             rhs = N.mul(cs.act_N(v(m), n), N.inv(n))
             if lhs != rhs:
-                out.append(f"eta eq g(eta(m,n)) fails at ({m},{n})")
+                yield f"eta eq g(eta(m,n)) fails at ({m},{n})"
     for l in L.elements():
         for n in N.elements():
             lhs = eta(f(l), n)
             rhs = L.mul(l, L.inv(cs.act_L(u(n), l)))
             if lhs != rhs:
-                out.append(f"eta eq eta(f(l),n) fails at ({l},{n})")
+                yield f"eta eq eta(f(l),n) fails at ({l},{n})"
         for m in M.elements():
             lhs = eta(m, g(l))
             rhs = L.mul(cs.act_L(v(m), l), L.inv(l))
             if lhs != rhs:
-                out.append(f"eta eq eta(m,g(l)) fails at ({m},{l})")
+                yield f"eta eq eta(m,g(l)) fails at ({m},{l})"
     for m in M.elements():
         for m2 in M.elements():
             for n in N.elements():
                 lhs = eta(M.mul(m, m2), n)
                 rhs = L.mul(cs.act_L(v(m), eta(m2, n)), eta(m, n))
                 if lhs != rhs:
-                    out.append(f"eta eq eta(mm',n) fails at ({m},{m2},{n})")
+                    yield f"eta eq eta(mm',n) fails at ({m},{m2},{n})"
     for m in M.elements():
         for n in N.elements():
             for n2 in N.elements():
                 lhs = eta(m, N.mul(n, n2))
                 rhs = L.mul(eta(m, n), cs.act_L(u(n), eta(m, n2)))
                 if lhs != rhs:
-                    out.append(f"eta eq eta(m,nn') fails at ({m},{n},{n2})")
+                    yield f"eta eq eta(m,nn') fails at ({m},{n},{n2})"
     for p in P.elements():
         for m in M.elements():
             for n in N.elements():
                 lhs = eta(cs.act_M(p, m), cs.act_N(p, n))
                 rhs = cs.act_L(p, eta(m, n))
                 if lhs != rhs:
-                    out.append(f"eta eq p-equivariance fails at ({p},{m},{n})")
-    return out[:_MAX_VIOLATIONS]
+                    yield f"eta eq p-equivariance fails at ({p},{m},{n})"
 
 
 class TwoCrossedModule(Frozen):
@@ -253,47 +258,47 @@ class TwoCrossedModule(Frozen):
         return self.braid[k0][k1]
 
 
-def validate_two_crossed_module(t: TwoCrossedModule) -> list[str]:
-    out = []
+@_first_violations
+def validate_two_crossed_module(t: TwoCrossedModule) -> Iterator[str]:
     L, K, P = t.L, t.K, t.P
     delta, bd = t.delta, t.bd
     if not delta.is_valid():
-        out.append("delta is not a homomorphism")
+        yield "delta is not a homomorphism"
     if not bd.is_valid():
-        out.append("bd is not a homomorphism")
+        yield "bd is not a homomorphism"
     for l in L.elements():
         if bd(delta(l)) != P.id:
-            out.append(f"bd(delta(l)) != 1 at l={l}")
+            yield f"bd(delta(l)) != 1 at l={l}"
     if not is_normal(K, sorted(set(delta(l) for l in L.elements()))):
-        out.append("image of delta is not normal in K")
+        yield "image of delta is not normal in K"
     if not is_normal(P, sorted(set(bd(k) for k in K.elements()))):
-        out.append("image of bd is not normal in P")
-    out += t.act_L.violations("P-action on L")
-    out += t.act_K.violations("P-action on K")
+        yield "image of bd is not normal in P"
+    yield from t.act_L.violations("P-action on L")
+    yield from t.act_K.violations("P-action on K")
     for p in P.elements():
         for k in K.elements():
             if bd(t.act_K(p, k)) != P.conj(p, bd(k)):
-                out.append(f"bd not P-equivariant at (p={p}, k={k})")
+                yield f"bd not P-equivariant at (p={p}, k={k})"
         for l in L.elements():
             if delta(t.act_L(p, l)) != t.act_K(p, delta(l)):
-                out.append(f"delta not P-equivariant at (p={p}, l={l})")
+                yield f"delta not P-equivariant at (p={p}, l={l})"
     br = t.braid_at
     for k0 in K.elements():
         for k1 in K.elements():
             lhs = delta(br(k0, k1))
             rhs = K.mul(K.conj(k0, k1), K.inv(t.act_K(bd(k0), k1)))
             if lhs != rhs:
-                out.append(f"braid eq delta{{k0,k1}} fails at ({k0},{k1})")
+                yield f"braid eq delta{{k0,k1}} fails at ({k0},{k1})"
     for l0 in L.elements():
         for l1 in L.elements():
             if br(delta(l0), delta(l1)) != L.commutator(l0, l1):
-                out.append(f"braid eq {{dl0,dl1}} fails at ({l0},{l1})")
+                yield f"braid eq {{dl0,dl1}} fails at ({l0},{l1})"
     for l in L.elements():
         for k in K.elements():
             lhs = L.mul(br(delta(l), k), br(k, delta(l)))
             rhs = L.mul(l, L.inv(t.act_L(bd(k), l)))
             if lhs != rhs:
-                out.append(f"braid eq {{dl,k}}{{k,dl}} fails at ({l},{k})")
+                yield f"braid eq {{dl,k}}{{k,dl}} fails at ({l},{k})"
     for k0 in K.elements():
         for k1 in K.elements():
             for k2 in K.elements():
@@ -301,17 +306,16 @@ def validate_two_crossed_module(t: TwoCrossedModule) -> list[str]:
                 inner = br(K.inv(delta(br(k0, k2))), t.act_K(bd(k0), k1))
                 rhs = L.mul(L.mul(br(k0, k1), br(k0, k2)), inner)
                 if lhs != rhs:
-                    out.append(f"braid eq {{k0,k1k2}} fails at ({k0},{k1},{k2})")
+                    yield f"braid eq {{k0,k1k2}} fails at ({k0},{k1},{k2})"
                 lhs = br(K.mul(k0, k1), k2)
                 rhs = L.mul(br(k0, K.conj(k1, k2)), t.act_L(bd(k0), br(k1, k2)))
                 if lhs != rhs:
-                    out.append(f"braid eq {{k0k1,k2}} fails at ({k0},{k1},{k2})")
+                    yield f"braid eq {{k0k1,k2}} fails at ({k0},{k1},{k2})"
     for p in P.elements():
         for k0 in K.elements():
             for k1 in K.elements():
                 if t.act_L(p, br(k0, k1)) != br(t.act_K(p, k0), t.act_K(p, k1)):
-                    out.append(f"braid eq p-equivariance fails at ({p},{k0},{k1})")
-    return out[:_MAX_VIOLATIONS]
+                    yield f"braid eq p-equivariance fails at ({p},{k0},{k1})"
 
 
 def semidirect_product(m_grp: FiniteGroup, n_grp: FiniteGroup, act):

@@ -128,7 +128,10 @@ class FiniteGroup(Frozen):
         if len(flat) != order * order:
             raise GroupTableError("mul table length != order^2")
         table = tuple(tuple(flat[i * order : (i + 1) * order]) for i in range(order))
-        names = tuple(obj.get("names", ())) or ()
+        names = tuple(obj.get("names", ()))
+        # names key the entries of a report's cochains
+        if any(type(s) is not str for s in names) or len(set(names)) < len(names):
+            raise GroupTableError("element names must be distinct strings")
         return FiniteGroup(table, names, obj.get("name", "G"))
 
     def to_json(self) -> dict:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 
-from .circuits import GateRule, Layer, ProceduralCircuit, concat, conj_by_circuit
+from .circuits import Layer, ProceduralCircuit, checked_layer, concat, conj_by_circuit
 from .lattice import Region, Window
 from .symop import (
     SymOp,
@@ -65,7 +65,7 @@ class LocalizedAutomorphism(Frozen):
                 bad = sites_outside([inner], declared_region)
                 raise ValueError(f"inner unitary leaves its declared region at {bad[:4]}")
         else:
-            layers = circuit.instantiate()
+            layers = circuit.layers
             mask = 0
             for layer in layers:
                 mask |= layer.mask()
@@ -142,7 +142,7 @@ def eta_R(alpha: LocalizedAutomorphism, b_circuit: ProceduralCircuit) -> SymOp:
     layer; it multiplies out to the suffix recursion because phi(layer_k)
     is an automorphism.
     """
-    layers = b_circuit.instantiate()
+    layers = b_circuit.layers
     if not layers:  # pairs to 1 on any window
         return SymOp.identity()
     r, outside = _stabilization_radius(b_circuit.window)
@@ -156,7 +156,7 @@ def eta_R(alpha: LocalizedAutomorphism, b_circuit: ProceduralCircuit) -> SymOp:
 
 def eta_L(a_circuit: ProceduralCircuit, beta: LocalizedAutomorphism) -> SymOp:
     """Mirror Horner form: eta(F(..k), B) = phi(layer_k)(eta(F(..k-1), B)) * eta(layer_k, B)."""
-    layers = a_circuit.instantiate()
+    layers = a_circuit.layers
     if not layers:  # pairs to 1 on any window
         return SymOp.identity()
     r, outside = _stabilization_radius(a_circuit.window)
@@ -207,13 +207,13 @@ def eta(alpha: LocalizedAutomorphism, beta: LocalizedAutomorphism) -> SymOp:
 def _conjugated_circuit(c: ProceduralCircuit, by: ProceduralCircuit) -> ProceduralCircuit:
     """The circuit whose gates are phi(by)(gate); realizes by o phi(c) o by^-1."""
     return ProceduralCircuit(
-        tuple(Layer(conj_by_circuit(g, by, check_margin=False) for g in layer) for layer in c.instantiate()),
+        tuple(Layer(conj_by_circuit(g, by, check_margin=False) for g in layer) for layer in c.layers),
         c.window,
     )
 
 
 def _single_layer_circuit(u: SymOp, window: Window) -> ProceduralCircuit:
-    return ProceduralCircuit((GateRule("explicit", gates=(u,)),), window)
+    return ProceduralCircuit((checked_layer((u,), window),), window)
 
 
 def run_identity_suite(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .circuits import GateRule, ProceduralCircuit
+from .circuits import ProceduralCircuit, checked_layer
 from .groups import FiniteGroup
 from .lattice import Region, Window
 from .symop import SymOp
@@ -74,7 +74,7 @@ def random_circuit(rng: random.Random, window: Window, sites: list) -> Procedura
                     seen.add(g)
                     dedup.append(g)
             gates = dedup
-        layers.append(GateRule("explicit", gates=tuple(gates)))
+        layers.append(checked_layer(gates, window))
     return ProceduralCircuit(tuple(layers), window)
 
 
@@ -102,7 +102,7 @@ def random_boundary_gamma(rng: random.Random, window: Window, group: FiniteGroup
             elif r < 0.55 and x != 0:
                 # X on the cut column would obstruct the exact L/R split
                 flips.append(SymOp.x((x, 0)))
-        layers = tuple(GateRule("explicit", gates=tuple(gs)) for gs in (diag, flips) if gs)
+        layers = tuple(checked_layer(gs, window) for gs in (diag, flips) if gs)
         if layers:
             gamma[g] = ProceduralCircuit(layers, window)
     return gamma

@@ -69,9 +69,9 @@ class DenseSpace:
         return M
 
     def circuit_matrix(self, circuit) -> np.ndarray:
-        """W_N ... W_1 for an instantiated circuit (first layer rightmost)."""
+        """W_N ... W_1 for a circuit (first layer rightmost)."""
         W = np.eye(self.dim, dtype=np.int64)
-        for layer in circuit.instantiate():
+        for layer in circuit.layers:
             L = np.eye(self.dim, dtype=np.int64)
             for g in layer:
                 L = L @ self.symop_matrix(g)
@@ -138,7 +138,7 @@ class ColumnOracle:
 
     def apply_circuit(self, circuit, perm, sign):
         """Left-multiply by the circuit unitary W_N ... W_1."""
-        for layer in circuit.instantiate():
+        for layer in circuit.layers:
             for g in layer:
                 perm, sign = self.apply_symop_gate(g, perm, sign)
         return perm, sign

@@ -37,12 +37,12 @@ def constant_term(a: SymOp) -> int:
 
 def suffix_circuit(c: ProceduralCircuit, start: int) -> ProceduralCircuit:
     """The layers of c from position start on."""
-    return ProceduralCircuit(tuple(c.instantiate()[start:]), c.window)
+    return ProceduralCircuit(c.layers[start:], c.window)
 
 
 def truncate_rest(c: ProceduralCircuit, region: Region) -> ProceduralCircuit:
     """The gates truncate() drops, as a circuit (straddlers included)."""
-    layers = c.instantiate()
+    layers = c.layers
     outside = ~region_mask(region)
     return ProceduralCircuit(
         tuple(Layer(g for g in layer if support_mask(g) & outside) for layer in layers), c.window
@@ -63,7 +63,7 @@ def eta_two_radii(layer: Layer, window, pair) -> SymOp:
 def eta_R_suffix(alpha: LocalizedAutomorphism, b_circuit: ProceduralCircuit) -> SymOp:
     """eta(A, F(k..)) = eta(A, F(k+1..)) * phi(F(k+1..))(eta(A, layer_k)),
     conjugating each piece through the whole suffix after it."""
-    layers = b_circuit.instantiate()
+    layers = b_circuit.layers
     acc = None
     for k in range(len(layers) - 1, -1, -1):
         piece = eta_two_radii(layers[k], b_circuit.window, lambda b: op_mul(alpha.apply(b), op_inv(b)))
@@ -77,7 +77,7 @@ def eta_R_suffix(alpha: LocalizedAutomorphism, b_circuit: ProceduralCircuit) -> 
 
 def eta_L_suffix(a_circuit: ProceduralCircuit, beta: LocalizedAutomorphism) -> SymOp:
     """eta(F(k..), B) = phi(F(k+1..))(eta(layer_k, B)) * eta(F(k+1..), B)."""
-    layers = a_circuit.instantiate()
+    layers = a_circuit.layers
     acc = None
     for k in range(len(layers) - 1, -1, -1):
         piece = eta_two_radii(layers[k], a_circuit.window, lambda a: op_mul(a, beta.apply(op_inv(a))))

@@ -22,9 +22,9 @@ from anomalion.anomaly import (
     tau_cochain,
 )
 from anomalion.circuits import (
-    GateRule,
     ProceduralCircuit,
     builtin_action,
+    checked_layer,
     cluster_entangler_1d,
     truncate,
 )
@@ -88,9 +88,7 @@ def test_criterion_1a_mu_table(timed_ccz):
     covered = {x + d for x in pair_xs for d in (0, 1)}
     assert len(pair_xs) % 2 == 0, "the alternating CZ needs an even number of pairs"
     assert {x for x in range(w.x_min, w.x_max + 1) if keep({(x, 0)})} <= covered
-    alternating = ProceduralCircuit((GateRule("explicit", gates=tuple(
-        SymOp.cz((x, 0), (x + 1, 0)) for x in pair_xs
-    )),), w)
+    alternating = ProceduralCircuit((checked_layer([SymOp.cz((x, 0), (x + 1, 0)) for x in pair_xs], w),), w)
     gamma = {g: alternating for g in action.group.elements() if klein_bits(g)[0]}
     regauged = regauge_rho(data, gamma)
     ok = tau_cochain(regauged) == tau

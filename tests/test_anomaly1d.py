@@ -126,7 +126,7 @@ def test_onsite_xx_restriction_constant_one(chain12):
 
 def _chain_conjugators(chain):
     """The full-chain CZ layer and three seeded random origin circuits."""
-    yield ProceduralCircuit((GateRule("cz_chain_edges", Region.full()),), chain)
+    yield ProceduralCircuit((GateRule("cz_chain_edges", Region.full()).generate(chain),), chain)
     sites = region_sites(chain, Region.origin_disk(2))
     for seed in range(3):
         yield random_circuit(random.Random(seed), chain, sites)

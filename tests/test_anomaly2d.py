@@ -20,6 +20,7 @@ from anomalion.circuits import (
     ProceduralCircuit,
     action_from_config,
     builtin_action,
+    checked_layer,
     conj_by_circuit,
     product_collapse,
 )
@@ -269,7 +270,7 @@ def test_regauge_rho_tau_invariance(ccz_data, window12):
     interior_edges = [((x, 0), (x + 1, 0)) for x in range(-3, 2)]
 
     def circ(gates):
-        return ProceduralCircuit((GateRule("explicit", gates=tuple(gates)),), window12)
+        return ProceduralCircuit((checked_layer(gates, window12),), window12)
 
     fixtures = [
         {0b10: circ([SymOp.cz(a, b) for a, b in interior_edges])},
@@ -289,9 +290,7 @@ def test_regauge_rho_mu_matches_product_collapse(ccz_data, window12):
     reach = ccz_data.action.total_range()
     w = window12
     pair_xs = [x for x in range(w.x_min + reach, w.x_max - reach) if x % 2 == 0]
-    alternating = ProceduralCircuit((GateRule("explicit", gates=tuple(
-        SymOp.cz((x, 0), (x + 1, 0)) for x in pair_xs
-    )),), w)
+    alternating = ProceduralCircuit((checked_layer([SymOp.cz((x, 0), (x + 1, 0)) for x in pair_xs], w),), w)
     G = ccz_data.group
     data2 = regauge_rho(ccz_data, {g: alternating for g in G.elements() if bits(g)[0]})
     rho = data2.rho_tilde
@@ -325,7 +324,7 @@ def test_memoized_tau_matches_oracle(ccz_data, window12):
     rng = random.Random(41)
     disk_sites = region_sites(window12, Region.origin_disk(2))
     v = {(g, h): random_inner(rng, disk_sites) for g in G.elements() for h in G.elements()}
-    gamma = {0b10: ProceduralCircuit((GateRule("explicit", gates=(SymOp.x((1, 0)),)),), window12)}
+    gamma = {0b10: ProceduralCircuit((checked_layer((SymOp.x((1, 0)),), window12),), window12)}
     for data in (ccz_data, regauge_beta(ccz_data, v), regauge_rho(ccz_data, gamma)):
         want = Cochain.from_function(G, 4, 2, lambda *t: _oracle_tau(data, *t))
         assert tau_cochain(data) == want
@@ -470,7 +469,7 @@ def test_conjugation_by_circuit_keeps_cochain(conjugate):
     a finite-depth circuit W leaves the tau cochain unchanged."""
     window = Window.centered(20, 20, margin=9)
     action = builtin_action("ccz_x_2d", window)
-    w = ProceduralCircuit((GateRule("cz_horizontal_edges", Region.full()),), window)
+    w = ProceduralCircuit((GateRule("cz_horizontal_edges", Region.full()).generate(window),), window)
     base = anomaly_2d(action)
     conj = anomaly_2d(conjugate(action, w))
     assert conj["matched_class"] == base["matched_class"] == "b^3 . a"
@@ -568,9 +567,9 @@ def test_u_crop_log_matches_per_triple_crops(ccz_data):
     triple."""
     w = ccz_data.window
     reach = ccz_data.action.total_range()
-    alternating = ProceduralCircuit((GateRule("explicit", gates=tuple(
+    alternating = ProceduralCircuit((checked_layer([
         SymOp.cz((x, 0), (x + 1, 0)) for x in range(w.x_min + reach, w.x_max - reach) if x % 2 == 0
-    )),), w)
+    ], w),), w)
     regauged = regauge_rho(ccz_data, {g: alternating for g in ccz_data.group.elements() if bits(g)[0]})
     for data, label in ((ccz_data, "u"), (regauged, "u'")):
         want = _u_crop_log(data, label)

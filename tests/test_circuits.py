@@ -16,6 +16,7 @@ from anomalion.circuits import (
     ProceduralCircuit,
     action_from_config,
     builtin_action,
+    checked_layer,
     concat,
     conj_by_circuit,
     crop_window_debris,
@@ -41,18 +42,18 @@ from oracle import DenseSpace
 from reference import suffix_circuit, truncate_rest, validate_per_pair
 
 
-def test_instantiate_x_sites():
+def test_generate_x_sites():
     w = Window(0, 3, 0, 3)
-    c = ProceduralCircuit((GateRule("x_sites", Region.full()),), w)
-    layers = c.instantiate()
+    c = ProceduralCircuit((GateRule("x_sites", Region.full()).generate(w),), w)
+    layers = c.layers
     assert len(layers) == 1 and len(layers[0]) == 16
     assert all(not g.poly and len(g.flips) == 1 for g in layers[0])
 
 
-def test_instantiate_ccz_single_square():
+def test_generate_ccz_single_square():
     w = Window(0, 1, 0, 1)
-    c = ProceduralCircuit((GateRule("ccz_triangles", Region.full()),), w)
-    (layer,) = c.instantiate()
+    c = ProceduralCircuit((GateRule("ccz_triangles", Region.full()).generate(w),), w)
+    (layer,) = c.layers
     assert len(layer) == 2
     monos = {next(iter(g.poly)) for g in layer}
     # the two triangles share the bottom-left/top-right diagonal
@@ -60,36 +61,33 @@ def test_instantiate_ccz_single_square():
     assert frozenset([(0, 0), (1, 0), (1, 1)]) in monos
 
 
-def test_instantiate_empty_circuit():
+def test_empty_circuit():
     w = Window(0, 3, 0, 3)
     c = ProceduralCircuit((), w)
-    assert c.instantiate() == [] and c.is_identity()
+    assert c.layers == () and c.is_identity()
     assert c.unitary().is_identity()
 
 
 def test_layer_validity_checks():
     w = Window(0, 2, 0, 0)
-    bad = GateRule(
-        "explicit", gates=(SymOp.cz((0, 0), (1, 0)), SymOp.x((1, 0)))
-    )
     with pytest.raises(InstantiationError):
-        ProceduralCircuit((bad,), w).instantiate()
+        checked_layer((SymOp.cz((0, 0), (1, 0)), SymOp.x((1, 0))), w)
     # overlapping but commuting diagonal gates are fine
-    ok = GateRule("explicit", gates=(SymOp.cz((0, 0), (1, 0)), SymOp.cz((1, 0), (2, 0))))
-    ProceduralCircuit((ok,), w).instantiate()
+    ok = checked_layer((SymOp.cz((0, 0), (1, 0)), SymOp.cz((1, 0), (2, 0))), w)
     # gates must stay inside the window
-    with pytest.raises(InstantiationError):
-        ProceduralCircuit(
-            (GateRule("explicit", gates=(SymOp.x((5, 0)),)),), w
-        ).instantiate()
-    # circuits derived from an unvalidated one validate it
+    with pytest.raises(InstantiationError, match=r"gate leaves window at \(5, 0\)"):
+        checked_layer((SymOp.x((5, 0)),), w)
+    # the explicit pattern is gone: a gate list is a checked_layer
+    with pytest.raises(InstantiationError, match="unknown pattern 'explicit'"):
+        GateRule("explicit")
+    # circuits derived from a checked one hold Layers too
+    c = ProceduralCircuit((ok, GateRule("x_sites").generate(w)), w)
     for derive in (
         lambda c: truncate(c, Region.full()),
         lambda c: concat(ProceduralCircuit((ok,), w), c),
         lambda c: c.inverse(),
     ):
-        with pytest.raises(InstantiationError):
-            derive(ProceduralCircuit((bad,), w)).instantiate()
+        assert all(type(layer) is Layer for layer in derive(c).layers)
 
 
 def spy_acting(monkeypatch) -> list:
@@ -110,22 +108,23 @@ def test_layers_whose_masks_miss_pass_without_an_index(monkeypatch):
     no pairwise test and no index, and an operator that commutes with a layer
     by its masks builds no index."""
     w = Window(-3, 3, -3, 3)
-    diag = GateRule("explicit", gates=(SymOp.cz((0, 0), (1, 0)), SymOp.z((0, 0)), SymOp.ccz((0, 0), (1, 0), (1, 1))))
-    xs = GateRule("x_sites", Region.origin_disk(1))
+    gates = (SymOp.cz((0, 0), (1, 0)), SymOp.z((0, 0)), SymOp.ccz((0, 0), (1, 0), (1, 1)))
+    diag = lambda: checked_layer(gates, w)
+    xs = lambda: GateRule("x_sites", Region.origin_disk(1)).generate(w)
     calls = spy_acting(monkeypatch)
-    for rule in (diag, xs):
-        layer = rule.generate(w)
+    for make in (diag, xs):
+        layer = make()
         assert len(layer) > 1 and layer._index is None
     assert calls == []
     # Z on a diagonal layer's sites, X on an X layer's sites: the operator
     # meets the layer's support but neither its flips nor its diagonal
-    for rule, a in ((diag, SymOp.cz((0, 0), (1, 1))), (xs, SymOp.x((0, 0)))):
-        layer = rule.generate(w)
+    for make, a in ((diag, SymOp.cz((0, 0), (1, 1))), (xs, SymOp.x((0, 0)))):
+        layer = make()
         assert support_mask(a) & layer.mask()
         assert layer.acting(a) == [] and layer.conj(a) is a
         assert layer._index is None
     # an operator that meets both masks builds the index and finds its gates
-    layer = diag.generate(w)
+    layer = diag()
     assert layer.acting(SymOp.x((1, 0))) == [layer[0], layer[2]]
     assert layer._index is not None
 
@@ -138,39 +137,39 @@ def test_layer_masks_meeting_falls_back_to_pairwise_check(monkeypatch):
     xx = SymOp(frozenset(), frozenset({a, b}))
     zz = op_mul(SymOp.z(a), SymOp.z(b))
     calls = spy_acting(monkeypatch)
-    layer = GateRule("explicit", gates=(xx, zz)).generate(w)
+    layer = checked_layer((xx, zz), w)
     assert support_masks(zz)[0] & support_masks(xx)[1] and list(layer) == [xx, zz]
     assert calls == [xx, zz]
     with pytest.raises(InstantiationError, match="overlap and do not commute"):
-        GateRule("explicit", gates=(SymOp.x(a), SymOp.z(a))).generate(w)
+        checked_layer((SymOp.x(a), SymOp.z(a)), w)
 
 
 def test_truncate_keeps_fully_contained_gates():
     w = Window.centered(8, 8, margin=0)
-    c = ProceduralCircuit((GateRule("ccz_triangles", Region.full()),), w)
+    c = ProceduralCircuit((GateRule("ccz_triangles", Region.full()).generate(w),), w)
     H = Region.half_plane_H()
     tr = truncate(c, H)
-    for layer in tr.instantiate():
+    for layer in tr.layers:
         for g in layer:
             assert all(s[1] >= 0 for s in support(g))
     # decomposition: truncation plus remainder is the whole gate set
     rest = truncate_rest(c, H)
-    for full_layer, a, b in zip(c.instantiate(), tr.instantiate(), rest.instantiate()):
+    for full_layer, a, b in zip(c.layers, tr.layers, rest.layers):
         assert sorted(map(format_op, full_layer)) == sorted(map(format_op, list(a) + list(b)))
         assert not (set(map(format_op, a)) & set(map(format_op, b)))
 
 
 def test_truncate_full_is_identity_operation():
     w = Window.centered(6, 6, margin=0)
-    c = ProceduralCircuit((GateRule("ccz_triangles", Region.full()),), w)
+    c = ProceduralCircuit((GateRule("ccz_triangles", Region.full()).generate(w),), w)
     assert truncate(c, Region.full()).unitary() == c.unitary()
 
 
 def test_truncate_1d_half_line():
     w = Window.chain(8)
-    c = ProceduralCircuit((GateRule("x_sites", Region.full()),), w)
+    c = ProceduralCircuit((GateRule("x_sites", Region.full()).generate(w),), w)
     tr = truncate(c, Region.half_line_R())
-    sites = {next(iter(g.flips)) for layer in tr.instantiate() for g in layer}
+    sites = {next(iter(g.flips)) for layer in tr.layers for g in layer}
     assert sites == {(x, 0) for x in range(0, w.x_max + 1)}
 
 
@@ -187,7 +186,7 @@ def test_conj_by_circuit_examples(window12):
 def test_conj_boundary_cz_string_interior_z_cancel(window12):
     # conjugating a CZ string on the boundary row by the X product flips
     # each edge into CZ * Z * Z; interior Z's appear twice and cancel
-    xs = ProceduralCircuit((GateRule("x_sites", Region.half_plane_H()),), window12)
+    xs = ProceduralCircuit((GateRule("x_sites", Region.half_plane_H()).generate(window12),), window12)
     string = op_product([SymOp.cz((x, 0), (x + 1, 0)) for x in range(-2, 2)])
     out = conj_by_circuit(string, xs)
     expect = op_product(
@@ -205,7 +204,7 @@ def test_conj_depends_only_on_nearby_gates(window12):
     # keep only gates within range of the support; the rest cannot matter
     reach = c.total_range()
     kept_layers = []
-    for layer in c.instantiate():
+    for layer in c.layers:
         kept = [
             g
             for g in layer
@@ -215,7 +214,7 @@ def test_conj_depends_only_on_nearby_gates(window12):
                 for t in support(a)
             )
         ]
-        kept_layers.append(GateRule("explicit", gates=tuple(kept)))
+        kept_layers.append(checked_layer(kept, window12))
     pruned = ProceduralCircuit(tuple(kept_layers), window12)
     assert conj_by_circuit(a, pruned) == full
 
@@ -237,7 +236,7 @@ def test_margin_mask_matches_edge_distance():
     for window in windows:
         pattern = "cz_chain_edges" if window.is_chain else "cz_horizontal_edges"
         for reach in range(8):
-            c = ProceduralCircuit((GateRule(pattern, Region.full()),) * reach, window)
+            c = ProceduralCircuit((GateRule(pattern, Region.full()).generate(window),) * reach, window)
             assert c.total_range() == reach
             for _ in range(60):
                 sites = {
@@ -259,7 +258,7 @@ def test_margin_mask_matches_edge_distance():
     chain = windows[2]
     with pytest.raises(MarginError):
         conj_by_circuit(SymOp.z((0, 1)), ProceduralCircuit.empty(chain))
-    deep = ProceduralCircuit((GateRule("cz_chain_edges", Region.full()),) * 7, chain)
+    deep = ProceduralCircuit((GateRule("cz_chain_edges", Region.full()).generate(chain),) * 7, chain)
     assert deep.interior() is None
     assert conj_by_circuit(SymOp.scalar(-1), deep) == SymOp.scalar(-1)
 
@@ -316,13 +315,14 @@ def test_builtin_actions(window12, chain12):
         action = builtin_action(name, window)
         assert action.name == name
         assert action.circuit(action.group.id).is_identity()
+        assert all(type(layer) is Layer for c in action.distinct for layer in c.layers)
         assert validate_action(action) == []
         with pytest.raises(ValueError, match=f"^{name} needs a {kind} window$"):
             builtin_action(name, other)
     with pytest.raises(ValueError):
         builtin_action("no_such_action", window12)
     lg = builtin_action("levin_gu_1d", chain12)
-    layers = lg.circuit(1).instantiate()
+    layers = lg.circuit(1).layers
     assert len(layers) == 2
     assert all(not g.poly for g in layers[0])              # X layer
     assert all(not g.flips for g in layers[1])         # CZ layer
@@ -382,18 +382,18 @@ def test_action_from_config(window12):
     }
     action = action_from_config(cfg, window12)
     assert action.group.order == 2
-    assert not action.circuit(0).instantiate()
-    (layer,) = action.circuit(1).instantiate()
+    assert not action.circuit(0).layers
+    (layer,) = action.circuit(1).layers
     assert len(layer) == len(list(window12.sites()))
 
 
 def test_builtin_ccz_layer_content(window12):
     action = builtin_action("ccz_x_2d", window12)
-    (ccz_layer,) = action.circuit(0b10).instantiate()   # g = (1,0): triangles only
+    (ccz_layer,) = action.circuit(0b10).layers   # g = (1,0): triangles only
     assert all(not g.flips and g.degree() == 3 for g in ccz_layer)
-    x_layer, = action.circuit(0b01).instantiate()       # g = (0,1): X product only
+    x_layer, = action.circuit(0b01).layers       # g = (0,1): X product only
     assert all(not g.poly for g in x_layer)
-    both = action.circuit(0b11).instantiate()           # X applied first, then CCZ
+    both = action.circuit(0b11).layers           # X applied first, then CCZ
     assert len(both) == 2 and not both[0][0].poly and not both[1][0].flips
 
 
@@ -404,7 +404,7 @@ def conj_order(g):
 def conj_full_scan(a, c):
     """Reference for conj_by_circuit: test every gate of each layer against
     the running support, then apply those that meet it in conj_order."""
-    for layer in c.instantiate():
+    for layer in c.layers:
         supp = support(a)
         acting = [g for g in layer if support(g) & supp]
         for g in sorted(acting, key=conj_order):
@@ -438,7 +438,7 @@ def rand_layer(rng):
             new = [rand_gate(rng)]
         if all(ops_commute(g, h) or not support(g) & support(h) for g in new for h in gates):
             gates += new
-    return GateRule("explicit", gates=tuple(gates))
+    return checked_layer(gates, GRID)
 
 
 def rand_circuit(rng):
@@ -481,7 +481,7 @@ def test_indexed_conj_matches_full_scan(seed):
         a = op_mul(rand_gate(rng), rand_gate(rng))
         assert conj_by_circuit(a, c, check_margin=False) == conj_full_scan(a, c)
         b = a
-        for layer in c.instantiate():
+        for layer in c.layers:
             acting = layer.acting(b)
             assert acting == [g for g in layer if can_fail_to_commute(g, b)]
             assert all(ops_commute(g, b) for g in layer if not can_fail_to_commute(g, b))
@@ -497,7 +497,7 @@ def test_layer_product_and_mask_match_gates(seed, kind):
     concatenated, suffix and conjugated layers are those of their gates."""
     rng = random.Random(seed)
     c = rand_derived(rng, rand_circuit(rng), kind)
-    for layer in c.instantiate():
+    for layer in c.layers:
         want = 0
         for g in layer:
             want |= support_mask(g)
@@ -508,7 +508,7 @@ def test_layer_product_and_mask_match_gates(seed, kind):
 
 def test_diagonal_passes_ccz_layer_without_acting_gates(window12):
     c = builtin_action("ccz_x_2d", window12).circuit(0b10)  # the CCZ layer only
-    (layer,) = c.instantiate()
+    (layer,) = c.layers
     diag = op_mul(SymOp.cz((0, 0), (1, 0)), op_mul(SymOp.z((0, 1)), SymOp.scalar(-1)))
     assert layer.acting(diag) == []
     assert conj_by_circuit(diag, c) == diag == conj_full_scan(diag, c)
@@ -522,12 +522,10 @@ def test_diagonal_passes_ccz_layer_without_acting_gates(window12):
 def test_total_range_of_derived_circuits(window12):
     # x_sites has range 0 and every other pattern 1, even when it yields no
     # gates; explicit and truncated layers have their largest gate diameter
-    empty_ccz = GateRule("ccz_triangles", Region.boundary_line())
-    c = ProceduralCircuit(
-        (GateRule("x_sites"), empty_ccz, GateRule("cz_horizontal_edges", Region.half_plane_H())),
-        window12,
-    )
-    assert not c.instantiate()[1]
+    rules = (GateRule("x_sites"), GateRule("ccz_triangles", Region.boundary_line()),
+             GateRule("cz_horizontal_edges", Region.half_plane_H()))
+    c = ProceduralCircuit(tuple(rule.generate(window12) for rule in rules), window12)
+    assert not c.layers[1]
     assert c.total_range() == 2
     assert concat(c, c).total_range() == 4
     assert suffix_circuit(c, 1).total_range() == 2
@@ -546,7 +544,7 @@ def test_explicit_rule_diameters_decoded_once(window12, monkeypatch):
     diameter = circuits._diameter
     monkeypatch.setattr(circuits, "_diameter", lambda sites: calls.append(sites) or diameter(sites))
     gates = (SymOp.cz((0, 0), (1, 0)), SymOp.x((2, 2)))
-    c = ProceduralCircuit((GateRule("explicit", gates=gates),), window12)
+    c = ProceduralCircuit((checked_layer(gates, window12),), window12)
     assert c.total_range() == 1
     conj_by_circuit(SymOp.x((0, 0)), c)
     assert c.total_range() == 1 and len(calls) == len(gates)
@@ -558,9 +556,8 @@ def test_rules_generated_once_and_inverse_cached(window12, monkeypatch):
     monkeypatch.setattr(GateRule, "generate", lambda rule, w: calls.append(rule) or generate(rule, w))
     c = builtin_action("ccz_x_2d", window12).circuit(0b11)
     H = Region.half_plane_H()
-    derived = [truncate(c, H), truncate_rest(c, H), concat(c, c), suffix_circuit(c, 1), c.inverse()]
-    for d in derived:
-        d.instantiate()
+    for d in (truncate(c, H), truncate_rest(c, H), concat(c, c), suffix_circuit(c, 1), c.inverse()):
+        assert all(type(layer) is Layer for layer in d.layers)
     a = SymOp.x((0, 0))
     assert conj_by_circuit(conj_by_circuit(a, c), c.inverse()) == a
     assert len(calls) == 2  # the X rule and the CCZ rule of c
@@ -573,10 +570,8 @@ def test_validate_action_checks_every_interior_site(window12):
     # X_t; the sampled check this replaced (2 random interior sites per
     # pair, drawn from random.Random(0) as the CLI did) passed this action
     t, s = (-1, 0), (0, 0)
-    c1 = ProceduralCircuit(
-        (GateRule("explicit", gates=(SymOp.x(s),)), GateRule("explicit", gates=(SymOp.cz(s, t),))),
-        window12,
-    )
+    c1 = ProceduralCircuit((checked_layer((SymOp.x(s),), window12), checked_layer((SymOp.cz(s, t),), window12)),
+                           window12)
     action = CircuitAction(FiniteGroup.cyclic(2), (ProceduralCircuit((), window12), c1), window12)
     assert validate_action(action) == [f"rho(1)rho(1) != rho(0) on {SymOp.x(t)}"]
 
@@ -600,32 +595,32 @@ def test_explicit_layer_range_is_largest_gate_diameter(window12):
             for _ in range(rng.randint(1, 5)):
                 picked = rng.sample(sites, rng.randint(1, 3))
                 gates.append((SymOp.z, SymOp.cz, SymOp.ccz)[len(picked) - 1](*picked))
-            layers.append(GateRule("explicit", gates=tuple(gates)))
-        c = ProceduralCircuit(tuple(layers), window12)
-        want = sum(max(extent(g) for g in rule.gates) for rule in layers)
+            layers.append(gates)
+        c = ProceduralCircuit(tuple(checked_layer(gates, window12) for gates in layers), window12)
+        want = sum(max(extent(g) for g in gates) for gates in layers)
         assert c.total_range() == want
-        assert [layer.range_bound() for layer in c.instantiate()] == [
-            max(extent(g) for g in rule.gates) for rule in layers
+        assert [layer.range_bound() for layer in c.layers] == [
+            max(extent(g) for g in gates) for gates in layers
         ]
 
 
 def test_order8_action_generates_each_rule_once(digest_script, window12, monkeypatch):
     """Equal circuits of an action are one object and equal rules one Layer,
-    still materialized on first use: the order8 config's 8 elements have 4
-    distinct circuits over 2 distinct rules."""
+    generated when the action is built: the order8 config's 8 elements have
+    4 distinct circuits over 2 distinct rules."""
     calls = []
     generate = GateRule.generate
     monkeypatch.setattr(GateRule, "generate", lambda rule, w: calls.append(rule) or generate(rule, w))
     action = action_from_config(digest_script.ORDER8_CONFIG, window12)
-    assert calls == []
+    assert len(calls) == 2
     assert validate_action(action) == []
     assert len(calls) == 2
     # element i has an X layer if i & 2 and a CCZ layer if i & 4
     assert action.slot == (0, 0, 1, 1, 2, 2, 3, 3)
     assert all(action.circuit(g) is action.distinct[action.slot[g]] for g in action.group.elements())
-    x_layer, ccz_layer = action.circuit(7).instantiate()
-    assert action.circuit(2).instantiate() == [x_layer] and action.circuit(2).instantiate()[0] is x_layer
-    assert action.circuit(4).instantiate()[0] is ccz_layer
+    x_layer, ccz_layer = action.circuit(7).layers
+    assert action.circuit(2).layers == (x_layer,) and action.circuit(2).layers[0] is x_layer
+    assert action.circuit(4).layers[0] is ccz_layer
 
 
 def test_validate_action_conjugates_once_per_circuit(digest_script, window12, monkeypatch):
@@ -656,8 +651,7 @@ def test_shared_circuits_report_each_failing_pair(window12):
 
     def squares_to_z():
         return ProceduralCircuit(
-            (GateRule("explicit", gates=(SymOp.x(s),)), GateRule("explicit", gates=(SymOp.cz(s, t),))),
-            window12,
+            (checked_layer((SymOp.x(s),), window12), checked_layer((SymOp.cz(s, t),), window12)), window12
         )
 
     empty = ProceduralCircuit((), window12)

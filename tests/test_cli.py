@@ -149,9 +149,41 @@ def test_mistyped_action_config_is_a_config_error(tmp_path, capsys):
         ({"group": group, "generators": [{"element": 1, "layers": [layer]}]}, "TypeError: '<' not supported"),
         ({"group": {"order": 3, "mul": [0, 1, 2, 1, 2, 0, 2, 0, 7]}, "generators": []},
          "GroupTableError: mul table entry 7 is not an element of range(3)"),
+        # a gate list is no config pattern: this element would act trivially
+        ({"group": group, "generators": [{"element": 1, "layers": [{"pattern": "explicit"}]}]},
+         "InstantiationError: unknown pattern 'explicit'"),
     ):
         path = _write(tmp_path, "action.json", json.dumps(config))
         assert err in _config_error(["anomaly2d", "--action", path], capsys)
+
+
+def test_action_config_element_names_must_be_distinct_strings(tmp_path, capsys):
+    """Names key the report's cochain entries: equal names would merge the
+    8 entries of a Z2 degree-3 cochain into 1, and int names fail only when
+    the report is written.  Both are refused before any computation."""
+    for names in (["x", "x"], [0, 1]):
+        path = _write(tmp_path, "action.json", json.dumps({
+            "group": {"order": 2, "mul": [0, 1, 1, 0], "names": names},
+            "generators": [{"element": 1, "layers": [{"pattern": "x_sites"}, {"pattern": "cz_chain_edges"}]}],
+        }))
+        report = tmp_path / "r.json"
+        err = _config_error(["anomaly1d", "--action", path, "--report", str(report)], capsys)
+        assert "GroupTableError: element names must be distinct strings" in err
+        assert not report.exists()
+
+
+def test_config_action_on_a_window_too_small_to_validate_is_a_config_error(tmp_path, capsys):
+    """A 10x10 window with margin 3 has no site at edge distance 3 + 2 x 1
+    for a CCZ action, so the config cannot be checked to define a group
+    action there; the builtin ccz_x_2d, which needs no check, still runs."""
+    path = _write(tmp_path, "action.json", json.dumps({
+        "group": {"order": 2, "mul": [0, 1, 1, 0]},
+        "generators": [{"element": 1, "layers": [{"pattern": "ccz_triangles"}]}],
+    }))
+    window = ["--window", "10x10", "--margin", "3"]
+    err = _config_error(["anomaly2d", "--action", path, *window], capsys)
+    assert err == "config error: window 10x10 with margin 3: window too small to validate the action\n"
+    assert run(["anomaly2d", "--action", "ccz_x_2d", *window]) == 0
 
 
 def test_custom_action_config(tmp_path):

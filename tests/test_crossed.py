@@ -163,6 +163,37 @@ def test_validators_report_peiffer_failure():
     assert violations == [f"crossed module M->P: Peiffer fails at ({m0},{m1})" for m0 in (1, 3) for m1 in (1, 3)]
 
 
+class CountedRows(tuple):
+    """A table that counts the rows read from it."""
+
+    def __new__(cls, rows):
+        table = super().__new__(cls, rows)
+        table.reads = 0
+        return table
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_validators_stop_at_the_64th_violation():
+    """Z16 with zero maps, trivial actions and the constant braiding 1:
+    every pair of the {dl0,dl1} equation fails, and the check stops at the
+    64th, after the 256 braid reads of the equation before it, instead of
+    reading the table for every pair and triple of the equations after."""
+    Z16 = FiniteGroup.cyclic(16)
+    braid = CountedRows((1,) * 16 for _ in range(16))
+    t = TwoCrossedModule(
+        Z16, Z16, Z16,
+        delta=GroupHom.trivial(Z16, Z16), bd=GroupHom.trivial(Z16, Z16),
+        act_L=ActionTable.trivial(Z16, Z16), act_K=ActionTable.trivial(Z16, Z16),
+        braid=braid,
+    )
+    violations = validate_two_crossed_module(t)
+    assert violations == [f"braid eq {{dl0,dl1}} fails at ({l0},{l1})" for l0 in range(4) for l1 in range(16)]
+    assert braid.reads == 256 + 64
+
+
 def test_to_two_crossed_module():
     t = to_two_crossed_module(conj_square(S3))
     assert not validate_two_crossed_module(t)

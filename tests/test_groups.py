@@ -59,6 +59,11 @@ def test_group_table_validation():
         FiniteGroup(((0, 1, 2), (1, 2, 0), (2, 0, 7)))
     with pytest.raises(GroupTableError, match="entry 1.0 is not an element of range"):
         FiniteGroup(((0, 1), (1, 1.0)))
+    # element names read from JSON key the cochain entries of a report, so
+    # they are distinct strings
+    for names in (["x", "x"], [0, 1], ["e", 1], ["e", None]):
+        with pytest.raises(GroupTableError, match="element names must be distinct strings"):
+            FiniteGroup.from_json({"order": 2, "mul": [0, 1, 1, 0], "names": names})
 
 
 def test_coboundary_of_constant_0cochain_is_trivial():

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from anomalion import pairing
-from anomalion.circuits import GateRule, Layer, ProceduralCircuit, concat, conj_by_circuit
+from anomalion.circuits import Layer, ProceduralCircuit, checked_layer, concat, conj_by_circuit
 from anomalion.lattice import Region, Window
 from anomalion.pairing import (
     LocalizedAutomorphism,
@@ -23,9 +23,7 @@ from reference import eta_L_suffix, eta_R_suffix
 
 
 def left_circuit(window, gates_layers):
-    return ProceduralCircuit(
-        tuple(GateRule("explicit", gates=tuple(layer)) for layer in gates_layers), window
-    )
+    return ProceduralCircuit(tuple(checked_layer(layer, window) for layer in gates_layers), window)
 
 
 def test_trivial_side_gives_identity(window12):
@@ -143,9 +141,9 @@ def test_stabilization_error_on_tiny_window():
     w = Window.centered(6, 6, margin=0)
     layer = [SymOp.cz((0, 0), (1, 0))]
     alpha = LocalizedAutomorphism(
-        Region.half_line_L(2), circuit=ProceduralCircuit((GateRule("explicit", gates=(SymOp.x((0, 0)),)),), w)
+        Region.half_line_L(2), circuit=ProceduralCircuit((checked_layer((SymOp.x((0, 0)),), w),), w)
     )
-    beta = LocalizedAutomorphism(Region.half_line_R(2), circuit=ProceduralCircuit((GateRule("explicit", gates=tuple(layer)),), w))
+    beta = LocalizedAutomorphism(Region.half_line_R(2), circuit=ProceduralCircuit((checked_layer(layer, w),), w))
     with pytest.raises(StabilizationError):
         eta(alpha, beta)
 

@@ -19,6 +19,7 @@ from anomalion.circuits import (
     MarginError,
     ProceduralCircuit,
     builtin_action,
+    checked_layer,
     cluster_entangler_1d,
     truncate,
 )
@@ -139,7 +140,7 @@ def test_relative_class_plus_equivalent_dressings_trivial(chain12):
     # dressings by X / Z strings leave the all-plus state in its orbit
     ax = builtin_action("onsite_x_1d", chain12)
     shift = ProceduralCircuit(
-        (GateRule("explicit", gates=(SymOp.z((0, 0)), SymOp.z((2, 0)))),), chain12
+        (checked_layer((SymOp.z((0, 0)), SymOp.z((2, 0))), chain12),), chain12
     )
     rep = spt_relative_1d(ax, shift, None, state=ALL_PLUS)
     assert not any(rep["cochain"].values)
@@ -211,7 +212,7 @@ def test_spt_2d_onsite(window12):
 def test_spt_2d_onsite_diagonal_dressing(window12):
     action = builtin_action("onsite_x_2d", window12)
     data = build_truncation_2d(action)
-    dress = ProceduralCircuit((GateRule("cz_horizontal_edges", Region.full()),), window12)
+    dress = ProceduralCircuit((GateRule("cz_horizontal_edges", Region.full()).generate(window12),), window12)
     assert action_preserves_state(action, ALL_PLUS, dress)
     rep = spt_trivialize_2d(data, dress, state=ALL_PLUS)
     assert rep["status"] == "ok"

@@ -34,7 +34,7 @@ def window():
 
 def action_fields():
     w = window()
-    return z2(), (ProceduralCircuit((), w), ProceduralCircuit((GateRule("x_sites"),), w)), w, "x"
+    return z2(), (ProceduralCircuit((), w), ProceduralCircuit((GateRule("x_sites").generate(w),), w)), w, "x"
 
 
 def action():
@@ -55,9 +55,9 @@ FROZEN = {
     "Window": lambda: (Window, (-3, 2, -3, 2, 1)),
     "Region": lambda: (Region, ("intersection", 0, 0, Region.half_line_L(1),
                                 Region.complement_of(Region.origin_disk(3)))),
-    "GateRule": lambda: (GateRule, ("explicit", Region.half_plane_H(2),
-                                    (SymOp.x((0, 0)), SymOp.cz((0, 0), (1, 0))))),
-    "ProceduralCircuit": lambda: (ProceduralCircuit, ((GateRule("x_sites"), GateRule("ccz_triangles")), window())),
+    "GateRule": lambda: (GateRule, ("cz_horizontal_edges", Region.half_plane_H(2))),
+    "ProceduralCircuit": lambda: (ProceduralCircuit, (tuple(GateRule(p).generate(window())
+                                                            for p in ("x_sites", "ccz_triangles")), window())),
     "CollapseResult": lambda: (CollapseResult, (SymOp.z((0, 0)), ("dropped flip at (3, 0)",))),
     "CircuitAction": lambda: (CircuitAction, action_fields()),
     "FiniteGroup": lambda: (FiniteGroup, (((0, 1, 2), (1, 2, 0), (2, 0, 1)), ("0", "1", "2"), "Z3")),
@@ -165,8 +165,8 @@ def test_caches_and_derived_fields_are_not_compared():
     """A circuit's cache, an action's distinct circuits and a truncation's
     numbering and step tables stay out of ==."""
     c = make("ProceduralCircuit")
-    c.instantiate()
     c.total_range()
+    c.unitary()
     assert c == make("ProceduralCircuit") and hash(c) == hash(make("ProceduralCircuit"))
     data = make("TruncationData2d")
     data._id(SymOp.z((0, 0)))
