@@ -161,6 +161,7 @@ RUNS = (
     ["crossed", "validate", "--input", "postnikov_cm.json"],
     ["crossed", "validate", "--input", "z2_t2cm.json"],
     ["anomaly2d", "--action", "cz_outside_disk.json", "--check-window", "--seed", "16"],
+    ["anomaly2d", "--action", "order8_action.json", "--check-gauge", "1", "--seed", "17"],
 )
 
 
