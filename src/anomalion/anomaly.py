@@ -386,15 +386,10 @@ def anomaly_2d(action: CircuitAction, data: TruncationData2d | None = None) -> d
 
 
 class TruncationData1d(Record):
-    __slots__ = ("action", "rho_tilde", "nu_lift", "origin_radius", "cropped")
+    """The 1d truncation: rho~(g) by element, nu_lift[g, h] in the origin
+    disk of radius origin_radius, and the crop log."""
 
-    def __init__(self, action: CircuitAction, rho_tilde: tuple[ProceduralCircuit, ...], nu_lift: dict,
-                 origin_radius: int, cropped: tuple[str, ...] = ()):
-        self.action = action
-        self.rho_tilde = rho_tilde
-        self.nu_lift = nu_lift
-        self.origin_radius = origin_radius
-        self.cropped = cropped
+    __slots__ = ("action", "rho_tilde", "nu_lift", "origin_radius", "cropped")
 
     @property
     def group(self) -> FiniteGroup:
@@ -439,6 +434,13 @@ def regauge_beta(data: TruncationData2d, v: dict) -> TruncationData2d:
     closed-form lift; tau built from the result must be unchanged.
 
     v maps pairs (g,h) to origin-local SymOps.
+
+    u' is the five-term product, not _lift_u on (rho~, v*beta): that lift
+    crops window-rim debris with crop_window_debris, and on a 12x12 window
+    with margin 3 some true u' terms have sites such as (3, 0) that lie in
+    the margin strip and inside the radius-4 disk.  With the seed-21 v of
+    test_regauge_beta_tau_invariance, 13 of the 64 u' values have such a
+    site, the lift drops them, and tau(0,0,1,3) is not scalar.
     """
     G = data.group
     disk = Region.origin_disk(data.origin_radius)

@@ -301,11 +301,9 @@ def apply_inverse_circuit(a: SymOp, c: ProceduralCircuit) -> SymOp:
 
 
 class CollapseResult(Frozen):
-    __slots__ = ("op", "cropped")
+    """An operator with its window-rim debris dropped, and the crop log."""
 
-    def __init__(self, op: SymOp, cropped: tuple[str, ...]):
-        init_field(self, "op", op)
-        init_field(self, "cropped", cropped)
+    __slots__ = ("op", "cropped")
 
 
 def crop_window_debris(a: SymOp, window: Window) -> CollapseResult:

@@ -356,6 +356,12 @@ def cmd_crossed(args) -> int:
         return EXIT_OK if ok else EXIT_ASSERTION
     if args.subcommand == "convert":
         t = to_two_crossed_module(_from_json(_square_from_json, obj))
+        # K names are "(m;n)", so M and N names that contain ";" can collide
+        seen = set()
+        for name in t.K.names:
+            if name in seen:
+                raise ConfigError(f"K element name {name!r} is repeated: M or N element names contain ';'")
+            seen.add(name)
         valid = not validate_two_crossed_module(t)
         print(f"convert: two-crossed module of order ({t.L.order},{t.K.order},{t.P.order}); valid={valid}")
         _emit({"command": "crossed convert", "valid": valid, "two_crossed_module": _t2cm_to_json(t)}, args.report)

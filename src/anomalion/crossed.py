@@ -54,11 +54,6 @@ class ActionTable(Frozen):
 
     __slots__ = ("acting", "on", "table")
 
-    def __init__(self, acting: FiniteGroup, on: FiniteGroup, table: tuple[tuple[int, ...], ...]):
-        init_field(self, "acting", acting)
-        init_field(self, "on", on)
-        init_field(self, "table", table)
-
     def __call__(self, a: int, b: int) -> int:
         return self.table[a][b]
 
@@ -141,26 +136,9 @@ def validate_crossed_module(cm: CrossedModule) -> Iterator[str]:
 
 class CrossedSquare(Frozen):
     """Commuting square (f: L->M, g: L->N, v: M->P, u: N->P) with P-actions
-    on L, M, N and a pairing eta: M x N -> L."""
+    on L, M, N and a pairing eta: M x N -> L, eta[m][n] in L."""
 
     __slots__ = ("L", "M", "N", "P", "f", "g", "v", "u", "act_L", "act_M", "act_N", "eta")
-
-    def __init__(self, L: FiniteGroup, M: FiniteGroup, N: FiniteGroup, P: FiniteGroup,
-                 f: GroupHom, g: GroupHom, v: GroupHom, u: GroupHom,
-                 act_L: ActionTable, act_M: ActionTable, act_N: ActionTable,
-                 eta: tuple[tuple[int, ...], ...]):
-        init_field(self, "L", L)
-        init_field(self, "M", M)
-        init_field(self, "N", N)
-        init_field(self, "P", P)
-        init_field(self, "f", f)
-        init_field(self, "g", g)
-        init_field(self, "v", v)
-        init_field(self, "u", u)
-        init_field(self, "act_L", act_L)
-        init_field(self, "act_M", act_M)
-        init_field(self, "act_N", act_N)
-        init_field(self, "eta", eta)  # eta[m][n] in L
 
     def eta_at(self, m: int, n: int) -> int:
         return self.eta[m][n]
@@ -239,20 +217,10 @@ def validate_crossed_square(cs: CrossedSquare) -> Iterator[str]:
 
 
 class TwoCrossedModule(Frozen):
-    """Normal complex L -> K -> P with P-actions and a braiding K x K -> L."""
+    """Normal complex L -> K -> P with P-actions and a braiding K x K -> L,
+    braid[k0][k1] in L."""
 
     __slots__ = ("L", "K", "P", "delta", "bd", "act_L", "act_K", "braid")
-
-    def __init__(self, L: FiniteGroup, K: FiniteGroup, P: FiniteGroup, delta: GroupHom, bd: GroupHom,
-                 act_L: ActionTable, act_K: ActionTable, braid: tuple[tuple[int, ...], ...]):
-        init_field(self, "L", L)
-        init_field(self, "K", K)
-        init_field(self, "P", P)
-        init_field(self, "delta", delta)
-        init_field(self, "bd", bd)
-        init_field(self, "act_L", act_L)
-        init_field(self, "act_K", act_K)
-        init_field(self, "braid", braid)  # braid[k0][k1] in L
 
     def braid_at(self, k0: int, k1: int) -> int:
         return self.braid[k0][k1]
@@ -397,11 +365,6 @@ class KernelPhaseIso(Frozen):
     """Explicit isomorphism ker(bd) -> Z_m (element list and residue list)."""
 
     __slots__ = ("elements", "residues", "modulus")
-
-    def __init__(self, elements: tuple[int, ...], residues: tuple[int, ...], modulus: int):
-        init_field(self, "elements", elements)
-        init_field(self, "residues", residues)
-        init_field(self, "modulus", modulus)
 
     def residue_map(self) -> dict[int, int]:
         """element -> residue."""
@@ -560,16 +523,10 @@ def postnikov3(
 
 
 class WeakMorphismData(Frozen):
-    """(rho~, mu) for a group G mapping into a crossed module."""
+    """(rho~, mu) for a group G mapping into a crossed module: rho_t: G -> N
+    and mu: G x G -> M, as tables."""
 
     __slots__ = ("G", "target", "rho_t", "mu")
-
-    def __init__(self, G: FiniteGroup, target: CrossedModule, rho_t: tuple[int, ...],
-                 mu: tuple[tuple[int, ...], ...]):
-        init_field(self, "G", G)
-        init_field(self, "target", target)
-        init_field(self, "rho_t", rho_t)  # G -> N
-        init_field(self, "mu", mu)  # G x G -> M
 
 
 def check_weak_morphism(d: WeakMorphismData, iso: KernelPhaseIso | None = None) -> dict:

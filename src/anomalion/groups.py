@@ -129,9 +129,15 @@ class FiniteGroup(Frozen):
             raise GroupTableError("mul table length != order^2")
         table = tuple(tuple(flat[i * order : (i + 1) * order]) for i in range(order))
         names = tuple(obj.get("names", ()))
-        # names key the entries of a report's cochains
+        # names key the entries of a report's cochains, joined with ",";
+        # the keys stay distinct when every name has as many commas as the
+        # first (Klein's "0,1" has one), as a key then splits into equal runs
         if any(type(s) is not str for s in names) or len(set(names)) < len(names):
             raise GroupTableError("element names must be distinct strings")
+        for s in names:
+            if s.count(",") != names[0].count(","):
+                raise GroupTableError(f"element names {names[0]!r} and {s!r} differ in their number of ','"
+                                      ", which joins names in report keys")
         return FiniteGroup(table, names, obj.get("name", "G"))
 
     def to_json(self) -> dict:

@@ -1,11 +1,16 @@
 """The base classes of anomalion's records and immutable values.
 
-Every record is a plain class with __slots__ and a hand-written __init__,
-so importing anomalion generates no code.  A subclass lists its fields in
-__slots__ and may name the fields that == reads in the class keyword
-compare (all of them by default): two records are equal when they have
-the same class and equal compared fields, and an instance of any other
-class is never equal.
+Every record is a plain class with __slots__, so importing anomalion
+generates no code.  A subclass lists its fields in __slots__ and may name
+the fields that == reads in the class keyword compare (all of them by
+default): two records are equal when they have the same class and equal
+compared fields, and an instance of any other class is never equal.
+
+Record.__init__ binds positional, then keyword, arguments to the public
+slots (the names without a leading _), in order and each exactly once; a
+missing, extra or repeated field is a TypeError.  A subclass that adds no
+slot keeps its parent's fields.  A class whose constructor checks or
+derives a field writes its own __init__.
 
 A Record is mutable and unhashable.  A Frozen value hashes its compared
 fields and refuses assignment and deletion of any field; its __init__ sets
@@ -31,12 +36,31 @@ def _restore(cls, fields: tuple):
 
 class Record:
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, compare: tuple[str, ...] | None = None, **kwargs):
         super().__init_subclass__(**kwargs)
         names = cls.__slots__ if compare is None else compare
         if names:  # Frozen passes none: its _hash slot is not a field
             cls._key = attrgetter(*names)
+        fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if fields:
+            cls._fields = fields
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(args)} positional")
+        for name, arg in zip(fields, args):
+            if name in kwargs:
+                raise TypeError(f"{type(self).__name__} got field {name!r} twice")
+            init_field(self, name, arg)
+        for name in fields[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+            init_field(self, name, kwargs.pop(name))
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} has no field {next(iter(kwargs))!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -51,32 +51,39 @@ class DenseSpace:
     def symop_matrix(self, op: SymOp) -> np.ndarray:
         """Render a SymOp densely by evaluating its data per basis state.
 
-        Evaluation is per basis state (truth-table style); the product /
-        conjugation algebra under test is never consulted.
+        Evaluation is per basis state (truth-table style, over all states at
+        once with bit operations); the product / conjugation algebra under
+        test is never consulted.
         """
-        d = self.dim
         mask = 0
         for s in op.flips:
             mask |= 1 << self.index[s]
-        M = np.zeros((d, d), dtype=np.int64)
-        for a in range(d):
-            out = a ^ mask
-            val = 0
-            for mono in op.poly:
-                if all(self.bit(out, s) for s in mono):
-                    val ^= 1
-            M[out, a] = -1 if val else 1
+        states = np.arange(self.dim, dtype=np.int64)
+        out = states ^ mask
+        val = np.zeros(self.dim, dtype=np.int64)
+        for mono in op.poly:
+            hit = np.ones(self.dim, dtype=np.int64)
+            for s in mono:
+                hit &= out >> self.index[s] & 1
+            val ^= hit
+        M = np.zeros((self.dim, self.dim), dtype=np.int64)
+        M[out, states] = np.where(val, -1, 1)
         return M
 
     def circuit_matrix(self, circuit) -> np.ndarray:
-        """W_N ... W_1 for a circuit (first layer rightmost)."""
-        W = np.eye(self.dim, dtype=np.int64)
+        """W_N ... W_1 for a circuit (first layer rightmost).
+
+        Multiplied in float64, which BLAS does fast, and returned as int64:
+        every factor is a signed permutation matrix, so each entry of a
+        product is a single +-1 term and the float result is exact.
+        """
+        W = np.eye(self.dim)
         for layer in circuit.layers:
-            L = np.eye(self.dim, dtype=np.int64)
+            L = np.eye(self.dim)
             for g in layer:
                 L = L @ self.symop_matrix(g)
             W = L @ W
-        return W
+        return W.astype(np.int64)
 
     def state_vector(self, basis: dict | str = "z") -> np.ndarray:
         """Unnormalized product state: |0> ('z') or |+> ('x') per site."""

@@ -27,7 +27,7 @@ from anomalion.circuits import (
 from anomalion.groups import Cochain, coboundary, cohomologous, klein_bits
 from anomalion.lattice import Region, Window
 from anomalion.pairing import LocalizedAutomorphism, eta
-from anomalion.sampling import random_inner, region_sites
+from anomalion.sampling import random_boundary_gamma, random_inner, region_sites
 from anomalion.symop import SymOp, op_conj, op_inv, op_mul, op_product, scalar_phase, support
 from reference import classify_support, collapse_per_pair
 
@@ -433,26 +433,34 @@ def test_nonscalar_tau_detection(ccz_data):
         tau_cochain(broken)
 
 
-def test_u_defining_relation_on_observables(ccz_data):
-    """Ad_u equals the four-factor automorphism on origin-local observables."""
-    from anomalion.symop import op_conj, op_inv
-
+def test_u_defining_relation_on_observables(ccz_data, window12):
+    """Ad_u equals the four-factor automorphism on origin-local observables,
+    for every triple, on the data as built and as regauged by a seeded v
+    (regauge_beta's closed-form u') and by one boundary gamma (regauge_rho's
+    lifted u')."""
     rng = random.Random(31)
     G = ccz_data.group
-    for _ in range(10):
-        g, h, k = (rng.randrange(4) for _ in range(3))
-        gh, hk = G.mul(g, h), G.mul(h, k)
-        b1, b2, b3 = ccz_data.beta[g, h], ccz_data.beta[gh, k], ccz_data.beta[g, hk]
-        w = ccz_data.rho_apply(g, ccz_data.beta[h, k])
-        u = ccz_data.u[g, h, k]
-        s = (rng.randrange(-1, 2), 0)
-        for obs in (SymOp.z(s), SymOp.x(s)):
-            lhs = op_conj(obs, u)
-            o = op_conj(obs, op_inv(w))
-            o = op_conj(o, op_inv(b3))
-            o = op_conj(o, b2)
-            o = op_conj(o, b1)
-            assert lhs == o
+    disk_sites = region_sites(window12, Region.origin_disk(2))
+    v = {(g, h): random_inner(rng, disk_sites) for g in G.elements() for h in G.elements()}
+    gamma = random_boundary_gamma(rng, window12, G, skip=0.4)
+    assert gamma
+    for data in (ccz_data, regauge_beta(ccz_data, v), regauge_rho(ccz_data, gamma)):
+        checks = 0
+        for g, h, k in G.tuples(3):
+            gh, hk = G.mul(g, h), G.mul(h, k)
+            b1, b2, b3 = data.beta[g, h], data.beta[gh, k], data.beta[g, hk]
+            w = data.rho_apply(g, data.beta[h, k])
+            u = data.u[g, h, k]
+            for x in (-1, 0, 1):
+                for obs in (SymOp.z((x, 0)), SymOp.x((x, 0))):
+                    lhs = op_conj(obs, u)
+                    o = op_conj(obs, op_inv(w))
+                    o = op_conj(o, op_inv(b3))
+                    o = op_conj(o, b2)
+                    o = op_conj(o, b1)
+                    assert lhs == o, (data.assertions[-1], g, h, k, obs)
+                    checks += 1
+        assert checks == 384
 
 
 def test_rectangular_and_asymmetric_windows(ccz_data):

@@ -160,15 +160,21 @@ def test_mistyped_action_config_is_a_config_error(tmp_path, capsys):
 def test_action_config_element_names_must_be_distinct_strings(tmp_path, capsys):
     """Names key the report's cochain entries: equal names would merge the
     8 entries of a Z2 degree-3 cochain into 1, and int names fail only when
-    the report is written.  Both are refused before any computation."""
-    for names in (["x", "x"], [0, 1]):
+    the report is written.  Names are joined with "," in those keys, so
+    "a" and "a,a", with different numbers of commas, would merge entries
+    too.  All are refused before any computation."""
+    for names, message in (
+        (["x", "x"], "element names must be distinct strings"),
+        ([0, 1], "element names must be distinct strings"),
+        (["a", "a,a"], "element names 'a' and 'a,a' differ in their number of ','"),
+    ):
         path = _write(tmp_path, "action.json", json.dumps({
             "group": {"order": 2, "mul": [0, 1, 1, 0], "names": names},
             "generators": [{"element": 1, "layers": [{"pattern": "x_sites"}, {"pattern": "cz_chain_edges"}]}],
         }))
         report = tmp_path / "r.json"
         err = _config_error(["anomaly1d", "--action", path, "--report", str(report)], capsys)
-        assert "GroupTableError: element names must be distinct strings" in err
+        assert f"GroupTableError: {message}" in err
         assert not report.exists()
 
 
@@ -247,6 +253,30 @@ def test_crossed_cli(tmp_path):
     bpath = tmp_path / "bad.json"
     bpath.write_text(json.dumps(bad))
     assert run(["crossed", "validate", "--input", str(bpath)]) == 1
+
+
+def test_convert_refuses_repeated_k_names(tmp_path, capsys):
+    """K = M x| N names its elements "(m;n)": M names "a;b", "a" and N names
+    "c", "b;c" give "(a;b;c)" twice, which the report cannot tell apart.
+    An invalid square with the same names is still an assertion failure."""
+    z2 = {"order": 2, "mul": [0, 1, 1, 0]}
+    square = {
+        "kind": "crossed_square",
+        "L": z2, "M": {**z2, "names": ["a;b", "a"]}, "N": {**z2, "names": ["c", "b;c"]},
+        "P": {"order": 1, "mul": [0]},
+        "f": [0, 0], "g": [0, 0], "v": [0, 0], "u": [0, 0],
+        "act_L": [[0, 1]], "act_M": [[0, 1]], "act_N": [[0, 1]],
+        "eta": [[0, 0], [0, 1]],
+    }
+    path = _write(tmp_path, "sq.json", json.dumps(square))
+    report = tmp_path / "r.json"
+    assert run(["crossed", "validate", "--input", path]) == 0
+    err = _config_error(["crossed", "convert", "--input", path, "--report", str(report)], capsys)
+    assert "K element name '(a;b;c)' is repeated" in err
+    assert not report.exists()
+    path = _write(tmp_path, "bad.json", json.dumps({**square, "eta": [[0, 1], [0, 1]]}))
+    assert run(["crossed", "convert", "--input", path, "--report", str(report)]) == 1
+    assert not report.exists()
 
 
 def test_postnikov_all_sections_validates_once(tmp_path, monkeypatch):

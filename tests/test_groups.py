@@ -64,6 +64,11 @@ def test_group_table_validation():
     for names in (["x", "x"], [0, 1], ["e", 1], ["e", None]):
         with pytest.raises(GroupTableError, match="element names must be distinct strings"):
             FiniteGroup.from_json({"order": 2, "mul": [0, 1, 1, 0], "names": names})
+    # names are joined with "," in those keys: "a" and "a,a" would collide,
+    # while names with one comma each (as Klein's) keep them distinct
+    with pytest.raises(GroupTableError, match="element names 'a' and 'a,a' differ in their number of ','"):
+        FiniteGroup.from_json({"order": 2, "mul": [0, 1, 1, 0], "names": ["a", "a,a"]})
+    assert FiniteGroup.from_json({"order": 2, "mul": [0, 1, 1, 0], "names": ["a,b", "a,a"]}).names == ("a,b", "a,a")
 
 
 def test_coboundary_of_constant_0cochain_is_trivial():

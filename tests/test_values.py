@@ -22,6 +22,7 @@ from anomalion.groups import Cochain, FiniteGroup, GroupHom
 from anomalion.lattice import Region, Window
 from anomalion.pairing import LocalizedAutomorphism
 from anomalion.symop import ReferenceState, SymOp
+from anomalion.values import Frozen, Record
 
 
 def z2():
@@ -87,7 +88,10 @@ def make(name):
 
 
 def _fields(cls) -> list[str]:
-    """The constructor's parameters: the fields a caller sets."""
+    """The fields a caller sets: the bound fields of a class that uses
+    Record.__init__, else its constructor's parameters."""
+    if cls.__init__ is Record.__init__:
+        return list(cls._fields)
     return list(inspect.signature(cls).parameters)
 
 
@@ -140,6 +144,31 @@ def test_copies_and_pickles_are_equal_values(name):
         assert type(copied) is type(value) and copied == value
         assert hash(copied) == hash(value)
         assert all(getattr(copied, f) == getattr(value, f) for f in _fields(type(value)))
+
+
+BOUND = (ActionTable, CrossedSquare, TwoCrossedModule, KernelPhaseIso, WeakMorphismData, CollapseResult,
+         TruncationData1d)
+
+
+def test_record_init_binds_each_public_slot_once():
+    for cls in BOUND:
+        assert cls.__init__ is Record.__init__ and cls._fields == cls.__slots__
+    table = ((0, 1), (0, 1))
+    assert ActionTable(z2(), on=z2(), table=table) == ActionTable(z2(), z2(), table)
+    assert ActionTable(table=table, on=z2(), acting=z2()).table is table
+    for args, kwargs, message in (
+        ((z2(), z2()), {}, "ActionTable is missing field 'table'"),
+        ((z2(), z2(), table, 1), {}, "ActionTable takes 3 fields, got 4 positional"),
+        ((z2(), z2(), table), {"on": z2()}, "ActionTable got field 'on' twice"),
+        ((z2(), z2()), {"table": table, "tables": table}, "ActionTable has no field 'tables'"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            ActionTable(*args, **kwargs)
+    # private slots are not fields, and a subclass without slots keeps its
+    # parent's
+    assert ProceduralCircuit._fields == ("layers", "window") and Frozen._fields == ()
+    sub = type("SubTable", (ActionTable,), {"__slots__": ()})
+    assert sub._fields == ActionTable._fields and sub(z2(), z2(), table).table is table
 
 
 def test_records_take_assignment():
