@@ -162,6 +162,7 @@ RUNS = (
     ["crossed", "validate", "--input", "z2_t2cm.json"],
     ["anomaly2d", "--action", "cz_outside_disk.json", "--check-window", "--seed", "16"],
     ["anomaly2d", "--action", "order8_action.json", "--check-gauge", "1", "--seed", "17"],
+    ["anomaly1d", "--action", "levin_gu_1d", "--check-window", "--seed", "18"],
 )
 
 
