@@ -1,9 +1,10 @@
 """Lattice geometry: sites, finite windows, regions with L-infinity thickening.
 
-A site is an integer pair (x, y); 1d mode keeps y = 0.  Regions are the
-half-plane y >= 0, the boundary line y = 0, the two half-lines of the
-boundary, origin disks, complements and intersections.  Membership at
-thickening r means L-infinity distance <= r from the region's core set.
+A site is an integer pair (x, y); 1d mode keeps y = 0.  The basic regions
+are the half-plane y >= 0, the boundary line y = 0, the two half-lines of
+the boundary and origin disks; membership at thickening r means
+L-infinity distance <= r from the region's core set.  Complements and
+intersections of regions are the exact set operations on their parts.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from typing import Iterable
 from .values import Frozen, init_field
 
 Site = tuple[int, int]
-
-_INF = 10**9
 
 
 class Window(Frozen):
@@ -83,12 +82,14 @@ class Window(Frozen):
 
 
 class Region(Frozen):
-    """A core point set plus a thickening radius.
+    """A set of sites.
 
-    kinds: full, half_plane_H (y >= 0), boundary_line (y = 0),
-    half_line_R (y = 0, x >= 0), half_line_L (y = 0, x <= 0),
-    origin_disk (needs radius), complement (of .inner),
-    intersection (of .inner and .inner2).
+    The basic kinds are a core set plus a thickening radius: full,
+    half_plane_H (y >= 0), boundary_line (y = 0), half_line_R (y = 0,
+    x >= 0), half_line_L (y = 0, x <= 0) and origin_disk (needs radius).
+    complement (of .inner) and intersection (of .inner and .inner2) are the
+    set operations on their parts, thickenings included, and take no
+    thickening of their own.
     """
 
     __slots__ = ("kind", "thickening", "radius", "inner", "inner2")
@@ -102,10 +103,12 @@ class Region(Frozen):
                  inner: Region | None = None, inner2: Region | None = None):
         if kind not in self.KINDS:
             raise ValueError(f"unknown region kind {kind!r}")
-        if thickening < 0:
-            raise ValueError("thickening must be >= 0")
-        if kind == "origin_disk" and radius < 0:
-            raise ValueError("radius must be >= 0")
+        if type(thickening) is not int or thickening < 0:
+            raise ValueError(f"thickening must be an int >= 0, got {thickening!r}")
+        if kind == "origin_disk" and (type(radius) is not int or radius < 0):
+            raise ValueError(f"radius must be an int >= 0, got {radius!r}")
+        if kind in ("complement", "intersection") and thickening:
+            raise ValueError(f"{kind} regions take no thickening; thicken their parts")
         if kind == "complement" and inner is None:
             raise ValueError("complement needs an inner region")
         if kind == "intersection" and (inner is None or inner2 is None):
@@ -116,8 +119,8 @@ class Region(Frozen):
         init_field(self, "inner", inner)
         init_field(self, "inner2", inner2)
 
-    # distance from a site to the region core (L-infinity, lattice points)
     def core_distance(self, s: Site) -> int:
+        """L-infinity distance from s to the core of a basic region."""
         x, y = s
         k = self.kind
         if k == "full":
@@ -132,37 +135,13 @@ class Region(Frozen):
             return max(abs(y), max(0, x))
         if k == "origin_disk":
             return max(0, max(abs(x), abs(y)) - self.radius)
-        if k == "complement":
-            return self.inner.complement_core_distance(s)
-        if k == "intersection":
-            # parts keep their own thickenings; exact for axis-aligned cores
-            d1 = self.inner.core_distance(s) - self.inner.thickening
-            d2 = self.inner2.core_distance(s) - self.inner2.thickening
-            return max(d1, d2, 0)
-        raise AssertionError
-
-    def complement_core_distance(self, s: Site) -> int:
-        """Distance to the complement of this region's core."""
-        x, y = s
-        k = self.kind
-        if k == "full":
-            return _INF
-        if k == "half_plane_H":
-            return max(0, y + 1)
-        if k == "boundary_line":
-            return 1 if y == 0 else 0
-        if k in ("half_line_R", "half_line_L"):
-            on_ray = y == 0 and (x >= 0 if k == "half_line_R" else x <= 0)
-            return 1 if on_ray else 0
-        if k == "origin_disk":
-            return max(0, self.radius + 1 - max(abs(x), abs(y)))
-        if k == "complement":
-            return self.inner.core_distance(s)
-        if k == "intersection":
-            return min(self.inner.complement_core_distance(s), self.inner2.complement_core_distance(s))
-        raise AssertionError
+        raise ValueError(f"{k} regions have no core distance")
 
     def contains(self, s: Site) -> bool:
+        if self.kind == "complement":
+            return not self.inner.contains(s)
+        if self.kind == "intersection":
+            return self.inner.contains(s) and self.inner2.contains(s)
         return self.core_distance(s) <= self.thickening
 
     @staticmethod
@@ -193,12 +172,12 @@ class Region(Frozen):
         return Region("origin_disk", thickening, radius)
 
     @staticmethod
-    def complement_of(r: "Region", thickening: int = 0) -> "Region":
-        return Region("complement", thickening, inner=r)
+    def complement_of(r: "Region") -> "Region":
+        return Region("complement", inner=r)
 
     @staticmethod
     def intersection_of(a: "Region", b: "Region") -> "Region":
-        return Region("intersection", 0, inner=a, inner2=b)
+        return Region("intersection", inner=a, inner2=b)
 
     @staticmethod
     def from_json(obj: dict) -> "Region":

@@ -1,7 +1,8 @@
 import json
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anomalion.lattice import Region, Window
@@ -9,13 +10,15 @@ from reference import classify_support
 
 sites = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
 
-REGIONS = [
+BASIC = [
     Region.full(),
     Region.half_plane_H(),
     Region.boundary_line(),
     Region.half_line_R(),
     Region.half_line_L(),
     Region.origin_disk(2),
+]
+REGIONS = BASIC + [
     Region.complement_of(Region.half_plane_H()),
     Region.complement_of(Region.origin_disk(1)),
 ]
@@ -31,13 +34,13 @@ def test_contains_examples():
     assert Region.boundary_line(1).contains((4, -1))
 
 
-@given(st.sampled_from(REGIONS), sites, st.integers(0, 3), st.integers(0, 3))
+@given(st.sampled_from(BASIC), sites, st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=300, deadline=None)
 def test_thickening_monotone(region, site, r1, r2):
     lo, hi = min(r1, r2), max(r1, r2)
 
     def thickened(t):
-        return Region(region.kind, region.thickening + t, region.radius, region.inner, region.inner2)
+        return Region(region.kind, region.thickening + t, region.radius)
 
     if thickened(lo).contains(site):
         assert thickened(hi).contains(site)
@@ -86,7 +89,7 @@ def test_intersection_region():
 def test_region_json_roundtrip():
     r = Region.origin_disk(2, thickening=1)
     assert Region.from_json(r.to_json()) == r
-    r2 = Region.complement_of(Region.half_plane_H(), thickening=2)
+    r2 = Region.complement_of(Region.half_plane_H(2))
     assert Region.from_json(r2.to_json()) == r2
     r3 = Region.intersection_of(Region.half_line_L(1), Region.origin_disk(3))
     assert Region.from_json(r3.to_json()) == r3
@@ -101,8 +104,8 @@ leaf_regions = st.one_of(
 regions = st.recursive(
     leaf_regions,
     lambda inner: st.one_of(
-        st.builds(Region.complement_of, inner, thickenings),
-        st.builds(lambda a, b, t: Region("intersection", t, inner=a, inner2=b), inner, inner, thickenings),
+        st.builds(Region.complement_of, inner),
+        st.builds(Region.intersection_of, inner, inner),
     ),
     max_leaves=6,
 )
@@ -114,3 +117,55 @@ def test_region_json_roundtrip_every_kind(region, site):
     back = Region.from_json(json.loads(json.dumps(region.to_json())))
     assert back == region
     assert back.contains(site) == region.contains(site)
+
+
+GRID = [(x, y) for x in range(-7, 8) for y in range(-7, 8)]
+CORES = {
+    "full": lambda x, y, r: True,
+    "half_plane_H": lambda x, y, r: y >= 0,
+    "boundary_line": lambda x, y, r: y == 0,
+    "half_line_R": lambda x, y, r: y == 0 and x >= 0,
+    "half_line_L": lambda x, y, r: y == 0 and x <= 0,
+    "origin_disk": lambda x, y, r: max(abs(x), abs(y)) <= r,
+}
+
+
+def grid_set(region):
+    """The sites of GRID in region: a basic region's core dilated by its
+    thickening site by site, and composites by Python set operations."""
+    if region.kind == "complement":
+        return set(GRID) - grid_set(region.inner)
+    if region.kind == "intersection":
+        return grid_set(region.inner) & grid_set(region.inner2)
+    core, t = CORES[region.kind], region.thickening
+    return {(x, y) for x, y in GRID
+            if any(core(x + dx, y + dy, region.radius) for dx in range(-t, t + 1) for dy in range(-t, t + 1))}
+
+
+@given(regions, regions)
+@settings(max_examples=200, deadline=None)
+@example(Region.origin_disk(1, thickening=2), Region.full())
+def test_complement_and_intersection_are_set_operations(a, b):
+    """Every site is in exactly one of a region and its complement, and in
+    an intersection exactly when it is in both parts, thickenings included."""
+    in_a, in_b = grid_set(a), grid_set(b)
+    assert {s for s in GRID if a.contains(s)} == in_a
+    assert {s for s in GRID if Region.complement_of(a).contains(s)} == set(GRID) - in_a
+    assert {s for s in GRID if Region.intersection_of(a, b).contains(s)} == in_a & in_b
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "origin_disk", "radius": 2.5}, "radius must be an int >= 0, got 2.5"),
+    ({"kind": "origin_disk", "radius": True}, "radius must be an int >= 0, got True"),
+    ({"kind": "half_plane_H", "thickening": 1.5}, "thickening must be an int >= 0, got 1.5"),
+    ({"kind": "boundary_line", "thickening": True}, "thickening must be an int >= 0, got True"),
+    ({"kind": "complement", "thickening": 1, "inner": {"kind": "full"}},
+     "complement regions take no thickening; thicken their parts"),
+    ({"kind": "intersection", "thickening": 2, "inner": {"kind": "full"}, "inner2": {"kind": "full"}},
+     "intersection regions take no thickening; thicken their parts"),
+])
+def test_region_json_is_read_strictly(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Region.from_json(obj)
+    # with thickening 0 and radius 1 it reads: to_json writes a composite's thickening as 0
+    assert Region.from_json({**obj, "thickening": 0, "radius": 1}).thickening == 0
