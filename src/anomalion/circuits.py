@@ -513,8 +513,8 @@ def action_from_config(obj: dict, window: Window) -> CircuitAction:
     layer = _rule_layers(window)
     for gen in obj["generators"]:
         e = gen["element"]
-        e = names[e] if isinstance(e, str) else int(e)
-        if e not in group.elements():
+        e = names[e] if isinstance(e, str) else e
+        if type(e) is not int or e not in group.elements():
             raise ValueError(f"element {gen['element']!r} is not in the group")
         if e in by_element:
             raise ValueError(f"element {group.names[e]!r} is listed twice")

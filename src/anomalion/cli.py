@@ -36,6 +36,7 @@ from .crossed import (
     ActionTable,
     CrossedModule,
     CrossedSquare,
+    KernelNotCyclic,
     TwoCrossedModule,
     all_sections,
     cm_pi1,
@@ -281,13 +282,16 @@ def _cm_from_json(obj) -> CrossedModule:
 
 
 def _checked_section(cm: CrossedModule, section: tuple):
-    """Yield section if it has one element of N for each element of pi1."""
-    pi1, _ = cm_pi1(cm)
+    """Yield section if it has one element of N for each element of pi1,
+    each over its element of pi1."""
+    pi1, proj = cm_pi1(cm)
     if len(section) != pi1.order:
         raise ConfigError(f"section has {len(section)} entries, pi1 has {pi1.order} elements")
-    for n in section:
+    for x, n in enumerate(section):
         if type(n) is not int or not 0 <= n < cm.N.order:
             raise ConfigError(f"section entry {n!r} is not an element of N (order {cm.N.order})")
+        if proj[n] != x:
+            raise ConfigError(f"section entry {x} is {n}, which lies over element {proj[n]} of pi1, not {x}")
     yield section
 
 
@@ -374,7 +378,10 @@ def cmd_crossed(args) -> int:
             sections = all_sections(cm)
         else:
             sections = _checked_section(cm, _from_json(lambda o: tuple(o["section"]), obj))
-        classes = postnikov3(cm, sections)
+        try:
+            classes = postnikov3(cm, sections)
+        except KernelNotCyclic as exc:
+            raise ConfigError("kernel of bd is not cyclic, and crossed postnikov takes no explicit iso") from exc
         _, _, matches = classify(classes[0], {str(i): c for i, c in enumerate(classes[1:], 1)})
         agree = len(matches) == len(classes) - 1
         print(f"postnikov: {len(classes)} section(s); classes agree={agree}")

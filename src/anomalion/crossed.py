@@ -392,6 +392,10 @@ def cm_kernel(cm: CrossedModule) -> list[int]:
     return [m for m in cm.M.elements() if cm.bd(m) == cm.N.id]
 
 
+class KernelNotCyclic(ValueError):
+    pass
+
+
 def default_kernel_iso(cm: CrossedModule) -> KernelPhaseIso:
     """A kernel-to-Z_m iso for cyclic kernels (deterministic generator scan)."""
     ker = cm_kernel(cm)
@@ -409,7 +413,7 @@ def default_kernel_iso(cm: CrossedModule) -> KernelPhaseIso:
             iso = KernelPhaseIso(elements, residues, m)
             iso.validate(cm.M, ker)
             return iso
-    raise ValueError("kernel of bd is not cyclic; supply an explicit iso")
+    raise KernelNotCyclic("kernel of bd is not cyclic; supply an explicit iso")
 
 
 def all_sections(cm: CrossedModule):

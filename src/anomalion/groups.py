@@ -30,7 +30,7 @@ class FiniteGroup(Frozen):
         n = len(mul_table)
         if any(len(row) != n for row in mul_table):
             raise GroupTableError("mul table must be square")
-        bad = [x for row in mul_table for x in row if not isinstance(x, int) or not 0 <= x < n]
+        bad = [x for row in mul_table for x in row if type(x) is not int or not 0 <= x < n]
         if bad:
             raise GroupTableError(f"mul table entry {bad[0]!r} is not an element of range({n})")
         if not names:
@@ -125,10 +125,15 @@ class FiniteGroup(Frozen):
     def from_json(obj: dict) -> "FiniteGroup":
         order = obj["order"]
         flat = obj["mul"]
+        if type(order) is not int or not isinstance(flat, list):
+            raise GroupTableError("order must be an int and mul a list")
         if len(flat) != order * order:
             raise GroupTableError("mul table length != order^2")
         table = tuple(tuple(flat[i * order : (i + 1) * order]) for i in range(order))
-        names = tuple(obj.get("names", ()))
+        names = obj.get("names", [])
+        if not isinstance(names, list):
+            raise GroupTableError("element names must be a list")
+        names = tuple(names)
         # names key the entries of a report's cochains, joined with ",";
         # the keys stay distinct when every name has as many commas as the
         # first (Klein's "0,1" has one), as a key then splits into equal runs

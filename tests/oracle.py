@@ -48,8 +48,8 @@ class DenseSpace:
                 raise ValueError(kind)
         return M
 
-    def symop_matrix(self, op: SymOp) -> np.ndarray:
-        """Render a SymOp densely by evaluating its data per basis state.
+    def symop_perm(self, op: SymOp) -> tuple[np.ndarray, np.ndarray]:
+        """op as a signed permutation of the basis: op|a> = sign[a] |image[a]>.
 
         Evaluation is per basis state (truth-table style, over all states at
         once with bit operations); the product / conjugation algebra under
@@ -58,17 +58,31 @@ class DenseSpace:
         mask = 0
         for s in op.flips:
             mask |= 1 << self.index[s]
-        states = np.arange(self.dim, dtype=np.int64)
-        out = states ^ mask
+        image = np.arange(self.dim, dtype=np.int64) ^ mask
         val = np.zeros(self.dim, dtype=np.int64)
         for mono in op.poly:
             hit = np.ones(self.dim, dtype=np.int64)
             for s in mono:
-                hit &= out >> self.index[s] & 1
+                hit &= image >> self.index[s] & 1
             val ^= hit
+        return image, np.where(val, -1, 1)
+
+    def scatter(self, image: np.ndarray, sign: np.ndarray) -> np.ndarray:
+        """The dense matrix of the signed permutation (image, sign)."""
         M = np.zeros((self.dim, self.dim), dtype=np.int64)
-        M[out, states] = np.where(val, -1, 1)
+        M[image, np.arange(self.dim)] = sign
         return M
+
+    def symop_matrix(self, op: SymOp) -> np.ndarray:
+        """Render a SymOp densely from its signed permutation."""
+        return self.scatter(*self.symop_perm(op))
+
+    @staticmethod
+    def compose(p: tuple, q: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The signed permutation of the product P Q (Q applied first):
+        P Q|a> = sign_q[a] sign_p[image_q[a]] |image_p[image_q[a]]>."""
+        (image_p, sign_p), (image_q, sign_q) = p, q
+        return image_p[image_q], sign_p[image_q] * sign_q
 
     def circuit_matrix(self, circuit) -> np.ndarray:
         """W_N ... W_1 for a circuit (first layer rightmost).

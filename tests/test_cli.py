@@ -142,19 +142,55 @@ def test_checks_over_no_samples_are_config_errors(capsys):
 
 
 def test_mistyped_action_config_is_a_config_error(tmp_path, capsys):
+    """JSON numbers are read as they are written: no float or boolean
+    stands in for an int, and a composite region takes no thickening."""
     group = {"order": 2, "mul": [0, 1, 1, 0]}
-    layer = {"pattern": "x_sites", "region": {"kind": "half_plane_H", "thickening": "2"}}
+
+    def x_layer(region):
+        return {"group": group, "generators": [{"element": 1, "layers": [{"pattern": "x_sites", "region": region}]}]}
+
+    disk = {"kind": "origin_disk", "radius": 1}
     for config, err in (
         ({"group": group, "generators": 5}, "TypeError: 'int' object is not iterable"),
-        ({"group": group, "generators": [{"element": 1, "layers": [layer]}]}, "TypeError: '<' not supported"),
+        (x_layer({"kind": "half_plane_H", "thickening": "2"}), "ValueError: thickening must be an int >= 0, got '2'"),
         ({"group": {"order": 3, "mul": [0, 1, 2, 1, 2, 0, 2, 0, 7]}, "generators": []},
          "GroupTableError: mul table entry 7 is not an element of range(3)"),
+        ({"group": {"order": 2, "mul": [False, True, True, False]}, "generators": []},
+         "GroupTableError: mul table entry False is not an element of range(2)"),
         # a gate list is no config pattern: this element would act trivially
         ({"group": group, "generators": [{"element": 1, "layers": [{"pattern": "explicit"}]}]},
          "InstantiationError: unknown pattern 'explicit'"),
+        ({"group": group, "generators": [{"element": 1.5, "layers": []}]}, "ValueError: element 1.5 is not in the group"),
+        ({"group": group, "generators": [{"element": True, "layers": []}]}, "ValueError: element True is not in the group"),
+        (x_layer({"kind": "origin_disk", "radius": 2.5}), "ValueError: radius must be an int >= 0, got 2.5"),
+        (x_layer({"kind": "half_plane_H", "thickening": 1.5}), "ValueError: thickening must be an int >= 0, got 1.5"),
+        (x_layer({"kind": "complement", "thickening": 1, "inner": disk}),
+         "ValueError: complement regions take no thickening; thicken their parts"),
+        (x_layer({"kind": "intersection", "thickening": 2, "inner": disk, "inner2": {"kind": "half_plane_H"}}),
+         "ValueError: intersection regions take no thickening; thicken their parts"),
     ):
         path = _write(tmp_path, "action.json", json.dumps(config))
-        assert err in _config_error(["anomaly2d", "--action", path], capsys)
+        report = tmp_path / "r.json"
+        assert err in _config_error(["anomaly2d", "--action", path, "--report", str(report)], capsys)
+        assert not report.exists()
+
+
+def test_config_that_is_no_group_action_is_a_config_error(tmp_path, capsys):
+    """Z3 with X on element 1 and nothing on element 2 breaks rho(1)rho(2)
+    = rho(0); Z2 with X on its identity breaks rho(e) = 1."""
+    z3 = {"order": 3, "mul": [(i + j) % 3 for i in range(3) for j in range(3)]}
+    z2 = {"order": 2, "mul": [0, 1, 1, 0]}
+    x_sites = [{"pattern": "x_sites"}]
+    for config, err in (
+        ({"group": z3, "generators": [{"element": 1, "layers": x_sites}, {"element": 2, "layers": []}]},
+         "config error: config does not define a group action: ['rho(1)rho(2) != rho(0) on "),
+        ({"group": z2, "generators": [{"element": 0, "layers": x_sites}, {"element": 1, "layers": []}]},
+         "config error: config does not define a group action: ['identity element has a nonempty circuit', "),
+    ):
+        path = _write(tmp_path, "action.json", json.dumps(config))
+        report = tmp_path / "r.json"
+        assert _config_error(["anomaly2d", "--action", path, "--report", str(report)], capsys).startswith(err)
+        assert not report.exists()
 
 
 def test_action_config_element_names_must_be_distinct_strings(tmp_path, capsys):
@@ -167,6 +203,8 @@ def test_action_config_element_names_must_be_distinct_strings(tmp_path, capsys):
         (["x", "x"], "element names must be distinct strings"),
         ([0, 1], "element names must be distinct strings"),
         (["a", "a,a"], "element names 'a' and 'a,a' differ in their number of ','"),
+        # a string is no list of names, though it would split into "a" and "b"
+        ("ab", "element names must be a list"),
     ):
         path = _write(tmp_path, "action.json", json.dumps({
             "group": {"order": 2, "mul": [0, 1, 1, 0], "names": names},
@@ -470,17 +508,44 @@ def test_postnikov_without_a_section_is_a_config_error(tmp_path, capsys):
 
 
 def test_postnikov_section_of_wrong_length_or_range_is_a_config_error(tmp_path, capsys):
-    """pi1 of the sign-action module has two elements and N has four."""
+    """pi1 of the sign-action module has two elements and N has four; N
+    element n lies over n mod 2, so [1, 1] has the right length and range
+    but is no section."""
     for section, err in (
         ([0], "section has 1 entries, pi1 has 2 elements"),
         ([0, 1, 2], "section has 3 entries, pi1 has 2 elements"),
         ([0, 9], "section entry 9 is not an element of N (order 4)"),
         ([0, -1], "section entry -1 is not an element of N (order 4)"),
         ([0, 1.0], "section entry 1.0 is not an element of N (order 4)"),
+        ([1, 1], "section entry 0 is 1, which lies over element 1 of pi1, not 0"),
+        ([2, 2], "section entry 1 is 2, which lies over element 0 of pi1, not 1"),
     ):
-        path = _write(tmp_path, "cm.json", json.dumps({**SIGN_ACTION_CM, "section": section}))
-        assert run(["crossed", "postnikov", "--input", path]) == 2
-        assert capsys.readouterr().err == f"config error: {err}\n"
+        for cm in (SIGN_ACTION_CM, {**SIGN_ACTION_CM, "act": [[0, 1, 2, 3]] * 4}):
+            path = _write(tmp_path, "cm.json", json.dumps({**cm, "section": section}))
+            report = tmp_path / "r.json"
+            assert run(["crossed", "postnikov", "--input", path, "--report", str(report)]) == 2
+            assert capsys.readouterr().err == f"config error: {err}\n"
+            assert not report.exists()
+
+
+def test_postnikov_on_a_non_cyclic_kernel_is_a_config_error(tmp_path, capsys):
+    """Z2 x Z2 -> Z2 by zero: the kernel is all of Z2 x Z2, which has no
+    iso to a Z_m, and the CLI takes no explicit one."""
+    cm = {
+        "kind": "crossed_module",
+        "M": {"order": 4, "mul": [i ^ j for i in range(4) for j in range(4)]},
+        "N": {"order": 2, "mul": [0, 1, 1, 0]},
+        "bd": [0, 0, 0, 0],
+        "act": [[0, 1, 2, 3]] * 2,
+        "section": [0, 1],
+    }
+    path = _write(tmp_path, "cm.json", json.dumps(cm))
+    assert run(["crossed", "validate", "--input", path]) == 0
+    for args in ([], ["--all-sections"]):
+        report = tmp_path / "r.json"
+        err = _config_error(["crossed", "postnikov", "--input", path, "--report", str(report), *args], capsys)
+        assert err == "config error: kernel of bd is not cyclic, and crossed postnikov takes no explicit iso\n"
+        assert not report.exists()
 
 
 def test_all_sections_reports_an_invalid_module_first(tmp_path, capsys):
@@ -526,8 +591,15 @@ def test_crossed_table_of_wrong_shape_is_a_config_error(tmp_path, capsys):
               "u": [0], "act_L": [[0]], "act_M": [[0]], "act_N": [[0]], "eta": [[0]]}
     t2cm = {"kind": "two_crossed_module", "L": z1, "K": z1, "P": z1, "delta": [0], "bd": [0],
             "act_L": [[0]], "act_K": [[0]], "braid": [[0]]}
+    z2 = {"order": 2, "mul": [0, 1, 1, 0]}
+    z2_square = {"kind": "crossed_square", "L": z2, "M": z2, "N": z2, "P": z1, "f": [0, 0], "g": [0, 0],
+                 "v": [0, 0], "u": [0, 0], "act_L": [[0, 1]], "act_M": [[0, 1]], "act_N": [[0, 1]],
+                 "eta": [[0, 0], [0, 1]]}
     for obj, subs, bad, err in (
         (square, ("validate", "convert"), {"eta": [[0, 0]]}, "eta[0] is not a list of 1 entries"),
+        # booleans are no group elements, though Python counts them as ints
+        (z2_square, ("validate", "convert"), {"L": {"order": 2, "mul": [False, True, True, False]}},
+         "malformed input: GroupTableError: mul table entry False is not an element of range(2)"),
         (t2cm, ("validate", "homotopy"), {"braid": [[1]]}, "braid[0][0] = 1 is not in range(1)"),
     ):
         for sub in subs:

@@ -163,6 +163,60 @@ def test_validators_report_peiffer_failure():
     assert violations == [f"crossed module M->P: Peiffer fails at ({m0},{m1})" for m0 in (1, 3) for m1 in (1, 3)]
 
 
+def s3_braided_module():
+    """L = Z2 -> K = S3 -> P = S3 with delta trivial, bd the identity, P
+    acting on K by conjugation and trivially on L, and the braiding 0."""
+    return TwoCrossedModule(
+        Z2, S3, S3,
+        delta=GroupHom.trivial(Z2, S3), bd=GroupHom.identity(S3),
+        act_L=ActionTable.trivial(S3, Z2), act_K=ActionTable.conjugation(S3),
+        braid=((0,) * 6,) * 6,
+    )
+
+
+def _with(record, **fields):
+    """record with the given fields replaced."""
+    return type(record)(**{f: fields.get(f, getattr(record, f)) for f in type(record)._fields})
+
+
+def _hom_with(hom, a, value):
+    """hom with a mapped to value."""
+    return GroupHom(hom.source, hom.target, tuple(value if x == a else y for x, y in enumerate(hom.map)))
+
+
+def _rows_with(rows, i, j, value):
+    """The table rows with entry [i][j] set to value."""
+    return tuple(tuple(value if (a, b) == (i, j) else x for b, x in enumerate(r)) for a, r in enumerate(rows))
+
+
+def test_every_validator_law_reports_its_violation():
+    """One broken table entry breaks the law, and its message is among the
+    violations.  An action row stays a bijection only if two entries swap,
+    so the homomorphism law of an action breaks by a swap.  S3 lists the
+    permutations of 012 in order: 1, 2 and 5 are transpositions, 3 and 4
+    three-cycles."""
+    cm, square, t = sign_action_cm(), conj_square(S3), s3_braided_module()
+    assert not validate_two_crossed_module(t)
+    # row 1, m -> -m, becomes (0, 3, 1, 2): still a bijection of Z4, but no automorphism
+    swapped = _rows_with(_rows_with(cm.act.table, 1, 2, 1), 1, 3, 2)
+    to_transposition = _with(t, delta=_hom_with(t.delta, 1, 1))
+    drops_transposition = _with(t, bd=_hom_with(t.bd, 1, 0))
+    for validate, broken, message in (
+        (validate_crossed_module, _with(cm, act=ActionTable(Z4, Z4, swapped)), "act[1] is not a homomorphism at (1,1)"),
+        (validate_crossed_square, _with(square, g=_hom_with(square.g, 1, 2)), "g not P-equivariant at "),
+        (validate_two_crossed_module, _with(t, delta=_hom_with(t.delta, 1, 3)), "delta is not a homomorphism"),
+        (validate_two_crossed_module, _with(t, bd=_hom_with(t.bd, 1, 2)), "bd is not a homomorphism"),
+        (validate_two_crossed_module, to_transposition, "bd(delta(l)) != 1 at l=1"),
+        (validate_two_crossed_module, to_transposition, "image of delta is not normal in K"),
+        (validate_two_crossed_module, to_transposition, "delta not P-equivariant at "),
+        (validate_two_crossed_module, drops_transposition, "image of bd is not normal in P"),
+        (validate_two_crossed_module, drops_transposition, "bd not P-equivariant at "),
+        (validate_two_crossed_module, _with(t, braid=_rows_with(t.braid, 1, 2, 1)), "braid eq p-equivariance fails at "),
+    ):
+        violations = validate(broken)
+        assert any(v.startswith(message) for v in violations), (message, violations)
+
+
 class CountedRows(tuple):
     """A table that counts the rows read from it."""
 

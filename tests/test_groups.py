@@ -59,6 +59,17 @@ def test_group_table_validation():
         FiniteGroup(((0, 1, 2), (1, 2, 0), (2, 0, 7)))
     with pytest.raises(GroupTableError, match="entry 1.0 is not an element of range"):
         FiniteGroup(((0, 1), (1, 1.0)))
+    # a JSON boolean is a Python int, but no group element
+    with pytest.raises(GroupTableError, match="entry False is not an element of range"):
+        FiniteGroup(((False, True), (True, False)))
+    with pytest.raises(GroupTableError, match="entry False is not an element of range"):
+        FiniteGroup.from_json({"order": 2, "mul": [False, True, True, False]})
+    for obj in ({"order": True, "mul": [0]}, {"order": 2.0, "mul": [0, 1, 1, 0]}, {"order": 1, "mul": "0"}):
+        with pytest.raises(GroupTableError, match="order must be an int and mul a list"):
+            FiniteGroup.from_json(obj)
+    # a string of names is no list of them, though it splits into characters
+    with pytest.raises(GroupTableError, match="element names must be a list"):
+        FiniteGroup.from_json({"order": 2, "mul": [0, 1, 1, 0], "names": "ab"})
     # element names read from JSON key the cochain entries of a report, so
     # they are distinct strings
     for names in (["x", "x"], [0, 1], ["e", 1], ["e", None]):
