@@ -129,7 +129,8 @@ class TruncationData2d(Record, compare=(
       conjugating value;
     - _inv[i] is op_inv(_vals[i]);
     - _eta[i][j] is tau's eta factor of _vals[i] against _vals[j], one
-      table per left value;
+      table per left value, whose one left automorphism is built on the
+      row's first cell;
     - _phase maps tau's six factor numbers to its phase (filled by
       _tau_phases, which labels its scalar assertion by tuple).
     Each step is a pure function of its operands and of action, rho_tilde
@@ -177,8 +178,9 @@ class TruncationData2d(Record, compare=(
         # radius and the action's range
         thick = origin_radius + action.total_range() + 1
         left, right = Region.half_line_L(thick), Region.half_line_R(thick)
+        lefts = _StepTable(lambda i: LocalizedAutomorphism(left, inner=vals[i]))
         self._eta = _StepTable(lambda i: _StepTable(lambda j: num(eta(
-            LocalizedAutomorphism(left, inner=vals[i]), LocalizedAutomorphism(right, inner=vals[j])
+            lefts[i], LocalizedAutomorphism(right, inner=vals[j])
         ))))
         self._phase = {}
 

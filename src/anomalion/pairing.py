@@ -172,7 +172,12 @@ def eta(alpha: LocalizedAutomorphism, beta: LocalizedAutomorphism) -> SymOp:
     """Common value of all available routes; raises if any two disagree.
 
     Routes: group commutator (both inner), closed forms (one inner), and
-    the truncation recursions eta_R / eta_L (circuits).
+    the truncation recursions eta_R / eta_L (circuits).  The result must lie
+    in the origin disk of radius 2(rA + rB + tA + tB) + 2 (ranges r,
+    declared thickenings t).  It is tested first against the smaller disk
+    2(tA + tB) + 2, and the ranges are computed only for a result outside
+    that.  eta only reads its arguments, so one alpha may pair with many
+    betas: tau builds one left automorphism per _eta row.
     """
     routes: dict[str, SymOp] = {}
     if alpha.is_inner and beta.is_inner:
@@ -192,9 +197,10 @@ def eta(alpha: LocalizedAutomorphism, beta: LocalizedAutomorphism) -> SymOp:
         if v != vals[0]:
             raise RouteDisagreement(f"eta routes disagree: {routes}")
     result = vals[0]
-    reach = 2 * (alpha.range_bound() + beta.range_bound()
-                 + alpha.declared_region.thickening + beta.declared_region.thickening) + 2
-    disk = Region.origin_disk(reach)
+    thick = alpha.declared_region.thickening + beta.declared_region.thickening
+    if not support_mask(result) & ~region_mask(Region.origin_disk(2 * thick + 2)):
+        return result
+    disk = Region.origin_disk(2 * (alpha.range_bound() + beta.range_bound() + thick) + 2)
     if support_mask(result) & ~region_mask(disk):
         bad = sites_outside([result], disk)
         raise RouteDisagreement(f"eta output leaves the origin disk at {bad[:4]}")

@@ -43,7 +43,7 @@ def random_diagonal_gate(rng: random.Random, sites: list, sites_set: set) -> Sym
     t = nbrs[rng.randrange(len(nbrs))]
     if kind == 1:
         return SymOp.cz(s, t)
-    third = [u for u in _neighbors(s, sites_set) if u != t and max(abs(u[0] - t[0]), abs(u[1] - t[1])) <= 1]
+    third = [u for u in nbrs if u != t and max(abs(u[0] - t[0]), abs(u[1] - t[1])) <= 1]
     if not third:
         return SymOp.cz(s, t)
     u = third[rng.randrange(len(third))]

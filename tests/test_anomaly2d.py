@@ -15,6 +15,7 @@ from anomalion.anomaly import (
     tau_cochain,
 )
 import anomalion.anomaly as anomaly_module
+import anomalion.pairing as pairing_module
 from anomalion.circuits import (
     GateRule,
     ProceduralCircuit,
@@ -28,7 +29,7 @@ from anomalion.groups import Cochain, coboundary, cohomologous, klein_bits
 from anomalion.lattice import Region, Window
 from anomalion.pairing import LocalizedAutomorphism, eta
 from anomalion.sampling import random_boundary_gamma, random_inner, region_sites
-from anomalion.symop import SymOp, op_conj, op_inv, op_mul, op_product, scalar_phase, support
+from anomalion.symop import SymOp, commutator, op_conj, op_inv, op_mul, op_product, scalar_phase, support
 from reference import classify_support, collapse_per_pair
 
 
@@ -241,6 +242,25 @@ def test_regauge_beta_tau_invariance(ccz_data, window12):
     ident = {(g, h): SymOp.identity() for g in G.elements() for h in G.elements()}
     data3 = regauge_beta(ccz_data, ident)
     assert data3.beta == ccz_data.beta and data3.u == ccz_data.u
+
+
+def test_regauged_tau_computes_every_eta_route(ccz_data, window12, monkeypatch):
+    """Every cell of a regauged tau's eta tables is one eta call, and each
+    computes the commutator route that the closed forms must agree with."""
+    rng = random.Random(21)
+    G = ccz_data.group
+    disk_sites = region_sites(window12, Region.origin_disk(2))
+    v = {(g, h): random_inner(rng, disk_sites) for g in G.elements() for h in G.elements()}
+    data2 = regauge_beta(ccz_data, v)
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return commutator(a, b)
+
+    monkeypatch.setattr(pairing_module, "commutator", counted)
+    tau_cochain(data2)
+    assert len(calls) == sum(len(row) for row in data2._eta.values()) == 256
 
 
 def test_regauge_beta_scalar_slots(ccz_data):

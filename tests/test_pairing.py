@@ -103,6 +103,23 @@ def test_eta_output_outside_the_reach_disk_is_refused(window12, monkeypatch):
         eta(alpha, beta)
 
 
+@pytest.mark.parametrize("radius, refused", [(4, False), (7, True)])
+def test_eta_output_disk_verdict_on_each_branch(window12, monkeypatch, radius, refused):
+    """A result past the radius-free disk 2(tA + tB) + 2 = 2 is returned
+    inside the reach disk 2(rA + rB + tA + tB) + 2 = 6, and refused outside it."""
+    alpha = LocalizedAutomorphism(Region.half_line_L(0), circuit=left_circuit(window12, [[SymOp.cz((-1, 0), (0, 0))]]))
+    beta = LocalizedAutomorphism(Region.half_line_R(0), circuit=left_circuit(window12, [[SymOp.cz((0, 0), (1, 0))]]))
+    assert (alpha.range_bound(), beta.range_bound()) == (1, 1)
+    far = SymOp.z((radius, 0))
+    monkeypatch.setattr(pairing, "eta_R", lambda a, c: far)
+    monkeypatch.setattr(pairing, "eta_L", lambda c, b: far)
+    if refused:
+        with pytest.raises(RouteDisagreement, match=re.escape(f"eta output leaves the origin disk at [({radius}, 0)]")):
+            eta(alpha, beta)
+    else:
+        assert eta(alpha, beta) == far
+
+
 def test_diagonal_pairs_give_identity(window12):
     a = left_circuit(window12, [[SymOp.cz((x, 0), (x + 1, 0)) for x in range(-4, 0)]])
     b = left_circuit(window12, [[SymOp.cz((x, 0), (x + 1, 0)) for x in range(0, 4)]])
