@@ -33,7 +33,7 @@ from .symop import (
     support_mask,
     support_masks,
 )
-from .values import Frozen, init_field
+from .values import Frozen, init_field, read_fields
 
 
 class InstantiationError(ValueError):
@@ -507,21 +507,25 @@ def cluster_entangler_1d(window: Window) -> ProceduralCircuit:
 
 def action_from_config(obj: dict, window: Window) -> CircuitAction:
     """Build an action from the CLI config schema: one entry per element, the identity optional."""
+    read_fields(obj, "", {"group": dict, "generators": list}, {"name": str})
     group = FiniteGroup.from_json(obj["group"])
     by_element = {}
     names = {n: i for i, n in enumerate(group.names)}
     layer = _rule_layers(window)
-    for gen in obj["generators"]:
-        e = gen["element"]
-        e = names[e] if isinstance(e, str) else e
-        if type(e) is not int or e not in group.elements():
-            raise ValueError(f"element {gen['element']!r} is not in the group")
+    for i, gen in enumerate(obj["generators"]):
+        at = f"generators[{i}]"
+        e = read_fields(gen, at, {"element": (str, int), "layers": list}, {})["element"]
+        e = names.get(e, e)  # a name, or an index
+        if e not in group.elements():
+            raise ValueError(f"{at}: element {gen['element']!r} is not in the group")
         if e in by_element:
-            raise ValueError(f"element {group.names[e]!r} is listed twice")
+            raise ValueError(f"{at}: element {group.names[e]!r} is listed twice")
         layers = []
-        for entry in gen["layers"]:
+        for j, entry in enumerate(gen["layers"]):
+            at_layer = f"{at}.layers[{j}]"
+            read_fields(entry, at_layer, {"pattern": str}, {"region": dict})
             pattern = _PATTERN_ALIASES.get(entry["pattern"], entry["pattern"])
-            region = Region.from_json(entry.get("region", {"kind": "full"}))
+            region = Region.from_json(entry.get("region", {"kind": "full"}), f"{at_layer}.region")
             layers.append(layer(GateRule(pattern, region)))
         by_element[e] = ProceduralCircuit(tuple(layers), window)
     by_element.setdefault(group.id, ProceduralCircuit((), window))

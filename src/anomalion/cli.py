@@ -52,6 +52,7 @@ from .groups import FiniteGroup, GroupHom, classify
 from .lattice import Region, Window
 from .pairing import StabilizationError, _stabilization_radius, run_identity_suite
 from .symop import ALL_PLUS, ALL_ZEROS, format_op
+from .values import read_fields
 from .sampling import random_boundary_gamma, random_inner, region_sites
 
 SCHEMA = "anomalion/1"
@@ -97,11 +98,11 @@ def _read_json(path: str, what: str) -> dict:
     return obj
 
 
-def _from_json(build, obj: dict):
-    """build(obj), with a missing, mistyped or invalid entry of obj (a group
-    table that is not a group, say) reported as a config error."""
+def _from_json(build, obj: dict, *args):
+    """build(obj, *args), with a missing, unknown, mistyped or invalid entry
+    of obj (a group table that is not a group, say) as a config error."""
     try:
-        return build(obj)
+        return build(obj, *args)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -121,7 +122,7 @@ def _load_action(name_or_path: str, window: Window) -> CircuitAction:
             raise ConfigError(str(exc)) from exc
     else:
         obj = _read_json(name_or_path, "action config")
-        action = _from_json(lambda o: action_from_config(o, window), obj)
+        action = _from_json(action_from_config, obj, window)
         try:
             violations = validate_action(action)
         except MarginError as exc:
@@ -161,49 +162,42 @@ def _window_fields(window: Window) -> dict:
     return {"window": bounds, "margin": window.margin}
 
 
-def _gauge_checks(data, tau0, count: int, seed: int) -> dict:
-    """Random beta and rho~ regaugings; the tau table must not move."""
+def _verdicts(rep: dict) -> str:
+    return f"cocycle={rep['is_cocycle']} trivial={rep['trivial']} class={rep['matched_class']}"
+
+
+def _anomaly_2d_checked(action: CircuitAction, count: int, seed: int):
+    """The truncation data of action, its anomaly_2d report and whether tau
+    is a cocycle.  With count > 0 the report records count random beta and
+    as many rho~ regaugings, and tau must not move under any of them."""
     import random
 
+    data = build_truncation_2d(action)
+    rep = anomaly_2d(action, data)
+    if not _at_least(0, count, "--check-gauge"):
+        return data, rep, rep["is_cocycle"]
     rng = random.Random(seed)
-    window = data.window
-    G = data.group
-    disk_sites = region_sites(window, Region.origin_disk(2))
+    tau0, G = rep["cochain"], data.group
+    disk_sites = region_sites(data.window, Region.origin_disk(2))
     inner_ok = 0
     for _ in range(count):
-        v = {
-            (g, h): random_inner(rng, disk_sites)
-            for g in G.elements()
-            for h in G.elements()
-        }
+        v = {(g, h): random_inner(rng, disk_sites) for g in G.elements() for h in G.elements()}
         if tau_cochain(regauge_beta(data, v)) == tau0:
             inner_ok += 1
     rho_ok = 0
     for _ in range(count):
-        gamma = random_boundary_gamma(rng, window, G, skip=0.4)
+        gamma = random_boundary_gamma(rng, data.window, G, skip=0.4)
         if tau_cochain(regauge_rho(data, gamma)) == tau0:
             rho_ok += 1
-    return {
-        "beta_regauge_pass": inner_ok,
-        "rho_regauge_pass": rho_ok,
-        "count": count,
-        "ok": inner_ok == count and rho_ok == count,
-    }
-
-
-def _verdicts(rep: dict) -> str:
-    return f"cocycle={rep['is_cocycle']} trivial={rep['trivial']} class={rep['matched_class']}"
+    ok = inner_ok == count and rho_ok == count
+    rep["gauge_checks"] = {"beta_regauge_pass": inner_ok, "rho_regauge_pass": rho_ok, "count": count, "ok": ok}
+    return data, rep, rep["is_cocycle"] and ok
 
 
 def cmd_anomaly2d(args) -> int:
     window = _parse_window(args.window, args.margin, chain=False)
     action = _load_action(args.action, window)
-    data = build_truncation_2d(action)
-    rep = anomaly_2d(action, data)
-    ok = rep["is_cocycle"]
-    if _at_least(0, args.check_gauge, "--check-gauge"):
-        gauge = rep["gauge_checks"] = _gauge_checks(data, rep["cochain"], args.check_gauge, args.seed)
-        ok = ok and gauge["ok"]
+    _, rep, ok = _anomaly_2d_checked(action, args.check_gauge, args.seed)
     if args.check_window:
         grown = Window.centered(
             window.x_max - window.x_min + 1 + 4,
@@ -271,67 +265,61 @@ def _table(obj: dict, key: str, shape: tuple[FiniteGroup, ...], values: FiniteGr
     return check(obj[key], shape, "")
 
 
-def _cm_from_json(obj) -> CrossedModule:
-    M = FiniteGroup.from_json(obj["M"])
-    N = FiniteGroup.from_json(obj["N"])
-    return CrossedModule(
-        M, N,
-        GroupHom(M, N, _table(obj, "bd", (M,), N)),
-        ActionTable(N, M, _table(obj, "act", (N, M), M)),
-    )
+# Each crossed structure kind as JSON, and the validator of its class.  The
+# class's fields are the groups, then the tables; a table is (key, the groups
+# that index it, the group of its entries, GroupHom or ActionTable to wrap it
+# in, or None to keep it as nested tuples).
+CROSSED_KINDS = {
+    "crossed_module": (CrossedModule, validate_crossed_module, "MN", (
+        ("bd", "M", "N", GroupHom), ("act", "NM", "M", ActionTable),
+    )),
+    "crossed_square": (CrossedSquare, validate_crossed_square, "LMNP", (
+        ("f", "L", "M", GroupHom), ("g", "L", "N", GroupHom), ("v", "M", "P", GroupHom),
+        ("u", "N", "P", GroupHom), ("act_L", "PL", "L", ActionTable), ("act_M", "PM", "M", ActionTable),
+        ("act_N", "PN", "N", ActionTable), ("eta", "MN", "L", None),
+    )),
+    "two_crossed_module": (TwoCrossedModule, validate_two_crossed_module, "LKP", (
+        ("delta", "L", "K", GroupHom), ("bd", "K", "P", GroupHom), ("act_L", "PL", "L", ActionTable),
+        ("act_K", "PK", "K", ActionTable), ("braid", "KK", "L", None),
+    )),
+}
 
 
-def _checked_section(cm: CrossedModule, section: tuple):
-    """Yield section if it has one element of N for each element of pi1,
-    each over its element of pi1."""
+def _crossed_from_json(obj: dict, kind: str):
+    """The crossed structure of that kind in obj.  obj may name its kind,
+    and a crossed module may carry the section that postnikov reads."""
+    cls, _, groups, tables = CROSSED_KINDS[kind]
+    if obj.get("kind", kind) != kind:
+        raise ConfigError(f"kind: expected {kind!r}, got {obj['kind']!r}")
+    optional = {"kind": str, "section": list} if kind == "crossed_module" else {"kind": str}
+    read_fields(obj, "", {**dict.fromkeys(groups, dict), **{t[0]: list for t in tables}}, optional)
+    G = {g: FiniteGroup.from_json(obj[g], g) for g in groups}
+    values = []
+    for key, shape, over, wrap in tables:
+        t = _table(obj, key, tuple(G[g] for g in shape), G[over])
+        values.append(t if wrap is None else wrap(G[shape[0]], G[over], t))
+    return cls(*G.values(), *values)
+
+
+def _crossed_to_json(s, kind: str) -> dict:
+    """The structure s of that kind as _crossed_from_json reads it, without
+    its kind."""
+    _, _, groups, tables = CROSSED_KINDS[kind]
+    obj = {g: getattr(s, g).to_json() for g in groups}
+    for key, _, _, wrap in tables:
+        t = getattr(s, key)
+        obj[key] = t.map if wrap is GroupHom else t.table if wrap is ActionTable else t
+    return obj
+
+
+def _checked_section(cm: CrossedModule, obj: dict):
+    """Yield obj's section, an element of N over each element of pi1."""
     pi1, proj = cm_pi1(cm)
-    if len(section) != pi1.order:
-        raise ConfigError(f"section has {len(section)} entries, pi1 has {pi1.order} elements")
+    section = _table(obj, "section", (pi1,), cm.N)
     for x, n in enumerate(section):
-        if type(n) is not int or not 0 <= n < cm.N.order:
-            raise ConfigError(f"section entry {n!r} is not an element of N (order {cm.N.order})")
         if proj[n] != x:
             raise ConfigError(f"section entry {x} is {n}, which lies over element {proj[n]} of pi1, not {x}")
     yield section
-
-
-def _square_from_json(obj) -> CrossedSquare:
-    L, M, N, P = (FiniteGroup.from_json(obj[k]) for k in "LMNP")
-    return CrossedSquare(
-        L, M, N, P,
-        f=GroupHom(L, M, _table(obj, "f", (L,), M)),
-        g=GroupHom(L, N, _table(obj, "g", (L,), N)),
-        v=GroupHom(M, P, _table(obj, "v", (M,), P)),
-        u=GroupHom(N, P, _table(obj, "u", (N,), P)),
-        act_L=ActionTable(P, L, _table(obj, "act_L", (P, L), L)),
-        act_M=ActionTable(P, M, _table(obj, "act_M", (P, M), M)),
-        act_N=ActionTable(P, N, _table(obj, "act_N", (P, N), N)),
-        eta=_table(obj, "eta", (M, N), L),
-    )
-
-
-def _t2cm_from_json(obj) -> TwoCrossedModule:
-    L = FiniteGroup.from_json(obj["L"])
-    K = FiniteGroup.from_json(obj["K"])
-    P = FiniteGroup.from_json(obj["P"])
-    return TwoCrossedModule(
-        L, K, P,
-        delta=GroupHom(L, K, _table(obj, "delta", (L,), K)),
-        bd=GroupHom(K, P, _table(obj, "bd", (K,), P)),
-        act_L=ActionTable(P, L, _table(obj, "act_L", (P, L), L)),
-        act_K=ActionTable(P, K, _table(obj, "act_K", (P, K), K)),
-        braid=_table(obj, "braid", (K, K), L),
-    )
-
-
-def _t2cm_to_json(t: TwoCrossedModule) -> dict:
-    return {
-        "L": t.L.to_json(), "K": t.K.to_json(), "P": t.P.to_json(),
-        "delta": list(t.delta.map), "bd": list(t.bd.map),
-        "act_L": [list(r) for r in t.act_L.table],
-        "act_K": [list(r) for r in t.act_K.table],
-        "braid": [list(r) for r in t.braid],
-    }
 
 
 def cmd_crossed(args) -> int:
@@ -346,20 +334,15 @@ def cmd_crossed(args) -> int:
     obj = _read_json(args.input, "crossed input")
     if args.subcommand == "validate":
         kind = obj.get("kind", "crossed_module")
-        if kind == "crossed_module":
-            violations = validate_crossed_module(_from_json(_cm_from_json, obj))
-        elif kind == "crossed_square":
-            violations = validate_crossed_square(_from_json(_square_from_json, obj))
-        elif kind == "two_crossed_module":
-            violations = validate_two_crossed_module(_from_json(_t2cm_from_json, obj))
-        else:
+        if kind not in tuple(CROSSED_KINDS):  # a tuple, as kind may be any JSON value
             raise ConfigError(f"unknown structure kind {kind!r}")
+        violations = CROSSED_KINDS[kind][1](_from_json(_crossed_from_json, obj, kind))
         ok = not violations
         print(f"validate {kind}: ok={ok}; {len(violations)} violations")
         _emit({"command": "crossed validate", "kind": kind, "ok": ok, "violations": violations}, args.report)
         return EXIT_OK if ok else EXIT_ASSERTION
     if args.subcommand == "convert":
-        t = to_two_crossed_module(_from_json(_square_from_json, obj))
+        t = to_two_crossed_module(_from_json(_crossed_from_json, obj, "crossed_square"))
         # K names are "(m;n)", so M and N names that contain ";" can collide
         seen = set()
         for name in t.K.names:
@@ -368,16 +351,19 @@ def cmd_crossed(args) -> int:
             seen.add(name)
         valid = not validate_two_crossed_module(t)
         print(f"convert: two-crossed module of order ({t.L.order},{t.K.order},{t.P.order}); valid={valid}")
-        _emit({"command": "crossed convert", "valid": valid, "two_crossed_module": _t2cm_to_json(t)}, args.report)
+        _emit({"command": "crossed convert", "valid": valid,
+               "two_crossed_module": _crossed_to_json(t, "two_crossed_module")}, args.report)
         return EXIT_OK if valid else EXIT_ASSERTION
     if args.subcommand == "postnikov":
-        cm = _from_json(_cm_from_json, obj)
+        cm = _from_json(_crossed_from_json, obj, "crossed_module")
         # both are generators: pi1 is defined only for a valid module, and
         # postnikov3 validates it before it draws the first section
         if args.all_sections:
             sections = all_sections(cm)
+        elif "section" not in obj:
+            raise ConfigError("missing key 'section', which postnikov reads without --all-sections")
         else:
-            sections = _checked_section(cm, _from_json(lambda o: tuple(o["section"]), obj))
+            sections = _checked_section(cm, obj)
         try:
             classes = postnikov3(cm, sections)
         except KernelNotCyclic as exc:
@@ -389,8 +375,7 @@ def cmd_crossed(args) -> int:
                "classes_agree": agree}, args.report)
         return EXIT_OK if agree else EXIT_ASSERTION
     if args.subcommand == "homotopy":
-        t = _from_json(_t2cm_from_json, obj)
-        hg = homotopy_groups(t)
+        hg = homotopy_groups(_from_json(_crossed_from_json, obj, "two_crossed_module"))
         print(f"homotopy groups: |pi1|={hg['pi1'].order} |pi2|={hg['pi2'].order} |pi3|={hg['pi3'].order}")
         _emit({**hg, "command": "crossed homotopy"}, args.report)
         return EXIT_OK
@@ -425,18 +410,14 @@ def cmd_spt(args) -> int:
 def cmd_reproduce_ccz(args) -> int:
     window = _parse_window(args.window, args.margin, chain=False)
     action = _load_action("ccz_x_2d", window)
-    data = build_truncation_2d(action)
-    rep = anomaly_2d(action, data)
+    data, rep, ok = _anomaly_2d_checked(action, args.check_gauge, args.seed)
     mu_example = data.mu[0b01, 0b10]
     u_example = data.u[0b01, 0b01, 0b10]
     print("reproduce-ccz on", _size(window), "margin", window.margin)
     print("  mu((0,1),(1,0)) =", format_op(mu_example))
     print("  u((0,1),(0,1),(1,0)) =", format_op(u_example))
     print("  tau cocycle:", rep["is_cocycle"], "| trivial:", rep["trivial"], "| class:", rep["matched_class"])
-    expected = rep["is_cocycle"] and not rep["trivial"] and rep["matched_class"] == "b^3 . a"
-    if _at_least(0, args.check_gauge, "--check-gauge"):
-        gauge = rep["gauge_checks"] = _gauge_checks(data, rep["cochain"], args.check_gauge, args.seed)
-        expected = expected and gauge["ok"]
+    expected = ok and not rep["trivial"] and rep["matched_class"] == "b^3 . a"
     _emit({**rep, "command": "reproduce-ccz", "seed": args.seed,
            "mu_example": format_op(mu_example), "u_example": format_op(u_example)}, args.report)
     return EXIT_OK if expected else EXIT_ASSERTION

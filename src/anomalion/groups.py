@@ -14,7 +14,7 @@ from math import lcm
 from operator import mod
 
 from .linalg import Matrix, solve_mod
-from .values import Frozen, init_field
+from .values import Frozen, init_field, read_fields
 
 
 class GroupTableError(ValueError):
@@ -122,18 +122,14 @@ class FiniteGroup(Frozen):
         return FiniteGroup(table, names, name or f"{g1.name}x{g2.name}")
 
     @staticmethod
-    def from_json(obj: dict) -> "FiniteGroup":
+    def from_json(obj: dict, path: str = "group") -> "FiniteGroup":
+        read_fields(obj, path, {"order": int, "mul": list}, {"names": list, "name": str})
         order = obj["order"]
         flat = obj["mul"]
-        if type(order) is not int or not isinstance(flat, list):
-            raise GroupTableError("order must be an int and mul a list")
         if len(flat) != order * order:
             raise GroupTableError("mul table length != order^2")
         table = tuple(tuple(flat[i * order : (i + 1) * order]) for i in range(order))
-        names = obj.get("names", [])
-        if not isinstance(names, list):
-            raise GroupTableError("element names must be a list")
-        names = tuple(names)
+        names = tuple(obj.get("names", ()))
         # names key the entries of a report's cochains, joined with ",";
         # the keys stay distinct when every name has as many commas as the
         # first (Klein's "0,1" has one), as a key then splits into equal runs

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .values import Frozen, init_field
+from .values import Frozen, init_field, read_fields
 
 Site = tuple[int, int]
 
@@ -98,15 +98,19 @@ class Region(Frozen):
         "full", "half_plane_H", "boundary_line", "half_line_R", "half_line_L",
         "origin_disk", "complement", "intersection",
     )
+    # the JSON keys of a kind besides kind and thickening, which every kind
+    # takes, as to_json writes a composite's thickening of 0
+    _JSON_KEYS = {"origin_disk": {"radius": int}, "complement": {"inner": dict},
+                  "intersection": {"inner": dict, "inner2": dict}}
 
     def __init__(self, kind: str, thickening: int = 0, radius: int = 0,
                  inner: Region | None = None, inner2: Region | None = None):
         if kind not in self.KINDS:
             raise ValueError(f"unknown region kind {kind!r}")
-        if type(thickening) is not int or thickening < 0:
-            raise ValueError(f"thickening must be an int >= 0, got {thickening!r}")
-        if kind == "origin_disk" and (type(radius) is not int or radius < 0):
-            raise ValueError(f"radius must be an int >= 0, got {radius!r}")
+        if thickening < 0:
+            raise ValueError(f"thickening must be >= 0, got {thickening!r}")
+        if kind == "origin_disk" and radius < 0:
+            raise ValueError(f"radius must be >= 0, got {radius!r}")
         if kind in ("complement", "intersection") and thickening:
             raise ValueError(f"{kind} regions take no thickening; thicken their parts")
         if kind == "complement" and inner is None:
@@ -172,32 +176,20 @@ class Region(Frozen):
         return Region("origin_disk", thickening, radius)
 
     @staticmethod
-    def complement_of(r: "Region") -> "Region":
-        return Region("complement", inner=r)
-
-    @staticmethod
     def intersection_of(a: "Region", b: "Region") -> "Region":
         return Region("intersection", inner=a, inner2=b)
 
     @staticmethod
-    def from_json(obj: dict) -> "Region":
-        kind = obj["kind"]
-        thick = obj.get("thickening", 0)
-        if kind == "origin_disk":
-            return Region(kind, thick, obj["radius"])
-        if kind == "complement":
-            return Region(kind, thick, inner=Region.from_json(obj["inner"]))
-        if kind == "intersection":
-            return Region(kind, thick, inner=Region.from_json(obj["inner"]),
-                          inner2=Region.from_json(obj["inner2"]))
-        return Region(kind, thick)
+    def from_json(obj: dict, path: str = "region") -> "Region":
+        kind = obj.get("kind") if type(obj) is dict else None
+        keys = Region._JSON_KEYS.get(kind, {}) if type(kind) is str else {}
+        read_fields(obj, path, {"kind": str, **keys}, {"thickening": int})
+        parts = [Region.from_json(obj[k], f"{path}.{k}") for k in ("inner", "inner2") if k in obj]
+        return Region(kind, obj.get("thickening", 0), obj.get("radius", 0), *parts)
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "thickening": self.thickening}
-        if self.kind == "origin_disk":
-            obj["radius"] = self.radius
-        if self.kind in ("complement", "intersection"):
-            obj["inner"] = self.inner.to_json()
-        if self.kind == "intersection":
-            obj["inner2"] = self.inner2.to_json()
+        for key in self._JSON_KEYS.get(self.kind, ()):
+            value = getattr(self, key)
+            obj[key] = value.to_json() if isinstance(value, Region) else value
         return obj

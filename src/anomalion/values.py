@@ -1,4 +1,4 @@
-"""The base classes of anomalion's records and immutable values.
+"""The base classes of anomalion's records and immutable values, and the JSON field reader.
 
 Every record is a plain class with __slots__, so importing anomalion
 generates no code.  A subclass lists its fields in __slots__ and may name
@@ -24,6 +24,31 @@ from __future__ import annotations
 from operator import attrgetter
 
 init_field = object.__setattr__
+
+_JSON_TYPES = {int: "an int", str: "a string", list: "a list", dict: "an object"}
+
+
+def read_fields(obj, path: str, required: dict, optional: dict) -> dict:
+    """obj, checked to be a JSON object with every key of required, no key
+    outside required and optional, and each value of exactly its key's type
+    (a type, or a tuple of types): a JSON bool or float is no int.  Anything
+    else is a ValueError that names path, the object's place in its input
+    ("" for the top level)."""
+    where = f"{path}: " if path else ""
+    if type(obj) is not dict:
+        raise ValueError(f"{where}expected an object, got {obj!r}")
+    for key, value in obj.items():
+        types = required.get(key) or optional.get(key)
+        if types is None:
+            raise ValueError(f"{where}unknown key {key!r}")
+        types = types if type(types) is tuple else (types,)
+        if type(value) not in types:
+            expected = " or ".join(_JSON_TYPES[t] for t in types)
+            raise ValueError(f"{where}{key!r} must be {expected}, got {value!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{where}missing key {key!r}")
+    return obj
 
 
 def _restore(cls, fields: tuple):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -5,7 +6,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+from anomalion import cli
+from anomalion.circuits import action_from_config
 from anomalion.cli import main
+from anomalion.lattice import Window
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -143,16 +147,26 @@ def test_checks_over_no_samples_are_config_errors(capsys):
 
 def test_mistyped_action_config_is_a_config_error(tmp_path, capsys):
     """JSON numbers are read as they are written: no float or boolean
-    stands in for an int, and a composite region takes no thickening."""
+    stands in for an int, and a composite region takes no thickening.  A
+    key that its object does not take, at any level, is refused with its
+    path, as a misspelt key would otherwise change the action silently."""
     group = {"order": 2, "mul": [0, 1, 1, 0]}
 
     def x_layer(region):
         return {"group": group, "generators": [{"element": 1, "layers": [{"pattern": "x_sites", "region": region}]}]}
 
+    at = "generators[0].layers[0].region"
     disk = {"kind": "origin_disk", "radius": 1}
+    # a Z2 config with three misspelt or extra keys, which was read as X on
+    # the unthickened half-plane with default names and reported trivial
+    misspelt = {
+        "group": {**group, "nmaes": ["e", "x"]},
+        "generators": [{"element": 1, "extra": 1,
+                        "layers": [{"pattern": "x_sites", "region": {"kind": "half_plane_H", "thicknes": 2}}]}],
+    }
     for config, err in (
-        ({"group": group, "generators": 5}, "TypeError: 'int' object is not iterable"),
-        (x_layer({"kind": "half_plane_H", "thickening": "2"}), "ValueError: thickening must be an int >= 0, got '2'"),
+        ({"group": group, "generators": 5}, "ValueError: 'generators' must be a list, got 5"),
+        (x_layer({"kind": "half_plane_H", "thickening": "2"}), f"ValueError: {at}: 'thickening' must be an int, got '2'"),
         ({"group": {"order": 3, "mul": [0, 1, 2, 1, 2, 0, 2, 0, 7]}, "generators": []},
          "GroupTableError: mul table entry 7 is not an element of range(3)"),
         ({"group": {"order": 2, "mul": [False, True, True, False]}, "generators": []},
@@ -160,14 +174,36 @@ def test_mistyped_action_config_is_a_config_error(tmp_path, capsys):
         # a gate list is no config pattern: this element would act trivially
         ({"group": group, "generators": [{"element": 1, "layers": [{"pattern": "explicit"}]}]},
          "InstantiationError: unknown pattern 'explicit'"),
-        ({"group": group, "generators": [{"element": 1.5, "layers": []}]}, "ValueError: element 1.5 is not in the group"),
-        ({"group": group, "generators": [{"element": True, "layers": []}]}, "ValueError: element True is not in the group"),
-        (x_layer({"kind": "origin_disk", "radius": 2.5}), "ValueError: radius must be an int >= 0, got 2.5"),
-        (x_layer({"kind": "half_plane_H", "thickening": 1.5}), "ValueError: thickening must be an int >= 0, got 1.5"),
+        ({"group": group, "generators": [{"element": 1.5, "layers": []}]},
+         "ValueError: generators[0]: 'element' must be a string or an int, got 1.5"),
+        ({"group": group, "generators": [{"element": True, "layers": []}]},
+         "ValueError: generators[0]: 'element' must be a string or an int, got True"),
+        (x_layer({"kind": "origin_disk", "radius": 2.5}), f"ValueError: {at}: 'radius' must be an int, got 2.5"),
+        (x_layer({"kind": "half_plane_H", "thickening": 1.5}), f"ValueError: {at}: 'thickening' must be an int, got 1.5"),
         (x_layer({"kind": "complement", "thickening": 1, "inner": disk}),
          "ValueError: complement regions take no thickening; thicken their parts"),
         (x_layer({"kind": "intersection", "thickening": 2, "inner": disk, "inner2": {"kind": "half_plane_H"}}),
          "ValueError: intersection regions take no thickening; thicken their parts"),
+        # an unknown key at each level
+        (misspelt, "ValueError: group: unknown key 'nmaes'"),
+        ({"group": group, "generators": [], "extra": 1}, "ValueError: unknown key 'extra'"),
+        ({"group": group, "generators": [{"element": 1, "extra": 1, "layers": []}]},
+         "ValueError: generators[0]: unknown key 'extra'"),
+        ({"group": group, "generators": [{"element": 1, "layers": [{"pattern": "x_sites", "extra": 1}]}]},
+         "ValueError: generators[0].layers[0]: unknown key 'extra'"),
+        (x_layer({"kind": "half_plane_H", "thicknes": 2}), f"ValueError: {at}: unknown key 'thicknes'"),
+        (x_layer({"kind": "complement", "inner": {**disk, "thicknes": 1}}),
+         f"ValueError: {at}.inner: unknown key 'thicknes'"),
+        # a key of another region kind
+        (x_layer({"kind": "complement", "inner": disk, "inner2": disk}), f"ValueError: {at}: unknown key 'inner2'"),
+        (x_layer({"kind": "half_plane_H", "radius": 2}), f"ValueError: {at}: unknown key 'radius'"),
+        # names are strings, and a name that is no element's is refused
+        ({"group": group, "generators": [], "name": 5}, "ValueError: 'name' must be a string, got 5"),
+        ({"group": {**group, "name": 5}, "generators": []}, "ValueError: group: 'name' must be a string, got 5"),
+        ({"group": group, "generators": [{"element": "x", "layers": []}]},
+         "ValueError: generators[0]: element 'x' is not in the group"),
+        ({"group": group}, "ValueError: missing key 'generators'"),
+        ({"group": group, "generators": [[]]}, "ValueError: generators[0]: expected an object, got []"),
     ):
         path = _write(tmp_path, "action.json", json.dumps(config))
         report = tmp_path / "r.json"
@@ -200,11 +236,11 @@ def test_action_config_element_names_must_be_distinct_strings(tmp_path, capsys):
     "a" and "a,a", with different numbers of commas, would merge entries
     too.  All are refused before any computation."""
     for names, message in (
-        (["x", "x"], "element names must be distinct strings"),
-        ([0, 1], "element names must be distinct strings"),
-        (["a", "a,a"], "element names 'a' and 'a,a' differ in their number of ','"),
+        (["x", "x"], "GroupTableError: element names must be distinct strings"),
+        ([0, 1], "GroupTableError: element names must be distinct strings"),
+        (["a", "a,a"], "GroupTableError: element names 'a' and 'a,a' differ in their number of ','"),
         # a string is no list of names, though it would split into "a" and "b"
-        ("ab", "element names must be a list"),
+        ("ab", "ValueError: group: 'names' must be a list, got 'ab'"),
     ):
         path = _write(tmp_path, "action.json", json.dumps({
             "group": {"order": 2, "mul": [0, 1, 1, 0], "names": names},
@@ -212,7 +248,7 @@ def test_action_config_element_names_must_be_distinct_strings(tmp_path, capsys):
         }))
         report = tmp_path / "r.json"
         err = _config_error(["anomaly1d", "--action", path, "--report", str(report)], capsys)
-        assert f"GroupTableError: {message}" in err
+        assert message in err
         assert not report.exists()
 
 
@@ -242,6 +278,29 @@ def test_custom_action_config(tmp_path):
     assert run(["anomaly2d", "--action", str(cfg), "--report", str(report)]) == 0
     data = json.loads(report.read_text())
     assert data["trivial"] is True
+
+
+def test_readme_action_config_reads():
+    """The README's custom-action example is a config the reader takes, so
+    the documented schema and the reader cannot drift apart."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("Custom actions are JSON:\n\n```json\n", 1)[1].split("```", 1)[0]
+    action = action_from_config(json.loads(block), Window.centered(12, 12, 3))
+    assert action.group.names == ("e", "x")
+
+
+def test_benchmark_inputs_load(tmp_path, monkeypatch):
+    """The order8 and sections workloads of perfbench write the JSON inputs
+    that the benchmark runs on; the CLI's loaders read both, as a refused
+    key would make the benchmark exit 2."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    argv = workloads.WORKLOADS["order8"].prepare(1234, str(tmp_path)).argv
+    window = cli._parse_window(argv[argv.index("--window") + 1], int(argv[argv.index("--margin") + 1]), chain=False)
+    assert cli._load_action(argv[argv.index("--action") + 1], window).group.order == 8
+    argv = workloads.WORKLOADS["sections"].prepare(1234, str(tmp_path)).argv
+    obj = cli._read_json(argv[argv.index("--input") + 1], "crossed input")
+    assert cli._crossed_from_json(obj, "crossed_module").M.order == 16
 
 
 def test_crossed_cli(tmp_path):
@@ -468,9 +527,9 @@ def test_action_config_lists_each_element_once(tmp_path, capsys):
     group = {"order": 2, "mul": [0, 1, 1, 0], "names": ["e", "x"]}
     ccz = {"pattern": "ccz_triangles", "region": {"kind": "full"}}
     configs = [
-        ("element 'x' is listed twice", [{"element": "x", "layers": [ccz]}, {"element": "x", "layers": []}]),
+        ("generators[1]: element 'x' is listed twice", [{"element": "x", "layers": [ccz]}, {"element": "x", "layers": []}]),
         ("element 'x' is not listed", [{"element": "e", "layers": []}]),
-        ("element 2 is not in the group", [{"element": 2, "layers": [ccz]}]),
+        ("generators[0]: element 2 is not in the group", [{"element": 2, "layers": [ccz]}]),
     ]
     for message, generators in configs:
         cfg = tmp_path / "action.json"
@@ -502,7 +561,7 @@ def test_crossed_without_input_is_a_config_error(capsys):
 def test_postnikov_without_a_section_is_a_config_error(tmp_path, capsys):
     path = _write(tmp_path, "cm.json", json.dumps(SIGN_ACTION_CM))
     assert run(["crossed", "postnikov", "--input", path]) == 2
-    assert capsys.readouterr().err == "config error: malformed input: KeyError: 'section'\n"
+    assert capsys.readouterr().err == "config error: missing key 'section', which postnikov reads without --all-sections\n"
     with_section = _write(tmp_path, "cm1.json", json.dumps({**SIGN_ACTION_CM, "section": [0, 1]}))
     assert run(["crossed", "postnikov", "--input", with_section]) == 0
 
@@ -512,11 +571,11 @@ def test_postnikov_section_of_wrong_length_or_range_is_a_config_error(tmp_path, 
     element n lies over n mod 2, so [1, 1] has the right length and range
     but is no section."""
     for section, err in (
-        ([0], "section has 1 entries, pi1 has 2 elements"),
-        ([0, 1, 2], "section has 3 entries, pi1 has 2 elements"),
-        ([0, 9], "section entry 9 is not an element of N (order 4)"),
-        ([0, -1], "section entry -1 is not an element of N (order 4)"),
-        ([0, 1.0], "section entry 1.0 is not an element of N (order 4)"),
+        ([0], "section is not a list of 2 entries"),
+        ([0, 1, 2], "section is not a list of 2 entries"),
+        ([0, 9], "section[1] = 9 is not in range(4)"),
+        ([0, -1], "section[1] = -1 is not in range(4)"),
+        ([0, 1.0], "section[1] = 1.0 is not in range(4)"),
         ([1, 1], "section entry 0 is 1, which lies over element 1 of pi1, not 0"),
         ([2, 2], "section entry 1 is 2, which lies over element 0 of pi1, not 1"),
     ):
@@ -561,7 +620,7 @@ def test_crossed_table_missing_a_group_is_a_config_error(tmp_path, capsys):
     no_n = {k: v for k, v in SIGN_ACTION_CM.items() if k != "N"}
     for sub in ("validate", "postnikov"):
         assert run(["crossed", sub, "--all-sections", "--input", _write(tmp_path, "cm.json", json.dumps(no_n))]) == 2
-        assert capsys.readouterr().err == "config error: malformed input: KeyError: 'N'\n"
+        assert capsys.readouterr().err == "config error: malformed input: ValueError: missing key 'N'\n"
     # a well-formed table that fails validation stays a finding
     bad_bd = _write(tmp_path, "bad.json", json.dumps({**SIGN_ACTION_CM, "bd": [0, 1, 0, 2], "section": [0, 1]}))
     assert run(["crossed", "postnikov", "--input", bad_bd]) == 1
@@ -587,25 +646,66 @@ def test_crossed_table_of_wrong_shape_is_a_config_error(tmp_path, capsys):
         for sub in ("validate", "postnikov"):
             assert _config_error(["crossed", sub, "--input", path], capsys) == f"config error: {err}\n"
     z1 = {"order": 1, "mul": [0]}
-    square = {"kind": "crossed_square", "L": z1, "M": z1, "N": z1, "P": z1, "f": [0], "g": [0], "v": [0],
-              "u": [0], "act_L": [[0]], "act_M": [[0]], "act_N": [[0]], "eta": [[0]]}
-    t2cm = {"kind": "two_crossed_module", "L": z1, "K": z1, "P": z1, "delta": [0], "bd": [0],
-            "act_L": [[0]], "act_K": [[0]], "braid": [[0]]}
     z2 = {"order": 2, "mul": [0, 1, 1, 0]}
     z2_square = {"kind": "crossed_square", "L": z2, "M": z2, "N": z2, "P": z1, "f": [0, 0], "g": [0, 0],
                  "v": [0, 0], "u": [0, 0], "act_L": [[0, 1]], "act_M": [[0, 1]], "act_N": [[0, 1]],
                  "eta": [[0, 0], [0, 1]]}
     for obj, subs, bad, err in (
-        (square, ("validate", "convert"), {"eta": [[0, 0]]}, "eta[0] is not a list of 1 entries"),
+        (Z1_SQUARE, ("validate", "convert"), {"eta": [[0, 0]]}, "eta[0] is not a list of 1 entries"),
         # booleans are no group elements, though Python counts them as ints
         (z2_square, ("validate", "convert"), {"L": {"order": 2, "mul": [False, True, True, False]}},
          "malformed input: GroupTableError: mul table entry False is not an element of range(2)"),
-        (t2cm, ("validate", "homotopy"), {"braid": [[1]]}, "braid[0][0] = 1 is not in range(1)"),
+        (Z1_T2CM, ("validate", "homotopy"), {"braid": [[1]]}, "braid[0][0] = 1 is not in range(1)"),
     ):
         for sub in subs:
             assert run(["crossed", sub, "--input", _write(tmp_path, "ok.json", json.dumps(obj))]) == 0
             path = _write(tmp_path, "bad.json", json.dumps({**obj, **bad}))
             assert _config_error(["crossed", sub, "--input", path], capsys) == f"config error: {err}\n"
+
+
+_Z1 = {"order": 1, "mul": [0]}
+Z1_SQUARE = {"kind": "crossed_square", "L": _Z1, "M": _Z1, "N": _Z1, "P": _Z1, "f": [0], "g": [0], "v": [0],
+             "u": [0], "act_L": [[0]], "act_M": [[0]], "act_N": [[0]], "eta": [[0]]}
+Z1_T2CM = {"kind": "two_crossed_module", "L": _Z1, "K": _Z1, "P": _Z1, "delta": [0], "bd": [0],
+           "act_L": [[0]], "act_K": [[0]], "braid": [[0]]}
+
+
+def test_unknown_or_mistyped_crossed_key_is_a_config_error(tmp_path, capsys):
+    """Each structure kind takes its groups, its tables and its kind, and a
+    crossed module also a section, on every subcommand that reads it; any
+    other key, a group key included, is refused with its path.  A kind
+    that names another structure than the subcommand reads is refused too."""
+    postnikov = ["postnikov", "--all-sections"]
+    for obj, subs, bad, err in (
+        # a misspelt section was dropped, and postnikov drew every section
+        (SIGN_ACTION_CM, (["validate"], postnikov), {"sectoin": [0, 1]},
+         "malformed input: ValueError: unknown key 'sectoin'"),
+        (SIGN_ACTION_CM, (["validate"], postnikov), {"M": {**SIGN_ACTION_CM["M"], "nmaes": ["a", "b", "c", "d"]}},
+         "malformed input: ValueError: M: unknown key 'nmaes'"),
+        (SIGN_ACTION_CM, (["validate"], postnikov), {"section": "01"},
+         "malformed input: ValueError: 'section' must be a list, got '01'"),
+        (SIGN_ACTION_CM, (["validate"], postnikov), {"N": [0]},
+         "malformed input: ValueError: 'N' must be an object, got [0]"),
+        (SIGN_ACTION_CM, (["convert"],), {}, "kind: expected 'crossed_square', got 'crossed_module'"),
+        (SIGN_ACTION_CM, (postnikov,), {"kind": "two_crossed_module"},
+         "kind: expected 'crossed_module', got 'two_crossed_module'"),
+        (Z1_SQUARE, (["validate"], ["convert"]), {"extra": 1}, "malformed input: ValueError: unknown key 'extra'"),
+        # only a crossed module carries a section
+        (Z1_SQUARE, (["validate"], ["convert"]), {"section": [0]},
+         "malformed input: ValueError: unknown key 'section'"),
+        (Z1_SQUARE, (["validate"], ["convert"]), {"P": {**_Z1, "name": 1}},
+         "malformed input: ValueError: P: 'name' must be a string, got 1"),
+        (Z1_T2CM, (["validate"], ["homotopy"]), {"extra": 1}, "malformed input: ValueError: unknown key 'extra'"),
+        (Z1_T2CM, (["homotopy"],), {"kind": "crossed_square"},
+         "kind: expected 'two_crossed_module', got 'crossed_square'"),
+        (Z1_T2CM, (["validate"],), {"kind": 5}, "unknown structure kind 5"),
+    ):
+        for sub in subs:
+            path = _write(tmp_path, "bad.json", json.dumps({**obj, **bad}))
+            report = tmp_path / "r.json"
+            err_line = _config_error(["crossed", *sub, "--input", path, "--report", str(report)], capsys)
+            assert err_line == f"config error: {err}\n"
+            assert not report.exists()
 
 
 def test_malformed_json_is_a_config_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from itertools import product
 
 import pytest
@@ -64,12 +65,19 @@ def test_group_table_validation():
         FiniteGroup(((False, True), (True, False)))
     with pytest.raises(GroupTableError, match="entry False is not an element of range"):
         FiniteGroup.from_json({"order": 2, "mul": [False, True, True, False]})
-    for obj in ({"order": True, "mul": [0]}, {"order": 2.0, "mul": [0, 1, 1, 0]}, {"order": 1, "mul": "0"}):
-        with pytest.raises(GroupTableError, match="order must be an int and mul a list"):
+    for obj, message in (
+        ({"order": True, "mul": [0]}, "group: 'order' must be an int, got True"),
+        ({"order": 2.0, "mul": [0, 1, 1, 0]}, "group: 'order' must be an int, got 2.0"),
+        ({"order": 1, "mul": "0"}, "group: 'mul' must be a list, got '0'"),
+        # a string of names is no list of them, though it splits into characters
+        ({"order": 2, "mul": [0, 1, 1, 0], "names": "ab"}, "group: 'names' must be a list, got 'ab'"),
+        ({"order": 2, "mul": [0, 1, 1, 0], "name": 2}, "group: 'name' must be a string, got 2"),
+        ({"order": 2, "mul": [0, 1, 1, 0], "nmaes": ["e", "x"]}, "group: unknown key 'nmaes'"),
+        ({"mul": [0]}, "group: missing key 'order'"),
+        ([0, 1, 1, 0], "group: expected an object, got [0, 1, 1, 0]"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
             FiniteGroup.from_json(obj)
-    # a string of names is no list of them, though it splits into characters
-    with pytest.raises(GroupTableError, match="element names must be a list"):
-        FiniteGroup.from_json({"order": 2, "mul": [0, 1, 1, 0], "names": "ab"})
     # element names read from JSON key the cochain entries of a report, so
     # they are distinct strings
     for names in (["x", "x"], [0, 1], ["e", 1], ["e", None]):

@@ -19,8 +19,8 @@ BASIC = [
     Region.origin_disk(2),
 ]
 REGIONS = BASIC + [
-    Region.complement_of(Region.half_plane_H()),
-    Region.complement_of(Region.origin_disk(1)),
+    Region("complement", inner=Region.half_plane_H()),
+    Region("complement", inner=Region.origin_disk(1)),
 ]
 
 
@@ -49,7 +49,7 @@ def test_thickening_monotone(region, site, r1, r2):
 @given(st.sampled_from(REGIONS), sites)
 @settings(max_examples=300, deadline=None)
 def test_double_complement_core(region, site):
-    double = Region.complement_of(Region.complement_of(region))
+    double = Region("complement", inner=Region("complement", inner=region))
     assert double.contains(site) == region.contains(site)
 
 
@@ -89,7 +89,7 @@ def test_intersection_region():
 def test_region_json_roundtrip():
     r = Region.origin_disk(2, thickening=1)
     assert Region.from_json(r.to_json()) == r
-    r2 = Region.complement_of(Region.half_plane_H(2))
+    r2 = Region("complement", inner=Region.half_plane_H(2))
     assert Region.from_json(r2.to_json()) == r2
     r3 = Region.intersection_of(Region.half_line_L(1), Region.origin_disk(3))
     assert Region.from_json(r3.to_json()) == r3
@@ -104,7 +104,7 @@ leaf_regions = st.one_of(
 regions = st.recursive(
     leaf_regions,
     lambda inner: st.one_of(
-        st.builds(Region.complement_of, inner),
+        st.builds(Region, st.just("complement"), inner=inner),
         st.builds(Region.intersection_of, inner, inner),
     ),
     max_leaves=6,
@@ -150,15 +150,15 @@ def test_complement_and_intersection_are_set_operations(a, b):
     an intersection exactly when it is in both parts, thickenings included."""
     in_a, in_b = grid_set(a), grid_set(b)
     assert {s for s in GRID if a.contains(s)} == in_a
-    assert {s for s in GRID if Region.complement_of(a).contains(s)} == set(GRID) - in_a
+    assert {s for s in GRID if Region("complement", inner=a).contains(s)} == set(GRID) - in_a
     assert {s for s in GRID if Region.intersection_of(a, b).contains(s)} == in_a & in_b
 
 
 @pytest.mark.parametrize("obj, message", [
-    ({"kind": "origin_disk", "radius": 2.5}, "radius must be an int >= 0, got 2.5"),
-    ({"kind": "origin_disk", "radius": True}, "radius must be an int >= 0, got True"),
-    ({"kind": "half_plane_H", "thickening": 1.5}, "thickening must be an int >= 0, got 1.5"),
-    ({"kind": "boundary_line", "thickening": True}, "thickening must be an int >= 0, got True"),
+    ({"kind": "origin_disk", "radius": 2.5}, "region: 'radius' must be an int, got 2.5"),
+    ({"kind": "origin_disk", "radius": True}, "region: 'radius' must be an int, got True"),
+    ({"kind": "half_plane_H", "thickening": 1.5}, "region: 'thickening' must be an int, got 1.5"),
+    ({"kind": "boundary_line", "thickening": True}, "region: 'thickening' must be an int, got True"),
     ({"kind": "complement", "thickening": 1, "inner": {"kind": "full"}},
      "complement regions take no thickening; thicken their parts"),
     ({"kind": "intersection", "thickening": 2, "inner": {"kind": "full"}, "inner2": {"kind": "full"}},
@@ -167,5 +167,27 @@ def test_complement_and_intersection_are_set_operations(a, b):
 def test_region_json_is_read_strictly(obj, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         Region.from_json(obj)
-    # with thickening 0 and radius 1 it reads: to_json writes a composite's thickening as 0
-    assert Region.from_json({**obj, "thickening": 0, "radius": 1}).thickening == 0
+    # with thickening 0 (and radius 1 on a disk) it reads: to_json writes a
+    # composite's thickening as 0
+    fixed = {**obj, "thickening": 0, **({"radius": 1} if "radius" in obj else {})}
+    assert Region.from_json(fixed).thickening == 0
+
+
+@pytest.mark.parametrize("obj, message", [
+    # each kind takes its own keys: a radius only on a disk, inner2 only on
+    # an intersection, and a misspelt key nowhere
+    ({"kind": "half_plane_H", "radius": 2}, "region: unknown key 'radius'"),
+    ({"kind": "complement", "inner": {"kind": "full"}, "inner2": {"kind": "full"}}, "region: unknown key 'inner2'"),
+    ({"kind": "half_plane_H", "thicknes": 2}, "region: unknown key 'thicknes'"),
+    ({"kind": "complement", "inner": {"kind": "full", "radius": 1}}, "region.inner: unknown key 'radius'"),
+    ({"kind": "intersection", "inner": {"kind": "full"}, "inner2": {"kind": "origin_disk"}},
+     "region.inner2: missing key 'radius'"),
+    ({"kind": "complement", "inner": "full"}, "region: 'inner' must be an object, got 'full'"),
+    ({"kind": 3}, "region: 'kind' must be a string, got 3"),
+    ({"kind": "disk"}, "unknown region kind 'disk'"),
+    ({"kind": "origin_disk", "radius": -1}, "radius must be >= 0, got -1"),
+    ([{"kind": "full"}], "region: expected an object, got [{'kind': 'full'}]"),
+])
+def test_region_json_refuses_keys_of_other_kinds(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Region.from_json(obj)

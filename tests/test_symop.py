@@ -302,7 +302,7 @@ regions = st.one_of(
     st.recursive(
         base_regions,
         lambda inner: st.one_of(
-            st.builds(Region.complement_of, inner),
+            st.builds(Region, st.just("complement"), inner=inner),
             st.builds(Region.intersection_of, inner, inner),
         ),
         max_leaves=4,
@@ -314,7 +314,7 @@ lattice_sites = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
 
 @given(regions, st.lists(lattice_sites, max_size=12))
 @settings(max_examples=200, deadline=None)
-@example(Region.complement_of(Region.origin_disk(2, 1)), [(3, 3), (40, -40)])
+@example(Region("complement", inner=Region.origin_disk(2, 1)), [(3, 3), (40, -40)])
 @example(Region.intersection_of(Region.half_line_L(1), Region.origin_disk(3)), [(-2, 1), (0, 5)])
 @example(Window(-3, 2, -1, 4), [(2, 4), (3, 4)])
 def test_region_mask_agrees_with_contains(region, fresh):

@@ -55,7 +55,7 @@ def crossed_module():
 FROZEN = {
     "Window": lambda: (Window, (-3, 2, -3, 2, 1)),
     "Region": lambda: (Region, ("intersection", 0, 0, Region.half_line_L(1),
-                                Region.complement_of(Region.origin_disk(3)))),
+                                Region("complement", inner=Region.origin_disk(3)))),
     "GateRule": lambda: (GateRule, ("cz_horizontal_edges", Region.half_plane_H(2))),
     "ProceduralCircuit": lambda: (ProceduralCircuit, (tuple(GateRule(p).generate(window())
                                                             for p in ("x_sites", "ccz_triangles")), window())),
