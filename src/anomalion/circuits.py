@@ -21,6 +21,7 @@ from .groups import FiniteGroup, klein_bits, klein_four
 from .lattice import Region, Window
 from .symop import (
     SymOp,
+    _packed,
     _sites,
     op_conj,
     op_inv,
@@ -91,16 +92,17 @@ def checked_layer(gates, window: Window, bound: int | None = None) -> Layer:
 
     A layer whose diagonal mask misses its flip mask passes the commutation
     check in one test: no gate's diagonal depends on a site any gate flips,
-    so every pair commutes.  Otherwise each gate is tested against the gates
-    the index says can fail to commute with it.
+    so every pair commutes.  Otherwise every pair of gates is tested; no
+    pattern or sampler makes such a mixed layer of more than a few gates,
+    and a pair whose masks miss passes ops_commute at once.
     """
     layer = Layer(gates, bound)
     diag, flips = layer.masks()
     if (diag | flips) & ~region_mask(window):
         raise InstantiationError(f"gate leaves window at {sites_outside(layer, window)[0]}")
     if diag & flips:
-        for g in layer:
-            for h in layer.acting(g):
+        for i, g in enumerate(layer):
+            for h in layer[i + 1:]:
                 if not ops_commute(g, h):
                     raise InstantiationError(f"layer gates {g} and {h} overlap and do not commute")
     return layer
@@ -110,31 +112,22 @@ def _diameter(mask: int) -> int:
     """The larger of the x and y extents of the sites of a mask."""
     if not mask & (mask - 1):  # at most one site
         return 0
-    sites = _sites(mask)
-    x_lo, y_lo = x_hi, y_hi = sites[0]
-    for x, y in sites:
-        if x < x_lo:
-            x_lo = x
-        elif x > x_hi:
-            x_hi = x
-        if y < y_lo:
-            y_lo = y
-        elif y > y_hi:
-            y_hi = y
-    return max(x_hi - x_lo, y_hi - y_lo)
+    xs, ys = zip(*_sites(mask))
+    return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
 class Layer(tuple):
-    """A materialized layer: its gates, its range bound, two masks and a gate index.
+    """A materialized layer: its gates, its range bound, its product, two
+    masks and a monomial index.
 
     Layer() checks nothing, so build one directly only from a checked layer
     of the same window (a sub-layer, inverse or conjugate); checked_layer
     and GateRule.generate make checked ones.  The bound defaults to the
     largest gate diameter.  The product, the masks and the index are built
     on first use.  The masks are the sites the gates' diagonals depend on
-    and the sites they flip.  The index maps each site bit to the positions
-    of the gates whose diagonal depends on it, and of those that flip it,
-    as masks; it is built only when an operator meets the masks.
+    and the sites they flip.  The index maps each site bit to the monomials
+    of the product that contain the site; it is built only when an
+    operator flips a site of the diagonal mask.
     """
 
     def __new__(cls, gates=(), bound: int | None = None):
@@ -173,43 +166,39 @@ class Layer(tuple):
         return diag | flips
 
     def conj(self, a: SymOp) -> SymOp:
-        """phi(layer)(a): conjugation by the gates that can fail to commute with a."""
-        gates = self.acting(a)
-        return op_conj(a, op_product(gates)) if gates else a
+        """phi(layer)(a) = L a L^-1, for L = D_f X_S the product.
 
-    def acting(self, a: SymOp) -> list[SymOp]:
-        """The gates that can fail to commute with a, in layer order: those
-        whose diagonal meets a's flips or whose flips meet a's diagonal.
-        Only a's flips on the diagonal mask and a's diagonal on the flip
-        mask can meet a gate; an a with neither meets none and builds no
-        index."""
+        For a = D_g X_T, L a L^-1 = D_{g o sigma_S + Delta_T f} X_T, and only
+        the monomials of f that meet T enter Delta_T f: one op_conj by D_f' X_S,
+        f' those monomials.  An a that no gate can act on by the masks is
+        returned as it is.
+        """
         diag, flips = support_masks(a)
         layer_diag, layer_flips = self._masks or self.masks()
         flips &= layer_diag
-        diag &= layer_flips
-        if not flips | diag:
-            return []
-        if self._index is None:
-            index = ({}, {})
-            for i, g in enumerate(self):
-                for by_bit, m in zip(index, support_masks(g)):
-                    while m:
-                        bit = m & -m
-                        by_bit[bit] = by_bit.get(bit, 0) | 1 << i
-                        m ^= bit
-            self._index = index
-        hit = 0
-        for by_bit, m in zip(self._index, (flips, diag)):
-            while m:
-                bit = m & -m
-                hit |= by_bit[bit]
-                m ^= bit
-        gates = []
-        while hit:
-            low = hit & -hit
-            gates.append(self[low.bit_length() - 1])
-            hit ^= low
-        return gates
+        if not flips and not diag & layer_flips:
+            return a
+        product = self._product or self.product()
+        meeting = set()
+        if flips:
+            index = self._monomial_index() if self._index is None else self._index
+            while flips:
+                bit = flips & -flips
+                meeting.update(index.get(bit, ()))
+                flips ^= bit
+        return op_conj(a, _packed(frozenset(meeting), product._flips))
+
+    def _monomial_index(self) -> dict[int, list]:
+        """Site bit -> the monomials of the product that contain the site."""
+        index: dict[int, list] = {}
+        for m in self.product()._poly:
+            bits = m
+            while bits:
+                bit = bits & -bits
+                index.setdefault(bit, []).append(m)
+                bits ^= bit
+        self._index = index
+        return index
 
 
 class ProceduralCircuit(Frozen, compare=("layers", "window")):
@@ -278,8 +267,8 @@ def truncate(c: ProceduralCircuit, region: Region) -> ProceduralCircuit:
 def conj_by_circuit(a: SymOp, c: ProceduralCircuit, check_margin: bool = True) -> SymOp:
     """phi(c)(a) = W a W^-1, applying layers in list order.
 
-    Gates in a layer commute, so each layer acts once, by the product of
-    the gates that can fail to commute with the running operator.  With
+    Gates in a layer commute, so each layer acts once, by the part of its
+    product that can act on the running operator (Layer.conj).  With
     check_margin, a's support must lie in interior(): a mask test, with
     sites decoded only for the error message.
     """

@@ -123,23 +123,28 @@ class FiniteGroup(Frozen):
 
     @staticmethod
     def from_json(obj: dict, path: str = "group") -> "FiniteGroup":
+        """The group of a JSON table; a table that is no group is a
+        GroupTableError that names path, the table's place in its input."""
         read_fields(obj, path, {"order": int, "mul": list}, {"names": list, "name": str})
         order = obj["order"]
         flat = obj["mul"]
         if len(flat) != order * order:
-            raise GroupTableError("mul table length != order^2")
+            raise GroupTableError(f"{path}: mul table length != order^2")
         table = tuple(tuple(flat[i * order : (i + 1) * order]) for i in range(order))
         names = tuple(obj.get("names", ()))
         # names key the entries of a report's cochains, joined with ",";
         # the keys stay distinct when every name has as many commas as the
         # first (Klein's "0,1" has one), as a key then splits into equal runs
         if any(type(s) is not str for s in names) or len(set(names)) < len(names):
-            raise GroupTableError("element names must be distinct strings")
+            raise GroupTableError(f"{path}: element names must be distinct strings")
         for s in names:
             if s.count(",") != names[0].count(","):
-                raise GroupTableError(f"element names {names[0]!r} and {s!r} differ in their number of ','"
-                                      ", which joins names in report keys")
-        return FiniteGroup(table, names, obj.get("name", "G"))
+                raise GroupTableError(f"{path}: element names {names[0]!r} and {s!r} differ in their number"
+                                      " of ',', which joins names in report keys")
+        try:
+            return FiniteGroup(table, names, obj.get("name", "G"))
+        except GroupTableError as exc:
+            raise GroupTableError(f"{path}: {exc}") from exc
 
     def to_json(self) -> dict:
         return {

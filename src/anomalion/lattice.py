@@ -185,7 +185,10 @@ class Region(Frozen):
         keys = Region._JSON_KEYS.get(kind, {}) if type(kind) is str else {}
         read_fields(obj, path, {"kind": str, **keys}, {"thickening": int})
         parts = [Region.from_json(obj[k], f"{path}.{k}") for k in ("inner", "inner2") if k in obj]
-        return Region(kind, obj.get("thickening", 0), obj.get("radius", 0), *parts)
+        try:
+            return Region(kind, obj.get("thickening", 0), obj.get("radius", 0), *parts)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "thickening": self.thickening}

@@ -29,6 +29,7 @@ from anomalion.lattice import Region, Window
 from anomalion.pairing import _conjugated_circuit
 from anomalion.symop import (
     SymOp,
+    _sites,
     format_op,
     op_conj,
     op_mul,
@@ -90,28 +91,40 @@ def test_layer_validity_checks():
         assert all(type(layer) is Layer for layer in derive(c).layers)
 
 
-def spy_acting(monkeypatch) -> list:
-    """Record the operators Layer.acting is called with."""
+def spy_pair_tests(monkeypatch) -> list:
+    """Record the gate pairs checked_layer tests for commutation."""
+    from anomalion import circuits
+
     calls = []
-    real = Layer.acting
+    real = circuits.ops_commute
 
-    def acting(layer, a):
-        calls.append(a)
-        return real(layer, a)
+    def ops_commute(g, h):
+        calls.append((g, h))
+        return real(g, h)
 
-    monkeypatch.setattr(Layer, "acting", acting)
+    monkeypatch.setattr(circuits, "ops_commute", ops_commute)
     return calls
+
+
+def index_sites(layer) -> dict:
+    """The layer's monomial index decoded: site -> the product's monomials
+    that contain it, each as a set of sites."""
+    return {
+        site: {frozenset(_sites(m)) for m in monomials}
+        for bit, monomials in layer._index.items()
+        for (site,) in [_sites(bit)]
+    }
 
 
 def test_layers_whose_masks_miss_pass_without_an_index(monkeypatch):
     """An all-diagonal or all-X layer passes validation in one mask test, with
     no pairwise test and no index, and an operator that commutes with a layer
-    by its masks builds no index."""
+    by its masks, or flips no site of its diagonal, builds no index."""
     w = Window(-3, 3, -3, 3)
     gates = (SymOp.cz((0, 0), (1, 0)), SymOp.z((0, 0)), SymOp.ccz((0, 0), (1, 0), (1, 1)))
     diag = lambda: checked_layer(gates, w)
     xs = lambda: GateRule("x_sites", Region.origin_disk(1)).generate(w)
-    calls = spy_acting(monkeypatch)
+    calls = spy_pair_tests(monkeypatch)
     for make in (diag, xs):
         layer = make()
         assert len(layer) > 1 and layer._index is None
@@ -121,27 +134,47 @@ def test_layers_whose_masks_miss_pass_without_an_index(monkeypatch):
     for make, a in ((diag, SymOp.cz((0, 0), (1, 1))), (xs, SymOp.x((0, 0)))):
         layer = make()
         assert support_mask(a) & layer.mask()
-        assert layer.acting(a) == [] and layer.conj(a) is a
+        assert layer.conj(a) is a
         assert layer._index is None
-    # an operator that meets both masks builds the index and finds its gates
+    # a diagonal on an X layer's flips acts through the flips alone
+    layer = xs()
+    z = SymOp.z((0, 0))
+    assert layer.conj(z) == op_mul(SymOp.scalar(-1), z) == op_conj(z, layer.product())
+    assert layer._index is None
+    # an operator that flips a site of the diagonal builds the index, and
+    # the monomials of the product on that site act
     layer = diag()
-    assert layer.acting(SymOp.x((1, 0))) == [layer[0], layer[2]]
-    assert layer._index is not None
+    x = SymOp.x((1, 0))
+    assert layer.conj(x) == op_conj(x, op_product([layer[0], layer[2]])) == op_conj(x, layer.product())
+    cz, z, ccz = (next(iter(g.poly)) for g in gates)
+    assert index_sites(layer) == {(0, 0): {cz, z, ccz}, (1, 0): {cz, ccz}, (1, 1): {ccz}}
 
 
 def test_layer_masks_meeting_falls_back_to_pairwise_check(monkeypatch):
-    """A layer whose diagonal meets its flips runs the pairwise test: X(a)X(b)
-    and Z(a)Z(b) commute and pass, X(a) and Z(a) do not."""
+    """A layer whose diagonal meets its flips tests its gates pairwise:
+    X(a)X(b) and Z(a)Z(b) commute and pass, and so does one gate whose
+    diagonal meets its own flips, with no pair to test; X(a) with Z(a) or
+    with CZ(a,b) does not commute and is refused, naming the first such
+    pair."""
     w = Window(-3, 3, -3, 3)
     a, b = (0, 0), (1, 0)
     xx = SymOp(frozenset(), frozenset({a, b}))
     zz = op_mul(SymOp.z(a), SymOp.z(b))
-    calls = spy_acting(monkeypatch)
+    calls = spy_pair_tests(monkeypatch)
     layer = checked_layer((xx, zz), w)
     assert support_masks(zz)[0] & support_masks(xx)[1] and list(layer) == [xx, zz]
-    assert calls == [xx, zz]
+    assert calls == [(xx, zz)]
+    calls.clear()
+    zx = op_mul(SymOp.cz(a, b), SymOp.x(a))
+    assert support_masks(zx)[0] & support_masks(zx)[1]
+    assert list(checked_layer((zx,), w)) == [zx] and calls == []
     with pytest.raises(InstantiationError, match="overlap and do not commute"):
         checked_layer((SymOp.x(a), SymOp.z(a)), w)
+    with pytest.raises(
+        InstantiationError,
+        match=r"^layer gates X\(0,0\) and CZ\(\(0,0\),\(1,0\)\) overlap and do not commute$",
+    ):
+        checked_layer((SymOp.x(a), SymOp.x((2, 2)), SymOp.cz(a, b)), w)
 
 
 def test_truncate_keeps_fully_contained_gates():
@@ -475,6 +508,10 @@ def can_fail_to_commute(g, a):
 @given(st.integers(0, 2**32))
 @settings(max_examples=300, deadline=None)
 def test_indexed_conj_matches_full_scan(seed):
+    """Each layer conjugates as its whole product does and as the product of
+    the gates that can fail to commute with the operator does; the other
+    gates commute with it, and an operator no gate can act on is returned
+    as it is."""
     rng = random.Random(seed)
     c = rand_derived(rng, rand_circuit(rng))
     for _ in range(3):
@@ -482,12 +519,51 @@ def test_indexed_conj_matches_full_scan(seed):
         assert conj_by_circuit(a, c, check_margin=False) == conj_full_scan(a, c)
         b = a
         for layer in c.layers:
-            acting = layer.acting(b)
-            assert acting == [g for g in layer if can_fail_to_commute(g, b)]
+            acting = [g for g in layer if can_fail_to_commute(g, b)]
             assert all(ops_commute(g, b) for g in layer if not can_fail_to_commute(g, b))
+            image = layer.conj(b)
+            assert image == op_conj(b, layer.product()) == op_conj(b, op_product(acting))
+            if not acting:
+                assert image is b
             for g in acting:
                 b = op_conj(b, g)
+            assert b == image
         assert b == conj_full_scan(a, c)
+
+
+def test_layer_conj_is_conj_by_product_on_derived_layers():
+    """Layer.conj is op_conj by the whole product on inverse, conjugated,
+    concatenated and truncated layers, where the products carry cross
+    terms and the sign: Z(b)X(a) and Z(a)X(b) commute with the product
+    -Z(a)Z(b)X(a)X(b), and CZ(b,c)X(a) and CZ(a,c)X(b) with the product
+    CZ(b,c)CZ(a,c)Z(c)X(a)X(b)."""
+    a, b, c, d = (0, 0), (1, 0), (1, 1), (0, 1)
+    signed = checked_layer([op_mul(SymOp.z(b), SymOp.x(a)), op_mul(SymOp.z(a), SymOp.x(b))], GRID)
+    crossed = checked_layer([op_mul(SymOp.cz(b, c), SymOp.x(a)), op_mul(SymOp.cz(a, c), SymOp.x(b))], GRID)
+    assert frozenset() in signed.product().poly
+    assert frozenset({c}) in crossed.product().poly and not any(g.poly == {frozenset({c})} for g in crossed)
+    circuit = ProceduralCircuit((signed, crossed, checked_layer([SymOp.ccz(a, c, d), SymOp.x(b)], GRID)), GRID)
+    by = ProceduralCircuit((checked_layer([SymOp.x(c), SymOp.cz(a, d)], GRID),), GRID)
+    derived = (
+        circuit,
+        circuit.inverse(),
+        _conjugated_circuit(circuit, by),
+        concat(circuit, by),
+        truncate(circuit, Region.origin_disk(0)),
+        truncate(circuit, Region.half_plane_H()),
+    )
+    sites = (a, b, c, d, (2, 0))
+    ops = [SymOp.z(s) for s in sites] + [SymOp.x(s) for s in sites]
+    ops += [op_mul(p, q) for p in ops for q in ops[::3]]
+    products = []
+    for derived_circuit in derived:
+        for layer in derived_circuit.layers:
+            products.append(layer.product())
+            for op in ops:
+                assert layer.conj(op) == op_conj(op, layer.product())
+        for op in ops:
+            assert conj_by_circuit(op, derived_circuit, check_margin=False) == conj_full_scan(op, derived_circuit)
+    assert sum(frozenset() in p.poly for p in products) >= 3
 
 
 @given(st.integers(0, 2**32), st.integers(0, DERIVED_KINDS - 1))
@@ -510,13 +586,14 @@ def test_diagonal_passes_ccz_layer_without_acting_gates(window12):
     c = builtin_action("ccz_x_2d", window12).circuit(0b10)  # the CCZ layer only
     (layer,) = c.layers
     diag = op_mul(SymOp.cz((0, 0), (1, 0)), op_mul(SymOp.z((0, 1)), SymOp.scalar(-1)))
-    assert layer.acting(diag) == []
+    assert layer.conj(diag) is diag and layer._index is None
     assert conj_by_circuit(diag, c) == diag == conj_full_scan(diag, c)
-    # X at a site meets the six triangles around it, which then act
+    # X at a site meets exactly the six triangles around it, which then act
     x = SymOp.x((0, 0))
-    acting = layer.acting(x)
-    assert len(acting) == 6 and all((0, 0) in support(g) for g in acting)
-    assert conj_by_circuit(x, c) == conj_full_scan(x, c) != x
+    assert conj_by_circuit(x, c) == conj_full_scan(x, c) == op_conj(x, layer.product()) != x
+    meeting = index_sites(layer)[(0, 0)]
+    assert len(meeting) == 6 and all((0, 0) in m and len(m) == 3 for m in meeting)
+    assert meeting == {next(iter(g.poly)) for g in layer if (0, 0) in support(g)}
 
 
 def test_total_range_of_derived_circuits(window12):

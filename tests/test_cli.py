@@ -157,6 +157,7 @@ def test_mistyped_action_config_is_a_config_error(tmp_path, capsys):
 
     at = "generators[0].layers[0].region"
     disk = {"kind": "origin_disk", "radius": 1}
+    klein = {"order": 4, "mul": [a ^ b for a in range(4) for b in range(4)]}
     # a Z2 config with three misspelt or extra keys, which was read as X on
     # the unthickened half-plane with default names and reported trivial
     misspelt = {
@@ -168,9 +169,9 @@ def test_mistyped_action_config_is_a_config_error(tmp_path, capsys):
         ({"group": group, "generators": 5}, "ValueError: 'generators' must be a list, got 5"),
         (x_layer({"kind": "half_plane_H", "thickening": "2"}), f"ValueError: {at}: 'thickening' must be an int, got '2'"),
         ({"group": {"order": 3, "mul": [0, 1, 2, 1, 2, 0, 2, 0, 7]}, "generators": []},
-         "GroupTableError: mul table entry 7 is not an element of range(3)"),
+         "GroupTableError: group: mul table entry 7 is not an element of range(3)"),
         ({"group": {"order": 2, "mul": [False, True, True, False]}, "generators": []},
-         "GroupTableError: mul table entry False is not an element of range(2)"),
+         "GroupTableError: group: mul table entry False is not an element of range(2)"),
         # a gate list is no config pattern: this element would act trivially
         ({"group": group, "generators": [{"element": 1, "layers": [{"pattern": "explicit"}]}]},
          "InstantiationError: unknown pattern 'explicit'"),
@@ -181,9 +182,14 @@ def test_mistyped_action_config_is_a_config_error(tmp_path, capsys):
         (x_layer({"kind": "origin_disk", "radius": 2.5}), f"ValueError: {at}: 'radius' must be an int, got 2.5"),
         (x_layer({"kind": "half_plane_H", "thickening": 1.5}), f"ValueError: {at}: 'thickening' must be an int, got 1.5"),
         (x_layer({"kind": "complement", "thickening": 1, "inner": disk}),
-         "ValueError: complement regions take no thickening; thicken their parts"),
+         f"ValueError: {at}: complement regions take no thickening; thicken their parts"),
         (x_layer({"kind": "intersection", "thickening": 2, "inner": disk, "inner2": {"kind": "half_plane_H"}}),
-         "ValueError: intersection regions take no thickening; thicken their parts"),
+         f"ValueError: {at}: intersection regions take no thickening; thicken their parts"),
+        # the constructor's checks name the place too, here the third generator
+        ({"group": klein, "generators": [{"element": e, "layers": []} for e in (1, 2)]
+          + [{"element": 3, "layers": [{"pattern": "x_sites", "region": {"kind": "complement", "thickening": 1,
+                                                                         "inner": disk}}]}]},
+         "ValueError: generators[2].layers[0].region: complement regions take no thickening; thicken their parts"),
         # an unknown key at each level
         (misspelt, "ValueError: group: unknown key 'nmaes'"),
         ({"group": group, "generators": [], "extra": 1}, "ValueError: unknown key 'extra'"),
@@ -236,9 +242,9 @@ def test_action_config_element_names_must_be_distinct_strings(tmp_path, capsys):
     "a" and "a,a", with different numbers of commas, would merge entries
     too.  All are refused before any computation."""
     for names, message in (
-        (["x", "x"], "GroupTableError: element names must be distinct strings"),
-        ([0, 1], "GroupTableError: element names must be distinct strings"),
-        (["a", "a,a"], "GroupTableError: element names 'a' and 'a,a' differ in their number of ','"),
+        (["x", "x"], "GroupTableError: group: element names must be distinct strings"),
+        ([0, 1], "GroupTableError: group: element names must be distinct strings"),
+        (["a", "a,a"], "GroupTableError: group: element names 'a' and 'a,a' differ in their number of ','"),
         # a string is no list of names, though it would split into "a" and "b"
         ("ab", "ValueError: group: 'names' must be a list, got 'ab'"),
     ):
@@ -637,10 +643,10 @@ def test_crossed_table_of_wrong_shape_is_a_config_error(tmp_path, capsys):
         ({"act": [[0, 1, 2, 3], [0, 3, 2, 1], [0, 1, 2, "3"], [0, 3, 2, 1]]}, "act[2][3] = '3' is not in range(4)"),
         ({"bd": [0, 2, 0, 7]}, "bd[3] = 7 is not in range(4)"),
         ({"bd": [0, 2]}, "bd is not a list of 4 entries"),
-        ({"M": {"order": 2, "mul": [0, 1, 1, 1]}}, "malformed input: GroupTableError: element 1 has no inverse"),
-        ({"N": {"order": 2, "mul": [0, 1, 1]}}, "malformed input: GroupTableError: mul table length != order^2"),
+        ({"M": {"order": 2, "mul": [0, 1, 1, 1]}}, "malformed input: GroupTableError: M: element 1 has no inverse"),
+        ({"N": {"order": 2, "mul": [0, 1, 1]}}, "malformed input: GroupTableError: N: mul table length != order^2"),
         ({"M": {"order": 3, "mul": [0, 1, 2, 1, 2, 0, 2, 0, 7]}},
-         "malformed input: GroupTableError: mul table entry 7 is not an element of range(3)"),
+         "malformed input: GroupTableError: M: mul table entry 7 is not an element of range(3)"),
     ):
         path = _write(tmp_path, "cm.json", json.dumps({**SIGN_ACTION_CM, **bad, "section": [0, 1]}))
         for sub in ("validate", "postnikov"):
@@ -654,7 +660,7 @@ def test_crossed_table_of_wrong_shape_is_a_config_error(tmp_path, capsys):
         (Z1_SQUARE, ("validate", "convert"), {"eta": [[0, 0]]}, "eta[0] is not a list of 1 entries"),
         # booleans are no group elements, though Python counts them as ints
         (z2_square, ("validate", "convert"), {"L": {"order": 2, "mul": [False, True, True, False]}},
-         "malformed input: GroupTableError: mul table entry False is not an element of range(2)"),
+         "malformed input: GroupTableError: L: mul table entry False is not an element of range(2)"),
         (Z1_T2CM, ("validate", "homotopy"), {"braid": [[1]]}, "braid[0][0] = 1 is not in range(1)"),
     ):
         for sub in subs:

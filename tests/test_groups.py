@@ -63,8 +63,13 @@ def test_group_table_validation():
     # a JSON boolean is a Python int, but no group element
     with pytest.raises(GroupTableError, match="entry False is not an element of range"):
         FiniteGroup(((False, True), (True, False)))
-    with pytest.raises(GroupTableError, match="entry False is not an element of range"):
+    with pytest.raises(GroupTableError, match=r"^group: mul table entry False is not an element of range"):
         FiniteGroup.from_json({"order": 2, "mul": [False, True, True, False]})
+    # the reader's path prefixes the table's errors and the constructor's
+    with pytest.raises(GroupTableError, match=r"^N: mul table length != order\^2$"):
+        FiniteGroup.from_json({"order": 2, "mul": [0, 1, 1]}, "N")
+    with pytest.raises(GroupTableError, match=r"^M: element 1 has no inverse$"):
+        FiniteGroup.from_json({"order": 2, "mul": [0, 1, 1, 1]}, "M")
     for obj, message in (
         ({"order": True, "mul": [0]}, "group: 'order' must be an int, got True"),
         ({"order": 2.0, "mul": [0, 1, 1, 0]}, "group: 'order' must be an int, got 2.0"),
@@ -81,11 +86,11 @@ def test_group_table_validation():
     # element names read from JSON key the cochain entries of a report, so
     # they are distinct strings
     for names in (["x", "x"], [0, 1], ["e", 1], ["e", None]):
-        with pytest.raises(GroupTableError, match="element names must be distinct strings"):
+        with pytest.raises(GroupTableError, match="^group: element names must be distinct strings$"):
             FiniteGroup.from_json({"order": 2, "mul": [0, 1, 1, 0], "names": names})
     # names are joined with "," in those keys: "a" and "a,a" would collide,
     # while names with one comma each (as Klein's) keep them distinct
-    with pytest.raises(GroupTableError, match="element names 'a' and 'a,a' differ in their number of ','"):
+    with pytest.raises(GroupTableError, match="^group: element names 'a' and 'a,a' differ in their number of ','"):
         FiniteGroup.from_json({"order": 2, "mul": [0, 1, 1, 0], "names": ["a", "a,a"]})
     assert FiniteGroup.from_json({"order": 2, "mul": [0, 1, 1, 0], "names": ["a,b", "a,a"]}).names == ("a,b", "a,a")
 

@@ -191,3 +191,19 @@ def test_region_json_is_read_strictly(obj, message):
 def test_region_json_refuses_keys_of_other_kinds(obj, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         Region.from_json(obj)
+
+
+def test_region_constructor_errors_name_the_path():
+    """A region the constructor refuses is reported at its place in the input."""
+    disk = {"kind": "origin_disk", "radius": 1}
+    for obj, path, message in (
+        ({"kind": "disk"}, "region", "region: unknown region kind 'disk'"),
+        ({"kind": "origin_disk", "radius": -1}, "at", "at: radius must be >= 0, got -1"),
+        ({"kind": "half_plane_H", "thickening": -2}, "region", "region: thickening must be >= 0, got -2"),
+        ({"kind": "complement", "inner": {"kind": "intersection", "thickening": 1, "inner": disk, "inner2": disk}},
+         "region", "region.inner: intersection regions take no thickening; thicken their parts"),
+        ({"kind": "intersection", "inner": disk, "inner2": {"kind": "origin_disk", "radius": -1}},
+         "g[2].region", "g[2].region.inner2: radius must be >= 0, got -1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Region.from_json(obj, path)
