@@ -109,11 +109,7 @@ def spy_pair_tests(monkeypatch) -> list:
 def index_sites(layer) -> dict:
     """The layer's monomial index decoded: site -> the product's monomials
     that contain it, each as a set of sites."""
-    return {
-        site: {frozenset(_sites(m)) for m in monomials}
-        for bit, monomials in layer._index.items()
-        for (site,) in [_sites(bit)]
-    }
+    return {_sites(bit)[0]: {frozenset(_sites(m)) for m in monomials} for bit, monomials in layer._index.items()}
 
 
 def test_layers_whose_masks_miss_pass_without_an_index(monkeypatch):
@@ -534,8 +530,8 @@ def test_indexed_conj_matches_full_scan(seed):
 def test_layer_conj_is_conj_by_product_on_derived_layers():
     """Layer.conj is op_conj by the whole product on inverse, conjugated,
     concatenated and truncated layers, where the products carry cross
-    terms and the sign: Z(b)X(a) and Z(a)X(b) commute with the product
-    -Z(a)Z(b)X(a)X(b), and CZ(b,c)X(a) and CZ(a,c)X(b) with the product
+    terms and the sign: Z(b)X(a) and Z(a)X(b) commute and multiply to
+    -Z(a)Z(b)X(a)X(b), and CZ(b,c)X(a) and CZ(a,c)X(b) to
     CZ(b,c)CZ(a,c)Z(c)X(a)X(b)."""
     a, b, c, d = (0, 0), (1, 0), (1, 1), (0, 1)
     signed = checked_layer([op_mul(SymOp.z(b), SymOp.x(a)), op_mul(SymOp.z(a), SymOp.x(b))], GRID)
